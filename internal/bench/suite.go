@@ -371,6 +371,32 @@ func Suite() []Benchmark {
 			},
 		},
 		{
+			Name:  "campaign/warm_store",
+			Brief: "bench campaign rerun with a cold LRU over a filled checksummed memory store (store get, verify, decode)",
+			Gated: true,
+			Fn: func(b *testing.B) {
+				c := scenario.BenchCampaign()
+				filled := store.WithChecksum(store.NewMemory())
+				fill := &scenario.Runner{Cache: scenario.NewCellCacheStore(filled, 0), Workers: 1}
+				if _, err := fill.Run(c); err != nil {
+					b.Fatal(err)
+				}
+				run := func() {
+					r := &scenario.Runner{Cache: scenario.NewCellCacheStore(filled, 0), Workers: 1}
+					if _, err := r.Run(c); err != nil {
+						b.Fatal(err)
+					}
+				}
+				// Untimed warm-up run, as in campaign/cold_cohort: keeps
+				// allocs/op exact for the alloc gate.
+				run()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+			},
+		},
+		{
 			Name:  "campaign/cold_disk",
 			Brief: "bench campaign with a cold disk cache (hash + write per cell)",
 			Fn: func(b *testing.B) {

@@ -213,8 +213,11 @@ func BenchCacheEncode() (func() error, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The runner derives a cell's key once, before any cache work; the
+	// encode path only consumes it.
+	k := cell.key()
 	return func() error {
-		buf, err := encodeCellEntry(cell, res, 1.25)
+		buf, err := encodeCellEntry(k, res, 1.25)
 		if err != nil {
 			return err
 		}

@@ -173,11 +173,11 @@ func TestQuickCacheRoundTrip(t *testing.T) {
 
 		// Store tier, every backend.
 		for _, rs := range stores {
-			if err := storeCell(rs, spec, res, 1); err != nil {
+			if err := storeCell(rs, spec.key(), res, 1); err != nil {
 				t.Logf("store: %v", err)
 				return false
 			}
-			got, ok, _ := loadCell(rs, spec)
+			got, ok, _ := loadCell(rs, spec.key())
 			if !ok || mustCanonicalResult(t, got) != want {
 				t.Logf("store round-trip mismatch: ok=%v", ok)
 				return false
@@ -186,7 +186,7 @@ func TestQuickCacheRoundTrip(t *testing.T) {
 
 		// Memory tier.
 		c := NewCellCache("", 4)
-		if _, _, err := c.do(spec, func() (CellResult, error) { return res, nil }); err != nil {
+		if _, _, err := c.do(spec.key(), func() (CellResult, error) { return res, nil }); err != nil {
 			return false
 		}
 		memGot, tier, ok := c.Lookup(spec)
@@ -217,7 +217,7 @@ func TestQuickConcurrentLRUNeverStale(t *testing.T) {
 				r := rand.New(rand.NewSource(seed + int64(g)))
 				for n := 0; n < 200 && !stale.Load(); n++ {
 					i := r.Intn(len(specs))
-					res, _, err := cache.do(specs[i], func() (CellResult, error) {
+					res, _, err := cache.do(specs[i].key(), func() (CellResult, error) {
 						return modelResult(float64(i)), nil
 					})
 					if err != nil || res.Model == nil || float64(res.Model.TFinal) != float64(i) {

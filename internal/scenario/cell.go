@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 
 	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
@@ -157,8 +158,24 @@ func (c CellSpec) Canonical() []byte {
 
 // Hash returns the hex SHA-256 of the canonical encoding: the cache key.
 func (c CellSpec) Hash() string {
-	sum := sha256.Sum256(c.Canonical())
-	return hex.EncodeToString(sum[:])
+	return c.key().hash
+}
+
+// cellKey is a cell's cache identity: the canonical encoding and its hex
+// SHA-256. Deriving it costs a JSON encode and a hash, so the runner
+// derives it once per cell reference and threads it through the cache
+// (lookup, entry verification, entry encoding, store key) instead of
+// re-deriving it at every layer.
+type cellKey struct {
+	hash      string
+	canonical []byte
+}
+
+// key derives the cell's cache identity.
+func (c CellSpec) key() cellKey {
+	canonical := c.Canonical()
+	sum := sha256.Sum256(canonical)
+	return cellKey{hash: hex.EncodeToString(sum[:]), canonical: canonical}
 }
 
 // JSONFloat is a float64 whose JSON encoding survives the IEEE specials:
@@ -166,7 +183,8 @@ func (c CellSpec) Hash() string {
 // are encoded as the strings "+inf", "-inf" and "nan".
 type JSONFloat float64
 
-// MarshalJSON encodes specials as strings and finite values as numbers.
+// MarshalJSON encodes specials as strings and finite values as numbers,
+// byte-identical to encoding/json's float64 encoding.
 func (f JSONFloat) MarshalJSON() ([]byte, error) {
 	v := float64(f)
 	switch {
@@ -177,12 +195,48 @@ func (f JSONFloat) MarshalJSON() ([]byte, error) {
 	case math.IsNaN(v):
 		return []byte(`"nan"`), nil
 	default:
-		return json.Marshal(v)
+		return appendJSONNumber(make([]byte, 0, 24), v), nil
 	}
 }
 
-// UnmarshalJSON decodes the encoding of MarshalJSON.
+// appendJSONNumber appends a finite float64 exactly as encoding/json
+// encodes it: shortest round-trip digits, in exponent form outside
+// [1e-6, 1e21), with a one-digit negative exponent's leading zero removed.
+func appendJSONNumber(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9, as encoding/json does.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// UnmarshalJSON decodes the encoding of MarshalJSON. The two forms it
+// produces are parsed directly: a number literal by strconv.ParseFloat
+// (what encoding/json does for a float64) and a special by its exact
+// quoted bytes. Anything else — null, escaped strings, numbers out of
+// range — goes through encoding/json, keeping its semantics and error
+// text.
 func (f *JSONFloat) UnmarshalJSON(b []byte) error {
+	if len(b) > 0 && (b[0] == '-' || '0' <= b[0] && b[0] <= '9') {
+		if v, err := strconv.ParseFloat(string(b), 64); err == nil {
+			*f = JSONFloat(v)
+			return nil
+		}
+	}
+	if n := len(b); n >= 2 && b[0] == '"' && b[n-1] == '"' {
+		if v, ok := jsonFloatSpecial(string(b[1 : n-1])); ok {
+			*f = JSONFloat(v)
+			return nil
+		}
+	}
 	var v float64
 	if err := json.Unmarshal(b, &v); err == nil {
 		*f = JSONFloat(v)
@@ -192,17 +246,25 @@ func (f *JSONFloat) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err
 	}
-	switch s {
-	case "+inf":
-		*f = JSONFloat(math.Inf(1))
-	case "-inf":
-		*f = JSONFloat(math.Inf(-1))
-	case "nan":
-		*f = JSONFloat(math.NaN())
-	default:
+	v, ok := jsonFloatSpecial(s)
+	if !ok {
 		return fmt.Errorf("scenario: invalid float %q", s)
 	}
+	*f = JSONFloat(v)
 	return nil
+}
+
+// jsonFloatSpecial maps the special strings of MarshalJSON to their values.
+func jsonFloatSpecial(s string) (float64, bool) {
+	switch s {
+	case "+inf":
+		return math.Inf(1), true
+	case "-inf":
+		return math.Inf(-1), true
+	case "nan":
+		return math.NaN(), true
+	}
+	return 0, false
 }
 
 // ModelCellResult mirrors model.Result with JSON-safe floats: times in

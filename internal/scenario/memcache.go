@@ -49,10 +49,12 @@ type CacheStats struct {
 	// ExecErrors counts cell executions that failed outright (the request
 	// observed an error and nothing was cached).
 	ExecErrors int64 `json:"exec_errors"`
-	// CorruptEntries counts store reads that returned a damaged entry —
-	// a checksum mismatch or undecodable bytes. Each one is a detected
+	// CorruptEntries counts damaged entries the store returned — a
+	// checksum mismatch or undecodable bytes. Each one is a detected
 	// silent error: it degrades to a miss and the re-execution overwrites
-	// the bad entry, so the artifact is never built from corrupt data.
+	// the bad entry, so the artifact is never built from corrupt data. An
+	// entry counts once however often it is read before it is overwritten
+	// (a campaign run reads a missing cell twice: preload, then execution).
 	CorruptEntries int64 `json:"corrupt_entries"`
 }
 
@@ -77,6 +79,7 @@ type CellCache struct {
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
 	flight  map[string]*flightCall
+	damaged map[string]bool // keys read corrupt and not yet rewritten
 	stats   CacheStats
 }
 
@@ -124,6 +127,7 @@ func NewCellCacheStore(rs store.ResultStore, memCells int) *CellCache {
 		entries:  map[string]*list.Element{},
 		order:    list.New(),
 		flight:   map[string]*flightCall{},
+		damaged:  map[string]bool{},
 	}
 }
 
@@ -176,12 +180,25 @@ func (c *CellCache) insertLocked(hash string, res CellResult) {
 	}
 }
 
+// noteCorruptLocked counts a damaged entry read from the store, once until
+// it is read intact or rewritten. Callers hold c.mu.
+func (c *CellCache) noteCorruptLocked(hash string) {
+	if !c.damaged[hash] {
+		c.damaged[hash] = true
+		c.stats.CorruptEntries++
+	}
+}
+
 // Lookup consults the memory tier then the store tier, never executing. A
 // store hit is promoted into memory.
 func (c *CellCache) Lookup(spec CellSpec) (CellResult, CellTier, bool) {
-	hash := spec.Hash()
+	return c.lookup(spec.key())
+}
+
+// lookup is Lookup for a cell whose key the caller already derived.
+func (c *CellCache) lookup(k cellKey) (CellResult, CellTier, bool) {
 	c.mu.Lock()
-	if el, ok := c.entries[hash]; ok {
+	if el, ok := c.entries[k.hash]; ok {
 		c.order.MoveToFront(el)
 		c.stats.MemHits++
 		res := el.Value.(*memEntry).result
@@ -194,18 +211,19 @@ func (c *CellCache) Lookup(spec CellSpec) (CellResult, CellTier, bool) {
 	}
 	c.stats.DiskReads++
 	c.mu.Unlock()
-	res, ok, corrupt := loadCell(c.store, spec)
+	res, ok, corrupt := loadCell(c.store, k)
 	if !ok {
 		if corrupt {
 			c.mu.Lock()
-			c.stats.CorruptEntries++
+			c.noteCorruptLocked(k.hash)
 			c.mu.Unlock()
 		}
 		return CellResult{}, "", false
 	}
 	c.mu.Lock()
+	delete(c.damaged, k.hash)
 	c.stats.DiskHits++
-	c.insertLocked(hash, res)
+	c.insertLocked(k.hash, res)
 	c.mu.Unlock()
 	return res, TierDisk, true
 }
@@ -215,13 +233,14 @@ func (c *CellCache) Lookup(spec CellSpec) (CellResult, CellTier, bool) {
 // Concurrent calls for the same cell coalesce — exactly one executes, the
 // rest wait for its result and report TierCoalesced.
 func (c *CellCache) GetOrExecute(spec CellSpec) (CellResult, CellTier, error) {
-	return c.do(spec, spec.Execute)
+	return c.do(spec.key(), spec.Execute)
 }
 
-// do is GetOrExecute with an injectable executor (tests gate it to pin
-// down coalescing).
-func (c *CellCache) do(spec CellSpec, exec func() (CellResult, error)) (CellResult, CellTier, error) {
-	hash := spec.Hash()
+// do is GetOrExecute for a cell whose key the caller already derived, with
+// an injectable executor (the runner and shard execution pass their own;
+// tests gate it to pin down coalescing).
+func (c *CellCache) do(k cellKey, exec func() (CellResult, error)) (CellResult, CellTier, error) {
+	hash := k.hash
 	c.mu.Lock()
 	if el, ok := c.entries[hash]; ok {
 		c.order.MoveToFront(el)
@@ -270,10 +289,10 @@ func (c *CellCache) do(spec CellSpec, exec func() (CellResult, error)) (CellResu
 		c.stats.DiskReads++
 		c.mu.Unlock()
 		var corrupt bool
-		res, hit, corrupt = loadCell(c.store, spec)
+		res, hit, corrupt = loadCell(c.store, k)
 		if corrupt {
 			c.mu.Lock()
-			c.stats.CorruptEntries++
+			c.noteCorruptLocked(hash)
 			c.mu.Unlock()
 		}
 	}
@@ -287,7 +306,7 @@ func (c *CellCache) do(spec CellSpec, exec func() (CellResult, error)) (CellResu
 		// result, serve it to every coalesced waiter, and count the store
 		// error.
 		if err == nil {
-			storeFailed = storeCell(c.store, spec, res, float64(time.Since(start).Microseconds())/1000) != nil
+			storeFailed = storeCell(c.store, k, res, float64(time.Since(start).Microseconds())/1000) != nil
 		}
 	}
 	c.mu.Lock()
@@ -299,6 +318,8 @@ func (c *CellCache) do(spec CellSpec, exec func() (CellResult, error)) (CellResu
 		}
 		if storeFailed {
 			c.stats.StoreErrors++
+		} else {
+			delete(c.damaged, hash) // a hit read it intact, or the write replaced it
 		}
 		c.insertLocked(hash, res)
 	} else {

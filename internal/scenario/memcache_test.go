@@ -103,7 +103,7 @@ func TestCellCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, tier, err := c.do(spec, exec)
+			res, tier, err := c.do(spec.key(), exec)
 			if err != nil {
 				t.Error(err)
 			}
@@ -155,15 +155,15 @@ func TestCellCacheLRUEviction(t *testing.T) {
 		spec CellSpec
 		v    float64
 	}{{a, 1}, {b, 2}} {
-		if _, tier, _ := c.do(s.spec, mkexec(s.v)); tier != TierExec {
+		if _, tier, _ := c.do(s.spec.key(), mkexec(s.v)); tier != TierExec {
 			t.Fatalf("fill %d: tier %q", i, tier)
 		}
 	}
 	// Touch a so b becomes the LRU victim, then insert d.
-	if _, tier, _ := c.do(a, mkexec(1)); tier != TierMem {
+	if _, tier, _ := c.do(a.key(), mkexec(1)); tier != TierMem {
 		t.Fatal("a should be in memory")
 	}
-	if _, tier, _ := c.do(d, mkexec(3)); tier != TierExec {
+	if _, tier, _ := c.do(d.key(), mkexec(3)); tier != TierExec {
 		t.Fatal("d should execute")
 	}
 	if _, _, ok := c.Lookup(a); !ok {
@@ -174,7 +174,7 @@ func TestCellCacheLRUEviction(t *testing.T) {
 	}
 	// With no disk tier, evicted cells re-execute; the value must come
 	// from the executor, never a stale slot.
-	if res, tier, _ := c.do(b, mkexec(22)); tier != TierExec || float64(res.Model.TFinal) != 22 {
+	if res, tier, _ := c.do(b.key(), mkexec(22)); tier != TierExec || float64(res.Model.TFinal) != 22 {
 		t.Errorf("re-executed b: tier %q value %v", tier, res.Model.TFinal)
 	}
 }
@@ -195,7 +195,7 @@ func TestCellCacheStoreErrorDegradesGracefully(t *testing.T) {
 	}
 	c := NewCellCache(dir, 16)
 
-	res, tier, err := c.do(spec, func() (CellResult, error) { return modelResult(42), nil })
+	res, tier, err := c.do(spec.key(), func() (CellResult, error) { return modelResult(42), nil })
 	if err != nil {
 		t.Fatalf("store failure surfaced as an execution error: %v", err)
 	}
@@ -239,14 +239,14 @@ func TestCellCacheStoreErrorServesWaiters(t *testing.T) {
 	}
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.do(spec, exec)
+		_, _, err := c.do(spec.key(), exec)
 		leaderErr <- err
 	}()
 	<-started
 	waiterDone := make(chan error, 1)
 	var waiterRes CellResult
 	go func() {
-		res, tier, err := c.do(spec, nil)
+		res, tier, err := c.do(spec.key(), nil)
 		if err == nil && tier != TierCoalesced && tier != TierMem {
 			err = fmt.Errorf("waiter tier = %q", tier)
 		}
@@ -278,14 +278,14 @@ func TestCellCacheExecError(t *testing.T) {
 	c := NewCellCache("", 4)
 	spec := periodsCell(model.Hour)
 	boom := fmt.Errorf("boom")
-	if _, _, err := c.do(spec, func() (CellResult, error) { return CellResult{}, boom }); err != boom {
+	if _, _, err := c.do(spec.key(), func() (CellResult, error) { return CellResult{}, boom }); err != boom {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if s := c.Stats(); s.Executed != 0 || s.ExecErrors != 1 {
 		t.Errorf("failed execution miscounted: %+v, want 0 executed / 1 exec error", s)
 	}
 	// The failure is not cached: the next call re-executes and succeeds.
-	res, tier, err := c.do(spec, func() (CellResult, error) { return modelResult(7), nil })
+	res, tier, err := c.do(spec.key(), func() (CellResult, error) { return modelResult(7), nil })
 	if err != nil || tier != TierExec || float64(res.Model.TFinal) != 7 {
 		t.Errorf("retry after failure: res=%v tier=%q err=%v", res.Model, tier, err)
 	}
@@ -303,7 +303,7 @@ func TestCellCacheExecPanic(t *testing.T) {
 	leaderDone := make(chan any, 1)
 	go func() {
 		defer func() { leaderDone <- recover() }()
-		c.do(spec, func() (CellResult, error) {
+		c.do(spec.key(), func() (CellResult, error) {
 			close(entered)
 			<-release
 			panic("exec exploded")
@@ -313,7 +313,7 @@ func TestCellCacheExecPanic(t *testing.T) {
 	// A waiter coalesces onto the doomed flight.
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.do(spec, func() (CellResult, error) { return modelResult(1), nil })
+		_, _, err := c.do(spec.key(), func() (CellResult, error) { return modelResult(1), nil })
 		waiterDone <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
@@ -336,7 +336,7 @@ func TestCellCacheExecPanic(t *testing.T) {
 		t.Fatal("waiter deadlocked on the leaked flight entry")
 	}
 	// The failure is not sticky: the next request executes normally.
-	res, tier, err := c.do(spec, func() (CellResult, error) { return modelResult(5), nil })
+	res, tier, err := c.do(spec.key(), func() (CellResult, error) { return modelResult(5), nil })
 	if err != nil || tier != TierExec || float64(res.Model.TFinal) != 5 {
 		t.Errorf("cell unusable after panic: res=%v tier=%q err=%v", res.Model, tier, err)
 	}

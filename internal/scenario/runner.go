@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"abftckpt/internal/sim"
@@ -79,8 +80,9 @@ type Runner struct {
 	// CacheDir is the on-disk cell cache used when Cache is nil; empty
 	// disables disk caching.
 	CacheDir string
-	// Workers bounds cell-level parallelism (0: NumCPU). Cells (grouped
-	// into trace cohorts) are the unit of parallelism; when a campaign has
+	// Workers bounds cell-level parallelism (0: NumCPU): the cache preload
+	// spreads its lookups over this many goroutines, and execution runs
+	// cells (grouped into trace cohorts) on as many; when a campaign has
 	// fewer units than workers, the runner lends the idle workers to the
 	// simulation cells themselves (Workers / units replica workers per
 	// cell). Results are bit-identical for any worker count at either
@@ -124,6 +126,7 @@ type Runner struct {
 // cellState tracks one unique cell through a run.
 type cellState struct {
 	spec   CellSpec
+	key    cellKey // derived once, at dedupe
 	result CellResult
 	done   bool
 	cached bool
@@ -158,12 +161,12 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	for i, ex := range exs {
 		run := &specRun{ex: ex, slot: i}
 		for _, cell := range ex.cells {
-			h := cell.Hash()
-			if _, ok := states[h]; !ok {
-				states[h] = &cellState{spec: cell}
-				order = append(order, h)
+			k := cell.key()
+			if _, ok := states[k.hash]; !ok {
+				states[k.hash] = &cellState{spec: cell, key: k}
+				order = append(order, k.hash)
 			}
-			run.hashes = append(run.hashes, h)
+			run.hashes = append(run.hashes, k.hash)
 		}
 		totalRefs += len(ex.cells)
 		runs = append(runs, run)
@@ -189,12 +192,18 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 		r.OnPlan(plan)
 	}
 
-	// Load whatever the cache tiers already have.
+	totalWorkers := r.Workers
+	if totalWorkers <= 0 {
+		totalWorkers = runtime.NumCPU()
+	}
+
+	// Load whatever the cache tiers already have, then take the hits in
+	// first-reference order, so counters, events and assembly do not
+	// depend on the worker count.
+	preload(cache, order, states, totalWorkers)
 	var todo []string
 	for _, h := range order {
-		st := states[h]
-		if res, _, ok := cache.Lookup(st.spec); ok {
-			st.result, st.done, st.cached = res, true, true
+		if states[h].cached {
 			report.CacheHits++
 		} else {
 			todo = append(todo, h)
@@ -282,10 +291,6 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	if budget <= 0 {
 		budget = DefaultArenaBudget
 	}
-	totalWorkers := r.Workers
-	if totalWorkers <= 0 {
-		totalWorkers = runtime.NumCPU()
-	}
 	workers := totalWorkers
 	if workers > len(batches) {
 		workers = len(batches)
@@ -363,7 +368,7 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 							}
 						}
 						start := time.Now()
-						res, tier, err := cache.do(st.spec, exec)
+						res, tier, err := cache.do(st.key, exec)
 						elapsed := time.Since(start)
 						mu.Lock()
 						if err != nil {
@@ -429,4 +434,32 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 		report.Artifacts = append(report.Artifacts, arts...)
 	}
 	return report, nil
+}
+
+// preload looks every unique cell up in the cache tiers, never executing,
+// and marks each hit done and cached in its state. The lookups are
+// independent, so the caller and up to workers-1 goroutines claim cells
+// one at a time; each writes only the states it claimed. Lookups stay per
+// key (not one store batch) so every corrupt entry is detected and
+// counted.
+func preload(cache *CellCache, order []string, states map[string]*cellState, workers int) {
+	var next atomic.Int64
+	lookups := func() {
+		for i := int(next.Add(1)) - 1; i < len(order); i = int(next.Add(1)) - 1 {
+			st := states[order[i]]
+			if res, _, ok := cache.lookup(st.key); ok {
+				st.result, st.done, st.cached = res, true, true
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, len(order)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lookups()
+		}()
+	}
+	lookups()
+	wg.Wait()
 }

@@ -36,34 +36,38 @@ func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int, arenaBudge
 
 	// Deduplicate within the shard (a well-behaved coordinator sends
 	// unique cells, but the semantics must not depend on it).
-	byHash := map[string]CellSpec{}
+	type shardCell struct {
+		spec CellSpec
+		key  cellKey
+	}
+	byHash := map[string]shardCell{}
 	var order []string
 	hashes := make([]string, len(specs))
 	for i, spec := range specs {
-		h := spec.Hash()
-		hashes[i] = h
-		if _, ok := byHash[h]; !ok {
-			byHash[h] = spec
-			order = append(order, h)
+		k := spec.key()
+		hashes[i] = k.hash
+		if _, ok := byHash[k.hash]; !ok {
+			byHash[k.hash] = shardCell{spec: spec, key: k}
+			order = append(order, k.hash)
 		}
 	}
 
 	results := make(map[string]CellResult, len(order))
 	tiers := make(map[string]CellTier, len(order))
-	for _, co := range groupCohorts(order, func(h string) CellSpec { return byHash[h] }) {
+	for _, co := range groupCohorts(order, func(h string) CellSpec { return byHash[h].spec }) {
 		var arena *sim.TraceArena
 		if len(co.hashes) > 1 {
 			cells := make([]CellSpec, len(co.hashes))
 			for i, h := range co.hashes {
-				cells[i] = byHash[h]
+				cells[i] = byHash[h].spec
 			}
 			arena = buildCohortArena(co, cells, arenaBudget)
 		}
 		for _, h := range co.hashes {
-			spec := byHash[h]
+			cell := byHash[h]
 			opts := ExecOptions{Workers: simWorkers, Arena: arena}
-			res, tier, err := cache.do(spec, func() (CellResult, error) {
-				return spec.ExecuteOpts(opts)
+			res, tier, err := cache.do(cell.key, func() (CellResult, error) {
+				return cell.spec.ExecuteOpts(opts)
 			})
 			if err != nil {
 				return nil, err

@@ -200,6 +200,43 @@ func TestCoordinatorShardsCampaign(t *testing.T) {
 	}
 }
 
+// TestCoordinatorJobCountsFleetExecution: with workers sharing the
+// coordinator's store, a cold sharded run reports every unique cell as
+// executed (matching the fleet's own counters), and a warm rerun reports
+// none.
+func TestCoordinatorJobCountsFleetExecution(t *testing.T) {
+	shared := store.NewMemory()
+	w1 := startWorker(t, shared)
+	w2 := startWorker(t, shared)
+	coord := New(Config{
+		Cache:      scenario.NewCellCacheStore(shared, 128),
+		Workers:    2,
+		WorkerURLs: []string{w1.URL, w2.URL},
+	})
+	cts := httptest.NewServer(coord.Handler())
+	t.Cleanup(cts.Close)
+
+	cold := runCampaign(t, cts.URL, shardCampaign)
+	if cold.State != StateDone {
+		t.Fatalf("cold job state %q (error %q)", cold.State, cold.Error)
+	}
+	fleet := 0
+	for _, ws := range cold.Workers {
+		fleet += ws.Executed
+	}
+	if c := cold.Cells; c.Total == 0 || c.Executed != c.Total || fleet != c.Total || c.Cached != 0 || c.Done != c.Total {
+		t.Errorf("cold run cells %+v with fleet executed %d; want executed == total == fleet, cached 0", c, fleet)
+	}
+
+	warm := runCampaign(t, cts.URL, shardCampaign)
+	if warm.State != StateDone {
+		t.Fatalf("warm job state %q (error %q)", warm.State, warm.Error)
+	}
+	if c := warm.Cells; c.Executed != 0 || c.Cached != c.Total || c.Total != cold.Cells.Total || len(warm.Workers) != 0 {
+		t.Errorf("warm rerun cells %+v, workers %+v; want executed 0, all cached, no shards", c, warm.Workers)
+	}
+}
+
 // TestCoordinatorFailsOverDeadWorker: a fleet with one unreachable worker
 // still completes jobs, and the dead worker's errors are counted.
 func TestCoordinatorFailsOverDeadWorker(t *testing.T) {

@@ -224,6 +224,19 @@ func (j *job) finish(report *scenario.Report, err error) {
 		j.state = StateDone
 		if report != nil {
 			j.cached, j.executed = report.CacheHits, report.Executed
+			if j.workers != nil {
+				// Coordinator job: the fleet executed. A worker sharing the
+				// coordinator's store puts each result before the
+				// coordinator's cache looks for it, so the local report
+				// counts fleet-executed cells as cached; the shard counters
+				// are the truth.
+				fleet := 0
+				for _, ws := range j.workers {
+					fleet += ws.Executed
+				}
+				j.executed = min(fleet, report.Unique)
+				j.cached = report.Unique - j.executed
+			}
 			j.cellsDone = report.Unique
 		}
 	}

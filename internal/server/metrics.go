@@ -375,7 +375,7 @@ func (m *Metrics) WritePromText(w io.Writer, g promGauges) {
 	fmt.Fprintln(w, "# HELP ftserve_cache_exec_errors_total Cell executions that failed outright.")
 	fmt.Fprintln(w, "# TYPE ftserve_cache_exec_errors_total counter")
 	fmt.Fprintf(w, "ftserve_cache_exec_errors_total %d\n", g.Cache.ExecErrors)
-	fmt.Fprintln(w, "# HELP ftserve_cache_corrupt_entries_total Store reads rejected as corrupt (checksum mismatch or undecodable bytes), each re-executed as a miss.")
+	fmt.Fprintln(w, "# HELP ftserve_cache_corrupt_entries_total Damaged store entries detected (checksum mismatch or undecodable bytes), each re-executed as a miss.")
 	fmt.Fprintln(w, "# TYPE ftserve_cache_corrupt_entries_total counter")
 	fmt.Fprintf(w, "ftserve_cache_corrupt_entries_total %d\n", g.Cache.CorruptEntries)
 
