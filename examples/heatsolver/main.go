@@ -11,7 +11,7 @@ import (
 	"os"
 
 	"abftckpt/internal/app"
-	"abftckpt/internal/ckpt"
+	"abftckpt/internal/store"
 	"abftckpt/internal/vproc"
 )
 
@@ -26,7 +26,7 @@ func run(inj *vproc.Injector, epochs int) (*app.Heat, error) {
 		CkptEvery:     3,
 		Seed:          7,
 	}
-	rt := vproc.NewRuntime(cfg.DataProcs+1, ckpt.NewMemStore(), inj)
+	rt := vproc.NewRuntime(cfg.DataProcs+1, store.NewMemory(), inj)
 	h := app.New(cfg, rt)
 	return h, h.Run(epochs)
 }

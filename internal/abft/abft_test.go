@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"abftckpt/internal/grid"
 	"abftckpt/internal/matrix"
 	"abftckpt/internal/rng"
 )
@@ -100,12 +99,13 @@ func TestRecoverProcessFailureOneByQ(t *testing.T) {
 	a := matrix.RandDense(9, nb*blocks, src)
 	e := EncodeColumns(a, nb, q)
 
-	dist := grid.NewBlockCyclic(grid.New(1, q), 1, blocks)
+	// Process failed owns block columns failed, failed+q, ... of the 1 x q
+	// block-cyclic layout.
 	failed := 2
 	var lost []int
-	for _, ti := range dist.LostTiles(failed) {
-		lost = append(lost, ti.Col)
-		e.EraseBlockColumn(ti.Col)
+	for j := failed; j < blocks; j += q {
+		lost = append(lost, j)
+		e.EraseBlockColumn(j)
 	}
 	if len(lost) != 2 {
 		t.Fatalf("expected 2 lost blocks, got %v", lost)

@@ -4,13 +4,13 @@ import (
 	"math"
 	"testing"
 
-	"abftckpt/internal/ckpt"
+	"abftckpt/internal/store"
 	"abftckpt/internal/vproc"
 )
 
 func runApp(t *testing.T, cfg Config, inj *vproc.Injector, epochs int) *Heat {
 	t.Helper()
-	rt := vproc.NewRuntime(cfg.DataProcs+1, ckpt.NewMemStore(), inj)
+	rt := vproc.NewRuntime(cfg.DataProcs+1, store.NewMemory(), inj)
 	h := New(cfg, rt)
 	if err := h.Run(epochs); err != nil {
 		t.Fatal(err)
@@ -143,13 +143,13 @@ func TestNewPanicsOnWrongRuntimeSize(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(DefaultConfig(), vproc.NewRuntime(2, ckpt.NewMemStore(), nil))
+	New(DefaultConfig(), vproc.NewRuntime(2, store.NewMemory(), nil))
 }
 
 func BenchmarkEpochFaultFree(b *testing.B) {
 	cfg := DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		rt := vproc.NewRuntime(cfg.DataProcs+1, ckpt.NewMemStore(), nil)
+		rt := vproc.NewRuntime(cfg.DataProcs+1, store.NewMemory(), nil)
 		h := New(cfg, rt)
 		if err := h.Run(1); err != nil {
 			b.Fatal(err)
@@ -160,7 +160,7 @@ func BenchmarkEpochFaultFree(b *testing.B) {
 func BenchmarkEpochWithFailures(b *testing.B) {
 	cfg := DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		rt := vproc.NewRuntime(cfg.DataProcs+1, ckpt.NewMemStore(), vproc.NewInjector(0.1, uint64(i)))
+		rt := vproc.NewRuntime(cfg.DataProcs+1, store.NewMemory(), vproc.NewInjector(0.1, uint64(i)))
 		h := New(cfg, rt)
 		if err := h.Run(1); err != nil {
 			b.Fatal(err)

@@ -3,7 +3,7 @@ package app
 import (
 	"testing"
 
-	"abftckpt/internal/ckpt"
+	"abftckpt/internal/store"
 	"abftckpt/internal/vproc"
 )
 
@@ -11,7 +11,7 @@ import (
 // periodic protocol (pure when libEvery == 0, bi otherwise).
 func runUnderPeriodic(t *testing.T, cfg Config, inj *vproc.Injector, libEvery, epochs int) (*Heat, *vproc.Runtime) {
 	t.Helper()
-	rt := vproc.NewRuntime(cfg.DataProcs+1, ckpt.NewMemStore(), inj)
+	rt := vproc.NewRuntime(cfg.DataProcs+1, store.NewMemory(), inj)
 	h := New(cfg, rt)
 	per := &vproc.Periodic{
 		RT:                rt,

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"net/http/httptest"
 	"os"
 	"sync/atomic"
@@ -11,8 +10,6 @@ import (
 
 	"abftckpt/internal/abft"
 	"abftckpt/internal/app"
-	"abftckpt/internal/ckpt"
-	"abftckpt/internal/des"
 	"abftckpt/internal/dist"
 	"abftckpt/internal/matrix"
 	"abftckpt/internal/model"
@@ -43,11 +40,9 @@ type Benchmark struct {
 // Fixed workloads, mirroring the paper's Figure 7 configuration so the
 // numbers track the exact code paths campaigns execute.
 const (
-	replicaReps   = 256
-	weibullReps   = 64
-	desReps       = 32
-	distSamples   = 1024
-	cascadeEvents = 4096
+	replicaReps = 256
+	weibullReps = 64
+	distSamples = 1024
 )
 
 func fig7Sim(reps int) sim.Config {
@@ -122,44 +117,6 @@ func Suite() []Benchmark {
 				}
 				for i := 0; i < b.N; i++ {
 					sim.SimulateAdaptive(cfg, prec)
-				}
-			},
-		},
-		{
-			Name:       "sim/replica_des",
-			Brief:      "replica loop through the event-calendar engine (cross-validation path)",
-			UnitsPerOp: desReps,
-			UnitName:   "replicas",
-			Fn: func(b *testing.B) {
-				cfg := fig7Sim(desReps)
-				cfg.UseEventCalendar = true
-				for i := 0; i < b.N; i++ {
-					sim.Simulate(cfg)
-				}
-			},
-		},
-		{
-			Name:       "des/event_cascade",
-			Brief:      "event core: schedule/fire cascade with event reuse",
-			Gated:      true,
-			UnitsPerOp: cascadeEvents,
-			UnitName:   "events",
-			Fn: func(b *testing.B) {
-				eng := des.New()
-				eng.EnableEventReuse()
-				src := rng.New(3)
-				for i := 0; i < b.N; i++ {
-					eng.Reset()
-					n := 0
-					var arrive func()
-					arrive = func() {
-						n++
-						if n < cascadeEvents {
-							eng.After(src.Float64()+1e-9, arrive)
-						}
-					}
-					eng.Schedule(0, arrive)
-					eng.Run(math.Inf(1))
 				}
 			},
 		},
@@ -538,7 +495,7 @@ func Suite() []Benchmark {
 			Fn: func(b *testing.B) {
 				cfg := app.DefaultConfig()
 				for i := 0; i < b.N; i++ {
-					rt := vproc.NewRuntime(cfg.DataProcs+1, ckpt.NewMemStore(), vproc.NewInjector(0.05, uint64(i)))
+					rt := vproc.NewRuntime(cfg.DataProcs+1, store.NewMemory(), vproc.NewInjector(0.05, uint64(i)))
 					h := app.New(cfg, rt)
 					if err := h.Run(2); err != nil {
 						b.Fatal(err)

@@ -1,9 +1,7 @@
 // Package ckpt implements the checkpoint/restart substrate of the composite
-// protocol: coordinated snapshots of named datasets, partial checkpoints
-// (REMAINDER vs LIBRARY datasets, Section III), incremental checkpoints with
-// dirty-chunk tracking (the BiPeriodicCkpt optimization), and pluggable
-// stores — in-memory, on-disk, and a buddy store that mirrors snapshots the
-// way buddy-checkpointing schemes keep a copy on a partner node.
+// protocol: coordinated snapshots of named datasets and partial checkpoints
+// (REMAINDER vs LIBRARY datasets, Section III), encoded with a CRC32
+// integrity footer and kept in any store.ResultStore.
 package ckpt
 
 import (
@@ -12,192 +10,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sort"
-	"sync"
-)
 
-// ErrNotFound is returned when a named checkpoint does not exist.
-var ErrNotFound = errors.New("ckpt: checkpoint not found")
+	"abftckpt/internal/store"
+)
 
 // ErrCorrupt is returned when a checkpoint fails its integrity check.
 var ErrCorrupt = errors.New("ckpt: checkpoint corrupted")
-
-// Store persists named checkpoint blobs.
-type Store interface {
-	// Save atomically replaces the blob under name.
-	Save(name string, data []byte) error
-	// Load returns the blob under name, or ErrNotFound.
-	Load(name string) ([]byte, error)
-	// Delete removes name (no error if absent).
-	Delete(name string) error
-	// List returns the stored names, sorted.
-	List() ([]string, error)
-}
-
-// MemStore is an in-memory Store, safe for concurrent use.
-type MemStore struct {
-	mu    sync.RWMutex
-	blobs map[string][]byte
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{blobs: make(map[string][]byte)} }
-
-// Save stores a copy of data.
-func (s *MemStore) Save(name string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blobs[name] = append([]byte(nil), data...)
-	return nil
-}
-
-// Load returns a copy of the stored blob.
-func (s *MemStore) Load(name string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.blobs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return append([]byte(nil), b...), nil
-}
-
-// Delete removes the blob.
-func (s *MemStore) Delete(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.blobs, name)
-	return nil
-}
-
-// List returns sorted names.
-func (s *MemStore) List() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.blobs))
-	for n := range s.blobs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// DiskStore persists blobs as files in a directory, with atomic rename.
-type DiskStore struct {
-	Dir string
-}
-
-// NewDiskStore creates (if needed) and wraps a directory.
-func NewDiskStore(dir string) (*DiskStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ckpt: creating store dir: %w", err)
-	}
-	return &DiskStore{Dir: dir}, nil
-}
-
-func (s *DiskStore) path(name string) string {
-	return filepath.Join(s.Dir, name+".ckpt")
-}
-
-// Save writes to a temp file then renames, so readers never see torn writes.
-func (s *DiskStore) Save(name string, data []byte) error {
-	tmp, err := os.CreateTemp(s.Dir, name+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), s.path(name))
-}
-
-// Load reads the blob from disk.
-func (s *DiskStore) Load(name string) ([]byte, error) {
-	b, err := os.ReadFile(s.path(name))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return b, err
-}
-
-// Delete removes the file.
-func (s *DiskStore) Delete(name string) error {
-	err := os.Remove(s.path(name))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
-// List returns sorted checkpoint names found in the directory.
-func (s *DiskStore) List() ([]string, error) {
-	entries, err := os.ReadDir(s.Dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if n := e.Name(); filepath.Ext(n) == ".ckpt" {
-			names = append(names, n[:len(n)-len(".ckpt")])
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// BuddyStore mirrors every save to a primary and a buddy store; loads fall
-// back to the buddy when the primary lost the blob — modeling
-// buddy-checkpointing, where a node's checkpoint survives its own failure in
-// a partner's memory.
-type BuddyStore struct {
-	Primary, Buddy Store
-}
-
-// Save writes to both replicas; it fails only if both fail.
-func (s *BuddyStore) Save(name string, data []byte) error {
-	err1 := s.Primary.Save(name, data)
-	err2 := s.Buddy.Save(name, data)
-	if err1 != nil && err2 != nil {
-		return fmt.Errorf("ckpt: both replicas failed: %v; %v", err1, err2)
-	}
-	return nil
-}
-
-// Load tries the primary then the buddy.
-func (s *BuddyStore) Load(name string) ([]byte, error) {
-	b, err := s.Primary.Load(name)
-	if err == nil {
-		return b, nil
-	}
-	return s.Buddy.Load(name)
-}
-
-// Delete removes the blob from both replicas.
-func (s *BuddyStore) Delete(name string) error {
-	err1 := s.Primary.Delete(name)
-	err2 := s.Buddy.Delete(name)
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// List returns the primary's listing (falling back to the buddy on error).
-func (s *BuddyStore) List() ([]string, error) {
-	names, err := s.Primary.List()
-	if err != nil {
-		return s.Buddy.List()
-	}
-	return names, nil
-}
 
 // Snapshot is a coordinated checkpoint of named float64 datasets — the unit
 // the composite protocol saves and restores. Partial checkpoints are
@@ -293,16 +112,17 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Save encodes and stores a snapshot under name.
-func Save(store Store, name string, s *Snapshot) error {
-	return store.Save(name, s.Encode())
+// Save encodes a snapshot and stores it under name.
+func Save(rs store.ResultStore, name string, s *Snapshot) error {
+	return rs.Put(name, s.Encode())
 }
 
-// Load retrieves and decodes the snapshot stored under name.
-func Load(store Store, name string) (*Snapshot, error) {
-	b, err := store.Load(name)
+// Load retrieves and decodes the snapshot stored under name. A missing
+// snapshot is reported as store.ErrNotFound.
+func Load(rs store.ResultStore, name string) (*Snapshot, error) {
+	b, err := rs.Get(name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ckpt: loading %q: %w", name, err)
 	}
 	return DecodeSnapshot(b)
 }

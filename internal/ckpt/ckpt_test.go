@@ -1,90 +1,15 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 
 	"abftckpt/internal/rng"
+	"abftckpt/internal/store"
 )
-
-func testStoreContract(t *testing.T, s Store) {
-	t.Helper()
-	if _, err := s.Load("missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing blob: err = %v, want ErrNotFound", err)
-	}
-	if err := s.Save("a", []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save("b", []byte{4}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Load("a")
-	if err != nil || len(got) != 3 || got[2] != 3 {
-		t.Fatalf("load a: %v %v", got, err)
-	}
-	// Overwrite.
-	if err := s.Save("a", []byte{9}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = s.Load("a")
-	if len(got) != 1 || got[0] != 9 {
-		t.Fatalf("overwrite failed: %v", got)
-	}
-	names, err := s.List()
-	if err != nil || len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("list = %v, %v", names, err)
-	}
-	if err := s.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Load("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("delete did not remove blob")
-	}
-	if err := s.Delete("a"); err != nil {
-		t.Fatalf("double delete should be nil, got %v", err)
-	}
-}
-
-func TestMemStoreContract(t *testing.T) { testStoreContract(t, NewMemStore()) }
-func TestDiskStoreContract(t *testing.T) {
-	s, err := NewDiskStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	testStoreContract(t, s)
-}
-
-func TestMemStoreIsolation(t *testing.T) {
-	s := NewMemStore()
-	data := []byte{1, 2}
-	s.Save("x", data)
-	data[0] = 99
-	got, _ := s.Load("x")
-	if got[0] != 1 {
-		t.Fatal("store shares caller's buffer")
-	}
-	got[1] = 77
-	again, _ := s.Load("x")
-	if again[1] != 2 {
-		t.Fatal("loaded buffer aliases store")
-	}
-}
-
-func TestBuddyStoreFailover(t *testing.T) {
-	primary, buddy := NewMemStore(), NewMemStore()
-	bs := &BuddyStore{Primary: primary, Buddy: buddy}
-	if err := bs.Save("ck", []byte{42}); err != nil {
-		t.Fatal(err)
-	}
-	// Primary loses its copy (node failure): load falls back to buddy.
-	primary.Delete("ck")
-	got, err := bs.Load("ck")
-	if err != nil || got[0] != 42 {
-		t.Fatalf("buddy failover: %v %v", got, err)
-	}
-	testStoreContract(t, &BuddyStore{Primary: NewMemStore(), Buddy: NewMemStore()})
-}
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := NewSnapshot(7, map[string][]float64{
@@ -133,18 +58,51 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	}
 }
 
+// A body that passes the CRC but is structurally short — a writer that
+// checksummed a truncated buffer — must still decode to ErrCorrupt at every
+// cut point, never to a partial snapshot.
+func TestDecodeRejectsTruncatedBody(t *testing.T) {
+	b := NewSnapshot(5, map[string][]float64{"remainder": {1, 2, 3}, "library": {4}}).Encode()
+	body := b[:len(b)-4]
+	for cut := 0; cut < len(body); cut++ {
+		framed := binary.LittleEndian.AppendUint32(append([]byte(nil), body[:cut]...), crc32.ChecksumIEEE(body[:cut]))
+		if s, err := DecodeSnapshot(framed); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut %d/%d: decoded %+v, err %v; want ErrCorrupt", cut, len(body), s, err)
+		}
+	}
+}
+
+// Snapshots round-trip through every store backend; a missing name is
+// store.ErrNotFound, and a damaged stored blob fails the CRC on load.
 func TestSaveLoadViaStore(t *testing.T) {
-	store := NewMemStore()
-	s := NewSnapshot(3, map[string][]float64{"x": {9, 8}})
-	if err := Save(store, "epoch-entry", s); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(store, "epoch-entry")
-	if err != nil || back.Version != 3 || back.Parts["x"][1] != 8 {
-		t.Fatalf("load: %+v, %v", back, err)
-	}
-	if _, err := Load(store, "nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("expected ErrNotFound")
+	for _, tc := range []struct {
+		name string
+		rs   store.ResultStore
+	}{
+		{"memory", store.NewMemory()},
+		{"disk", store.NewDisk(t.TempDir())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSnapshot(3, map[string][]float64{"x": {9, 8}})
+			if err := Save(tc.rs, "epoch-entry", s); err != nil {
+				t.Fatal(err)
+			}
+			back, err := Load(tc.rs, "epoch-entry")
+			if err != nil || back.Version != 3 || back.Parts["x"][1] != 8 {
+				t.Fatalf("load: %+v, %v", back, err)
+			}
+			if _, err := Load(tc.rs, "nope"); !errors.Is(err, store.ErrNotFound) {
+				t.Fatalf("missing snapshot: err = %v, want store.ErrNotFound", err)
+			}
+			b := s.Encode()
+			b[len(b)/2] ^= 0xFF
+			if err := tc.rs.Put("damaged", b); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(tc.rs, "damaged"); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("damaged snapshot: err = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
@@ -178,121 +136,11 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIncrementalTrackerDirtyDetection(t *testing.T) {
-	data := make([]float64, 100)
-	tr := NewIncrementalTracker(len(data), 10)
-	if tr.Chunks() != 10 {
-		t.Fatalf("chunks = %d", tr.Chunks())
-	}
-	// First capture: everything dirty (hashes start empty).
-	d := tr.Capture(data)
-	if len(d.Chunks) != 10 {
-		t.Fatalf("initial capture chunks = %d", len(d.Chunks))
-	}
-	// No changes: nothing dirty.
-	if d := tr.Capture(data); len(d.Chunks) != 0 {
-		t.Fatalf("clean capture chunks = %d", len(d.Chunks))
-	}
-	// Touch chunk 3 and 7.
-	data[35] = 1
-	data[70] = 2
-	dirty := tr.DirtyChunks(data)
-	if len(dirty) != 2 || dirty[0] != 3 || dirty[1] != 7 {
-		t.Fatalf("dirty = %v", dirty)
-	}
-	d = tr.Capture(data)
-	if len(d.Chunks) != 2 || d.Size() != 20 {
-		t.Fatalf("delta = %d chunks, %d values", len(d.Chunks), d.Size())
-	}
-}
-
-func TestIncrementalRestore(t *testing.T) {
-	src := rng.New(5)
-	data := make([]float64, 95) // non-multiple of chunk size
-	for i := range data {
-		data[i] = src.Float64()
-	}
-	tr := NewIncrementalTracker(len(data), 10)
-	base := append([]float64(nil), data...)
-	tr.Capture(data)
-
-	// Two rounds of modifications, each captured as a delta.
-	var deltas []*Delta
-	for round := 0; round < 2; round++ {
-		for k := 0; k < 7; k++ {
-			data[src.Intn(len(data))] = src.Float64()
-		}
-		deltas = append(deltas, tr.Capture(data))
-	}
-
-	// Restore: base + deltas in order equals the final state.
-	restored := append([]float64(nil), base...)
-	for _, d := range deltas {
-		if err := d.Apply(restored); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range data {
-		if restored[i] != data[i] {
-			t.Fatalf("restore mismatch at %d: %v vs %v", i, restored[i], data[i])
-		}
-	}
-}
-
-func TestDeltaApplyBounds(t *testing.T) {
-	d := &Delta{ChunkLen: 10, Chunks: map[int][]float64{5: make([]float64, 10)}}
-	if err := d.Apply(make([]float64, 20)); err == nil {
-		t.Fatal("out-of-range delta applied silently")
-	}
-}
-
-func TestTrackerPanics(t *testing.T) {
-	for i, f := range []func(){
-		func() { NewIncrementalTracker(0, 1) },
-		func() { NewIncrementalTracker(1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-// The incremental tracker captures ~rho of the data when the workload
-// touches a fraction rho of the chunks — the CL = rho*C relation.
-func TestIncrementalFractionMatchesRho(t *testing.T) {
-	data := make([]float64, 1000)
-	tr := NewIncrementalTracker(len(data), 10)
-	tr.Capture(data)
-	// Touch the first 80% of chunks.
-	for i := 0; i < 800; i++ {
-		data[i] += 1
-	}
-	d := tr.Capture(data)
-	if d.Size() != 800 {
-		t.Fatalf("delta size = %d, want 800 (rho=0.8)", d.Size())
-	}
-}
-
 func BenchmarkSnapshotEncode(b *testing.B) {
 	data := make([]float64, 1<<16)
 	s := NewSnapshot(1, map[string][]float64{"d": data})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Encode()
-	}
-}
-
-func BenchmarkIncrementalCapture(b *testing.B) {
-	data := make([]float64, 1<<16)
-	tr := NewIncrementalTracker(len(data), 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data[i%len(data)] = float64(i)
-		tr.Capture(data)
 	}
 }

@@ -560,7 +560,20 @@ func (s *Server) runJob(j *job, campaign *scenario.Campaign) {
 		}
 	}
 	report, err := runner.Run(campaign)
+	// Fold the job's counters into the server totals before finish makes
+	// the job terminal: a poller that sees "done" must find them in
+	// /v1/stats. finish takes j.mu inside s.mu, the order evictLocked
+	// uses.
+	s.mu.Lock()
+	if report != nil {
+		s.cohorts.Built += int64(report.Cohorts)
+		s.cohorts.ReplayedCells += int64(report.CohortCells)
+		s.adaptive.Cells += int64(report.AdaptiveCells)
+		s.adaptive.ReplicasUsed += report.AdaptiveReplicasUsed
+		s.adaptive.ReplicasCap += report.AdaptiveReplicasCap
+	}
 	j.finish(report, err)
+	s.mu.Unlock()
 	// A naturally finished job (done, or failed on its own terms) leaves
 	// the journal; a force-failed one (shutdown) keeps its entry so the
 	// next coordinator process resumes it.
@@ -570,13 +583,6 @@ func (s *Server) runJob(j *job, campaign *scenario.Campaign) {
 	// Re-run eviction now that this job is finished: without it, jobs
 	// past MaxJobs would linger until the next submission.
 	s.mu.Lock()
-	if report != nil {
-		s.cohorts.Built += int64(report.Cohorts)
-		s.cohorts.ReplayedCells += int64(report.CohortCells)
-		s.adaptive.Cells += int64(report.AdaptiveCells)
-		s.adaptive.ReplicasUsed += report.AdaptiveReplicasUsed
-		s.adaptive.ReplicasCap += report.AdaptiveReplicasCap
-	}
 	s.runningJobs--
 	s.evictLocked()
 	s.mu.Unlock()

@@ -3,9 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"abftckpt/internal/dist"
 	"abftckpt/internal/stats"
@@ -174,10 +171,10 @@ func SimulateAdaptiveFromTrace(cfg Config, tr *TraceArena, prec Precision) Adapt
 // cvHorizonFor resolves the control-variate horizon: positive only when the
 // CV is usable — an exponential law (the arrival count over a fixed window
 // is Poisson with exactly known mean; no closed-form renewal function exists
-// for the other laws) on the timeline-walker path, with a model prediction
-// available. The horizon is clipped to the run's safety cap.
+// for the other laws) with a model prediction available. The horizon is
+// clipped to the run's safety cap.
 func cvHorizonFor(cfg Config, distrib dist.Distribution, prec Precision) float64 {
-	if prec.DisableControlVariate || cfg.UseEventCalendar {
+	if prec.DisableControlVariate {
 		return 0
 	}
 	if prec.ModelTFinal <= 0 || math.IsInf(prec.ModelTFinal, 0) {
@@ -195,27 +192,22 @@ func cvHorizonFor(cfg Config, distrib dist.Distribution, prec Precision) float64
 }
 
 // adaptiveAggregate is the shared body of SimulateAdaptive and
-// SimulateAdaptiveFromTrace. It mirrors simulateAggregate's worker layout
-// and repetition-order reduce exactly — the only structural difference is
-// that replicas run in doubling batches with a sequential Look after each.
+// SimulateAdaptiveFromTrace. It runs the same replica pool and ordered
+// reduce as simulateAggregate — the only structural difference is that
+// replicas run in doubling batches with a sequential Look after each, so
+// running an adaptive campaign to its cap accumulates bit-identically to
+// Simulate.
 func adaptiveAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena, prec Precision) AdaptiveAggregate {
 	prec = prec.withDefaults()
 	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
 	chunkSched := periodicChunkSchedules(phases)
 	capReps := cfg.Reps
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > capReps {
-		workers = capReps
-	}
 	cvHorizon := cvHorizonFor(cfg, distrib, prec)
-	runners := make([]*replicaRunner, workers)
-	for w := range runners {
-		runners[w] = newReplicaRunner(cfg, phases, chunkSched, distrib, tr)
-		runners[w].cvHorizon = cvHorizon
-	}
+	runners := poolRunners(cfg.Workers, capReps, func() *replicaRunner {
+		r := newReplicaRunner(cfg, phases, chunkSched, distrib, tr)
+		r.cvHorizon = cvHorizon
+		return r
+	})
 	seq := stats.NewSequential(stats.SequentialOpts{
 		Alpha:       1 - prec.Confidence,
 		RelTarget:   prec.RelTarget,
@@ -223,26 +215,16 @@ func adaptiveAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena, pr
 		UseControl:  cvHorizon > 0,
 		ControlMean: cvHorizon / cfg.Params.Mu,
 	})
-	var waste, faults, tfinal, work, ckpt, lost, recovery stats.Accumulator
-	truncated := 0
+	var agg aggregator
 	var replicas []float64
 	if prec.KeepReplicas {
 		replicas = make([]float64, 0, prec.Batch)
 	}
-	reduce := func(r RunResult, cv float64) {
-		seq.AddControlled(r.Waste, cv)
-		waste.Add(r.Waste)
-		faults.Add(float64(r.Faults))
-		tfinal.Add(r.TFinal)
-		work.Add(r.Breakdown.Work)
-		ckpt.Add(r.Breakdown.Ckpt)
-		lost.Add(r.Breakdown.Lost)
-		recovery.Add(r.Breakdown.Recovery)
-		if r.Truncated {
-			truncated++
-		}
+	reduce := func(m measured) {
+		seq.AddControlled(m.res.Waste, m.cv)
+		agg.add(m.res)
 		if prec.KeepReplicas {
-			replicas = append(replicas, r.Waste)
+			replicas = append(replicas, m.res.Waste)
 		}
 	}
 	n := 0
@@ -250,7 +232,7 @@ func adaptiveAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena, pr
 	stopped := false
 	for n < capReps {
 		m := min(batch, capReps-n)
-		runBatch(runners, n, m, reduce)
+		runOrdered(runners, n, m, (*replicaRunner).runMeasured, reduce)
 		n += m
 		if _, stop := seq.Look(); stop {
 			stopped = true
@@ -260,17 +242,7 @@ func adaptiveAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena, pr
 	}
 	last := seq.LastInterval()
 	return AdaptiveAggregate{
-		Aggregate: Aggregate{
-			Waste:     waste.Summarize(),
-			Faults:    faults.Summarize(),
-			TFinal:    tfinal.Summarize(),
-			Work:      work.Summarize(),
-			Ckpt:      ckpt.Summarize(),
-			Lost:      lost.Summarize(),
-			Recovery:  recovery.Summarize(),
-			Runs:      n,
-			Truncated: truncated,
-		},
+		Aggregate:       agg.result(),
 		RepsCap:         capReps,
 		Looks:           seq.Looks(),
 		Stopped:         stopped,
@@ -280,45 +252,5 @@ func adaptiveAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena, pr
 		CVBeta:          seq.Beta(),
 		CVVarianceRatio: seq.VarianceRatio(),
 		Replicas:        replicas,
-	}
-}
-
-// runBatch executes replicas [base, base+count) across the runners and
-// reduces them sequentially in repetition order — the same ordered reduce as
-// simulateAggregate, so running an adaptive campaign to its cap accumulates
-// bit-identically to Simulate.
-func runBatch(runners []*replicaRunner, base, count int, reduce func(RunResult, float64)) {
-	if len(runners) == 1 {
-		for i := 0; i < count; i++ {
-			res, cv := runners[0].runMeasured(base + i)
-			reduce(res, cv)
-		}
-		return
-	}
-	const blockSize = 4096
-	results := make([]RunResult, min(count, blockSize))
-	cvs := make([]float64, len(results))
-	for blk := 0; blk < count; blk += len(results) {
-		n := min(len(results), count-blk)
-		start := base + blk
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(len(runners))
-		for w := 0; w < len(runners); w++ {
-			go func(rr *replicaRunner) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					results[i], cvs[i] = rr.runMeasured(start + i)
-				}
-			}(runners[w])
-		}
-		wg.Wait()
-		for i := 0; i < n; i++ {
-			reduce(results[i], cvs[i])
-		}
 	}
 }

@@ -198,7 +198,7 @@ func TestControlVariateCountIsExact(t *testing.T) {
 	r := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), distrib, nil)
 	r.cvHorizon = h
 	for rep := 0; rep < cfg.Reps; rep++ {
-		_, cv := r.runMeasured(rep)
+		cv := r.runMeasured(rep).cv
 		want := 0
 		for _, a := range tr.arrivals[tr.offsets[rep]:tr.offsets[rep+1]] {
 			if a <= h {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math"
 	"testing"
 
@@ -8,6 +9,487 @@ import (
 	"abftckpt/internal/model"
 	"abftckpt/internal/rng"
 )
+
+// The event-calendar simulators below are test oracles: independent
+// implementations of the fail-stop and silent-error semantics in which every
+// work chunk, checkpoint and recovery is a scheduled completion event that a
+// failure event may preempt. The production walkers must agree with them
+// bit for bit, replica by replica.
+
+// calendar is the oracles' discrete-event core: events fire in time order,
+// and equal-time events in the order they were scheduled.
+type calendar struct {
+	now    float64
+	seq    uint64
+	queue  eventQueue
+	halted bool
+}
+
+type event struct {
+	time float64
+	seq  uint64
+	fn   func()
+}
+
+type eventQueue []event
+
+func (q eventQueue) Len() int { return len(q) }
+func (q eventQueue) Less(i, j int) bool {
+	if q[i].time != q[j].time {
+		return q[i].time < q[j].time
+	}
+	return q[i].seq < q[j].seq
+}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
+func (q *eventQueue) Pop() any {
+	old := *q
+	ev := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return ev
+}
+
+// Now returns the current simulation time.
+func (c *calendar) Now() float64 { return c.now }
+
+// Schedule enqueues fn at absolute time t (>= Now).
+func (c *calendar) Schedule(t float64, fn func()) {
+	if t < c.now || math.IsNaN(t) {
+		panic("calendar: scheduling into the past")
+	}
+	c.seq++
+	heap.Push(&c.queue, event{time: t, seq: c.seq, fn: fn})
+}
+
+// Halt stops Run after the current event returns.
+func (c *calendar) Halt() { c.halted = true }
+
+// Run fires events until the calendar is empty or Halt is called.
+func (c *calendar) Run() {
+	for !c.halted && c.queue.Len() > 0 {
+		ev := heap.Pop(&c.queue).(event)
+		c.now = ev.time
+		ev.fn()
+	}
+}
+
+// SimulateOnceDES executes one run with the same protocol semantics as
+// SimulateOnce, driven by the event calendar.
+func SimulateOnceDES(cfg Config, source FailureSource) RunResult {
+	cfg = cfg.withDefaults()
+	if err := cfg.Params.Validate(); err != nil {
+		panic(err)
+	}
+	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
+	useful := float64(cfg.Epochs) * cfg.Params.T0
+	r := &desRunner{
+		eng:     &calendar{},
+		source:  source,
+		horizon: cfg.MaxTimeFactor * math.Max(useful, 1),
+	}
+
+	// Chain epochs and phases as continuations.
+	var runFrom func(epoch, phase int)
+	runFrom = func(epoch, phase int) {
+		if r.capped || epoch >= cfg.Epochs {
+			return
+		}
+		if phase >= len(phases) {
+			runFrom(epoch+1, 0)
+			return
+		}
+		r.runPhase(phases[phase], func() { runFrom(epoch, phase+1) })
+	}
+	r.eng.Schedule(0, func() { runFrom(0, 0) })
+	r.eng.Run()
+
+	res := RunResult{TFinal: r.eng.Now(), Faults: r.faults, Truncated: r.capped, Breakdown: r.b}
+	if r.capped {
+		res.Waste = 1
+	} else if res.TFinal > 0 {
+		res.Waste = 1 - useful/res.TFinal
+		if res.Waste < 0 {
+			res.Waste = 0
+		}
+	}
+	return res
+}
+
+// desRunner holds the event-driven run state.
+type desRunner struct {
+	eng     *calendar
+	source  FailureSource
+	b       Breakdown
+	faults  int
+	horizon float64
+	capped  bool
+}
+
+// attempt schedules an operation of duration d: either its completion event
+// fires (onOK) or the next failure preempts it (onFail with the completed
+// fraction). Reaching the safety horizon halts the run.
+func (r *desRunner) attempt(d float64, onOK func(), onFail func(done float64)) {
+	start := r.eng.Now()
+	next := r.source.NextAfter(start)
+	if start+d <= next {
+		r.eng.Schedule(start+d, func() {
+			if r.checkHorizon() {
+				return
+			}
+			onOK()
+		})
+		return
+	}
+	r.eng.Schedule(next, func() {
+		r.faults++
+		if r.checkHorizon() {
+			return
+		}
+		onFail(next - start)
+	})
+}
+
+func (r *desRunner) checkHorizon() bool {
+	if r.eng.Now() > r.horizon {
+		r.capped = true
+		r.eng.Halt()
+		return true
+	}
+	return false
+}
+
+// recoverThen completes one downtime+recovery of the given cost, restarting
+// on failure, then continues.
+func (r *desRunner) recoverThen(cost float64, cont func()) {
+	r.attempt(cost,
+		func() {
+			r.b.Recovery += cost
+			cont()
+		},
+		func(done float64) {
+			r.b.Lost += done
+			r.recoverThen(cost, cont)
+		})
+}
+
+// runPhase executes one phase, then calls done.
+func (r *desRunner) runPhase(ph phaseSpec, done func()) {
+	switch ph.kind {
+	case phaseABFT:
+		var step func(remaining float64)
+		step = func(remaining float64) {
+			if remaining <= 0 {
+				r.exitCheckpoint(ph, done)
+				return
+			}
+			r.attempt(remaining,
+				func() {
+					r.b.Work += remaining
+					r.exitCheckpoint(ph, done)
+				},
+				func(partial float64) {
+					// ABFT retains completed work.
+					r.b.Work += partial
+					r.recoverThen(ph.recovery, func() { step(remaining - partial) })
+				})
+		}
+		step(ph.work)
+
+	case phaseShort:
+		var tryOnce func()
+		tryOnce = func() {
+			r.attempt(ph.work,
+				func() {
+					if ph.trailing <= 0 {
+						r.b.Work += ph.work
+						done()
+						return
+					}
+					r.attempt(ph.trailing,
+						func() {
+							r.b.Work += ph.work
+							r.b.Ckpt += ph.trailing
+							done()
+						},
+						func(cd float64) {
+							r.b.Lost += ph.work + cd
+							r.recoverThen(ph.recovery, tryOnce)
+						})
+				},
+				func(partial float64) {
+					r.b.Lost += partial
+					r.recoverThen(ph.recovery, tryOnce)
+				})
+		}
+		tryOnce()
+
+	case phasePeriodic:
+		workPerPeriod := ph.period - ph.ckpt
+		var period func(completed float64)
+		period = func(completed float64) {
+			if completed >= ph.work {
+				done()
+				return
+			}
+			chunk := math.Min(workPerPeriod, ph.work-completed)
+			r.attempt(chunk,
+				func() {
+					r.attempt(ph.ckpt,
+						func() {
+							r.b.Work += chunk
+							r.b.Ckpt += ph.ckpt
+							period(completed + chunk)
+						},
+						func(cd float64) {
+							r.b.Lost += chunk + cd
+							r.recoverThen(ph.recovery, func() { period(completed) })
+						})
+				},
+				func(partial float64) {
+					r.b.Lost += partial
+					r.recoverThen(ph.recovery, func() { period(completed) })
+				})
+		}
+		period(0)
+
+	default:
+		panic("sim: unknown phase kind")
+	}
+}
+
+// exitCheckpoint performs the ABFT exit checkpoint, retrying under ABFT
+// recovery, then continues.
+func (r *desRunner) exitCheckpoint(ph phaseSpec, done func()) {
+	if ph.ckpt <= 0 {
+		done()
+		return
+	}
+	r.attempt(ph.ckpt,
+		func() {
+			r.b.Ckpt += ph.ckpt
+			done()
+		},
+		func(cd float64) {
+			r.b.Lost += cd
+			r.recoverThen(ph.recovery, func() { r.exitCheckpoint(ph, done) })
+		})
+}
+
+// silentOnceDES executes one run with the same semantics as
+// SimulateSilentOnce, driven by the event calendar: each work chunk,
+// verification, recovery and checkpoint is a scheduled completion event,
+// and verification events consult the error clock for the work they cover.
+func silentOnceDES(cfg SilentConfig, clock *errorClock) RunResult {
+	cfg = cfg.withDefaults()
+	period := silentPeriod(cfg)
+	horizon := cfg.MaxTimeFactor * math.Max(cfg.Params.W, 1)
+	p := cfg.Params
+	eng := &calendar{}
+	var b Breakdown
+	detections := 0
+	capped := false
+
+	after := func(d float64, fn func()) {
+		eng.Schedule(eng.Now()+d, fn)
+	}
+	checkHorizon := func() bool {
+		if eng.Now() > horizon {
+			capped = true
+			eng.Halt()
+			return true
+		}
+		return false
+	}
+
+	var pattern func(done float64)
+	var attempt func(t, done float64)
+	attempt = func(t, done float64) {
+		// Work-completion event: silent errors never preempt execution, so
+		// the chunk always runs to completion; the subsequent verification
+		// event inspects the error clock over exactly that chunk.
+		after(t, func() {
+			count, first := clock.advance(t)
+			after(p.V, func() {
+				if count == 0 {
+					b.Work += t
+					b.Ckpt += p.V
+					after(p.C, func() {
+						b.Ckpt += p.C
+						if !checkHorizon() {
+							pattern(done + t)
+						}
+					})
+					return
+				}
+				detections++
+				if cfg.Mode == model.SilentForward {
+					taint := t - first
+					after(p.Detect+p.F+taint, func() {
+						b.Work += t
+						b.Lost += taint
+						b.Ckpt += p.V
+						b.Recovery += p.Detect + p.F
+						after(p.C, func() {
+							b.Ckpt += p.C
+							if !checkHorizon() {
+								pattern(done + t)
+							}
+						})
+					})
+					return
+				}
+				after(p.Detect+p.R, func() {
+					b.Lost += t + p.V
+					b.Recovery += p.Detect + p.R
+					if !checkHorizon() {
+						attempt(t, done)
+					}
+				})
+			})
+		})
+	}
+	pattern = func(done float64) {
+		if done >= p.W {
+			return
+		}
+		attempt(math.Min(period, p.W-done), done)
+	}
+	eng.Schedule(0, func() { pattern(0) })
+	eng.Run()
+
+	res := RunResult{TFinal: eng.Now(), Faults: detections, Truncated: capped, Breakdown: b}
+	if capped {
+		res.Waste = 1
+	} else if res.TFinal > 0 {
+		res.Waste = 1 - p.W/res.TFinal
+		if res.Waste < 0 {
+			res.Waste = 0
+		}
+	}
+	return res
+}
+
+// arenaSource replays one replica stream of a TraceArena as a
+// FailureSource, independently of replicaRunner's cursor: the materialized
+// prefix first, then live draws from the replica's saved generator state.
+type arenaSource struct {
+	tr   *TraceArena
+	d    dist.Distribution
+	rep  int
+	pos  int
+	src  rng.Source
+	live bool
+	next float64
+}
+
+func newArenaSource(tr *TraceArena, d dist.Distribution, rep int) *arenaSource {
+	s := &arenaSource{tr: tr, d: d, rep: rep, pos: tr.offsets[rep]}
+	s.next = s.arrival(0) // one draw at construction, as NewRenewalSource
+	return s
+}
+
+// arrival returns the arrival following prev.
+func (s *arenaSource) arrival(prev float64) float64 {
+	if s.pos < s.tr.offsets[s.rep+1] {
+		v := s.tr.arrivals[s.pos]
+		s.pos++
+		return v
+	}
+	if !s.live {
+		s.src.Restore(s.tr.states[s.rep])
+		s.live = true
+	}
+	return prev + s.d.Sample(&s.src)
+}
+
+// NextAfter returns the first failure time strictly after t.
+func (s *arenaSource) NextAfter(t float64) float64 {
+	for s.next <= t {
+		s.next = s.arrival(s.next)
+	}
+	return s.next
+}
+
+// The replica runner — registerized exponential walker, scalar walker and
+// trace replay alike — must be bit-identical to the event-calendar oracle
+// on every replica: generated streams, and arenas whose prefixes reach past
+// the run, end mid-run, or hold almost nothing so replay falls back to live
+// drawing at once. Truncated replicas must agree on makespan, fault count
+// and waste.
+func TestReplicaRunnerMatchesDESOracle(t *testing.T) {
+	for ci, base := range equivConfigs() {
+		cfg := base
+		cfg.Reps = 48
+		cfg = cfg.withDefaults()
+		distrib := cfg.Distribution(cfg.Params.Mu)
+		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
+		sched := periodicChunkSchedules(phases)
+		useful := float64(cfg.Epochs) * cfg.Params.T0
+		arenas := []*TraceArena{nil}
+		for _, horizon := range []float64{3 * useful, 0.3 * useful, 0} {
+			arenas = append(arenas, BuildTraceArena(distrib, cfg.Seed, cfg.Reps, horizon))
+		}
+		for _, tr := range arenas {
+			rr := newReplicaRunner(cfg, phases, sched, distrib, tr)
+			for rep := 0; rep < cfg.Reps; rep++ {
+				var src FailureSource
+				if tr == nil {
+					src = NewRenewalSource(distrib, rng.New(rng.At(cfg.Seed, uint64(rep))))
+				} else {
+					src = newArenaSource(tr, distrib, rep)
+				}
+				got, want := rr.run(rep), SimulateOnceDES(cfg, src)
+				if got.Truncated && want.Truncated {
+					// A truncated run's breakdown is not shared semantics:
+					// the walker drains the action that crosses the
+					// horizon into it, the oracle stops at that event.
+					got.Breakdown, want.Breakdown = Breakdown{}, Breakdown{}
+				}
+				if got != want {
+					horizon := -1.0 // generated streams
+					if tr != nil {
+						horizon = tr.Horizon()
+					}
+					t.Fatalf("config %d arena horizon %g rep %d diverged from the oracle:\n got %+v\nwant %+v",
+						ci, horizon, rep, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The silent-error pattern walker and its event-calendar oracle agree bit
+// for bit on every replica, for both recovery modes and through horizon
+// truncation.
+func TestSilentDESEquivalence(t *testing.T) {
+	truncated := silentTestConfig(model.SilentBackward)
+	truncated.Params.MuSilent = 10
+	truncated.Params.Period = 1e5
+	truncated.MaxTimeFactor = 10
+	truncated.Reps = 5
+	cases := []SilentConfig{truncated}
+	for _, mode := range model.SilentRecoveries {
+		cfg := silentTestConfig(mode)
+		cfg.Reps = 60
+		cases = append(cases, cfg)
+	}
+	for ci, cfg := range cases {
+		cfg = cfg.withDefaults()
+		distrib := cfg.Distribution(cfg.Params.MuSilent)
+		walker := &silentRunner{cfg: cfg, clock: newErrorClock(distrib, rng.New(cfg.Seed))}
+		for rep := 0; rep < cfg.Reps; rep++ {
+			oracleClock := newErrorClock(distrib, rng.New(rng.At(cfg.Seed, uint64(rep))))
+			got, want := walker.run(rep), silentOnceDES(cfg, oracleClock)
+			if got != want {
+				t.Fatalf("case %d (%v) rep %d: walker and oracle differ:\nwalker %+v\noracle %+v",
+					ci, cfg.Mode, rep, got, want)
+			}
+			if ci == 0 && !got.Truncated {
+				t.Fatalf("rep %d of the livelocked case was not truncated", rep)
+			}
+		}
+	}
+}
 
 // The timeline-based and event-calendar-based simulators are independent
 // implementations of the same protocol semantics. On identical failure
@@ -76,14 +558,5 @@ func TestDESMatchesModel(t *testing.T) {
 	got := sum / reps
 	if math.Abs(got-want) > 0.03 {
 		t.Fatalf("DES waste %v vs model %v", got, want)
-	}
-}
-
-func BenchmarkSimulateOnceDES(b *testing.B) {
-	p := model.Fig7Params(2*model.Hour, 0.8)
-	cfg := Config{Params: p, Protocol: model.AbftPeriodicCkpt}
-	for i := 0; i < b.N; i++ {
-		src := NewRenewalSource(dist.NewExponential(p.Mu), rng.New(uint64(i)))
-		SimulateOnceDES(cfg, src)
 	}
 }

@@ -37,33 +37,23 @@ func equivConfigs() []Config {
 // this.
 func TestReplicaRunnerMatchesSimulateOnce(t *testing.T) {
 	for ci, base := range equivConfigs() {
-		for _, useDES := range []bool{false, true} {
-			cfg := base
-			cfg.UseEventCalendar = useDES
-			cfg = cfg.withDefaults()
-			phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-			rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), nil)
-			truncated := 0
-			for rep := 0; rep < 48; rep++ {
-				got := rr.run(rep)
-				src := rng.New(rng.At(cfg.Seed, uint64(rep)))
-				fs := NewRenewalSource(cfg.Distribution(cfg.Params.Mu), src)
-				var want RunResult
-				if useDES {
-					want = SimulateOnceDES(cfg, fs)
-				} else {
-					want = SimulateOnce(cfg, fs)
-				}
-				if got != want {
-					t.Fatalf("config %d (des=%v) rep %d diverged:\n got %+v\nwant %+v", ci, useDES, rep, got, want)
-				}
-				if got.Truncated {
-					truncated++
-				}
+		cfg := base.withDefaults()
+		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
+		rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), nil)
+		truncated := 0
+		for rep := 0; rep < 48; rep++ {
+			got := rr.run(rep)
+			src := rng.New(rng.At(cfg.Seed, uint64(rep)))
+			want := SimulateOnce(cfg, NewRenewalSource(cfg.Distribution(cfg.Params.Mu), src))
+			if got != want {
+				t.Fatalf("config %d rep %d diverged:\n got %+v\nwant %+v", ci, rep, got, want)
 			}
-			if cfg.MaxTimeFactor == 2 && truncated == 0 {
-				t.Errorf("config %d: expected the tight horizon to truncate at least one replica", ci)
+			if got.Truncated {
+				truncated++
 			}
+		}
+		if cfg.MaxTimeFactor == 2 && truncated == 0 {
+			t.Errorf("config %d: expected the tight horizon to truncate at least one replica", ci)
 		}
 	}
 }

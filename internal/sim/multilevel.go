@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"runtime"
 
 	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
@@ -200,20 +199,12 @@ func SimulateMultiLevel(cfg MultiLevelConfig) Aggregate {
 	if distrib == nil {
 		panic("sim: MultiLevelConfig.Distribution returned nil")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Reps {
-		workers = cfg.Reps
-	}
-	runners := make([]*multiLevelRunner, workers)
-	for w := range runners {
-		runners[w] = &multiLevelRunner{
+	runners := poolRunners(cfg.Workers, cfg.Reps, func() *multiLevelRunner {
+		return &multiLevelRunner{
 			cfg: cfg, distrib: distrib, arrive: rng.New(cfg.Seed), levels: rng.New(cfg.Seed),
 		}
-	}
-	return reduceReplicas(cfg.Reps, workers, func(w, rep int) RunResult {
-		return runners[w].run(rep)
 	})
+	var agg aggregator
+	runOrdered(runners, 0, cfg.Reps, (*multiLevelRunner).run, agg.add)
+	return agg.result()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -54,25 +55,6 @@ func TestSimulateWorkerInvarianceWeibull(t *testing.T) {
 	par.Workers = runtime.GOMAXPROCS(0)
 	if got := Simulate(par); got != want {
 		t.Fatalf("weibull campaign diverged across worker counts:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// The event-calendar engine parallelizes identically.
-func TestSimulateWorkerInvarianceEventCalendar(t *testing.T) {
-	cfg := Config{
-		Params:           model.Fig7Params(2*model.Hour, 0.5),
-		Protocol:         model.PurePeriodicCkpt,
-		Reps:             32,
-		Seed:             11,
-		UseEventCalendar: true,
-	}
-	serial := cfg
-	serial.Workers = 1
-	want := Simulate(serial)
-	par := cfg
-	par.Workers = runtime.GOMAXPROCS(0)
-	if got := Simulate(par); got != want {
-		t.Fatalf("event-calendar campaign diverged across worker counts")
 	}
 }
 
@@ -152,27 +134,77 @@ func TestSimWithinModelConfidenceInterval(t *testing.T) {
 
 // Campaigns longer than one replica block must still be worker-count
 // invariant across the block boundary (the reduce is per block, in
-// repetition order).
+// repetition order), through every entry point of the replica pool.
 func TestSimulateWorkerInvarianceAcrossBlocks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-block campaign is slow")
-	}
-	cfg := Config{
+	const reps = 5000 // > the 4096 replica block size
+	failStop := Config{
 		Params:   model.Fig7Params(2*model.Hour, 0.3),
 		Protocol: model.PurePeriodicCkpt,
-		Reps:     5000, // > the 4096 replica block size
+		Reps:     reps,
 		Seed:     13,
 	}
-	serial := cfg
-	serial.Workers = 1
-	want := Simulate(serial)
-	par := cfg
-	par.Workers = runtime.GOMAXPROCS(0)
-	if got := Simulate(par); got != want {
-		t.Fatalf("multi-block campaign diverged across worker counts")
+	arena := BuildTraceArena(dist.NewExponential(failStop.Params.Mu), failStop.Seed, reps, 1.5*failStop.Params.T0)
+	// An unreachable target runs the adaptive campaign to its cap; the
+	// first batch alone crosses the block boundary, and the model makespan
+	// switches the control variate on, so its counts ride the pool too.
+	prec := Precision{
+		AbsTarget:   1e-12,
+		Batch:       4500,
+		ModelTFinal: model.Evaluate(failStop.Protocol, failStop.Params, model.Options{}).TFinal,
 	}
-	if want.Waste.N != cfg.Reps {
-		t.Fatalf("aggregated %d runs, want %d", want.Waste.N, cfg.Reps)
+	silent := silentTestConfig(model.SilentForward)
+	silent.Reps = reps
+	multi := mlTestConfig()
+	multi.Reps = reps
+	cases := []struct {
+		name string
+		run  func(workers int) any
+	}{
+		{"Simulate", func(w int) any {
+			cfg := failStop
+			cfg.Workers = w
+			return Simulate(cfg)
+		}},
+		{"SimulateFromTrace", func(w int) any {
+			cfg := failStop
+			cfg.Workers = w
+			return SimulateFromTrace(cfg, arena)
+		}},
+		{"SimulateAdaptive", func(w int) any {
+			cfg := failStop
+			cfg.Workers = w
+			return SimulateAdaptive(cfg, prec)
+		}},
+		{"SimulateSilent", func(w int) any {
+			cfg := silent
+			cfg.Workers = w
+			return SimulateSilent(cfg)
+		}},
+		{"SimulateMultiLevel", func(w int) any {
+			cfg := multi
+			cfg.Workers = w
+			return SimulateMultiLevel(cfg)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := tc.run(1)
+			for _, workers := range []int{runtime.GOMAXPROCS(0), 3} {
+				if got := tc.run(workers); !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: multi-block campaign diverged from serial\n got %+v\nwant %+v", workers, got, want)
+				}
+			}
+			var runs int
+			switch agg := want.(type) {
+			case Aggregate:
+				runs = agg.Waste.N
+			case AdaptiveAggregate:
+				runs = agg.Waste.N
+			}
+			if runs != reps {
+				t.Fatalf("aggregated %d runs, want %d", runs, reps)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 
-	"abftckpt/internal/des"
 	"abftckpt/internal/dist"
 	"abftckpt/internal/rng"
 )
@@ -57,7 +56,6 @@ type replicaRunner struct {
 	trPos, trEnd int
 	trRep        int
 	trLive       bool
-	ts           traceSource
 
 	// Timeline state, mirroring the timeline type field for field.
 	now    float64
@@ -74,11 +72,6 @@ type replicaRunner struct {
 	// the case under Simulate/SimulateFromTrace) keeps the branch dead.
 	cvHorizon float64
 	cvCount   int
-
-	// Event-calendar cross-validation path: a reusable engine and renewal
-	// source, reset per replica.
-	eng *des.Engine
-	fs  RenewalSource
 }
 
 // periodicChunkSchedules precomputes, per periodic phase, the exact chunk
@@ -120,11 +113,6 @@ func newReplicaRunner(cfg Config, phases []phaseSpec, chunkSched [][]float64, di
 		r.isExp = true
 		r.negMTBF = -e.Mean()
 	}
-	if cfg.UseEventCalendar {
-		r.eng = des.New()
-		r.eng.EnableEventReuse()
-	}
-	r.ts.r = r
 	return r
 }
 
@@ -132,15 +120,6 @@ func newReplicaRunner(cfg Config, phases []phaseSpec, chunkSched [][]float64, di
 func (r *replicaRunner) run(rep int) RunResult {
 	if r.tr == nil {
 		r.src.Reseed(rng.At1(r.cfg.Seed, uint64(rep)))
-		if r.eng != nil {
-			// Event-calendar path: reuse the engine and the renewal source,
-			// let the calendar drive the protocol exactly as SimulateOnceDES
-			// does.
-			r.eng.Reset()
-			r.fs = RenewalSource{dist: r.distrib, src: &r.src}
-			r.fs.next = r.distrib.Sample(&r.src)
-			return simulateOnceDES(r.eng, r.cfg, r.phases, &r.fs)
-		}
 		if r.isExp && r.cvHorizon <= 0 {
 			// Exponential failures take the fully registerized walker. With
 			// the control variate active the scalar walker runs instead —
@@ -155,12 +134,6 @@ func (r *replicaRunner) run(rep int) RunResult {
 		r.trRep = rep
 		r.trPos, r.trEnd = r.tr.offsets[rep], r.tr.offsets[rep+1]
 		r.trLive = false
-		if r.eng != nil {
-			r.eng.Reset()
-			// Mirror NewRenewalSource: one draw at construction.
-			r.ts.next = r.nextArrival(0)
-			return simulateOnceDES(r.eng, r.cfg, r.phases, &r.ts)
-		}
 	}
 	// Scalar timeline walker: non-exponential laws, and every trace replay
 	// (replay has no sampling to batch, so the registerized exponential
@@ -226,13 +199,20 @@ func (r *replicaRunner) nextArrival(next float64) float64 {
 	return v
 }
 
+// measured is one adaptive replica: its result and its control-variate
+// observation.
+type measured struct {
+	res RunResult
+	cv  float64
+}
+
 // runMeasured executes repetition rep and additionally returns the
 // control-variate observation: the number of failure arrivals in
 // [0, cvHorizon]. The walk counts every arrival it drew; arrivals beyond the
 // run's end but inside the horizon are drawn here as a top-up — extra draws
 // are harmless, as every repetition reseeds (or re-points the trace cursor)
 // from scratch. With cvHorizon <= 0 this is exactly run.
-func (r *replicaRunner) runMeasured(rep int) (RunResult, float64) {
+func (r *replicaRunner) runMeasured(rep int) measured {
 	r.cvCount = 0
 	res := r.run(rep)
 	if r.cvHorizon > 0 {
@@ -240,7 +220,7 @@ func (r *replicaRunner) runMeasured(rep int) (RunResult, float64) {
 			next = r.nextArrival(next)
 		}
 	}
-	return res, float64(r.cvCount)
+	return measured{res, float64(r.cvCount)}
 }
 
 // advance is timeline.run inlined over the runner state: attempt an action

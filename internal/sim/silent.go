@@ -2,15 +2,10 @@ package sim
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"abftckpt/internal/des"
 	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
 	"abftckpt/internal/rng"
-	"abftckpt/internal/stats"
 )
 
 // SilentConfig describes a silent-error (SDC) simulation campaign. The
@@ -39,11 +34,6 @@ type SilentConfig struct {
 	// MaxTimeFactor caps a run at MaxTimeFactor*W; default
 	// DefaultMaxTimeFactor.
 	MaxTimeFactor float64
-	// UseEventCalendar drives each replica through the internal/des
-	// event-calendar path (silentOnceDES) instead of the pattern walker.
-	// Both are bit-identical (TestSilentDESEquivalence); the knob exists
-	// for cross-validation.
-	UseEventCalendar bool
 }
 
 func (c SilentConfig) withDefaults() SilentConfig {
@@ -62,8 +52,8 @@ func (c SilentConfig) withDefaults() SilentConfig {
 // errorClock generates silent-error arrivals on the work clock: errors
 // accrue only while (unprotected) work executes, so the clock advances by
 // exactly the executed work duration. The same clock drives the walker and
-// the DES path, which keeps their draws — and therefore their runs —
-// bit-identical.
+// the event-calendar oracle of the tests, which keeps their draws — and
+// therefore their runs — bit-identical.
 type errorClock struct {
 	d        dist.Distribution
 	src      *rng.Source
@@ -127,7 +117,7 @@ patterns:
 		t := math.Min(period, p.W-done)
 		for { // verification attempts of this pattern
 			count, first := clock.advance(t)
-			// Two separate adds, mirroring the DES path's work and verify
+			// Two separate adds, mirroring the oracle's work and verify
 			// completion events, so both paths stay bit-identical.
 			wall += t
 			wall += p.V
@@ -177,127 +167,19 @@ patterns:
 	return res
 }
 
-// silentOnceDES executes one run with the same semantics as
-// SimulateSilentOnce, but driven by an explicit event calendar: each work
-// chunk, verification, recovery and checkpoint is a scheduled completion
-// event, and verification events consult the error clock for the work they
-// cover. Independent codepath kept exactly equivalent (see
-// TestSilentDESEquivalence), cross-validating both.
-func silentOnceDES(eng *des.Engine, cfg SilentConfig, clock *errorClock) RunResult {
-	period := silentPeriod(cfg)
-	horizon := cfg.MaxTimeFactor * math.Max(cfg.Params.W, 1)
-	p := cfg.Params
-	var b Breakdown
-	detections := 0
-	capped := false
-
-	after := func(d float64, fn func()) {
-		eng.Schedule(eng.Now()+d, fn)
-	}
-	checkHorizon := func() bool {
-		if eng.Now() > horizon {
-			capped = true
-			eng.Halt()
-			return true
-		}
-		return false
-	}
-
-	var pattern func(done float64)
-	var attempt func(t, done float64)
-	attempt = func(t, done float64) {
-		// Work-completion event: silent errors never preempt execution, so
-		// the chunk always runs to completion; the subsequent verification
-		// event inspects the error clock over exactly that chunk.
-		after(t, func() {
-			count, first := clock.advance(t)
-			after(p.V, func() {
-				if count == 0 {
-					b.Work += t
-					b.Ckpt += p.V
-					after(p.C, func() {
-						b.Ckpt += p.C
-						if !checkHorizon() {
-							pattern(done + t)
-						}
-					})
-					return
-				}
-				detections++
-				if cfg.Mode == model.SilentForward {
-					taint := t - first
-					after(p.Detect+p.F+taint, func() {
-						b.Work += t
-						b.Lost += taint
-						b.Ckpt += p.V
-						b.Recovery += p.Detect + p.F
-						after(p.C, func() {
-							b.Ckpt += p.C
-							if !checkHorizon() {
-								pattern(done + t)
-							}
-						})
-					})
-					return
-				}
-				after(p.Detect+p.R, func() {
-					b.Lost += t + p.V
-					b.Recovery += p.Detect + p.R
-					if !checkHorizon() {
-						attempt(t, done)
-					}
-				})
-			})
-		})
-	}
-	pattern = func(done float64) {
-		if done >= p.W {
-			return
-		}
-		attempt(math.Min(period, p.W-done), done)
-	}
-	eng.Schedule(0, func() { pattern(0) })
-	eng.Run(math.Inf(1))
-
-	res := RunResult{TFinal: eng.Now(), Faults: detections, Truncated: capped, Breakdown: b}
-	if capped {
-		res.Waste = 1
-	} else if res.TFinal > 0 {
-		res.Waste = 1 - p.W/res.TFinal
-		if res.Waste < 0 {
-			res.Waste = 0
-		}
-	}
-	return res
-}
-
 // silentRunner is a worker-owned replica engine for silent-error campaigns:
-// the rng source, error clock and DES engine are allocated once per worker
-// and reseeded per replica, mirroring the replicaRunner architecture of the
-// fail-stop path.
+// the rng source and error clock are allocated once per worker and reseeded
+// per replica, mirroring the replicaRunner architecture of the fail-stop
+// path.
 type silentRunner struct {
 	cfg   SilentConfig
 	clock *errorClock
-	eng   *des.Engine
-}
-
-func newSilentRunner(cfg SilentConfig, d dist.Distribution) *silentRunner {
-	r := &silentRunner{cfg: cfg, clock: newErrorClock(d, rng.New(cfg.Seed))}
-	if cfg.UseEventCalendar {
-		r.eng = des.New()
-		r.eng.EnableEventReuse()
-	}
-	return r
 }
 
 // run executes replica rep on its dedicated substream.
 func (r *silentRunner) run(rep int) RunResult {
 	r.clock.src.Reseed(rng.At1(r.cfg.Seed, uint64(rep)))
 	r.clock.reset()
-	if r.eng != nil {
-		r.eng.Reset()
-		return silentOnceDES(r.eng, r.cfg, r.clock)
-	}
 	return SimulateSilentOnce(r.cfg, r.clock)
 }
 
@@ -317,80 +199,10 @@ func SimulateSilent(cfg SilentConfig) Aggregate {
 	if distrib == nil {
 		panic("sim: SilentConfig.Distribution returned nil")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Reps {
-		workers = cfg.Reps
-	}
-	runners := make([]*silentRunner, workers)
-	for w := range runners {
-		runners[w] = newSilentRunner(cfg, distrib)
-	}
-	return reduceReplicas(cfg.Reps, workers, func(w, rep int) RunResult {
-		return runners[w].run(rep)
+	runners := poolRunners(cfg.Workers, cfg.Reps, func() *silentRunner {
+		return &silentRunner{cfg: cfg, clock: newErrorClock(distrib, rng.New(cfg.Seed))}
 	})
-}
-
-// reduceReplicas runs reps replicas over workers worker slots and reduces
-// the results into an Aggregate in repetition order (the shared tail of
-// SimulateSilent and SimulateMultiLevel). run must route replica rep
-// through worker w's private state.
-func reduceReplicas(reps, workers int, run func(w, rep int) RunResult) Aggregate {
-	var waste, faults, tfinal, work, ckpt, lost, recovery stats.Accumulator
-	truncated := 0
-	reduce := func(r RunResult) {
-		waste.Add(r.Waste)
-		faults.Add(float64(r.Faults))
-		tfinal.Add(r.TFinal)
-		work.Add(r.Breakdown.Work)
-		ckpt.Add(r.Breakdown.Ckpt)
-		lost.Add(r.Breakdown.Lost)
-		recovery.Add(r.Breakdown.Recovery)
-		if r.Truncated {
-			truncated++
-		}
-	}
-	if workers <= 1 {
-		for i := 0; i < reps; i++ {
-			reduce(run(0, i))
-		}
-	} else {
-		const blockSize = 4096
-		results := make([]RunResult, min(reps, blockSize))
-		for base := 0; base < reps; base += len(results) {
-			n := min(len(results), reps-base)
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func(w int) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= n {
-							return
-						}
-						results[i] = run(w, base+i)
-					}
-				}(w)
-			}
-			wg.Wait()
-			for _, r := range results[:n] {
-				reduce(r)
-			}
-		}
-	}
-	return Aggregate{
-		Waste:     waste.Summarize(),
-		Faults:    faults.Summarize(),
-		TFinal:    tfinal.Summarize(),
-		Work:      work.Summarize(),
-		Ckpt:      ckpt.Summarize(),
-		Lost:      lost.Summarize(),
-		Recovery:  recovery.Summarize(),
-		Runs:      reps,
-		Truncated: truncated,
-	}
+	var agg aggregator
+	runOrdered(runners, 0, cfg.Reps, (*silentRunner).run, agg.add)
+	return agg.result()
 }

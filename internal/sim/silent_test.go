@@ -52,21 +52,6 @@ func TestSilentSimMatchesModel(t *testing.T) {
 	}
 }
 
-// TestSilentDESEquivalence pins the pattern walker and the event-calendar
-// path to bit-identical aggregates for both recovery modes.
-func TestSilentDESEquivalence(t *testing.T) {
-	for _, mode := range model.SilentRecoveries {
-		cfg := silentTestConfig(mode)
-		cfg.Reps = 60
-		walker := SimulateSilent(cfg)
-		cfg.UseEventCalendar = true
-		des := SimulateSilent(cfg)
-		if walker != des {
-			t.Fatalf("%v: walker and DES aggregates differ:\nwalker %+v\ndes    %+v", mode, walker, des)
-		}
-	}
-}
-
 // TestSilentWorkerInvariance: the aggregate is bit-identical for any worker
 // count.
 func TestSilentWorkerInvariance(t *testing.T) {

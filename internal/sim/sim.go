@@ -116,11 +116,6 @@ type Config struct {
 	// MaxTimeFactor caps a run at MaxTimeFactor*(Epochs*T0) to keep
 	// infeasible scenarios finite; default DefaultMaxTimeFactor.
 	MaxTimeFactor float64
-	// UseEventCalendar selects the internal/des event-calendar simulator
-	// (SimulateOnceDES) instead of the timeline walker. Both implement
-	// identical semantics (enforced by TestDESEquivalenceExact); this knob
-	// exists for cross-validation and benchmarking.
-	UseEventCalendar bool
 }
 
 // DefaultMaxTimeFactor is the Config.MaxTimeFactor default: the horizon
@@ -439,78 +434,105 @@ func Simulate(cfg Config) Aggregate {
 func simulateAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena) Aggregate {
 	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
 	chunkSched := periodicChunkSchedules(phases)
-	workers := cfg.Workers
+	runners := poolRunners(cfg.Workers, cfg.Reps, func() *replicaRunner {
+		return newReplicaRunner(cfg, phases, chunkSched, distrib, tr)
+	})
+	var agg aggregator
+	runOrdered(runners, 0, cfg.Reps, (*replicaRunner).run, agg.add)
+	return agg.result()
+}
+
+// aggregator is the ordered reduce behind every campaign entry point: one
+// accumulator per Aggregate summary, fed in repetition order.
+type aggregator struct {
+	waste, faults, tfinal, work, ckpt, lost, recovery stats.Accumulator
+	truncated                                         int
+}
+
+func (a *aggregator) add(r RunResult) {
+	a.waste.Add(r.Waste)
+	a.faults.Add(float64(r.Faults))
+	a.tfinal.Add(r.TFinal)
+	a.work.Add(r.Breakdown.Work)
+	a.ckpt.Add(r.Breakdown.Ckpt)
+	a.lost.Add(r.Breakdown.Lost)
+	a.recovery.Add(r.Breakdown.Recovery)
+	if r.Truncated {
+		a.truncated++
+	}
+}
+
+// result summarizes every replica added so far.
+func (a *aggregator) result() Aggregate {
+	waste := a.waste.Summarize()
+	return Aggregate{
+		Waste:     waste,
+		Faults:    a.faults.Summarize(),
+		TFinal:    a.tfinal.Summarize(),
+		Work:      a.work.Summarize(),
+		Ckpt:      a.ckpt.Summarize(),
+		Lost:      a.lost.Summarize(),
+		Recovery:  a.recovery.Summarize(),
+		Runs:      waste.N,
+		Truncated: a.truncated,
+	}
+}
+
+// replicaBlock bounds the parallel pool's result buffer: replicas fill one
+// block in parallel, then reduce in repetition order, so memory stays
+// O(replicaBlock) for arbitrarily large campaigns.
+const replicaBlock = 4096
+
+// poolRunners builds one worker-owned replica engine per pool slot: workers
+// of them (0: GOMAXPROCS), but never more than reps.
+func poolRunners[W any](workers, reps int, newRunner func() W) []W {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Reps {
-		workers = cfg.Reps
+	runners := make([]W, min(workers, reps))
+	for i := range runners {
+		runners[i] = newRunner()
 	}
-	runners := make([]*replicaRunner, workers)
-	for w := range runners {
-		runners[w] = newReplicaRunner(cfg, phases, chunkSched, distrib, tr)
-	}
-	var waste, faults, tfinal, work, ckpt, lost, recovery stats.Accumulator
-	truncated := 0
-	reduce := func(r RunResult) {
-		waste.Add(r.Waste)
-		faults.Add(float64(r.Faults))
-		tfinal.Add(r.TFinal)
-		work.Add(r.Breakdown.Work)
-		ckpt.Add(r.Breakdown.Ckpt)
-		lost.Add(r.Breakdown.Lost)
-		recovery.Add(r.Breakdown.Recovery)
-		if r.Truncated {
-			truncated++
-		}
-	}
-	if workers <= 1 {
+	return runners
+}
+
+// runOrdered is the replica pool of every campaign entry point: it runs
+// replicas [base, base+count), routing each through one runner's private
+// state with run, and hands every result to reduce in repetition order.
+// Floating-point accumulation is order-dependent; the ordered reduce keeps
+// the aggregate bit-identical for any worker count and any assignment of
+// replicas to workers.
+func runOrdered[W, T any](runners []W, base, count int, run func(W, int) T, reduce func(T)) {
+	if len(runners) == 1 {
 		// Serial campaigns reduce on the fly: replicas already complete in
 		// repetition order, no block buffer needed.
-		for i := 0; i < cfg.Reps; i++ {
-			reduce(runners[0].run(i))
+		for i := 0; i < count; i++ {
+			reduce(run(runners[0], base+i))
 		}
-	} else {
-		// Parallel replicas are processed in bounded blocks — parallel fill,
-		// then a sequential reduce in repetition order — so memory stays
-		// O(blockSize) for arbitrarily large campaigns. Floating-point
-		// accumulation is order-dependent; the ordered reduce keeps the
-		// aggregate independent of the worker count and of which worker ran
-		// which replica.
-		const blockSize = 4096
-		results := make([]RunResult, min(cfg.Reps, blockSize))
-		for base := 0; base < cfg.Reps; base += len(results) {
-			n := min(len(results), cfg.Reps-base)
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func(rr *replicaRunner) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= n {
-							return
-						}
-						results[i] = rr.run(base + i)
-					}
-				}(runners[w])
-			}
-			wg.Wait()
-			for _, r := range results[:n] {
-				reduce(r)
-			}
-		}
+		return
 	}
-	return Aggregate{
-		Waste:     waste.Summarize(),
-		Faults:    faults.Summarize(),
-		TFinal:    tfinal.Summarize(),
-		Work:      work.Summarize(),
-		Ckpt:      ckpt.Summarize(),
-		Lost:      lost.Summarize(),
-		Recovery:  recovery.Summarize(),
-		Runs:      cfg.Reps,
-		Truncated: truncated,
+	results := make([]T, min(count, replicaBlock))
+	for blk := 0; blk < count; blk += len(results) {
+		n := min(len(results), count-blk)
+		start := base + blk
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(len(runners))
+		for _, r := range runners {
+			go func(r W) {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					results[i] = run(r, start+i)
+				}
+			}(r)
+		}
+		wg.Wait()
+		for _, res := range results[:n] {
+			reduce(res)
+		}
 	}
 }

@@ -158,22 +158,6 @@ func BuildTraceArena(d dist.Distribution, seed uint64, reps int, horizon float64
 	return tr
 }
 
-// traceSource adapts a replica's arena cursor to the FailureSource interface
-// for the event-calendar path; it mirrors RenewalSource exactly, with the
-// samples coming from the arena (or its live continuation).
-type traceSource struct {
-	r    *replicaRunner
-	next float64
-}
-
-// NextAfter returns the first failure time strictly after t.
-func (ts *traceSource) NextAfter(t float64) float64 {
-	for ts.next <= t {
-		ts.next = ts.r.nextArrival(ts.next)
-	}
-	return ts.next
-}
-
 // SimulateFromTrace runs the campaign like Simulate, but replays failure
 // arrivals from a prebuilt TraceArena instead of drawing them: per-replica
 // results, and therefore the Aggregate, are bit-identical to Simulate on the

@@ -50,17 +50,3 @@ func TestSimulateOverPerNodeTrace(t *testing.T) {
 		t.Fatalf("per-node trace waste %v vs model %v", got, want)
 	}
 }
-
-// The event-calendar engine is reachable through the aggregate API and
-// agrees with the timeline engine exactly (same substreams).
-func TestSimulateUseEventCalendar(t *testing.T) {
-	p := model.Fig7Params(2*model.Hour, 0.5)
-	base := Config{Params: p, Protocol: model.BiPeriodicCkpt, Reps: 40, Seed: 5}
-	timeline := Simulate(base)
-	des := base
-	des.UseEventCalendar = true
-	calendar := Simulate(des)
-	if timeline.Waste != calendar.Waste || timeline.Faults != calendar.Faults {
-		t.Fatalf("engines disagree: %+v vs %+v", timeline.Waste, calendar.Waste)
-	}
-}

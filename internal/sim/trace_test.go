@@ -16,29 +16,24 @@ func buildArenaFor(cfg Config, horizon float64) *TraceArena {
 
 // SimulateFromTrace must be bit-identical — not approximately equal — to
 // Simulate on every configuration: all protocols, all failure laws, the
-// safeguard, multi-epoch runs, horizon truncation and the event-calendar
-// path, and for every arena horizon, including horizons so short that every
-// replica falls back to live drawing mid-run. Golden campaign CSVs and the
-// shared cell cache depend on this equivalence.
+// safeguard, multi-epoch runs and horizon truncation, and for every arena
+// horizon, including horizons so short that every replica falls back to
+// live drawing mid-run. Golden campaign CSVs and the shared cell cache
+// depend on this equivalence.
 func TestSimulateFromTraceMatchesSimulate(t *testing.T) {
-	for ci, base := range equivConfigs() {
-		for _, useDES := range []bool{false, true} {
-			cfg := base
-			cfg.UseEventCalendar = useDES
-			cfg.Reps = 48
-			cfg.Workers = 1
-			want := Simulate(cfg)
-			useful := cfg.Params.T0
-			if cfg.Epochs > 1 {
-				useful *= float64(cfg.Epochs)
-			}
-			for _, horizon := range []float64{3 * useful, 0.3 * useful, 0} {
-				tr := buildArenaFor(cfg, horizon)
-				got := SimulateFromTrace(cfg, tr)
-				if got != want {
-					t.Fatalf("config %d (des=%v) horizon %g diverged:\n got %+v\nwant %+v",
-						ci, useDES, horizon, got, want)
-				}
+	for ci, cfg := range equivConfigs() {
+		cfg.Reps = 48
+		cfg.Workers = 1
+		want := Simulate(cfg)
+		useful := cfg.Params.T0
+		if cfg.Epochs > 1 {
+			useful *= float64(cfg.Epochs)
+		}
+		for _, horizon := range []float64{3 * useful, 0.3 * useful, 0} {
+			tr := buildArenaFor(cfg, horizon)
+			got := SimulateFromTrace(cfg, tr)
+			if got != want {
+				t.Fatalf("config %d horizon %g diverged:\n got %+v\nwant %+v", ci, horizon, got, want)
 			}
 		}
 	}

@@ -4,15 +4,15 @@ import (
 	"errors"
 	"testing"
 
-	"abftckpt/internal/ckpt"
+	"abftckpt/internal/store"
 )
 
 func TestRestoreMissingSlot(t *testing.T) {
 	rt := newTestRuntime(2, nil)
-	if err := rt.Restore("nope", 0, []string{"x"}); !errors.Is(err, ckpt.ErrNotFound) {
+	if err := rt.Restore("nope", 0, []string{"x"}); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
-	if err := rt.RestoreAll("nope", []string{"x"}); !errors.Is(err, ckpt.ErrNotFound) {
+	if err := rt.RestoreAll("nope", []string{"x"}); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -57,20 +57,20 @@ func TestParallelPropagatesError(t *testing.T) {
 // The composite general phase surfaces checkpoint-store failures instead of
 // continuing on a broken base.
 type failingStore struct {
-	ckpt.Store
+	store.ResultStore
 	fail bool
 }
 
-func (s *failingStore) Save(name string, data []byte) error {
+func (s *failingStore) Put(key string, value []byte) error {
 	if s.fail {
 		return errors.New("store down")
 	}
-	return s.Store.Save(name, data)
+	return s.ResultStore.Put(key, value)
 }
 
 func TestCompositeSurfacesStoreFailure(t *testing.T) {
-	store := &failingStore{Store: ckpt.NewMemStore()}
-	rt := NewRuntime(2, store, nil)
+	fs := &failingStore{ResultStore: store.NewMemory()}
+	rt := NewRuntime(2, fs, nil)
 	for _, p := range rt.Procs {
 		p.Data["r"] = []float64{1}
 		p.Data["l"] = []float64{1}
@@ -79,7 +79,7 @@ func TestCompositeSurfacesStoreFailure(t *testing.T) {
 	if err := c.Init(); err != nil {
 		t.Fatal(err)
 	}
-	store.fail = true
+	fs.fail = true
 	err := c.RunGeneral(3, func(p *Proc, s int) error { return nil })
 	if err == nil {
 		t.Fatal("checkpoint failure swallowed")

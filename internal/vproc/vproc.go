@@ -22,6 +22,7 @@ import (
 
 	"abftckpt/internal/ckpt"
 	"abftckpt/internal/rng"
+	"abftckpt/internal/store"
 )
 
 // ErrDeadProcess is returned when work is scheduled on a failed process that
@@ -93,18 +94,18 @@ type RunStats struct {
 // Runtime manages the virtual processes and their checkpoints.
 type Runtime struct {
 	Procs    []*Proc
-	Store    ckpt.Store
+	Store    store.ResultStore
 	Injector *Injector
 	Stats    RunStats
 	version  uint64
 }
 
 // NewRuntime creates n live processes over the given checkpoint store.
-func NewRuntime(n int, store ckpt.Store, inj *Injector) *Runtime {
+func NewRuntime(n int, rs store.ResultStore, inj *Injector) *Runtime {
 	if n <= 0 {
 		panic("vproc: need at least one process")
 	}
-	rt := &Runtime{Store: store, Injector: inj}
+	rt := &Runtime{Store: rs, Injector: inj}
 	for i := 0; i < n; i++ {
 		rt.Procs = append(rt.Procs, &Proc{Rank: i, Data: make(map[string][]float64), alive: true})
 	}

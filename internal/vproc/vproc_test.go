@@ -4,11 +4,11 @@ import (
 	"errors"
 	"testing"
 
-	"abftckpt/internal/ckpt"
+	"abftckpt/internal/store"
 )
 
 func newTestRuntime(n int, inj *Injector) *Runtime {
-	return NewRuntime(n, ckpt.NewMemStore(), inj)
+	return NewRuntime(n, store.NewMemory(), inj)
 }
 
 func TestParallelRunsAllProcs(t *testing.T) {
@@ -305,5 +305,5 @@ func TestRuntimePanicsOnZeroProcs(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewRuntime(0, ckpt.NewMemStore(), nil)
+	NewRuntime(0, store.NewMemory(), nil)
 }
