@@ -38,12 +38,16 @@ func loadCell(rs store.ResultStore, k cellKey) (res CellResult, ok, corrupt bool
 	if err != nil {
 		return CellResult{}, false, errors.Is(err, store.ErrCorrupt)
 	}
+	return decodeStored(data, k)
+}
+
+// decodeStored decodes the retrieved value of the cell keyed k. A value
+// that does not even parse is torn or flipped, not cold, and reports
+// corrupt; a parse that succeeds but fails the version or canonical-spec
+// check stays a plain miss (schema drift, hash collision).
+func decodeStored(data []byte, k cellKey) (res CellResult, ok, corrupt bool) {
 	res, ok = decodeCellEntry(data, k)
-	// A retrieved value that does not even parse is torn or flipped, not
-	// cold; a parse that succeeds but fails the version or canonical-spec
-	// check stays a plain miss (schema drift, hash collision).
-	corrupt = !ok && !json.Valid(data)
-	return res, ok, corrupt
+	return res, ok, !ok && !json.Valid(data)
 }
 
 // decodeCellEntry decodes one stored entry and verifies it really belongs
@@ -108,6 +112,42 @@ func storeCell(rs store.ResultStore, k cellKey, res CellResult, elapsedMS float6
 	}
 	defer putEntryBuf(buf)
 	if err := rs.Put(k.hash, buf.Bytes()); err != nil {
+		return fmt.Errorf("scenario: cache write: %w", err)
+	}
+	return nil
+}
+
+// pendingPut is an executed cell whose store write the caller batches.
+type pendingPut struct {
+	key       cellKey
+	result    CellResult
+	elapsedMS float64
+}
+
+// storeCells persists executed cells into the store in one PutBatch (see
+// storeCell for the single-cell write). The error covers the whole batch:
+// a PutBatch may be partially applied, and content addressing makes the
+// next write of any lost entry safe.
+func storeCells(rs store.ResultStore, cells []pendingPut) error {
+	if rs == nil || len(cells) == 0 {
+		return nil
+	}
+	items := make([]store.Item, 0, len(cells))
+	bufs := make([]*bytes.Buffer, 0, len(cells))
+	defer func() {
+		for _, buf := range bufs {
+			putEntryBuf(buf)
+		}
+	}()
+	for _, p := range cells {
+		buf, err := encodeCellEntry(p.key, p.result, p.elapsedMS)
+		if err != nil {
+			return err
+		}
+		bufs = append(bufs, buf)
+		items = append(items, store.Item{Key: p.key.hash, Value: buf.Bytes()})
+	}
+	if err := rs.PutBatch(items); err != nil {
 		return fmt.Errorf("scenario: cache write: %w", err)
 	}
 	return nil

@@ -115,8 +115,13 @@ func NewCellCache(dir string, memCells int) *CellCache {
 
 // NewCellCacheStore returns a cache whose second tier is the given result
 // store (nil: memory tier only). The store may be any backend — memory,
-// disk, remote — optionally wrapped in a store.Batcher; the cache only
-// ever issues Get and Put with the cell content hash as the key.
+// disk, remote — optionally wrapped in a store.Batcher; the cache keys
+// every Get, Put, GetBatch and PutBatch by cell content hash. Per-key
+// reads count a corrupt entry through any wrapper (store.ErrCorrupt
+// propagates), but a batch read (shard execution) can only count the
+// entries the store names corrupt: rs must itself have a
+// GetBatchChecked method — a store.Checksummed outermost, or a wrapper
+// that forwards it — or those entries read as plain misses.
 func NewCellCacheStore(rs store.ResultStore, memCells int) *CellCache {
 	if memCells <= 0 {
 		memCells = DefaultMemCells
@@ -180,10 +185,29 @@ func (c *CellCache) insertLocked(hash string, res CellResult) {
 	}
 }
 
-// noteCorruptLocked counts a damaged entry read from the store, once until
-// it is read intact or rewritten. Callers hold c.mu.
-func (c *CellCache) noteCorruptLocked(hash string) {
-	if !c.damaged[hash] {
+// memHitLocked serves hash from the memory tier, if present, refreshing
+// its LRU position. Callers hold c.mu.
+func (c *CellCache) memHitLocked(hash string) (CellResult, bool) {
+	el, ok := c.entries[hash]
+	if !ok {
+		return CellResult{}, false
+	}
+	c.order.MoveToFront(el)
+	c.stats.MemHits++
+	return el.Value.(*memEntry).result, true
+}
+
+// noteReadLocked records what a store read found for one cell: a hit
+// clears its damaged mark, counts a disk hit and promotes the result into
+// memory; a damaged entry is counted once until it is read intact or
+// rewritten; a plain miss changes nothing. Callers hold c.mu.
+func (c *CellCache) noteReadLocked(hash string, res CellResult, hit, corrupt bool) {
+	switch {
+	case hit:
+		delete(c.damaged, hash)
+		c.stats.DiskHits++
+		c.insertLocked(hash, res)
+	case corrupt && !c.damaged[hash]:
 		c.damaged[hash] = true
 		c.stats.CorruptEntries++
 	}
@@ -198,10 +222,7 @@ func (c *CellCache) Lookup(spec CellSpec) (CellResult, CellTier, bool) {
 // lookup is Lookup for a cell whose key the caller already derived.
 func (c *CellCache) lookup(k cellKey) (CellResult, CellTier, bool) {
 	c.mu.Lock()
-	if el, ok := c.entries[k.hash]; ok {
-		c.order.MoveToFront(el)
-		c.stats.MemHits++
-		res := el.Value.(*memEntry).result
+	if res, ok := c.memHitLocked(k.hash); ok {
 		c.mu.Unlock()
 		return res, TierMem, true
 	}
@@ -212,19 +233,14 @@ func (c *CellCache) lookup(k cellKey) (CellResult, CellTier, bool) {
 	c.stats.DiskReads++
 	c.mu.Unlock()
 	res, ok, corrupt := loadCell(c.store, k)
+	if ok || corrupt {
+		c.mu.Lock()
+		c.noteReadLocked(k.hash, res, ok, corrupt)
+		c.mu.Unlock()
+	}
 	if !ok {
-		if corrupt {
-			c.mu.Lock()
-			c.noteCorruptLocked(k.hash)
-			c.mu.Unlock()
-		}
 		return CellResult{}, "", false
 	}
-	c.mu.Lock()
-	delete(c.damaged, k.hash)
-	c.stats.DiskHits++
-	c.insertLocked(k.hash, res)
-	c.mu.Unlock()
 	return res, TierDisk, true
 }
 
@@ -237,26 +253,37 @@ func (c *CellCache) GetOrExecute(spec CellSpec) (CellResult, CellTier, error) {
 }
 
 // do is GetOrExecute for a cell whose key the caller already derived, with
-// an injectable executor (the runner and shard execution pass their own;
-// tests gate it to pin down coalescing).
+// an injectable executor (the runner passes its own; tests gate it to pin
+// down coalescing).
 func (c *CellCache) do(k cellKey, exec func() (CellResult, error)) (CellResult, CellTier, error) {
+	res, tier, _, err := c.execute(k, exec, false)
+	return res, tier, err
+}
+
+// execute is the singleflight path behind do and shard execution. A
+// memory hit returns at once, and a request for a cell already in flight
+// waits for that execution (TierCoalesced). Otherwise this call leads: it
+// reads the store, executes on a miss and writes the result back, then
+// settles every waiter. batched marks a caller that has already read the
+// store for this cell (lookupBatch) and writes executed results itself
+// (writeBatch): the leader then skips both store calls, and store-error
+// and damage accounting wait for the caller's write. elapsedMS is the
+// execution time of a TierExec result.
+func (c *CellCache) execute(k cellKey, exec func() (CellResult, error), batched bool) (CellResult, CellTier, float64, error) {
 	hash := k.hash
 	c.mu.Lock()
-	if el, ok := c.entries[hash]; ok {
-		c.order.MoveToFront(el)
-		c.stats.MemHits++
-		res := el.Value.(*memEntry).result
+	if res, ok := c.memHitLocked(hash); ok {
 		c.mu.Unlock()
-		return res, TierMem, nil
+		return res, TierMem, 0, nil
 	}
 	if fc, ok := c.flight[hash]; ok {
 		c.stats.Coalesced++
 		c.mu.Unlock()
 		<-fc.done
 		if fc.err != nil {
-			return CellResult{}, TierCoalesced, fc.err
+			return CellResult{}, TierCoalesced, 0, fc.err
 		}
-		return fc.result, TierCoalesced, nil
+		return fc.result, TierCoalesced, 0, nil
 	}
 	fc := &flightCall{done: make(chan struct{})}
 	c.flight[hash] = fc
@@ -282,48 +309,43 @@ func (c *CellCache) do(k cellKey, exec func() (CellResult, error)) (CellResult, 
 	tier := TierDisk
 	var res CellResult
 	var err error
-	hit := false
+	var elapsedMS float64
+	hit, corrupt := false, false
 	storeFailed := false
-	if c.store != nil {
+	if c.store != nil && !batched {
 		c.mu.Lock()
 		c.stats.DiskReads++
 		c.mu.Unlock()
-		var corrupt bool
 		res, hit, corrupt = loadCell(c.store, k)
-		if corrupt {
-			c.mu.Lock()
-			c.noteCorruptLocked(hash)
-			c.mu.Unlock()
-		}
 	}
 	if !hit {
 		tier = TierExec
 		start := time.Now()
 		res, err = exec()
+		elapsedMS = float64(time.Since(start).Microseconds()) / 1000
 		// A cache-write failure must not masquerade as an execution
 		// failure: the result is correct, only the store tier is degraded
 		// (full disk, read-only directory, unreachable remote). Keep the
 		// result, serve it to every coalesced waiter, and count the store
 		// error.
-		if err == nil {
-			storeFailed = storeCell(c.store, k, res, float64(time.Since(start).Microseconds())/1000) != nil
+		if err == nil && !batched {
+			storeFailed = storeCell(c.store, k, res, elapsedMS) != nil
 		}
 	}
 	c.mu.Lock()
-	if err == nil {
-		if hit {
-			c.stats.DiskHits++
-		} else {
-			c.stats.Executed++
-		}
+	c.noteReadLocked(hash, res, hit, corrupt)
+	switch {
+	case hit:
+	case err != nil:
+		c.stats.ExecErrors++
+	default:
+		c.stats.Executed++
 		if storeFailed {
 			c.stats.StoreErrors++
-		} else {
-			delete(c.damaged, hash) // a hit read it intact, or the write replaced it
+		} else if !batched {
+			delete(c.damaged, hash) // the write replaced it
 		}
 		c.insertLocked(hash, res)
-	} else {
-		c.stats.ExecErrors++
 	}
 	delete(c.flight, hash)
 	c.mu.Unlock()
@@ -331,7 +353,101 @@ func (c *CellCache) do(k cellKey, exec func() (CellResult, error)) (CellResult, 
 	settled = true
 	close(fc.done)
 	if err != nil {
-		return CellResult{}, tier, err
+		return CellResult{}, tier, 0, err
 	}
-	return res, tier, nil
+	return res, tier, elapsedMS, nil
+}
+
+// batchChecker is a store whose batch read also names the keys it found
+// corrupt (store.Checksummed), which a plain GetBatch drops as misses.
+type batchChecker interface {
+	GetBatchChecked(keys []string) (values map[string][]byte, corrupt []string, err error)
+}
+
+// lookupBatch is lookup for many cells at once: one pass over the memory
+// tier, then one store GetBatch for the misses, with the same per-cell
+// bookkeeping (noteReadLocked). Damaged entries count when they come back
+// unparseable, or when the store names them corrupt: that takes a
+// batchChecker store (see NewCellCacheStore). A store
+// error degrades the whole batch to misses. It returns the hits with
+// their tiers; every other key is a miss.
+func (c *CellCache) lookupBatch(keys []cellKey) (map[string]CellResult, map[string]CellTier) {
+	results := make(map[string]CellResult, len(keys))
+	tiers := make(map[string]CellTier, len(keys))
+	var misses []cellKey
+	c.mu.Lock()
+	for _, k := range keys {
+		if res, ok := c.memHitLocked(k.hash); ok {
+			results[k.hash], tiers[k.hash] = res, TierMem
+		} else {
+			misses = append(misses, k)
+		}
+	}
+	if c.store == nil || len(misses) == 0 {
+		c.mu.Unlock()
+		return results, tiers
+	}
+	c.stats.DiskReads += int64(len(misses))
+	c.mu.Unlock()
+
+	hashes := make([]string, len(misses))
+	for i, k := range misses {
+		hashes[i] = k.hash
+	}
+	var got map[string][]byte
+	var corrupt []string
+	var err error
+	if cs, ok := c.store.(batchChecker); ok {
+		got, corrupt, err = cs.GetBatchChecked(hashes)
+	} else {
+		got, err = c.store.GetBatch(hashes)
+	}
+	if err != nil {
+		return results, tiers
+	}
+	// Decode outside the lock; only the bookkeeping below holds it.
+	type read struct {
+		key          cellKey
+		res          CellResult
+		hit, damaged bool
+	}
+	reads := make([]read, 0, len(got))
+	for _, k := range misses {
+		if data, ok := got[k.hash]; ok {
+			res, hit, damaged := decodeStored(data, k)
+			reads = append(reads, read{k, res, hit, damaged})
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, h := range corrupt {
+		c.noteReadLocked(h, CellResult{}, false, true)
+	}
+	for _, r := range reads {
+		c.noteReadLocked(r.key.hash, r.res, r.hit, r.damaged)
+		if r.hit {
+			results[r.key.hash], tiers[r.key.hash] = r.res, TierDisk
+		}
+	}
+	return results, tiers
+}
+
+// writeBatch stores the cells a batched caller executed (see execute) in
+// one store write. On success their damaged marks clear; on failure every
+// cell counts one store error and keeps its mark, exactly as a failed
+// per-cell write does.
+func (c *CellCache) writeBatch(cells []pendingPut) {
+	if len(cells) == 0 {
+		return
+	}
+	err := storeCells(c.store, cells)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.stats.StoreErrors += int64(len(cells))
+		return
+	}
+	for _, p := range cells {
+		delete(c.damaged, p.key.hash)
+	}
 }

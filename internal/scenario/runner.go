@@ -98,14 +98,18 @@ type Runner struct {
 	// (0: DefaultArenaBudget). Cohorts whose estimated arena exceeds the
 	// budget fall back to per-cell generation.
 	ArenaBudget int64
-	// ExecBatch, when set, replaces local cell execution: each cohort is
-	// handed to the hook in one call (whole cohorts, so a remote worker
-	// still shares the failure process across its cells) and must come back
-	// as one result per spec, in order. Results still flow through the
-	// cache — dedupe, singleflight, store write-back and Report accounting
-	// are identical to local execution; only the compute moves. The
-	// coordinator sets this to dispatch cohorts to workers over HTTP. The
-	// hook may be called from several workers concurrently.
+	// ExecBatch, when set, replaces local cell execution: the cells left
+	// after the cache preload are packed, in order, into units of whole
+	// cohorts (so a remote worker still shares each failure process across
+	// its cells) of about 1/(4 · Workers) of the cells and simulation
+	// work, within MaxShardCells and the shard load budgets (see
+	// packUnits), and each unit is handed to the hook in one call. It
+	// must come back as one result per spec, in order. Results still flow
+	// through the cache — dedupe, singleflight, store write-back and Report
+	// accounting are identical to local execution; only the compute moves.
+	// The coordinator sets this to dispatch units to workers over HTTP, one
+	// shard each. The hook may be called from several workers
+	// concurrently.
 	ExecBatch func(specs []CellSpec) ([]CellResult, error)
 	// OnPlan, when set, receives the expanded campaign plan once, before
 	// any cell runs.
@@ -275,18 +279,13 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 
 	// Group the remaining cells into trace cohorts (cells sharing one
 	// failure process; everything else rides as a singleton) and execute
-	// one cohort per worker, through the cache: a concurrent run sharing
-	// the cache may have executed (or be executing) a cell, in which case
-	// the tier reports a hit and the cell counts as cached, not executed.
+	// one cohort per worker — under ExecBatch, one packed unit of whole
+	// cohorts per worker — through the cache: a concurrent run sharing the
+	// cache may have executed (or be executing) a cell, in which case the
+	// tier reports a hit and the cell counts as cached, not executed.
 	// Completion handling runs under the mutex: mark the cell done,
 	// decrement every subscribed scenario, assemble those that hit zero.
-	batches := groupCohorts(todo, func(h string) CellSpec { return states[h].spec })
-	if r.DisableCohorts {
-		batches = nil
-		for _, h := range todo {
-			batches = append(batches, cohort{hashes: []string{h}})
-		}
-	}
+	batches := r.schedule(todo, func(h string) CellSpec { return states[h].spec }, totalWorkers)
 	budget := r.ArenaBudget
 	if budget <= 0 {
 		budget = DefaultArenaBudget
@@ -436,12 +435,31 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	return report, nil
 }
 
+// schedule splits the cells left to run into the units the runner's
+// workers take, in order: trace cohorts (singletons under
+// DisableCohorts), packed into dispatch units under ExecBatch.
+func (r *Runner) schedule(todo []string, spec func(hash string) CellSpec, workers int) []cohort {
+	var units []cohort
+	if r.DisableCohorts {
+		for _, h := range todo {
+			units = append(units, cohort{hashes: []string{h}})
+		}
+	} else {
+		units = groupCohorts(todo, spec)
+	}
+	if r.ExecBatch != nil {
+		units = packUnits(units, spec, workers)
+	}
+	return units
+}
+
 // preload looks every unique cell up in the cache tiers, never executing,
 // and marks each hit done and cached in its state. The lookups are
 // independent, so the caller and up to workers-1 goroutines claim cells
 // one at a time; each writes only the states it claimed. Lookups stay per
-// key (not one store batch) so every corrupt entry is detected and
-// counted.
+// key: the batch lookup shard execution uses (lookupBatch) counts corrupt
+// entries just as well, but moving the preload onto it changes the warm
+// path and is left to a change measured there.
 func preload(cache *CellCache, order []string, states map[string]*cellState, workers int) {
 	var next atomic.Int64
 	lookups := func() {

@@ -5,8 +5,121 @@ import "abftckpt/internal/sim"
 // Shard execution: a worker serving POST /v1/shards runs a batch of cells
 // through its cache with exactly the semantics of a local campaign run —
 // trace-cohort grouping included, so a cohort dispatched to one worker
-// still materializes its failure process once. The coordinator keeps whole
-// cohorts on one worker for precisely this reason.
+// still materializes its failure process once. The coordinator packs
+// whole cohorts into each shard (see Runner.ExecBatch), so a shard is
+// usually several cohorts; its store traffic is one GetBatch before
+// execution and one PutBatch after, whatever the cell count.
+
+// MaxShardCells bounds the cells one shard may carry: the runner packs
+// dispatch units up to it, and a worker rejects a larger shard.
+const MaxShardCells = 4096
+
+// Load budgets of one dispatch unit. A shard's round-trip is bounded in
+// time (the coordinator's shard timeout) and its response in bytes (the
+// 8 MiB body cap), not only in cells, so the packer also closes a unit
+// before it would pass either budget.
+const (
+	// shardWorkBudget bounds a unit's simulation work, summed replicas ×
+	// epochs: one MaxSimBudget cell's worth, the most a single cell may
+	// ask of a round-trip.
+	shardWorkBudget = MaxSimBudget
+	// shardKeptBudget bounds the per-replica waste values a unit's
+	// results carry back (KeepReplicas cells). At up to 25 JSON bytes
+	// each, 1<<17 of them stay under 3.3 MB, well inside the response cap
+	// next to the rest of up to MaxShardCells results.
+	shardKeptBudget = 1 << 17
+)
+
+// unitsPerWorker is how many dispatch units per runner worker the packer
+// aims for: enough that the last units to finish leave workers idle only
+// briefly, few enough that per-unit overhead (a shard round-trip and its
+// two store calls) stays small next to the cells it carries.
+const unitsPerWorker = 4
+
+// shardLoad is what a run of cells asks of one shard.
+type shardLoad struct {
+	cells      int
+	work, kept int64
+}
+
+func (l *shardLoad) add(o shardLoad) {
+	l.cells += o.cells
+	l.work += o.work
+	l.kept += o.kept
+}
+
+// fits reports whether adding o keeps l within every shard limit.
+func (l shardLoad) fits(o shardLoad) bool {
+	return l.cells+o.cells <= MaxShardCells &&
+		l.work+o.work <= shardWorkBudget &&
+		l.kept+o.kept <= shardKeptBudget
+}
+
+// cellLoad estimates one cell's shard load: its simulation work (replicas
+// × epochs; analytic cells have none) and, when it keeps them, the
+// per-replica waste values its result carries (at most its replica cap).
+func cellLoad(spec CellSpec) shardLoad {
+	l := shardLoad{cells: 1}
+	switch spec.Op {
+	case OpSim:
+		l.work = int64(spec.Reps) * int64(max(spec.Epochs, 1))
+		if spec.Precision != nil && spec.Precision.KeepReplicas {
+			l.kept = int64(spec.Reps)
+		}
+	case OpSilentSim, OpMLSim:
+		l.work = int64(spec.Reps)
+	}
+	return l
+}
+
+// packUnits packs cohorts, in order, into dispatch units. A cell weighs
+// its share of the cells plus its share of the simulation work, and a
+// unit closes once it holds 1/(unitsPerWorker · workers) of the total
+// weight: about ⌈todo / (unitsPerWorker · workers)⌉ cells when cells cost
+// alike, fewer where they are heavy, and never more than
+// unitsPerWorker · workers + 1 units while no limit binds. A unit also
+// closes before a cohort would take it past MaxShardCells or a load
+// budget. A cohort is never split, so one that alone exceeds a limit goes
+// out as a unit of its own.
+func packUnits(cohorts []cohort, spec func(hash string) CellSpec, workers int) []cohort {
+	loads := make([]shardLoad, len(cohorts))
+	var total shardLoad
+	for i, co := range cohorts {
+		for _, h := range co.hashes {
+			loads[i].add(cellLoad(spec(h)))
+		}
+		total.add(loads[i])
+	}
+	weight := func(l shardLoad) float64 {
+		w := float64(l.cells) / float64(total.cells)
+		if total.work > 0 {
+			w += float64(l.work) / float64(total.work)
+		}
+		return w
+	}
+	target := weight(total) / float64(unitsPerWorker*max(workers, 1))
+	var out []cohort
+	var cur []string
+	var load shardLoad
+	flush := func() {
+		if len(cur) > 0 {
+			out = append(out, cohort{hashes: cur})
+			cur, load = nil, shardLoad{}
+		}
+	}
+	for i, co := range cohorts {
+		if !load.fits(loads[i]) {
+			flush()
+		}
+		cur = append(cur, co.hashes...)
+		load.add(loads[i])
+		if weight(load) >= target {
+			flush()
+		}
+	}
+	flush()
+	return out
+}
 
 // ShardOutcome summarizes one executed shard.
 type ShardOutcome struct {
@@ -19,13 +132,16 @@ type ShardOutcome struct {
 	Executed, Cached int
 }
 
-// ExecuteShard runs the cells through the cache, grouping simulation cells
-// that share a failure process into trace cohorts (their arrival streams
-// are generated once and replayed; see groupCohorts). simWorkers bounds
-// replica-level parallelism inside each simulation cell (<= 0: 1);
-// arenaBudget bounds one cohort's materialized arena (<= 0:
-// DefaultArenaBudget). The first cell error aborts the shard. Cells must
-// be pre-validated by the caller.
+// ExecuteShard runs the cells through the cache: one batched lookup (the
+// memory tier, then a single store GetBatch), execution of the misses
+// through the cache's singleflight path, grouped into trace cohorts
+// (cells sharing a failure process generate their arrival streams once
+// and replay them; see groupCohorts), and a single PutBatch of what was
+// executed. simWorkers bounds replica-level parallelism inside each
+// simulation cell (<= 0: 1); arenaBudget bounds one cohort's materialized
+// arena (<= 0: DefaultArenaBudget). The first cell error aborts the shard
+// after the cells executed so far are written. Cells must be
+// pre-validated by the caller.
 func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int, arenaBudget int64) (*ShardOutcome, error) {
 	if arenaBudget <= 0 {
 		arenaBudget = DefaultArenaBudget
@@ -41,20 +157,28 @@ func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int, arenaBudge
 		key  cellKey
 	}
 	byHash := map[string]shardCell{}
-	var order []string
+	var keys []cellKey
 	hashes := make([]string, len(specs))
 	for i, spec := range specs {
 		k := spec.key()
 		hashes[i] = k.hash
 		if _, ok := byHash[k.hash]; !ok {
 			byHash[k.hash] = shardCell{spec: spec, key: k}
-			order = append(order, k.hash)
+			keys = append(keys, k)
 		}
 	}
 
-	results := make(map[string]CellResult, len(order))
-	tiers := make(map[string]CellTier, len(order))
-	for _, co := range groupCohorts(order, func(h string) CellSpec { return byHash[h].spec }) {
+	results, tiers := cache.lookupBatch(keys)
+	var misses []string
+	for _, k := range keys {
+		if _, ok := results[k.hash]; !ok {
+			misses = append(misses, k.hash)
+		}
+	}
+	var executed []pendingPut
+	var execErr error
+run:
+	for _, co := range groupCohorts(misses, func(h string) CellSpec { return byHash[h].spec }) {
 		var arena *sim.TraceArena
 		if len(co.hashes) > 1 {
 			cells := make([]CellSpec, len(co.hashes))
@@ -66,15 +190,22 @@ func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int, arenaBudge
 		for _, h := range co.hashes {
 			cell := byHash[h]
 			opts := ExecOptions{Workers: simWorkers, Arena: arena}
-			res, tier, err := cache.do(cell.key, func() (CellResult, error) {
+			res, tier, elapsedMS, err := cache.execute(cell.key, func() (CellResult, error) {
 				return cell.spec.ExecuteOpts(opts)
-			})
+			}, true)
 			if err != nil {
-				return nil, err
+				execErr = err
+				break run
 			}
-			results[h] = res
-			tiers[h] = tier
+			results[h], tiers[h] = res, tier
+			if tier == TierExec {
+				executed = append(executed, pendingPut{key: cell.key, result: res, elapsedMS: elapsedMS})
+			}
 		}
+	}
+	cache.writeBatch(executed)
+	if execErr != nil {
+		return nil, execErr
 	}
 
 	out := &ShardOutcome{

@@ -30,9 +30,9 @@ const (
 )
 
 // breaker is one worker's circuit breaker. Dispatchers call admit before
-// attempting the worker, then exactly one of success / failure /
-// probeResult. 429s never reach the breaker — a rate-limiting worker is
-// alive, just busy.
+// attempting the worker, then either probeResult, or begin and then
+// exactly one of success / failure. 4xx answers never reach the breaker — a rate-limiting
+// worker, or one rejecting a bad request, is alive.
 type breaker struct {
 	threshold int
 
@@ -83,23 +83,40 @@ func (b *breaker) openLocked() {
 	}
 }
 
-// success records a completed shard round-trip: the breaker closes and
-// the cooldown ladder resets.
-func (b *breaker) success() {
+// begin returns the token a dispatch attempt hands to success or
+// failure: the open count when the attempt started. An outcome whose
+// attempt started before the breaker last opened is stale and ignored,
+// so a shard that was in flight when the worker failed cannot close the
+// breaker by completing late, and its failure does not reopen it.
+func (b *breaker) begin() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.opens
+}
+
+// success records a completed shard round-trip: the breaker closes and
+// the cooldown ladder resets.
+func (b *breaker) success(since int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.opens != since {
+		return
+	}
 	b.state = BreakerClosed
 	b.fails = 0
 	b.nextCooldown = breakerBaseCooldown
 }
 
 // failure records a failed dispatch attempt (transport error, 5xx,
-// malformed response — not a 429). After threshold consecutive failures
+// malformed response — not a 4xx). After threshold consecutive failures
 // the breaker opens; a failure in half-open (the probe passed but the
 // dispatch itself failed) reopens immediately.
-func (b *breaker) failure() {
+func (b *breaker) failure(since int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.opens != since {
+		return
+	}
 	if b.state == BreakerClosed {
 		if b.fails++; b.fails >= b.threshold {
 			b.openLocked()

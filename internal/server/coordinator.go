@@ -1,8 +1,12 @@
 // Sharded campaign execution. A server becomes a coordinator when its
 // Config lists worker base URLs: campaign jobs still expand, deduplicate,
-// preload and assemble locally, but cell execution is dispatched — one
-// trace cohort per shard, so a cohort's shared failure process still
-// materializes once, on whichever worker receives it. Workers are plain
+// preload and assemble locally, but cell execution is dispatched. The
+// runner packs whole trace cohorts into shards of about 1/(4 · Workers)
+// of the cells and simulation work left to run, within per-shard cell,
+// work and response-size budgets (see scenario.Runner.ExecBatch), so a
+// cohort's shared failure process still materializes once, on whichever
+// worker receives it, and a worker reads and writes its shard's entries
+// with one store call each way (scenario.ExecuteShard). Workers are plain
 // ftserve instances exposing POST /v1/shards; pointing every node at one
 // shared result store (see internal/store) deduplicates across the fleet
 // and lets a restarted coordinator reuse everything already computed.
@@ -30,12 +34,9 @@ import (
 	"abftckpt/internal/scenario"
 )
 
-// DefaultShardTimeout bounds one shard round-trip (a cohort of simulation
+// DefaultShardTimeout bounds one shard round-trip (a shard of simulation
 // cells can legitimately run minutes).
 const DefaultShardTimeout = 15 * time.Minute
-
-// maxShardCells bounds the cells one shard request may carry.
-const maxShardCells = 4096
 
 // dispatchRounds is how many passes over the worker list a shard attempts
 // before the job fails; later rounds back off so a transiently saturated
@@ -55,8 +56,8 @@ const probeTimeout = 2 * time.Second
 
 // shardRequest is the POST /v1/shards request body.
 type shardRequest struct {
-	// Cells are the cells to execute, at most maxShardCells. The
-	// coordinator sends one trace cohort per request.
+	// Cells are the cells to execute, at most scenario.MaxShardCells. The
+	// coordinator sends whole trace cohorts, usually several per request.
 	Cells []scenario.CellSpec `json:"cells"`
 }
 
@@ -122,9 +123,9 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "shard has no cells")
 		return
 	}
-	if len(req.Cells) > maxShardCells {
+	if len(req.Cells) > scenario.MaxShardCells {
 		writeError(w, http.StatusBadRequest,
-			"shard has %d cells, limit %d", len(req.Cells), maxShardCells)
+			"shard has %d cells, limit %d", len(req.Cells), scenario.MaxShardCells)
 		return
 	}
 	for i := range req.Cells {
@@ -150,16 +151,23 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// workerBusyError is a 429 from a worker: the worker is alive but
-// rate-limiting, so the attempt fails without tripping the breaker and
-// its Retry-After raises the next round's backoff.
-type workerBusyError struct {
-	retryAfter time.Duration
+// workerStatusError is a non-200 answer from a worker. A 4xx means the
+// worker is alive and answered — a 429 rate limit, or a rejected request
+// (validation, version skew, oversized body) — so the attempt fails
+// without tripping the breaker; a 5xx counts against it. A 429's
+// Retry-After raises the next round's backoff.
+type workerStatusError struct {
+	code       int
 	status     string
+	detail     []byte
+	retryAfter time.Duration // 429 only
 }
 
-func (e *workerBusyError) Error() string {
-	return fmt.Sprintf("status %s (retry after %s)", e.status, e.retryAfter)
+func (e *workerStatusError) Error() string {
+	if e.code == http.StatusTooManyRequests {
+		return fmt.Sprintf("status %s (retry after %s)", e.status, e.retryAfter)
+	}
+	return fmt.Sprintf("status %s: %s", e.status, e.detail)
 }
 
 // parseRetryAfter reads a Retry-After header (delta-seconds or HTTP
@@ -176,7 +184,7 @@ func parseRetryAfter(h string) time.Duration {
 	return time.Second
 }
 
-// dispatchShard sends one cohort of cells to a worker: round-robin pick,
+// dispatchShard sends one shard of cells to a worker: round-robin pick,
 // failover through the rest of the fleet, bounded retry rounds with
 // full-jitter exponential backoff that honors the largest Retry-After
 // seen in the round. Workers behind an open circuit breaker are skipped
@@ -233,9 +241,9 @@ func (s *Server) dispatchShard(j *job, specs []scenario.CellSpec) ([]scenario.Ce
 				if ctx.Err() != nil {
 					return nil, fmt.Errorf("server: dispatch aborted: %w (last worker error: %v)", ctx.Err(), err)
 				}
-				var busy *workerBusyError
-				if errors.As(err, &busy) && busy.retryAfter > retryAfterMax {
-					retryAfterMax = busy.retryAfter
+				var se *workerStatusError
+				if errors.As(err, &se) && se.retryAfter > retryAfterMax {
+					retryAfterMax = se.retryAfter
 				}
 				lastErr = err
 			}
@@ -251,6 +259,7 @@ func (s *Server) dispatchShard(j *job, specs []scenario.CellSpec) ([]scenario.Ce
 // its breaker and the per-worker/per-job counters.
 func (s *Server) attemptShard(j *job, i int, specs []scenario.CellSpec, body []byte, ctx context.Context) ([]scenario.CellResult, error) {
 	url := s.workerURLs[i]
+	since := s.breakers[i].begin()
 	resp, err := s.postShard(ctx, url, body)
 	if err == nil && len(resp.Results) != len(specs) {
 		err = fmt.Errorf("%d results for %d cells", len(resp.Results), len(specs))
@@ -259,15 +268,15 @@ func (s *Server) attemptShard(j *job, i int, specs []scenario.CellSpec, body []b
 		s.mu.Lock()
 		s.workerStats[i].Errors++
 		s.mu.Unlock()
-		// A 429 means alive-but-busy: it neither trips the breaker nor
-		// counts toward consecutive failures.
-		var busy *workerBusyError
-		if !errors.As(err, &busy) {
-			s.breakers[i].failure()
+		// A 4xx (a 429 included) means the worker answered: it neither
+		// trips the breaker nor counts toward consecutive failures.
+		var se *workerStatusError
+		if !errors.As(err, &se) || se.code >= 500 {
+			s.breakers[i].failure(since)
 		}
 		return nil, fmt.Errorf("worker %s: %w", url, err)
 	}
-	s.breakers[i].success()
+	s.breakers[i].success(since)
 	s.mu.Lock()
 	ws := s.workerStats[i]
 	ws.Shards++
@@ -348,18 +357,14 @@ func (s *Server) postShard(ctx context.Context, workerURL string, body []byte) (
 	if len(data) > maxBodyBytes {
 		return nil, fmt.Errorf("response exceeds %d bytes", maxBodyBytes)
 	}
-	if httpResp.StatusCode == http.StatusTooManyRequests {
-		return nil, &workerBusyError{
-			retryAfter: parseRetryAfter(httpResp.Header.Get("Retry-After")),
-			status:     httpResp.Status,
-		}
-	}
 	if httpResp.StatusCode != http.StatusOK {
-		snippet := data
-		if len(snippet) > 256 {
-			snippet = snippet[:256]
+		se := &workerStatusError{code: httpResp.StatusCode, status: httpResp.Status}
+		if se.code == http.StatusTooManyRequests {
+			se.retryAfter = parseRetryAfter(httpResp.Header.Get("Retry-After"))
+		} else {
+			se.detail = bytes.TrimSpace(data[:min(len(data), 256)])
 		}
-		return nil, fmt.Errorf("status %s: %s", httpResp.Status, bytes.TrimSpace(snippet))
+		return nil, se
 	}
 	var out shardResponse
 	if err := json.Unmarshal(data, &out); err != nil {

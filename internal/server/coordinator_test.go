@@ -200,6 +200,66 @@ func TestCoordinatorShardsCampaign(t *testing.T) {
 	}
 }
 
+// pairedCampaign puts a precision heatmap with a baseline behind 3600
+// cheap model cells. The heatmap's 32 cells keep every replica's waste
+// (about 20 JSON bytes each) and pair into 16 two-cell trace cohorts. At
+// one coordinator worker, count-only units of ⌈3632/4⌉ = 908 cells would
+// put all 32 in the last unit: 480,000 kept replicas, some 10 MB.
+const pairedCampaign = `{
+  "name": "paired", "seed": 3, "reps": 15000,
+  "scenarios": [
+    {"name": "m", "kind": "heatmap", "protocol": "abft",
+     "mtbf_minutes": {"from": 60, "to": 240, "count": 60},
+     "alphas": {"from": 0, "to": 1, "count": 60}},
+    {"name": "h", "kind": "heatmap", "output": "sim", "protocol": "abft",
+     "share_traces": true, "precision": {"rel_ci": 1e-9, "baseline": "pure"},
+     "mtbf_minutes": {"values": [5000, 10000, 20000, 40000]},
+     "alphas": {"values": [0.2, 0.5, 0.8, 0.9]}}]
+}`
+
+// TestCoordinatorShardsKeptReplicasUnderResponseCap: dispatch units close
+// on their kept-replica budget, not only on their size target, so every
+// shard response of a replica-heavy campaign stays under the response
+// cap and the sharded run matches a single-node run byte for byte.
+func TestCoordinatorShardsKeptReplicasUnderResponseCap(t *testing.T) {
+	w1, w2 := startWorker(t, nil), startWorker(t, nil)
+	cts := httptest.NewServer(New(Config{
+		Cache:      scenario.NewCellCacheStore(nil, 0),
+		Workers:    1,
+		WorkerURLs: []string{w1.URL, w2.URL},
+	}).Handler())
+	t.Cleanup(cts.Close)
+	st := runCampaign(t, cts.URL, pairedCampaign)
+	if st.State != StateDone {
+		t.Fatalf("sharded job state %q (error %q)", st.State, st.Error)
+	}
+	shards := 0
+	for _, ws := range st.Workers {
+		shards += ws.Shards
+	}
+	// The size target alone makes 4 units at one worker; the budget
+	// splits the paired cells further.
+	if shards <= 4 {
+		t.Errorf("%d shards, want more than the 4 the size target makes", shards)
+	}
+
+	single := httptest.NewServer(New(Config{Cache: scenario.NewCellCacheStore(nil, 0), Workers: 2}).Handler())
+	t.Cleanup(single.Close)
+	sst := runCampaign(t, single.URL, pairedCampaign)
+	if sst.State != StateDone {
+		t.Fatalf("single-node job state %q (error %q)", sst.State, sst.Error)
+	}
+	got, want := fetchArtifacts(t, cts.URL, st), fetchArtifacts(t, single.URL, sst)
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("artifact sets differ: sharded %d, single-node %d", len(got), len(want))
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("artifact %s differs between sharded and single-node run", name)
+		}
+	}
+}
+
 // TestCoordinatorJobCountsFleetExecution: with workers sharing the
 // coordinator's store, a cold sharded run reports every unique cell as
 // executed (matching the fleet's own counters), and a warm rerun reports

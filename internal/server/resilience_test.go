@@ -174,6 +174,67 @@ func TestDispatchHonorsRetryAfter(t *testing.T) {
 	}
 }
 
+// TestRejectedShardDoesNotTripBreaker: a worker that answers a shard
+// with 400 (validation, version skew) is alive, so even at
+// BreakerThreshold 1 its breaker stays closed; the job still fails over
+// and retries, and fails once every round is spent.
+func TestRejectedShardDoesNotTripBreaker(t *testing.T) {
+	var shards atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/shards" {
+			shards.Add(1)
+			http.Error(w, "cell 0: unknown op", http.StatusBadRequest)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	t.Cleanup(stub.Close)
+
+	coord := New(Config{
+		Cache:            scenario.NewCellCacheStore(store.NewMemory(), 128),
+		WorkerURLs:       []string{stub.URL},
+		BreakerThreshold: 1,
+	})
+	cts := httptest.NewServer(coord.Handler())
+	t.Cleanup(cts.Close)
+
+	st := runCampaign(t, cts.URL, `{"name": "rejected", "scenarios": [{"name": "p", "kind": "periods"}]}`)
+	if st.State != StateFailed || !strings.Contains(st.Error, "400") {
+		t.Fatalf("job state %q (error %q), want failed naming the 400", st.State, st.Error)
+	}
+	if n := shards.Load(); n < dispatchRounds {
+		t.Errorf("worker saw %d shard attempts, want at least one per round (%d)", n, dispatchRounds)
+	}
+	if state, opens := coord.breakers[0].snapshot(); opens != 0 || state != BreakerClosed {
+		t.Errorf("400 tripped the breaker: state %q opens %d", state, opens)
+	}
+}
+
+// TestBreakerIgnoresStaleOutcomes: a shard still in flight when the
+// worker's breaker opens cannot close it by completing late, and its
+// failure does not reopen it; outcomes of attempts begun after the open
+// count as usual.
+func TestBreakerIgnoresStaleOutcomes(t *testing.T) {
+	b := newBreaker(1)
+	slow, fast := b.begin(), b.begin()
+	b.failure(fast)
+	if state, opens := b.snapshot(); state != BreakerOpen || opens != 1 {
+		t.Fatalf("after a failure at threshold 1: state %q opens %d, want open 1", state, opens)
+	}
+	b.success(slow)
+	if state, _ := b.snapshot(); state != BreakerOpen {
+		t.Errorf("stale success moved the breaker to %q, want it open", state)
+	}
+	b.failure(slow)
+	if _, opens := b.snapshot(); opens != 1 {
+		t.Errorf("stale failure reopened the breaker: opens %d, want 1", opens)
+	}
+	b.success(b.begin())
+	if state, _ := b.snapshot(); state != BreakerClosed {
+		t.Errorf("current success left the breaker %q, want closed", state)
+	}
+}
+
 // TestDrainAbortsRetryStorm is the satellite regression: a job stuck in
 // a long Retry-After backoff (every attempt 429s with Retry-After: 30)
 // must fail promptly when the coordinator begins draining, instead of

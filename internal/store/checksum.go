@@ -99,7 +99,8 @@ func splitChecksum(framed []byte) (payload []byte, verified bool, err error) {
 // Checksummed wraps a ResultStore with write-side checksum framing and
 // read-side verification: Put appends a checksum trailer, Get verifies
 // and strips it, and a mismatch surfaces as ErrCorrupt (GetBatch omits
-// the corrupt key, like a miss, and counts it). Legacy values without a
+// the corrupt key, like a miss, and counts it; GetBatchChecked also names
+// it). Legacy values without a
 // trailer pass through unverified, so existing caches stay warm.
 //
 // The wrapper composes with any backend — Disk, Remote, Memory, or a
@@ -177,19 +178,30 @@ func (s *Checksummed) Put(key string, value []byte) error {
 // caller they look like misses, which is exactly the degradation the
 // cache wants — and counted in Stats.
 func (s *Checksummed) GetBatch(keys []string) (map[string][]byte, error) {
+	out, _, err := s.GetBatchChecked(keys)
+	return out, err
+}
+
+// GetBatchChecked is GetBatch that also names the keys whose values came
+// back corrupt (in no particular order), so a caller that reads a whole
+// batch can count each detected silent error the way a per-key Get
+// reports it with ErrCorrupt. A wrapper over a Checksummed that forwards
+// this method keeps batch readers above it counting those keys.
+func (s *Checksummed) GetBatchChecked(keys []string) (values map[string][]byte, corrupt []string, err error) {
 	got, err := s.inner.GetBatch(keys)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make(map[string][]byte, len(got))
+	values = make(map[string][]byte, len(got))
 	for k, framed := range got {
 		payload, err := s.verify(framed)
 		if err != nil {
+			corrupt = append(corrupt, k)
 			continue
 		}
-		out[k] = payload
+		values[k] = payload
 	}
-	return out, nil
+	return values, corrupt, nil
 }
 
 // PutBatch implements ResultStore: every item is framed.

@@ -85,9 +85,21 @@ func TestChecksummedDetectsCorruption(t *testing.T) {
 		t.Fatalf("healthy neighbor damaged: %q", batch[k2])
 	}
 
+	// GetBatchChecked returns the same values and names the corrupt key.
+	checked, corrupt, err := cs.GetBatchChecked([]string{k1, k2, key(3)})
+	if err != nil {
+		t.Fatalf("getbatchchecked: %v", err)
+	}
+	if len(checked) != 1 || string(checked[k2]) != "payload-two" {
+		t.Fatalf("getbatchchecked values %q, want only healthy k2", checked)
+	}
+	if len(corrupt) != 1 || corrupt[0] != k1 {
+		t.Fatalf("getbatchchecked corrupt %v, want [k1] (a missing key is not corrupt)", corrupt)
+	}
+
 	stats := cs.Stats()
-	if stats.Corrupt != 2 {
-		t.Fatalf("corrupt count %d, want 2 (Get + GetBatch)", stats.Corrupt)
+	if stats.Corrupt != 3 {
+		t.Fatalf("corrupt count %d, want 3 (Get, GetBatch, GetBatchChecked)", stats.Corrupt)
 	}
 	if stats.Verified < 2 {
 		t.Fatalf("verified count %d, want >= 2", stats.Verified)
