@@ -144,54 +144,76 @@ func TestParallelPreloadCountsCorruptEntry(t *testing.T) {
 }
 
 // TestCellHashesPinned pins CellSpec.Hash over every cell reference of the
-// paper campaign: a change to the canonical encoding or to key derivation
-// would silently orphan every existing cache.
+// example campaigns: a change to the canonical encoding or to key
+// derivation would silently orphan every existing cache. Between them the
+// campaigns reach every cell op.
 func TestCellHashesPinned(t *testing.T) {
-	f, err := os.Open(filepath.Join("..", "..", "examples", "campaigns", "paper.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	c, err := Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exs, err := c.expandAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	refs := 0
-	for _, ex := range exs {
-		for _, cell := range ex.cells {
-			if k := cell.key(); k.hash != cell.Hash() || !bytes.Equal(k.canonical, cell.Canonical()) {
-				t.Fatalf("key() disagrees with Hash/Canonical for %s", cell.Canonical())
-			}
-			h.Write([]byte(cell.Hash() + "\n"))
-			refs++
+	for _, tc := range []struct {
+		file string
+		refs int
+		want string
+	}{
+		{"paper.json", 4000, "821a4c22052ef9f8416377c97dcb63054d9534512206d4f77d21f5c7ebada175"},
+		{"quickstart.json", 238, "a1256cd4f9efdaf837e4ae7878f3eeaed68acba38741c2cad842306863f509f6"},
+		{"silent.json", 2280, "5370035ea65fb4508e618d4acb022f689c5ed53ed5ea1336bfd108ea8e51af22"},
+		{"multilevel.json", 150, "22f076cef6da62dac4dd5b72c9f2c7b01fcd13b223ae4258cce48b4f2934faf1"},
+	} {
+		f, err := os.Open(filepath.Join("..", "..", "examples", "campaigns", tc.file))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	const want = "821a4c22052ef9f8416377c97dcb63054d9534512206d4f77d21f5c7ebada175"
-	if got := hex.EncodeToString(h.Sum(nil)); refs != 4000 || got != want {
-		t.Fatalf("%d references hash to digest %s, want 4000 and %s", refs, got, want)
+		c, err := Load(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		exs, err := c.expandAll()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		h := sha256.New()
+		refs := 0
+		for _, ex := range exs {
+			for _, cell := range ex.cells {
+				if k := cell.key(); k.hash != cell.Hash() || !bytes.Equal(k.canonical, cell.Canonical()) {
+					t.Fatalf("%s: key() disagrees with Hash/Canonical for %s", tc.file, cell.Canonical())
+				}
+				h.Write([]byte(cell.Hash() + "\n"))
+				refs++
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); refs != tc.refs || got != tc.want {
+			t.Errorf("%s: %d references hash to digest %s, want %d and %s", tc.file, refs, got, tc.refs, tc.want)
+		}
 	}
 }
 
 // TestCacheEntryBytesPinned pins the stored entry bytes: the bench cells'
-// executed results and a result full of special and boundary floats must
-// encode exactly as the committed files (recorded before the JSONFloat
-// encoder stopped going through encoding/json), and decode back.
+// executed results, a silent-model, a two-level-model and an adaptive sim
+// entry, and a result full of special and boundary floats must encode
+// exactly as the committed files (recorded with encoding/json as the
+// encoder), and decode back.
 func TestCacheEntryBytesPinned(t *testing.T) {
-	entries := map[string]func() (CellSpec, CellResult, float64){}
-	for op, cell := range BenchCells() {
-		entries[op] = func() (CellSpec, CellResult, float64) {
+	executed := func(cell CellSpec, elapsed float64) func() (CellSpec, CellResult, float64) {
+		return func() (CellSpec, CellResult, float64) {
 			res, err := cell.Execute()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return cell, res, 1.25
+			return cell, res, elapsed
 		}
 	}
+	entries := map[string]func() (CellSpec, CellResult, float64){}
+	for op, cell := range BenchCells() {
+		entries[op] = executed(cell, 1.25)
+	}
+	entries["silent_model"] = executed(CellSpec{Op: OpSilentModel, Silent: silentCell("forward")}, 0.5)
+	entries["ml_model"] = executed(CellSpec{Op: OpMLModel, MultiLevel: mlCellParams()}, 3)
+	adaptive := BenchCells()[OpSim]
+	adaptive.Reps = 256
+	adaptive.Dist = &DistSpec{Name: DistExponential}
+	adaptive.Precision = &CellPrecision{RelCI: 0.05, Batch: 8, KeepReplicas: true}
+	entries["sim_adaptive"] = executed(adaptive, 12.5)
 	entries["special"] = func() (CellSpec, CellResult, float64) {
 		return BenchCells()[OpSim], CellResult{Sim: &SimCellResult{
 			WasteMean: JSONFloat(math.Inf(1)), WasteStdDev: JSONFloat(math.Inf(-1)), WasteCI95: JSONFloat(math.NaN()),
