@@ -24,6 +24,11 @@ func TestValidate(t *testing.T) {
 		{T0: 1, Alpha: 0.5, Mu: 1, Phi: 0.9},
 		{T0: 1, Alpha: 0.5, Mu: 1, Phi: 1, Rho: 2},
 		{T0: 1, Alpha: 0.5, Mu: 1, Phi: 1, Recons: -1},
+		{T0: 1, Alpha: 0.5, Mu: math.Inf(1), Phi: 1},
+		{T0: math.Inf(1), Alpha: 0.5, Mu: 1, Phi: 1},
+		{T0: 1, Alpha: 0.5, Mu: 1, Phi: math.Inf(1)},
+		{T0: 1, Alpha: 0.5, Mu: 1, Phi: 1, C: math.NaN()},
+		{T0: 1, Alpha: 0.5, Mu: 1, Phi: 1, RLbar: math.Inf(1)},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

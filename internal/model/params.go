@@ -21,6 +21,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Time unit helpers (seconds).
@@ -80,6 +81,11 @@ func (p Params) Validate() error {
 		return errors.New("model: Recons must be non-negative")
 	case p.RLbar < 0:
 		return errors.New("model: RLbar must be non-negative")
+	}
+	for _, v := range []float64{p.T0, p.Alpha, p.Mu, p.C, p.R, p.D, p.Rho, p.Phi, p.Recons, p.RLbar} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errors.New("model: params must be finite")
+		}
 	}
 	return nil
 }

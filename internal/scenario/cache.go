@@ -10,19 +10,6 @@ import (
 	"abftckpt/internal/store"
 )
 
-// cacheEntry is the stored record of one executed cell. Spec is stored in
-// canonical form and re-verified on load, so a hash collision or a corrupt
-// value degrades to a cache miss, never to a wrong result. The JSON shape
-// (and, through store.Disk, the on-disk layout) predates the pluggable
-// store and is kept byte-compatible: caches written before the refactor
-// read back unchanged.
-type cacheEntry struct {
-	V         int             `json:"v"`
-	Spec      json.RawMessage `json:"spec"`
-	Result    CellResult      `json:"result"`
-	ElapsedMS float64         `json:"elapsed_ms"`
-}
-
 // loadCell returns the cached result of the cell keyed k from the store,
 // if present and intact. Any store error — missing key, unreachable
 // remote, corrupt bytes — degrades to a miss; corrupt additionally
@@ -42,25 +29,12 @@ func loadCell(rs store.ResultStore, k cellKey) (res CellResult, ok, corrupt bool
 }
 
 // decodeStored decodes the retrieved value of the cell keyed k. A value
-// that does not even parse is torn or flipped, not cold, and reports
-// corrupt; a parse that succeeds but fails the version or canonical-spec
-// check stays a plain miss (schema drift, hash collision).
+// that is not even JSON is torn or flipped, not cold, and reports corrupt;
+// JSON the entry codec rejects (another version, another cell's spec, a
+// shape no writer emits) stays a plain miss.
 func decodeStored(data []byte, k cellKey) (res CellResult, ok, corrupt bool) {
 	res, ok = decodeCellEntry(data, k)
 	return res, ok, !ok && !json.Valid(data)
-}
-
-// decodeCellEntry decodes one stored entry and verifies it really belongs
-// to the cell keyed k.
-func decodeCellEntry(data []byte, k cellKey) (CellResult, bool) {
-	var entry cacheEntry
-	if err := json.Unmarshal(data, &entry); err != nil {
-		return CellResult{}, false
-	}
-	if entry.V != cellVersion || !bytes.Equal(entry.Spec, k.canonical) {
-		return CellResult{}, false
-	}
-	return entry.Result, true
 }
 
 // Encoder-buffer pooling for the store codec: a campaign executing
@@ -75,19 +49,19 @@ const (
 
 var entryBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// encodeCellEntry serializes one cache entry into a pooled, pre-sized
-// buffer. The caller must hand the buffer back via putEntryBuf once the
-// bytes have been consumed.
+// encodeCellEntry serializes one cache entry (see appendCellEntry) into a
+// pooled, pre-sized buffer. The caller must hand the buffer back via
+// putEntryBuf once the bytes have been consumed.
 func encodeCellEntry(k cellKey, res CellResult, elapsedMS float64) (*bytes.Buffer, error) {
 	buf := entryBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	buf.Grow(cacheEntrySizeHint)
-	if err := json.NewEncoder(buf).Encode(cacheEntry{
-		V: cellVersion, Spec: k.canonical, Result: res, ElapsedMS: elapsedMS,
-	}); err != nil {
+	b, err := appendCellEntry(buf.AvailableBuffer(), k, &res, elapsedMS)
+	if err != nil {
 		putEntryBuf(buf)
 		return nil, fmt.Errorf("scenario: marshal cache entry: %w", err)
 	}
+	buf.Write(b)
 	return buf, nil
 }
 

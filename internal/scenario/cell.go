@@ -144,16 +144,14 @@ type PeriodsProbe struct {
 }
 
 // Canonical returns the canonical JSON encoding of the cell (stable field
-// order, shortest float representation).
+// order, shortest float representation): the bytes encoding/json writes
+// for it, produced by a hand-written encoder. The slice is exact-size;
+// the runner keeps one per unique cell.
 func (c CellSpec) Canonical() []byte {
 	c.V = cellVersion
-	b, err := json.Marshal(c)
-	if err != nil {
-		// Params/Options hold only finite floats by validation; a marshal
-		// failure is a programming error.
-		panic(fmt.Sprintf("scenario: marshal cell: %v", err))
-	}
-	return b
+	var scratch [canonicalScratch]byte
+	b := c.appendCanonical(scratch[:0])
+	return append(make([]byte, 0, len(b)), b...)
 }
 
 // Hash returns the hex SHA-256 of the canonical encoding: the cache key.
@@ -162,7 +160,7 @@ func (c CellSpec) Hash() string {
 }
 
 // cellKey is a cell's cache identity: the canonical encoding and its hex
-// SHA-256. Deriving it costs a JSON encode and a hash, so the runner
+// SHA-256. Deriving it costs an encode and a hash, so the runner
 // derives it once per cell reference and threads it through the cache
 // (lookup, entry verification, entry encoding, store key) instead of
 // re-deriving it at every layer.
@@ -175,7 +173,9 @@ type cellKey struct {
 func (c CellSpec) key() cellKey {
 	canonical := c.Canonical()
 	sum := sha256.Sum256(canonical)
-	return cellKey{hash: hex.EncodeToString(sum[:]), canonical: canonical}
+	var hash [2 * sha256.Size]byte
+	hex.Encode(hash[:], sum[:])
+	return cellKey{hash: string(hash[:]), canonical: canonical}
 }
 
 // JSONFloat is a float64 whose JSON encoding survives the IEEE specials:
@@ -186,36 +186,7 @@ type JSONFloat float64
 // MarshalJSON encodes specials as strings and finite values as numbers,
 // byte-identical to encoding/json's float64 encoding.
 func (f JSONFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"+inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"nan"`), nil
-	default:
-		return appendJSONNumber(make([]byte, 0, 24), v), nil
-	}
-}
-
-// appendJSONNumber appends a finite float64 exactly as encoding/json
-// encodes it: shortest round-trip digits, in exponent form outside
-// [1e-6, 1e21), with a one-digit negative exponent's leading zero removed.
-func appendJSONNumber(b []byte, v float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9, as encoding/json does.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
+	return appendJSONFloat(make([]byte, 0, 24), f), nil
 }
 
 // UnmarshalJSON decodes the encoding of MarshalJSON. The two forms it
@@ -462,6 +433,9 @@ func (d *DistSpec) constructor() (func(mtbf float64) dist.Distribution, error) {
 
 // Validate checks the cell is executable without running it.
 func (c CellSpec) Validate() error {
+	if err := c.checkFinite(); err != nil {
+		return err
+	}
 	switch c.Op {
 	case OpModel:
 		if c.Precision != nil {
@@ -561,6 +535,51 @@ func (c CellSpec) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown cell op %q", c.Op)
 	}
+}
+
+// checkFinite rejects a cell holding ±Inf or NaN in any block. The
+// canonical encoding, like JSON, has no form for them, and expansion can
+// produce them from finite inputs (an MTBF of 1e307 minutes overflows
+// once converted to seconds).
+func (c CellSpec) checkFinite() error {
+	block := ""
+	switch {
+	case !finite(c.Nodes):
+		block = "nodes"
+	case !finite(c.Options.FixedPeriodG, c.Options.FixedPeriodL):
+		block = "options"
+	case c.Params != nil && !finite(c.Params.T0, c.Params.Alpha, c.Params.Mu, c.Params.C, c.Params.R,
+		c.Params.D, c.Params.Rho, c.Params.Phi, c.Params.Recons, c.Params.RLbar):
+		block = "params"
+	case c.Scaling != nil && !finite(c.Scaling.BaseNodes, c.Scaling.EpochAtBase, c.Scaling.AlphaAtBase,
+		c.Scaling.MTBFAtBase, c.Scaling.CkptAtBase, c.Scaling.Downtime, c.Scaling.Rho, c.Scaling.Phi, c.Scaling.Recons):
+		block = "scaling"
+	case c.Dist != nil && !finite(c.Dist.Shape):
+		block = "dist"
+	case c.Precision != nil && !finite(c.Precision.RelCI, c.Precision.AbsCI):
+		block = "precision"
+	case c.Probe != nil && !finite(c.Probe.C, c.Probe.Mu, c.Probe.D, c.Probe.R):
+		block = "probe"
+	case c.Silent != nil && !finite(c.Silent.Params.W, c.Silent.Params.MuSilent, c.Silent.Params.V, c.Silent.Params.C,
+		c.Silent.Params.R, c.Silent.Params.F, c.Silent.Params.Detect, c.Silent.Params.Period):
+		block = "silent"
+	case c.MultiLevel != nil && !finite(c.MultiLevel.W, c.MultiLevel.Mu, c.MultiLevel.D, c.MultiLevel.C1,
+		c.MultiLevel.R1, c.MultiLevel.C2, c.MultiLevel.R2, c.MultiLevel.Coverage, c.MultiLevel.Period):
+		block = "multilevel"
+	default:
+		return nil
+	}
+	return fmt.Errorf("scenario: cell %s must be finite", block)
+}
+
+// finite reports whether every value is neither ±Inf nor NaN.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // validateMonteCarlo checks the repetition budget and failure law shared by

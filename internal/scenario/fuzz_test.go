@@ -30,6 +30,7 @@ func FuzzLoadCampaign(f *testing.F) {
 		"mtbf_minutes":{"from":60,"to":120,"count":3},"alphas":{"values":[0,0.5]}}]}`))
 	f.Add([]byte(`{"name":"x","scenarios":[{"name":"s","kind":"scaling",
 		"nodes":{"preset":"paper-nodes"},"series":[{"platform":"paper-fig10","protocol":"pure"}]}]}`))
+	f.Add([]byte(overflowCampaign))
 	f.Add([]byte(`{"scenarios":[]}`))
 	f.Add([]byte(`not json`))
 

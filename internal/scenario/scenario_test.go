@@ -33,6 +33,11 @@ func TestLoadValid(t *testing.T) {
 	}
 }
 
+// overflowCampaign passes every input check, but its MTBF overflows to +Inf
+// once expansion converts minutes to seconds.
+const overflowCampaign = `{"name":"x","scenarios":[{"name":"h","kind":"heatmap","protocol":"pure","output":"model",` +
+	`"mtbf_minutes":{"values":[1e307]},"alphas":{"values":[0.5]}}]}`
+
 func TestLoadErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -53,6 +58,7 @@ func TestLoadErrors(t *testing.T) {
 		{"bad axis range", `{"name":"t","scenarios":[{"name":"a","kind":"heatmap","protocol":"abft","alphas":{"from":0}}]}`, "range axis"},
 		{"conflicting axis", `{"name":"t","scenarios":[{"name":"a","kind":"heatmap","protocol":"abft","alphas":{"values":[1],"preset":"paper-nodes"}}]}`, "exactly one"},
 		{"unknown preset", `{"name":"t","scenarios":[{"name":"a","kind":"heatmap","protocol":"abft","alphas":{"preset":"galaxy"}}]}`, "unknown axis preset"},
+		{"overflowing resolved mtbf", overflowCampaign, `scenario "h": cell 0: scenario: cell params must be finite`},
 		{"non-finite axis", `{"name":"t","scenarios":[{"name":"a","kind":"heatmap","protocol":"abft","alphas":{"values":[1e999]}}]}`, "parse"},
 		{"scaling without series", `{"name":"t","scenarios":[{"name":"a","kind":"scaling"}]}`, "at least one series"},
 		{"unknown scaling platform", `{"name":"t","scenarios":[{"name":"a","kind":"scaling","series":[{"platform":"nope","protocol":"pure"}]}]}`, "unknown scaling platform"},

@@ -222,6 +222,29 @@ func TestCampaignValidationErrors(t *testing.T) {
 	}
 }
 
+// TestCampaignNonFiniteParamsRejected submits a campaign whose inputs are
+// all finite but whose MTBF overflows to +Inf once converted to seconds. It
+// must be refused up front with a 400 naming the scenario, not accepted as
+// a job that later cannot be keyed, and the server must keep serving.
+func TestCampaignNonFiniteParamsRejected(t *testing.T) {
+	ts, _ := newTestServer(t)
+	body := `{"name":"x","scenarios":[{"name":"h","kind":"heatmap","protocol":"pure","output":"model",` +
+		`"mtbf_minutes":{"values":[1e307]},"alphas":{"values":[0.5]}}]}`
+	var e struct {
+		Error string `json:"error"`
+	}
+	code, _ := postJSON(t, ts.URL+"/v1/campaigns", body, &e)
+	if code != http.StatusBadRequest {
+		t.Fatalf("code %d, want 400", code)
+	}
+	if !strings.Contains(e.Error, `scenario "h"`) || !strings.Contains(e.Error, "finite") {
+		t.Errorf("error %q does not name the scenario and the non-finite value", e.Error)
+	}
+	if code, _ := postJSON(t, ts.URL+"/v1/cells", periodsCellBody, nil); code != http.StatusOK {
+		t.Errorf("cell after the rejected campaign: code %d, want 200", code)
+	}
+}
+
 // TestUnknownJobAndArtifact checks 404s for unknown jobs and artifacts.
 func TestUnknownJobAndArtifact(t *testing.T) {
 	ts, _ := newTestServer(t)

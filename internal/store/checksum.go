@@ -20,8 +20,9 @@ var ErrCorrupt = errors.New("store: checksum mismatch (corrupt value)")
 //
 //	<payload> "cks1:" <16 hex chars of FNV-64a(payload)> "\n"
 //
-// appended after the payload verbatim. Cell entries end in "\n" (they are
-// json.Encoder output), so the trailer reads as a trailing non-JSON line:
+// appended after the payload verbatim. Cell entries end in "}\n" (the
+// scenario entry codec writes them that way, as json.Encoder did before
+// it), so the trailer reads as a trailing non-JSON line:
 // a pre-checksum binary that loads a framed entry fails its JSON decode
 // and degrades to a cache miss, never to a wrong result, while legacy
 // values without a trailer pass through Checksummed unverified — old

@@ -140,3 +140,28 @@ func TestChecksummedTrailerDigitsMangled(t *testing.T) {
 		t.Fatalf("mangled trailer digits: err %v, want ErrCorrupt", err)
 	}
 }
+
+// FuzzChecksumTrailer: framing round-trips any payload, a single-byte
+// change anywhere in a framed value is reported as ErrCorrupt, and
+// splitChecksum never panics, whatever bytes it is handed.
+func FuzzChecksumTrailer(f *testing.F) {
+	f.Add([]byte(`{"v":1,"spec":{},"result":{},"elapsed_ms":1}`+"\n"), uint(3), byte(0x04))
+	f.Add([]byte{}, uint(0), byte(0xff))
+	f.Add([]byte("cks1:0123456789abcdef\n"), uint(30), byte(0x20))
+	f.Fuzz(func(t *testing.T, payload []byte, pos uint, flip byte) {
+		splitChecksum(payload) //nolint:errcheck // must only not panic
+
+		framed := appendChecksum(payload)
+		got, verified, err := splitChecksum(framed)
+		if err != nil || !verified || !bytes.Equal(got, payload) {
+			t.Fatalf("round trip: verified %v, err %v, payload %q, want %q", verified, err, got, payload)
+		}
+		if flip == 0 {
+			return
+		}
+		framed[pos%uint(len(framed))] ^= flip
+		if _, _, err := splitChecksum(framed); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("byte %d flipped by %#x: err %v, want ErrCorrupt", pos%uint(len(framed)), flip, err)
+		}
+	})
+}
