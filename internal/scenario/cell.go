@@ -186,7 +186,7 @@ type JSONFloat float64
 // MarshalJSON encodes specials as strings and finite values as numbers,
 // byte-identical to encoding/json's float64 encoding.
 func (f JSONFloat) MarshalJSON() ([]byte, error) {
-	return appendJSONFloat(make([]byte, 0, 24), f), nil
+	return appendFloat(make([]byte, 0, 24), "", f), nil
 }
 
 // UnmarshalJSON decodes the encoding of MarshalJSON. The two forms it

@@ -6,8 +6,6 @@ import (
 	"math"
 	"strconv"
 	"unicode/utf8"
-
-	"abftckpt/internal/model"
 )
 
 // Hand-written JSON codecs for the two hot paths of the cell cache: the
@@ -18,8 +16,12 @@ import (
 // tests keep encoding/json as the oracle: a field added to CellSpec or
 // CellResult without a line here fails them instead of silently sharing a
 // key or dropping a value.
+//
+// Each append helper and each entryReader value reader takes the literal
+// before the value, the member's key with its separator (`,"mu":`), so
+// every field is one line, in struct order.
 
-// appendKey appends an object member name and its colon, preceded by a
+// appendKey appends an optional member's name and colon, preceded by a
 // comma unless the member opens its object.
 func appendKey(b []byte, name string) []byte {
 	if b[len(b)-1] != '{' {
@@ -32,7 +34,7 @@ func appendKey(b []byte, name string) []byte {
 
 // appendJSONString appends s quoted as encoding/json quotes it: control
 // characters, '"', '\\', and the HTML-sensitive '<', '>' and '&' are
-// escaped, so are U+2028 and U+2029, and invalid UTF-8 becomes \ufffd.
+// escaped, so are U+2028 and U+2029, and invalid UTF-8 becomes U+FFFD.
 func appendJSONString(b []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
@@ -109,18 +111,20 @@ func appendJSONNumber(b []byte, v float64) []byte {
 	return b
 }
 
-// appendSpecFloat appends a cell-spec float. Validation keeps spec floats
-// finite (CellSpec.checkFinite); encoding/json has no form for ±Inf and
-// NaN either, so one reaching the encoder is a programming error.
-func appendSpecFloat(b []byte, v float64) []byte {
+// appendSpecFloat appends a cell-spec float member. Validation keeps spec
+// floats finite (CellSpec.checkFinite); encoding/json has no form for
+// ±Inf and NaN either, so one reaching the encoder is a programming error.
+func appendSpecFloat(b []byte, key string, v float64) []byte {
 	if !finite(v) {
 		panic(fmt.Sprintf("scenario: marshal cell: unsupported value %v", v))
 	}
-	return appendJSONNumber(b, v)
+	return appendJSONNumber(append(b, key...), v)
 }
 
-// appendJSONFloat appends f as JSONFloat.MarshalJSON encodes it.
-func appendJSONFloat(b []byte, f JSONFloat) []byte {
+// appendFloat appends a JSONFloat member, encoded as
+// JSONFloat.MarshalJSON encodes it.
+func appendFloat(b []byte, key string, f JSONFloat) []byte {
+	b = append(b, key...)
 	switch v := float64(f); {
 	case math.IsInf(v, 1):
 		return append(b, `"+inf"`...)
@@ -133,204 +137,134 @@ func appendJSONFloat(b []byte, f JSONFloat) []byte {
 	}
 }
 
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, "true"...)
-	}
-	return append(b, "false"...)
+func appendInt(b []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
 }
 
-func appendInt(b []byte, v int) []byte {
-	return strconv.AppendInt(b, int64(v), 10)
+func appendBool(b []byte, key string, v bool) []byte {
+	return strconv.AppendBool(append(b, key...), v)
+}
+
+func appendString(b []byte, key, s string) []byte {
+	return appendJSONString(append(b, key...), s)
 }
 
 // canonicalScratch sizes the stack buffer Canonical encodes into; the
-// paper's cells take 250–400 bytes.
+// example campaigns' cells take 250–450 bytes.
 const canonicalScratch = 512
 
 // appendCanonical appends the canonical encoding of c: the fields of
 // CellSpec and its blocks in declaration order, under their JSON names
 // and omitempty rules.
 func (c *CellSpec) appendCanonical(b []byte) []byte {
-	b = append(b, `{"v":`...)
-	b = appendInt(b, c.V)
-	b = append(b, `,"op":`...)
-	b = appendJSONString(b, c.Op)
+	b = appendInt(b, `{"v":`, c.V)
+	b = appendString(b, `,"op":`, c.Op)
 	if c.Protocol != "" {
-		b = append(b, `,"protocol":`...)
-		b = appendJSONString(b, c.Protocol)
+		b = appendString(b, `,"protocol":`, c.Protocol)
 	}
 	if p := c.Params; p != nil {
-		b = append(b, `,"params":{"T0":`...)
-		b = appendSpecFloat(b, p.T0)
-		b = append(b, `,"Alpha":`...)
-		b = appendSpecFloat(b, p.Alpha)
-		b = append(b, `,"Mu":`...)
-		b = appendSpecFloat(b, p.Mu)
-		b = append(b, `,"C":`...)
-		b = appendSpecFloat(b, p.C)
-		b = append(b, `,"R":`...)
-		b = appendSpecFloat(b, p.R)
-		b = append(b, `,"D":`...)
-		b = appendSpecFloat(b, p.D)
-		b = append(b, `,"Rho":`...)
-		b = appendSpecFloat(b, p.Rho)
-		b = append(b, `,"Phi":`...)
-		b = appendSpecFloat(b, p.Phi)
-		b = append(b, `,"Recons":`...)
-		b = appendSpecFloat(b, p.Recons)
-		b = append(b, `,"RLbar":`...)
-		b = appendSpecFloat(b, p.RLbar)
+		b = appendSpecFloat(b, `,"params":{"T0":`, p.T0)
+		b = appendSpecFloat(b, `,"Alpha":`, p.Alpha)
+		b = appendSpecFloat(b, `,"Mu":`, p.Mu)
+		b = appendSpecFloat(b, `,"C":`, p.C)
+		b = appendSpecFloat(b, `,"R":`, p.R)
+		b = appendSpecFloat(b, `,"D":`, p.D)
+		b = appendSpecFloat(b, `,"Rho":`, p.Rho)
+		b = appendSpecFloat(b, `,"Phi":`, p.Phi)
+		b = appendSpecFloat(b, `,"Recons":`, p.Recons)
+		b = appendSpecFloat(b, `,"RLbar":`, p.RLbar)
 		b = append(b, '}')
 	}
 	if w := c.Scaling; w != nil {
-		b = append(b, `,"scaling":`...)
-		b = appendWeakScaling(b, w)
+		// Scaling laws encode by name, as model.ScalingLaw.MarshalJSON does.
+		b = appendSpecFloat(b, `,"scaling":{"BaseNodes":`, w.BaseNodes)
+		b = appendSpecFloat(b, `,"EpochAtBase":`, w.EpochAtBase)
+		b = appendSpecFloat(b, `,"AlphaAtBase":`, w.AlphaAtBase)
+		b = appendSpecFloat(b, `,"MTBFAtBase":`, w.MTBFAtBase)
+		b = appendSpecFloat(b, `,"CkptAtBase":`, w.CkptAtBase)
+		b = appendString(b, `,"CkptScaling":`, w.CkptScaling.String())
+		b = appendString(b, `,"GeneralScaling":`, w.GeneralScaling.String())
+		b = appendString(b, `,"LibraryScaling":`, w.LibraryScaling.String())
+		b = appendInt(b, `,"Epochs":`, w.Epochs)
+		b = appendSpecFloat(b, `,"Downtime":`, w.Downtime)
+		b = appendSpecFloat(b, `,"Rho":`, w.Rho)
+		b = appendSpecFloat(b, `,"Phi":`, w.Phi)
+		b = appendSpecFloat(b, `,"Recons":`, w.Recons)
+		b = appendBool(b, `,"AggregateEpochs":`, w.AggregateEpochs)
+		b = append(b, '}')
 	}
 	if c.Nodes != 0 {
-		b = append(b, `,"nodes":`...)
-		b = appendSpecFloat(b, c.Nodes)
+		b = appendSpecFloat(b, `,"nodes":`, c.Nodes)
 	}
-	b = append(b, `,"options":{"Safeguard":`...)
-	b = appendBool(b, c.Options.Safeguard)
-	b = append(b, `,"FixedPeriodG":`...)
-	b = appendSpecFloat(b, c.Options.FixedPeriodG)
-	b = append(b, `,"FixedPeriodL":`...)
-	b = appendSpecFloat(b, c.Options.FixedPeriodL)
+	b = appendBool(b, `,"options":{"Safeguard":`, c.Options.Safeguard)
+	b = appendSpecFloat(b, `,"FixedPeriodG":`, c.Options.FixedPeriodG)
+	b = appendSpecFloat(b, `,"FixedPeriodL":`, c.Options.FixedPeriodL)
 	b = append(b, '}')
 	if c.Epochs != 0 {
-		b = append(b, `,"epochs":`...)
-		b = appendInt(b, c.Epochs)
+		b = appendInt(b, `,"epochs":`, c.Epochs)
 	}
 	if c.Reps != 0 {
-		b = append(b, `,"reps":`...)
-		b = appendInt(b, c.Reps)
+		b = appendInt(b, `,"reps":`, c.Reps)
 	}
-	b = append(b, `,"seed":`...)
-	b = strconv.AppendUint(b, c.Seed, 10)
+	b = strconv.AppendUint(append(b, `,"seed":`...), c.Seed, 10)
 	if d := c.Dist; d != nil {
-		b = append(b, `,"dist":{"name":`...)
-		b = appendJSONString(b, d.Name)
+		b = appendString(b, `,"dist":{"name":`, d.Name)
 		if d.Shape != 0 {
-			b = append(b, `,"shape":`...)
-			b = appendSpecFloat(b, d.Shape)
+			b = appendSpecFloat(b, `,"shape":`, d.Shape)
 		}
 		b = append(b, '}')
 	}
 	if p := c.Precision; p != nil {
 		b = append(b, `,"precision":{`...)
 		if p.RelCI != 0 {
-			b = appendKey(b, "rel_ci")
-			b = appendSpecFloat(b, p.RelCI)
+			b = appendSpecFloat(appendKey(b, "rel_ci"), "", p.RelCI)
 		}
 		if p.AbsCI != 0 {
-			b = appendKey(b, "abs_ci")
-			b = appendSpecFloat(b, p.AbsCI)
+			b = appendSpecFloat(appendKey(b, "abs_ci"), "", p.AbsCI)
 		}
 		if p.Batch != 0 {
-			b = appendKey(b, "batch")
-			b = appendInt(b, p.Batch)
+			b = appendInt(appendKey(b, "batch"), "", p.Batch)
 		}
 		if p.NoControlVariate {
-			b = appendKey(b, "no_cv")
-			b = append(b, "true"...)
+			b = appendBool(appendKey(b, "no_cv"), "", true)
 		}
 		if p.KeepReplicas {
-			b = appendKey(b, "keep_replicas")
-			b = append(b, "true"...)
+			b = appendBool(appendKey(b, "keep_replicas"), "", true)
 		}
 		b = append(b, '}')
 	}
 	if p := c.Probe; p != nil {
-		b = append(b, `,"probe":{"c":`...)
-		b = appendSpecFloat(b, p.C)
-		b = append(b, `,"mu":`...)
-		b = appendSpecFloat(b, p.Mu)
-		b = append(b, `,"d":`...)
-		b = appendSpecFloat(b, p.D)
-		b = append(b, `,"r":`...)
-		b = appendSpecFloat(b, p.R)
+		b = appendSpecFloat(b, `,"probe":{"c":`, p.C)
+		b = appendSpecFloat(b, `,"mu":`, p.Mu)
+		b = appendSpecFloat(b, `,"d":`, p.D)
+		b = appendSpecFloat(b, `,"r":`, p.R)
 		b = append(b, '}')
 	}
 	if s := c.Silent; s != nil {
-		p := &s.Params
-		b = append(b, `,"silent":{"params":{"W":`...)
-		b = appendSpecFloat(b, p.W)
-		b = append(b, `,"MuSilent":`...)
-		b = appendSpecFloat(b, p.MuSilent)
-		b = append(b, `,"V":`...)
-		b = appendSpecFloat(b, p.V)
-		b = append(b, `,"C":`...)
-		b = appendSpecFloat(b, p.C)
-		b = append(b, `,"R":`...)
-		b = appendSpecFloat(b, p.R)
-		b = append(b, `,"F":`...)
-		b = appendSpecFloat(b, p.F)
-		b = append(b, `,"Detect":`...)
-		b = appendSpecFloat(b, p.Detect)
-		b = append(b, `,"Period":`...)
-		b = appendSpecFloat(b, p.Period)
-		b = append(b, `},"recovery":`...)
-		b = appendJSONString(b, s.Recovery)
+		b = appendSpecFloat(b, `,"silent":{"params":{"W":`, s.Params.W)
+		b = appendSpecFloat(b, `,"MuSilent":`, s.Params.MuSilent)
+		b = appendSpecFloat(b, `,"V":`, s.Params.V)
+		b = appendSpecFloat(b, `,"C":`, s.Params.C)
+		b = appendSpecFloat(b, `,"R":`, s.Params.R)
+		b = appendSpecFloat(b, `,"F":`, s.Params.F)
+		b = appendSpecFloat(b, `,"Detect":`, s.Params.Detect)
+		b = appendSpecFloat(b, `,"Period":`, s.Params.Period)
+		b = appendString(b, `},"recovery":`, s.Recovery)
 		b = append(b, '}')
 	}
 	if m := c.MultiLevel; m != nil {
-		b = append(b, `,"multilevel":{"W":`...)
-		b = appendSpecFloat(b, m.W)
-		b = append(b, `,"Mu":`...)
-		b = appendSpecFloat(b, m.Mu)
-		b = append(b, `,"D":`...)
-		b = appendSpecFloat(b, m.D)
-		b = append(b, `,"C1":`...)
-		b = appendSpecFloat(b, m.C1)
-		b = append(b, `,"R1":`...)
-		b = appendSpecFloat(b, m.R1)
-		b = append(b, `,"C2":`...)
-		b = appendSpecFloat(b, m.C2)
-		b = append(b, `,"R2":`...)
-		b = appendSpecFloat(b, m.R2)
-		b = append(b, `,"Coverage":`...)
-		b = appendSpecFloat(b, m.Coverage)
-		b = append(b, `,"Period":`...)
-		b = appendSpecFloat(b, m.Period)
-		b = append(b, `,"K":`...)
-		b = appendInt(b, m.K)
+		b = appendSpecFloat(b, `,"multilevel":{"W":`, m.W)
+		b = appendSpecFloat(b, `,"Mu":`, m.Mu)
+		b = appendSpecFloat(b, `,"D":`, m.D)
+		b = appendSpecFloat(b, `,"C1":`, m.C1)
+		b = appendSpecFloat(b, `,"R1":`, m.R1)
+		b = appendSpecFloat(b, `,"C2":`, m.C2)
+		b = appendSpecFloat(b, `,"R2":`, m.R2)
+		b = appendSpecFloat(b, `,"Coverage":`, m.Coverage)
+		b = appendSpecFloat(b, `,"Period":`, m.Period)
+		b = appendInt(b, `,"K":`, m.K)
 		b = append(b, '}')
 	}
-	return append(b, '}')
-}
-
-// appendWeakScaling appends a weak-scaling study; its scaling laws encode
-// by name, as model.ScalingLaw.MarshalJSON does.
-func appendWeakScaling(b []byte, w *model.WeakScaling) []byte {
-	b = append(b, `{"BaseNodes":`...)
-	b = appendSpecFloat(b, w.BaseNodes)
-	b = append(b, `,"EpochAtBase":`...)
-	b = appendSpecFloat(b, w.EpochAtBase)
-	b = append(b, `,"AlphaAtBase":`...)
-	b = appendSpecFloat(b, w.AlphaAtBase)
-	b = append(b, `,"MTBFAtBase":`...)
-	b = appendSpecFloat(b, w.MTBFAtBase)
-	b = append(b, `,"CkptAtBase":`...)
-	b = appendSpecFloat(b, w.CkptAtBase)
-	b = append(b, `,"CkptScaling":`...)
-	b = appendJSONString(b, w.CkptScaling.String())
-	b = append(b, `,"GeneralScaling":`...)
-	b = appendJSONString(b, w.GeneralScaling.String())
-	b = append(b, `,"LibraryScaling":`...)
-	b = appendJSONString(b, w.LibraryScaling.String())
-	b = append(b, `,"Epochs":`...)
-	b = appendInt(b, w.Epochs)
-	b = append(b, `,"Downtime":`...)
-	b = appendSpecFloat(b, w.Downtime)
-	b = append(b, `,"Rho":`...)
-	b = appendSpecFloat(b, w.Rho)
-	b = append(b, `,"Phi":`...)
-	b = appendSpecFloat(b, w.Phi)
-	b = append(b, `,"Recons":`...)
-	b = appendSpecFloat(b, w.Recons)
-	b = append(b, `,"AggregateEpochs":`...)
-	b = appendBool(b, w.AggregateEpochs)
 	return append(b, '}')
 }
 
@@ -348,140 +282,85 @@ func appendCellEntry(b []byte, k cellKey, res *CellResult, elapsedMS float64) ([
 	b = append(b, k.canonical...)
 	b = append(b, `,"result":{`...)
 	if m := res.Model; m != nil {
-		b = appendKey(b, "model")
-		b = append(b, `{"feasible":`...)
-		b = appendBool(b, m.Feasible)
-		b = append(b, `,"tfinal":`...)
-		b = appendJSONFloat(b, m.TFinal)
-		b = append(b, `,"waste":`...)
-		b = appendJSONFloat(b, m.Waste)
-		b = append(b, `,"fault_free":`...)
-		b = appendJSONFloat(b, m.FaultFree)
-		b = append(b, `,"tfinal_g":`...)
-		b = appendJSONFloat(b, m.TFinalG)
-		b = append(b, `,"tfinal_l":`...)
-		b = appendJSONFloat(b, m.TFinalL)
-		b = append(b, `,"period_g":`...)
-		b = appendJSONFloat(b, m.PeriodG)
-		b = append(b, `,"period_l":`...)
-		b = appendJSONFloat(b, m.PeriodL)
-		b = append(b, `,"expected_faults":`...)
-		b = appendJSONFloat(b, m.ExpectedFaults)
-		b = append(b, `,"abft_active":`...)
-		b = appendBool(b, m.ABFTActive)
+		b = appendBool(appendKey(b, "model"), `{"feasible":`, m.Feasible)
+		b = appendFloat(b, `,"tfinal":`, m.TFinal)
+		b = appendFloat(b, `,"waste":`, m.Waste)
+		b = appendFloat(b, `,"fault_free":`, m.FaultFree)
+		b = appendFloat(b, `,"tfinal_g":`, m.TFinalG)
+		b = appendFloat(b, `,"tfinal_l":`, m.TFinalL)
+		b = appendFloat(b, `,"period_g":`, m.PeriodG)
+		b = appendFloat(b, `,"period_l":`, m.PeriodL)
+		b = appendFloat(b, `,"expected_faults":`, m.ExpectedFaults)
+		b = appendBool(b, `,"abft_active":`, m.ABFTActive)
 		b = append(b, '}')
 	}
 	if s := res.Sim; s != nil {
-		b = appendKey(b, "sim")
-		b = appendSimResult(b, s)
+		b = appendFloat(appendKey(b, "sim"), `{"waste_mean":`, s.WasteMean)
+		b = appendFloat(b, `,"waste_stddev":`, s.WasteStdDev)
+		b = appendFloat(b, `,"waste_ci95":`, s.WasteCI95)
+		b = appendFloat(b, `,"faults_mean":`, s.FaultsMean)
+		b = appendFloat(b, `,"tfinal_mean":`, s.TFinalMean)
+		b = appendFloat(b, `,"work_mean":`, s.WorkMean)
+		b = appendFloat(b, `,"ckpt_mean":`, s.CkptMean)
+		b = appendFloat(b, `,"lost_mean":`, s.LostMean)
+		b = appendFloat(b, `,"recovery_mean":`, s.RecoveryMean)
+		b = appendInt(b, `,"runs":`, s.Runs)
+		b = appendInt(b, `,"truncated":`, s.Truncated)
+		if s.RepsCap != 0 {
+			b = appendInt(b, `,"reps_cap":`, s.RepsCap)
+		}
+		if s.Stopped {
+			b = appendBool(b, `,"stopped":`, true)
+		}
+		if s.Looks != 0 {
+			b = appendInt(b, `,"looks":`, s.Looks)
+		}
+		if s.CVActive {
+			b = appendBool(b, `,"cv_active":`, true)
+		}
+		if s.CVVarianceRatio != 0 {
+			b = appendFloat(b, `,"cv_variance_ratio":`, s.CVVarianceRatio)
+		}
+		if len(s.Replicas) > 0 {
+			sep := `,"replicas":[`
+			for _, w := range s.Replicas {
+				b = appendFloat(b, sep, w)
+				sep = ","
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
 	}
 	if p := res.Periods; p != nil {
-		b = appendKey(b, "periods")
-		b = append(b, `{"eq11":`...)
-		b = appendJSONFloat(b, p.Eq11)
-		b = append(b, `,"eq11_feasible":`...)
-		b = appendBool(b, p.Eq11Feasible)
-		b = append(b, `,"young":`...)
-		b = appendJSONFloat(b, p.Young)
-		b = append(b, `,"daly":`...)
-		b = appendJSONFloat(b, p.Daly)
-		b = append(b, `,"waste_eq11":`...)
-		b = appendJSONFloat(b, p.WasteEq11)
-		b = append(b, `,"waste_young":`...)
-		b = appendJSONFloat(b, p.WasteYoung)
-		b = append(b, `,"waste_daly":`...)
-		b = appendJSONFloat(b, p.WasteDaly)
+		b = appendFloat(appendKey(b, "periods"), `{"eq11":`, p.Eq11)
+		b = appendBool(b, `,"eq11_feasible":`, p.Eq11Feasible)
+		b = appendFloat(b, `,"young":`, p.Young)
+		b = appendFloat(b, `,"daly":`, p.Daly)
+		b = appendFloat(b, `,"waste_eq11":`, p.WasteEq11)
+		b = appendFloat(b, `,"waste_young":`, p.WasteYoung)
+		b = appendFloat(b, `,"waste_daly":`, p.WasteDaly)
 		b = append(b, '}')
 	}
 	if s := res.SilentModel; s != nil {
-		b = appendKey(b, "silent_model")
-		b = append(b, `{"recovery":`...)
-		b = appendJSONString(b, s.Recovery)
-		b = append(b, `,"period":`...)
-		b = appendJSONFloat(b, s.Period)
-		b = append(b, `,"patterns":`...)
-		b = appendInt(b, s.Patterns)
-		b = append(b, `,"tfinal":`...)
-		b = appendJSONFloat(b, s.TFinal)
-		b = append(b, `,"waste":`...)
-		b = appendJSONFloat(b, s.Waste)
-		b = append(b, `,"expected_detections":`...)
-		b = appendJSONFloat(b, s.ExpectedDetections)
+		b = appendString(appendKey(b, "silent_model"), `{"recovery":`, s.Recovery)
+		b = appendFloat(b, `,"period":`, s.Period)
+		b = appendInt(b, `,"patterns":`, s.Patterns)
+		b = appendFloat(b, `,"tfinal":`, s.TFinal)
+		b = appendFloat(b, `,"waste":`, s.Waste)
+		b = appendFloat(b, `,"expected_detections":`, s.ExpectedDetections)
 		b = append(b, '}')
 	}
 	if m := res.MLModel; m != nil {
-		b = appendKey(b, "ml_model")
-		b = append(b, `{"feasible":`...)
-		b = appendBool(b, m.Feasible)
-		b = append(b, `,"period":`...)
-		b = appendJSONFloat(b, m.Period)
-		b = append(b, `,"k":`...)
-		b = appendInt(b, m.K)
-		b = append(b, `,"tfinal":`...)
-		b = appendJSONFloat(b, m.TFinal)
-		b = append(b, `,"waste":`...)
-		b = appendJSONFloat(b, m.Waste)
-		b = append(b, `,"expected_faults":`...)
-		b = appendJSONFloat(b, m.ExpectedFaults)
+		b = appendBool(appendKey(b, "ml_model"), `{"feasible":`, m.Feasible)
+		b = appendFloat(b, `,"period":`, m.Period)
+		b = appendInt(b, `,"k":`, m.K)
+		b = appendFloat(b, `,"tfinal":`, m.TFinal)
+		b = appendFloat(b, `,"waste":`, m.Waste)
+		b = appendFloat(b, `,"expected_faults":`, m.ExpectedFaults)
 		b = append(b, '}')
 	}
-	b = append(b, `},"elapsed_ms":`...)
-	b = appendJSONNumber(b, elapsedMS)
+	b = appendJSONNumber(append(b, `},"elapsed_ms":`...), elapsedMS)
 	return append(b, "}\n"...), nil
-}
-
-func appendSimResult(b []byte, s *SimCellResult) []byte {
-	b = append(b, `{"waste_mean":`...)
-	b = appendJSONFloat(b, s.WasteMean)
-	b = append(b, `,"waste_stddev":`...)
-	b = appendJSONFloat(b, s.WasteStdDev)
-	b = append(b, `,"waste_ci95":`...)
-	b = appendJSONFloat(b, s.WasteCI95)
-	b = append(b, `,"faults_mean":`...)
-	b = appendJSONFloat(b, s.FaultsMean)
-	b = append(b, `,"tfinal_mean":`...)
-	b = appendJSONFloat(b, s.TFinalMean)
-	b = append(b, `,"work_mean":`...)
-	b = appendJSONFloat(b, s.WorkMean)
-	b = append(b, `,"ckpt_mean":`...)
-	b = appendJSONFloat(b, s.CkptMean)
-	b = append(b, `,"lost_mean":`...)
-	b = appendJSONFloat(b, s.LostMean)
-	b = append(b, `,"recovery_mean":`...)
-	b = appendJSONFloat(b, s.RecoveryMean)
-	b = append(b, `,"runs":`...)
-	b = appendInt(b, s.Runs)
-	b = append(b, `,"truncated":`...)
-	b = appendInt(b, s.Truncated)
-	if s.RepsCap != 0 {
-		b = append(b, `,"reps_cap":`...)
-		b = appendInt(b, s.RepsCap)
-	}
-	if s.Stopped {
-		b = append(b, `,"stopped":true`...)
-	}
-	if s.Looks != 0 {
-		b = append(b, `,"looks":`...)
-		b = appendInt(b, s.Looks)
-	}
-	if s.CVActive {
-		b = append(b, `,"cv_active":true`...)
-	}
-	if s.CVVarianceRatio != 0 {
-		b = append(b, `,"cv_variance_ratio":`...)
-		b = appendJSONFloat(b, s.CVVarianceRatio)
-	}
-	if len(s.Replicas) > 0 {
-		b = append(b, `,"replicas":[`...)
-		for i, w := range s.Replicas {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONFloat(b, w)
-		}
-		b = append(b, ']')
-	}
-	return append(b, '}')
 }
 
 // decodeCellEntry decodes one stored entry and verifies it really belongs
@@ -499,22 +378,89 @@ func decodeCellEntry(data []byte, k cellKey) (CellResult, bool) {
 	r.lit(`,"result":{`)
 	var res CellResult
 	if r.key("model") {
-		res.Model = r.modelResult()
+		m := new(ModelCellResult)
+		m.Feasible = r.bool(`{"feasible":`)
+		m.TFinal = r.float(`,"tfinal":`)
+		m.Waste = r.float(`,"waste":`)
+		m.FaultFree = r.float(`,"fault_free":`)
+		m.TFinalG = r.float(`,"tfinal_g":`)
+		m.TFinalL = r.float(`,"tfinal_l":`)
+		m.PeriodG = r.float(`,"period_g":`)
+		m.PeriodL = r.float(`,"period_l":`)
+		m.ExpectedFaults = r.float(`,"expected_faults":`)
+		m.ABFTActive = r.bool(`,"abft_active":`)
+		r.lit(`}`)
+		res.Model = m
 	}
 	if r.key("sim") {
-		res.Sim = r.simResult()
+		s := new(SimCellResult)
+		s.WasteMean = r.float(`{"waste_mean":`)
+		s.WasteStdDev = r.float(`,"waste_stddev":`)
+		s.WasteCI95 = r.float(`,"waste_ci95":`)
+		s.FaultsMean = r.float(`,"faults_mean":`)
+		s.TFinalMean = r.float(`,"tfinal_mean":`)
+		s.WorkMean = r.float(`,"work_mean":`)
+		s.CkptMean = r.float(`,"ckpt_mean":`)
+		s.LostMean = r.float(`,"lost_mean":`)
+		s.RecoveryMean = r.float(`,"recovery_mean":`)
+		s.Runs = r.int(`,"runs":`)
+		s.Truncated = r.int(`,"truncated":`)
+		if r.key("reps_cap") {
+			s.RepsCap = r.int("")
+		}
+		if r.key("stopped") {
+			s.Stopped = r.bool("")
+		}
+		if r.key("looks") {
+			s.Looks = r.int("")
+		}
+		if r.key("cv_active") {
+			s.CVActive = r.bool("")
+		}
+		if r.key("cv_variance_ratio") {
+			s.CVVarianceRatio = r.float("")
+		}
+		if r.key("replicas") {
+			s.Replicas = r.floats()
+		}
+		r.lit(`}`)
+		res.Sim = s
 	}
 	if r.key("periods") {
-		res.Periods = r.periodsResult()
+		p := new(PeriodsCellResult)
+		p.Eq11 = r.float(`{"eq11":`)
+		p.Eq11Feasible = r.bool(`,"eq11_feasible":`)
+		p.Young = r.float(`,"young":`)
+		p.Daly = r.float(`,"daly":`)
+		p.WasteEq11 = r.float(`,"waste_eq11":`)
+		p.WasteYoung = r.float(`,"waste_young":`)
+		p.WasteDaly = r.float(`,"waste_daly":`)
+		r.lit(`}`)
+		res.Periods = p
 	}
 	if r.key("silent_model") {
-		res.SilentModel = r.silentModelResult()
+		s := new(SilentModelCellResult)
+		s.Recovery = r.str(`{"recovery":`)
+		s.Period = r.float(`,"period":`)
+		s.Patterns = r.int(`,"patterns":`)
+		s.TFinal = r.float(`,"tfinal":`)
+		s.Waste = r.float(`,"waste":`)
+		s.ExpectedDetections = r.float(`,"expected_detections":`)
+		r.lit(`}`)
+		res.SilentModel = s
 	}
 	if r.key("ml_model") {
-		res.MLModel = r.mlModelResult()
+		m := new(MLModelCellResult)
+		m.Feasible = r.bool(`{"feasible":`)
+		m.Period = r.float(`,"period":`)
+		m.K = r.int(`,"k":`)
+		m.TFinal = r.float(`,"tfinal":`)
+		m.Waste = r.float(`,"waste":`)
+		m.ExpectedFaults = r.float(`,"expected_faults":`)
+		r.lit(`}`)
+		res.MLModel = m
 	}
-	r.lit(`},"elapsed_ms":`)
-	r.float64()
+	r.float64(`},"elapsed_ms":`)
 	r.lit("}\n")
 	if r.bad || r.i != len(data) {
 		return CellResult{}, false
@@ -522,9 +468,10 @@ func decodeCellEntry(data []byte, k cellKey) (CellResult, bool) {
 	return res, true
 }
 
-// entryReader parses the fixed form of a stored entry. The first mismatch
-// sets bad; every later call is then a no-op returning zero, so parsers
-// read straight through and check bad once.
+// entryReader parses the fixed form of a stored entry. Each value reader
+// first consumes the literal before the value. The first mismatch sets
+// bad; every later call is then a no-op returning zero, so a parse reads
+// straight through and checks bad once.
 type entryReader struct {
 	data []byte
 	i    int
@@ -569,7 +516,8 @@ func (r *entryReader) key(name string) bool {
 
 // number consumes a token of the JSON number grammar. strconv accepts
 // more (hex floats, "Inf", underscores), so tokens are checked here first.
-func (r *entryReader) number() []byte {
+func (r *entryReader) number(key string) []byte {
+	r.lit(key)
 	d, i := r.data, r.i
 	digits := func() bool {
 		j := i
@@ -581,29 +529,26 @@ func (r *entryReader) number() []byte {
 	if i < len(d) && d[i] == '-' {
 		i++
 	}
-	switch {
-	case i < len(d) && d[i] == '0':
+	ok := i < len(d) && d[i] == '0'
+	if ok {
 		i++
-	case !digits():
-		r.fail()
-		return nil
+	} else {
+		ok = digits()
 	}
-	if i < len(d) && d[i] == '.' {
+	if ok && i < len(d) && d[i] == '.' {
 		i++
-		if !digits() {
-			r.fail()
-			return nil
-		}
+		ok = digits()
 	}
-	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+	if ok && i < len(d) && (d[i] == 'e' || d[i] == 'E') {
 		i++
 		if i < len(d) && (d[i] == '+' || d[i] == '-') {
 			i++
 		}
-		if !digits() {
-			r.fail()
-			return nil
-		}
+		ok = digits()
+	}
+	if !ok {
+		r.fail()
+		return nil
 	}
 	tok := d[r.i:i]
 	r.i = i
@@ -612,55 +557,75 @@ func (r *entryReader) number() []byte {
 
 // float64 consumes a number that fits a float64, as encoding/json decodes
 // one.
-func (r *entryReader) float64() float64 {
-	tok := r.number()
+func (r *entryReader) float64(key string) float64 {
+	tok := r.number(key)
 	if r.bad {
 		return 0
 	}
 	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		r.fail()
-		return 0
 	}
 	return v
 }
 
 // float consumes a JSONFloat: a number or one of the quoted specials.
-func (r *entryReader) float() JSONFloat {
-	if r.i < len(r.data) && r.data[r.i] == '"' {
-		for _, s := range [...]string{`"+inf"`, `"-inf"`, `"nan"`} {
-			if len(r.data)-r.i >= len(s) && string(r.data[r.i:r.i+len(s)]) == s {
-				r.i += len(s)
-				v, _ := jsonFloatSpecial(s[1 : len(s)-1])
-				return JSONFloat(v)
-			}
-		}
-		r.fail()
-		return 0
+func (r *entryReader) float(key string) JSONFloat {
+	r.lit(key)
+	if r.i == len(r.data) || r.data[r.i] != '"' {
+		return JSONFloat(r.float64(""))
 	}
-	return JSONFloat(r.float64())
+	for _, s := range [...]string{`"+inf"`, `"-inf"`, `"nan"`} {
+		if len(r.data)-r.i >= len(s) && string(r.data[r.i:r.i+len(s)]) == s {
+			r.i += len(s)
+			v, _ := jsonFloatSpecial(s[1 : len(s)-1])
+			return JSONFloat(v)
+		}
+	}
+	r.fail()
+	return 0
+}
+
+// floats consumes a non-empty array of JSONFloats.
+func (r *entryReader) floats() []JSONFloat {
+	r.lit(`[`)
+	n := bytes.IndexByte(r.data[r.i:], ']')
+	if n < 0 {
+		r.fail()
+		return nil
+	}
+	out := make([]JSONFloat, 0, bytes.Count(r.data[r.i:r.i+n], []byte{','})+1)
+	for sep := ""; !r.bad; sep = "," {
+		out = append(out, r.float(sep))
+		if r.i < len(r.data) && r.data[r.i] == ']' {
+			break
+		}
+	}
+	r.lit(`]`)
+	return out
 }
 
 // int consumes an integer that fits an int, as encoding/json decodes one.
-func (r *entryReader) int() int {
-	tok := r.number()
+func (r *entryReader) int(key string) int {
+	tok := r.number(key)
 	if r.bad {
 		return 0
 	}
 	v, err := strconv.ParseInt(string(tok), 10, 0)
 	if err != nil {
 		r.fail()
-		return 0
 	}
 	return int(v)
 }
 
-func (r *entryReader) bool() bool {
+func (r *entryReader) bool(key string) bool {
+	r.lit(key)
+	rest := r.data[r.i:]
 	switch {
-	case len(r.data)-r.i >= 4 && string(r.data[r.i:r.i+4]) == "true":
+	case len(rest) >= 4 && string(rest[:4]) == "true":
 		r.i += 4
 		return true
-	case len(r.data)-r.i >= 5 && string(r.data[r.i:r.i+5]) == "false":
+	case len(rest) >= 5 && string(rest[:5]) == "false":
 		r.i += 5
 	default:
 		r.fail()
@@ -671,24 +636,9 @@ func (r *entryReader) bool() bool {
 // str consumes a JSON string. It accepts the escapes appendJSONString
 // writes and any valid UTF-8; surrogate escapes and invalid UTF-8, which
 // no writer emits, are rejected.
-func (r *entryReader) str() string {
+func (r *entryReader) str(key string) string {
+	r.lit(key)
 	r.lit(`"`)
-	d, start := r.data, r.i
-	for i := start; i < len(d); i++ {
-		switch c := d[i]; {
-		case c == '"':
-			r.i = i + 1
-			return string(d[start:i])
-		case c == '\\' || c < 0x20 || c >= utf8.RuneSelf:
-			return r.strEscaped()
-		}
-	}
-	r.fail()
-	return ""
-}
-
-// strEscaped is the slow path of str from the opening quote on.
-func (r *entryReader) strEscaped() string {
 	d := r.data
 	var out []byte
 	for i := r.i; i < len(d); {
@@ -750,155 +700,4 @@ func (r *entryReader) strEscaped() string {
 	}
 	r.fail()
 	return ""
-}
-
-func (r *entryReader) modelResult() *ModelCellResult {
-	m := new(ModelCellResult)
-	r.lit(`{"feasible":`)
-	m.Feasible = r.bool()
-	r.lit(`,"tfinal":`)
-	m.TFinal = r.float()
-	r.lit(`,"waste":`)
-	m.Waste = r.float()
-	r.lit(`,"fault_free":`)
-	m.FaultFree = r.float()
-	r.lit(`,"tfinal_g":`)
-	m.TFinalG = r.float()
-	r.lit(`,"tfinal_l":`)
-	m.TFinalL = r.float()
-	r.lit(`,"period_g":`)
-	m.PeriodG = r.float()
-	r.lit(`,"period_l":`)
-	m.PeriodL = r.float()
-	r.lit(`,"expected_faults":`)
-	m.ExpectedFaults = r.float()
-	r.lit(`,"abft_active":`)
-	m.ABFTActive = r.bool()
-	r.lit(`}`)
-	return m
-}
-
-func (r *entryReader) simResult() *SimCellResult {
-	s := new(SimCellResult)
-	r.lit(`{"waste_mean":`)
-	s.WasteMean = r.float()
-	r.lit(`,"waste_stddev":`)
-	s.WasteStdDev = r.float()
-	r.lit(`,"waste_ci95":`)
-	s.WasteCI95 = r.float()
-	r.lit(`,"faults_mean":`)
-	s.FaultsMean = r.float()
-	r.lit(`,"tfinal_mean":`)
-	s.TFinalMean = r.float()
-	r.lit(`,"work_mean":`)
-	s.WorkMean = r.float()
-	r.lit(`,"ckpt_mean":`)
-	s.CkptMean = r.float()
-	r.lit(`,"lost_mean":`)
-	s.LostMean = r.float()
-	r.lit(`,"recovery_mean":`)
-	s.RecoveryMean = r.float()
-	r.lit(`,"runs":`)
-	s.Runs = r.int()
-	r.lit(`,"truncated":`)
-	s.Truncated = r.int()
-	if r.key("reps_cap") {
-		s.RepsCap = r.int()
-	}
-	if r.key("stopped") {
-		s.Stopped = r.bool()
-	}
-	if r.key("looks") {
-		s.Looks = r.int()
-	}
-	if r.key("cv_active") {
-		s.CVActive = r.bool()
-	}
-	if r.key("cv_variance_ratio") {
-		s.CVVarianceRatio = r.float()
-	}
-	if r.key("replicas") {
-		s.Replicas = r.floats()
-	}
-	r.lit(`}`)
-	return s
-}
-
-// floats consumes a non-empty array of JSONFloats.
-func (r *entryReader) floats() []JSONFloat {
-	r.lit(`[`)
-	if r.bad {
-		return nil
-	}
-	end := bytes.IndexByte(r.data[r.i:], ']')
-	if end < 0 {
-		r.fail()
-		return nil
-	}
-	out := make([]JSONFloat, 0, bytes.Count(r.data[r.i:r.i+end], []byte{','})+1)
-	for {
-		out = append(out, r.float())
-		if r.bad || r.i == len(r.data) || r.data[r.i] != ',' {
-			break
-		}
-		r.i++
-	}
-	r.lit(`]`)
-	return out
-}
-
-func (r *entryReader) periodsResult() *PeriodsCellResult {
-	p := new(PeriodsCellResult)
-	r.lit(`{"eq11":`)
-	p.Eq11 = r.float()
-	r.lit(`,"eq11_feasible":`)
-	p.Eq11Feasible = r.bool()
-	r.lit(`,"young":`)
-	p.Young = r.float()
-	r.lit(`,"daly":`)
-	p.Daly = r.float()
-	r.lit(`,"waste_eq11":`)
-	p.WasteEq11 = r.float()
-	r.lit(`,"waste_young":`)
-	p.WasteYoung = r.float()
-	r.lit(`,"waste_daly":`)
-	p.WasteDaly = r.float()
-	r.lit(`}`)
-	return p
-}
-
-func (r *entryReader) silentModelResult() *SilentModelCellResult {
-	s := new(SilentModelCellResult)
-	r.lit(`{"recovery":`)
-	s.Recovery = r.str()
-	r.lit(`,"period":`)
-	s.Period = r.float()
-	r.lit(`,"patterns":`)
-	s.Patterns = r.int()
-	r.lit(`,"tfinal":`)
-	s.TFinal = r.float()
-	r.lit(`,"waste":`)
-	s.Waste = r.float()
-	r.lit(`,"expected_detections":`)
-	s.ExpectedDetections = r.float()
-	r.lit(`}`)
-	return s
-}
-
-func (r *entryReader) mlModelResult() *MLModelCellResult {
-	m := new(MLModelCellResult)
-	r.lit(`{"feasible":`)
-	m.Feasible = r.bool()
-	r.lit(`,"period":`)
-	m.Period = r.float()
-	r.lit(`,"k":`)
-	m.K = r.int()
-	r.lit(`,"tfinal":`)
-	m.TFinal = r.float()
-	r.lit(`,"waste":`)
-	m.Waste = r.float()
-	r.lit(`,"expected_faults":`)
-	m.ExpectedFaults = r.float()
-	r.lit(`}`)
-	return m
 }
