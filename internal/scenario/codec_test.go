@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -178,47 +177,6 @@ func TestCheckFiniteCoversEveryFloat(t *testing.T) {
 	}
 }
 
-// TestJSONStringMatchesEncodingJSON checks the string escaper on the
-// characters encoding/json treats specially.
-func TestJSONStringMatchesEncodingJSON(t *testing.T) {
-	for _, s := range []string{
-		"", "abft", "a\"b\\c", "<script>&amp;</script>", "\b\f\n\r\t\x00\x1f\x7f",
-		"\u2028\u2029", "é日本\U0001F600", "bad\xffutf8\xc3", "\xed\xa0\x80",
-	} {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-			t.Errorf("%q: got %s, want %s", s, got, want)
-		}
-	}
-}
-
-// TestJSONNumberMatchesEncodingJSON checks the float formatter, with its
-// integer shortcut, against encoding/json around every boundary it has.
-func TestJSONNumberMatchesEncodingJSON(t *testing.T) {
-	vals := []float64{
-		0, math.Copysign(0, -1), 1, -1, 60, 604800, 0.8, 1.03, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, -1e21,
-		1<<53 - 1, 1 << 53, 1<<53 + 2, -(1<<53 - 1), -(1 << 53), 123456789012345678, 1e15 + 0.5,
-		math.MaxFloat64, math.SmallestNonzeroFloat64, 5e-324, 2.5e-8,
-	}
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 2000; i++ {
-		vals = append(vals, math.Trunc(r.NormFloat64()*math.Pow(10, float64(r.Intn(22)))),
-			r.NormFloat64()*math.Pow(10, float64(r.Intn(40)-20)), math.Float64frombits(r.Uint64()))
-	}
-	for _, v := range vals {
-		want, err := json.Marshal(v)
-		if err != nil {
-			continue // NaN and ±Inf from random bits
-		}
-		if got := appendJSONNumber(nil, v); !bytes.Equal(got, want) {
-			t.Errorf("%v: got %s, want %s", v, got, want)
-		}
-	}
-}
-
 // pinnedEntryKeys are the keys of the committed testdata entries.
 func pinnedEntryKeys(tb testing.TB) []cellKey {
 	tb.Helper()
@@ -254,6 +212,12 @@ func FuzzCellCanonical(f *testing.F) {
 	}
 	f.Add([]byte(`{"op":"scaling","scaling":{"BaseNodes":1e4,"CkptScaling":"linear","GeneralScaling":"sqrt","LibraryScaling":"inverse"}}`), "<&>\u2028", 1e-7)
 	f.Add([]byte(`{"op":"x","multilevel":{"K":3},"silent":{"recovery":"\u0001"},"precision":{"no_cv":true}}`), "\xff", math.Inf(1))
+	for _, s := range []string{
+		"a\"b\\c", "<script>&amp;</script>", "\b\f\n\r\t\x00\x1f\x7f", "\u2028\u2029",
+		"é日本\U0001F600", "bad\xffutf8\xc3", "\xed\xa0\x80",
+	} {
+		f.Add([]byte(`{"op":"model"}`), s, 0.0)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, protocol string, nodes float64) {
 		var spec CellSpec
 		if json.Unmarshal(data, &spec) != nil {
@@ -288,8 +252,24 @@ func FuzzCellEntry(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(`{"v":1,"spec":{},"result":{"sim":{"runs":0x10}},"elapsed_ms":1}`))
-	f.Add([]byte(`{"result":{"model":{"tfinal":"+inf"},"silent_model":{"recovery":"bé\n"},"ml_model":{"k":-0}},"elapsed_ms":1e400}`))
+	// The sim entry with one token swapped for a form strconv parses but
+	// JSON does not allow, or one out of range: each must be rejected.
+	sim, err := os.ReadFile(filepath.Join("testdata", "cache_entries", "sim.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, swap := range [][2]string{
+		{`"runs":16`, `"runs":0x10`}, {`"runs":16`, `"runs":1_6`}, {`"runs":16`, `"runs":+16`},
+		{`"runs":16`, `"runs":16.0`}, {`"runs":16`, `"runs":1e1`}, {`"runs":16`, `"runs":99999999999999999999`},
+		{`"ckpt_mean":33480`, `"ckpt_mean":Inf`}, {`"ckpt_mean":33480`, `"ckpt_mean":0x1p-2`},
+		{`"ckpt_mean":33480`, `"ckpt_mean":.5`}, {`"ckpt_mean":33480`, `"ckpt_mean":05`},
+		{`"ckpt_mean":33480`, `"ckpt_mean":1e400`}, {`"ckpt_mean":33480`, `"ckpt_mean":"inf"`},
+		{`"elapsed_ms":1.25`, `"elapsed_ms":1.`}, {`"elapsed_ms":1.25`, `"elapsed_ms":infinity`},
+		{`"elapsed_ms":1.25`, `"elapsed_ms":"nan"`}, {"}\n", "}"}, {"}\n", "} \n"},
+		{`"truncated":0`, `"truncated":0,"reps_cap":0`}, {`"truncated":0`, `"truncated":0,"replicas":[]`},
+	} {
+		f.Add(bytes.Replace(sim, []byte(swap[0]), []byte(swap[1]), 1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, k := range keys {
 			got, ok := decodeCellEntry(data, k)

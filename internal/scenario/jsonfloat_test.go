@@ -71,8 +71,9 @@ func FuzzJSONFloat(f *testing.F) {
 }
 
 // jsonFloatBits generates float64 bit patterns weighted toward the cases
-// the encoder treats specially: subnormals, ±0, ±Inf, NaN and the
-// neighbours of encoding/json's 1e-6 and 1e21 format cutoffs.
+// the encoder treats specially: subnormals, ±0, ±Inf, NaN, the neighbours
+// of encoding/json's 1e-6 and 1e21 format cutoffs, and integers on both
+// sides of 2^53, where the integer shortcut stops.
 type jsonFloatBits uint64
 
 func (jsonFloatBits) Generate(r *rand.Rand, _ int) reflect.Value {
@@ -81,14 +82,16 @@ func (jsonFloatBits) Generate(r *rand.Rand, _ int) reflect.Value {
 		math.SmallestNonzeroFloat64, 2.2250738585072014e-308, math.MaxFloat64,
 		1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1),
 		1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)),
-		1e-9, 1e-10, 1e20,
+		1e-9, 1e-10, 1e20, 1<<53 - 1, 1 << 53, 1<<53 + 2, 123456789012345678,
 	}
 	var bits uint64
-	switch r.Intn(4) {
+	switch r.Intn(5) {
 	case 0:
 		bits = math.Float64bits(edges[r.Intn(len(edges))])
 	case 1:
 		bits = r.Uint64() & (1<<52 - 1) // subnormal (or +0)
+	case 2:
+		bits = math.Float64bits(float64(r.Int63n(1 << uint(r.Intn(62)+1))))
 	default:
 		bits = r.Uint64()
 	}
