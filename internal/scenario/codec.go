@@ -150,7 +150,7 @@ func appendString(b []byte, key, s string) []byte {
 }
 
 // canonicalScratch sizes the stack buffer Canonical encodes into; the
-// example campaigns' cells take 250–450 bytes.
+// example campaigns' cells take 136–391 bytes.
 const canonicalScratch = 512
 
 // appendCanonical appends the canonical encoding of c: the fields of
