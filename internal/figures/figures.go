@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"abftckpt/internal/model"
-	"abftckpt/internal/plot"
 	"abftckpt/internal/scenario"
 )
 
@@ -33,56 +32,25 @@ type Fig7Config struct {
 	Reps int
 	// Seed addresses the failure-trace streams.
 	Seed uint64
-	// Workers bounds engine parallelism (0: NumCPU).
-	Workers int
 }
 
 // Fig7Spec returns the scenario spec of one Figure 7 heatmap; output is
 // "model", "sim" or "diff". Seed and Reps only apply to the
 // simulation-backed outputs (the engine rejects them on "model").
 func Fig7Spec(name string, cfg Fig7Config, output string) *scenario.Spec {
-	spec := &scenario.Spec{
-		Name:     name,
-		Kind:     scenario.KindHeatmap,
+	params := &scenario.HeatmapParams{
 		Output:   output,
-		Protocol: protoName(cfg.Protocol),
+		Protocol: scenario.ProtocolName(cfg.Protocol),
 		Platform: "paper-fig7",
 	}
 	if len(cfg.MTBFMinutes) > 0 {
-		spec.MTBFMinutes = &scenario.Axis{Values: cfg.MTBFMinutes}
+		params.MTBFMinutes = &scenario.Axis{Values: cfg.MTBFMinutes}
 	}
 	if len(cfg.Alphas) > 0 {
-		spec.Alphas = &scenario.Axis{Values: cfg.Alphas}
+		params.Alphas = &scenario.Axis{Values: cfg.Alphas}
 	}
-	if output != scenario.OutputModel {
-		seed := cfg.Seed
-		spec.Seed = &seed
-		if cfg.Reps > 0 {
-			spec.Reps = cfg.Reps
-		}
-	}
-	return spec
+	return simulated(&scenario.Spec{Name: name, Kind: scenario.KindHeatmap, Params: params}, output, cfg.Seed, cfg.Reps)
 }
-
-// Fig7Model computes the model-predicted waste heatmap (Figures 7a/7c/7e).
-func Fig7Model(cfg Fig7Config) *plot.Heatmap {
-	return runOne(Fig7Spec("fig7_model", cfg, scenario.OutputModel), cfg.Workers).Heatmap
-}
-
-// Fig7Sim computes the simulator-measured waste heatmap.
-func Fig7Sim(cfg Fig7Config) *plot.Heatmap {
-	return runOne(Fig7Spec("fig7_sim", cfg, scenario.OutputSim), cfg.Workers).Heatmap
-}
-
-// Fig7Diff computes the difference heatmap WASTE_simul - WASTE_model
-// (Figures 7b/7d/7f).
-func Fig7Diff(cfg Fig7Config) *plot.Heatmap {
-	return runOne(Fig7Spec("fig7_diff", cfg, scenario.OutputDiff), cfg.Workers).Heatmap
-}
-
-// protoName maps a model protocol to its scenario-file name (panics on an
-// unknown protocol; see scenario.ProtocolName).
-func protoName(p model.Protocol) string { return scenario.ProtocolName(p) }
 
 // protocolSeries lists the three protocols on one platform, with an
 // optional display-name suffix.
@@ -92,7 +60,7 @@ func protocolSeries(platform, suffix string) []scenario.SeriesSpec {
 		out = append(out, scenario.SeriesSpec{
 			Name:     proto.String() + suffix,
 			Platform: platform,
-			Protocol: protoName(proto),
+			Protocol: scenario.ProtocolName(proto),
 		})
 	}
 	return out
@@ -124,8 +92,7 @@ func Fig8Spec(nodes []float64) *scenario.Spec {
 		Name:   "fig8",
 		Kind:   scenario.KindScaling,
 		Title:  "Figure 8: weak scaling, alpha=0.8",
-		Nodes:  nodesAxis(nodes),
-		Series: series,
+		Params: &scenario.ScalingParams{Nodes: nodesAxis(nodes), Series: series},
 	}
 }
 
@@ -152,8 +119,7 @@ func Fig9Spec(nodes []float64) *scenario.Spec {
 		Name:   "fig9",
 		Kind:   scenario.KindScaling,
 		Title:  "Figure 9: weak scaling, variable alpha",
-		Nodes:  nodesAxis(nodes),
-		Series: series,
+		Params: &scenario.ScalingParams{Nodes: nodesAxis(nodes), Series: series},
 	}
 }
 
@@ -164,9 +130,18 @@ func Fig10Spec(nodes []float64) *scenario.Spec {
 		Name:   "fig10",
 		Kind:   scenario.KindScaling,
 		Title:  "Figure 10: weak scaling, constant checkpoint time",
-		Nodes:  nodesAxis(nodes),
-		Series: protocolSeries("paper-fig10", ""),
+		Params: &scenario.ScalingParams{Nodes: nodesAxis(nodes), Series: protocolSeries("paper-fig10", "")},
 	}
+}
+
+// simulated sets the seed and repetition count (reps <= 0 keeps the campaign
+// default) of a spec whose output simulates; the engine rejects both on a
+// model output.
+func simulated(spec *scenario.Spec, output string, seed uint64, reps int) *scenario.Spec {
+	if output != scenario.OutputModel {
+		spec.Seed, spec.Reps = &seed, max(reps, 0)
+	}
+	return spec
 }
 
 func nodesAxis(nodes []float64) *scenario.Axis {
@@ -174,22 +149,6 @@ func nodesAxis(nodes []float64) *scenario.Axis {
 		return &scenario.Axis{Preset: "paper-nodes"}
 	}
 	return &scenario.Axis{Values: nodes}
-}
-
-// Fig8 evaluates the Figure 8 spec and returns the waste and
-// expected-fault-count charts (the two stacked panels of the figure).
-func Fig8(nodes []float64) (waste, faults *plot.LineChart) {
-	return runCharts(Fig8Spec(nodes))
-}
-
-// Fig9 evaluates the Figure 9 spec.
-func Fig9(nodes []float64) (waste, faults *plot.LineChart) {
-	return runCharts(Fig9Spec(nodes))
-}
-
-// Fig10 evaluates the Figure 10 spec.
-func Fig10(nodes []float64) (waste, faults *plot.LineChart) {
-	return runCharts(Fig10Spec(nodes))
 }
 
 // Fig10ParitySpec reproduces the paper's closing claim: at 10^6 nodes with
@@ -200,23 +159,17 @@ func Fig10ParitySpec() *scenario.Spec {
 	nodes := 1_000_000.0
 	cheap := 6.0
 	return &scenario.Spec{
-		Name:    "table_fig10_parity",
-		Kind:    scenario.KindPoints,
-		Title:   "Figure 10 parity check at 1M nodes (per-epoch model)",
-		AtNodes: &nodes,
-		Rows: []scenario.PointSpec{
+		Name:  "table_fig10_parity",
+		Kind:  scenario.KindPoints,
+		Title: "Figure 10 parity check at 1M nodes (per-epoch model)",
+		Params: &scenario.PointsParams{AtNodes: &nodes, Rows: []scenario.PointSpec{
 			{Label: "PurePeriodicCkpt C=R=60s", Platform: "paper-fig10", Protocol: scenario.ProtoPure},
 			{Label: "BiPeriodicCkpt C=R=60s", Platform: "paper-fig10", Protocol: scenario.ProtoBi},
 			{Label: "ABFT&PeriodicCkpt C=R=60s", Platform: "paper-fig10", Protocol: scenario.ProtoAbft},
 			{Label: "PurePeriodicCkpt C=R=6s (10x cheaper)", Platform: "paper-fig10", Protocol: scenario.ProtoPure,
 				Overrides: &scenario.ScalingOverride{CkptAtBase: &cheap}},
-		},
+		}},
 	}
-}
-
-// Fig10ParityTable evaluates Fig10ParitySpec.
-func Fig10ParityTable() *plot.Table {
-	return runOne(Fig10ParitySpec(), 0).Table
 }
 
 // PeriodsSpec compares the checkpoint-period formulas (Eq. 11 vs Young 1974
@@ -229,71 +182,45 @@ func PeriodsSpec() *scenario.Spec {
 	}
 }
 
-// PeriodTable evaluates PeriodsSpec.
-func PeriodTable() *plot.Table {
-	return runOne(PeriodsSpec(), 0).Table
-}
-
 // AblationEpochsSpec contrasts per-epoch forced checkpoints (the faithful
 // Section III protocol) with whole-application aggregation, for the
 // Figure 8 scalable-storage scenario.
 func AblationEpochsSpec(nodes []float64) *scenario.Spec {
 	return &scenario.Spec{
-		Name:     "table_ablation_epochs",
-		Kind:     scenario.KindAblation,
-		Variant:  scenario.VariantEpochs,
-		Platform: "paper-fig8-const-ckpt",
-		Nodes:    nodesAxis(nodes),
+		Name: "table_ablation_epochs",
+		Kind: scenario.KindAblation,
+		Params: &scenario.AblationParams{
+			Variant: scenario.VariantEpochs, Platform: "paper-fig8-const-ckpt", Nodes: nodesAxis(nodes),
+		},
 	}
-}
-
-// AblationEpochAggregation evaluates AblationEpochsSpec.
-func AblationEpochAggregation(nodes []float64) *plot.Table {
-	return runOne(AblationEpochsSpec(nodes), 0).Table
 }
 
 // AblationSafeguardSpec contrasts the composite with and without the
 // Section III-B safeguard on the Figure 8 scenario.
 func AblationSafeguardSpec(nodes []float64) *scenario.Spec {
 	return &scenario.Spec{
-		Name:     "table_ablation_safeguard",
-		Kind:     scenario.KindAblation,
-		Variant:  scenario.VariantSafeguard,
-		Platform: "paper-fig8-const-ckpt",
-		Nodes:    nodesAxis(nodes),
+		Name: "table_ablation_safeguard",
+		Kind: scenario.KindAblation,
+		Params: &scenario.AblationParams{
+			Variant: scenario.VariantSafeguard, Platform: "paper-fig8-const-ckpt", Nodes: nodesAxis(nodes),
+		},
 	}
 }
 
-// AblationSafeguard evaluates AblationSafeguardSpec.
-func AblationSafeguard(nodes []float64) *plot.Table {
-	return runOne(AblationSafeguardSpec(nodes), 0).Table
-}
-
-// DistCase names one failure-process case of a sensitivity scan: a
-// distribution from the catalogue (see scenario.DistSpec) normalized to the
-// platform MTBF, so every case is compared at equal MTBF.
-type DistCase struct {
-	// Name is the table row label.
-	Name string
-	// Dist is "exp", "weibull", "gamma" or "lognormal"; Shape is the
-	// Weibull/gamma shape k or the log-normal sigma.
-	Dist  string
-	Shape float64
-}
-
-// DefaultDistCases returns the catalogue scanned by DistributionSensitivity:
+// DefaultDistCases returns the catalogue scanned by DistSensitivitySpec:
 // the exponential baseline plus Weibull, gamma and log-normal shapes spanning
-// infant-mortality (k < 1), burn-in (k > 1) and heavy-tailed regimes.
-func DefaultDistCases() []DistCase {
-	return []DistCase{
-		{"exponential", scenario.DistExponential, 0},
-		{"weibull k=0.5", scenario.DistWeibull, 0.5},
-		{"weibull k=0.7", scenario.DistWeibull, 0.7},
-		{"weibull k=2", scenario.DistWeibull, 2},
-		{"gamma k=0.5", scenario.DistGamma, 0.5},
-		{"gamma k=3", scenario.DistGamma, 3},
-		{"lognormal s=1", scenario.DistLogNormal, 1},
-		{"lognormal s=1.5", scenario.DistLogNormal, 1.5},
+// infant-mortality (k < 1), burn-in (k > 1) and heavy-tailed regimes, each
+// normalized to the platform MTBF.
+func DefaultDistCases() []scenario.CaseSpec {
+	return []scenario.CaseSpec{
+		{Name: "exponential", Dist: scenario.DistExponential},
+		{Name: "weibull k=0.5", Dist: scenario.DistWeibull, Shape: 0.5},
+		{Name: "weibull k=0.7", Dist: scenario.DistWeibull, Shape: 0.7},
+		{Name: "weibull k=2", Dist: scenario.DistWeibull, Shape: 2},
+		{Name: "gamma k=0.5", Dist: scenario.DistGamma, Shape: 0.5},
+		{Name: "gamma k=3", Dist: scenario.DistGamma, Shape: 3},
+		{Name: "lognormal s=1", Dist: scenario.DistLogNormal, Shape: 1},
+		{Name: "lognormal s=1.5", Dist: scenario.DistLogNormal, Shape: 1.5},
 	}
 }
 
@@ -301,22 +228,14 @@ func DefaultDistCases() []DistCase {
 // under every failure process of cases, all normalized to the same platform
 // MTBF (mu=2h on the Figure 7 slice) — the paper's Section V realism check
 // widened from Weibull-only to the full distribution catalogue.
-func DistSensitivitySpec(cases []DistCase, reps int, seed uint64) *scenario.Spec {
-	spec := &scenario.Spec{
-		Name: "table_dist_sensitivity",
-		Kind: scenario.KindSensitivity,
-		Reps: reps,
-		Seed: &seed,
+func DistSensitivitySpec(cases []scenario.CaseSpec, reps int, seed uint64) *scenario.Spec {
+	return &scenario.Spec{
+		Name:   "table_dist_sensitivity",
+		Kind:   scenario.KindSensitivity,
+		Seed:   &seed,
+		Reps:   reps,
+		Params: &scenario.SensitivityParams{Cases: cases},
 	}
-	for _, c := range cases {
-		spec.Cases = append(spec.Cases, scenario.CaseSpec{Name: c.Name, Dist: c.Dist, Shape: c.Shape})
-	}
-	return spec
-}
-
-// DistributionSensitivity evaluates DistSensitivitySpec.
-func DistributionSensitivity(cases []DistCase, reps int, seed uint64) *plot.Table {
-	return runOne(DistSensitivitySpec(cases, reps, seed), 0).Table
 }
 
 // WeibullSensitivitySpec measures simulated composite waste under Weibull
@@ -324,28 +243,23 @@ func DistributionSensitivity(cases []DistCase, reps int, seed uint64) *plot.Tabl
 // Figure 7 slice. Each shape's seed path reproduces the historical stream
 // addressing (one stream per shape, shared by the three protocols).
 func WeibullSensitivitySpec(shapes []float64, reps int, seed uint64) *scenario.Spec {
-	spec := &scenario.Spec{
-		Name:  "table_weibull",
-		Kind:  scenario.KindSensitivity,
-		Title: "Sensitivity: simulated waste vs failure distribution shape (mu=2h, alpha=0.8)",
-		Label: "weibull k",
-		Reps:  reps,
-		Seed:  &seed,
-	}
+	params := &scenario.SensitivityParams{Label: "weibull k"}
 	for _, k := range shapes {
-		spec.Cases = append(spec.Cases, scenario.CaseSpec{
+		params.Cases = append(params.Cases, scenario.CaseSpec{
 			Name:     fmt.Sprintf("%g", k),
 			Dist:     scenario.DistWeibull,
 			Shape:    k,
 			SeedPath: []uint64{uint64(k * 1000)},
 		})
 	}
-	return spec
-}
-
-// WeibullSensitivity evaluates WeibullSensitivitySpec.
-func WeibullSensitivity(shapes []float64, reps int, seed uint64) *plot.Table {
-	return runOne(WeibullSensitivitySpec(shapes, reps, seed), 0).Table
+	return &scenario.Spec{
+		Name:   "table_weibull",
+		Kind:   scenario.KindSensitivity,
+		Title:  "Sensitivity: simulated waste vs failure distribution shape (mu=2h, alpha=0.8)",
+		Seed:   &seed,
+		Reps:   reps,
+		Params: params,
+	}
 }
 
 // PaperCampaign collects the whole Section V evaluation — every heatmap,
@@ -382,27 +296,4 @@ func PaperCampaign(reps int, seed uint64, withSim bool) *scenario.Campaign {
 		c.Scenarios = append(c.Scenarios, weibull, dist)
 	}
 	return c
-}
-
-// runOne executes a single-spec campaign and returns its first artifact.
-// The figures API predates error returns; an invalid spec is a programming
-// error here, so it panics.
-func runOne(spec *scenario.Spec, workers int) scenario.Artifact {
-	arts := runSpec(spec, workers)
-	return arts[0]
-}
-
-// runCharts executes a scaling spec and returns its two charts.
-func runCharts(spec *scenario.Spec) (waste, faults *plot.LineChart) {
-	arts := runSpec(spec, 0)
-	return arts[0].Chart, arts[1].Chart
-}
-
-func runSpec(spec *scenario.Spec, workers int) []scenario.Artifact {
-	r := scenario.Runner{Workers: workers}
-	rep, err := r.Run(&scenario.Campaign{Name: "inline", Scenarios: []*scenario.Spec{spec}})
-	if err != nil {
-		panic(err)
-	}
-	return rep.Artifacts
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"abftckpt/internal/model"
+	"abftckpt/internal/scenario"
 )
 
 func smallFig7Config(proto model.Protocol) Fig7Config {
@@ -19,7 +20,7 @@ func smallFig7Config(proto model.Protocol) Fig7Config {
 }
 
 func TestFig7ModelShape(t *testing.T) {
-	h := Fig7Model(smallFig7Config(model.PurePeriodicCkpt))
+	h := runSpec(t, Fig7Spec("fig7_model", smallFig7Config(model.PurePeriodicCkpt), scenario.OutputModel))[0].Heatmap
 	if h.Z.Rows != 3 || h.Z.Cols != 3 {
 		t.Fatalf("grid shape %dx%d", h.Z.Rows, h.Z.Cols)
 	}
@@ -37,7 +38,7 @@ func TestFig7ModelShape(t *testing.T) {
 }
 
 func TestFig7CompositeAlphaGradient(t *testing.T) {
-	h := Fig7Model(smallFig7Config(model.AbftPeriodicCkpt))
+	h := runSpec(t, Fig7Spec("fig7_model", smallFig7Config(model.AbftPeriodicCkpt), scenario.OutputModel))[0].Heatmap
 	// At fixed MTBF, more library time means less waste for the composite
 	// (Figure 7e: waste decreases toward alpha=1).
 	for col := 0; col < 3; col++ {
@@ -52,7 +53,7 @@ func TestFig7DiffSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	h := Fig7Diff(smallFig7Config(model.AbftPeriodicCkpt))
+	h := runSpec(t, Fig7Spec("fig7_diff", smallFig7Config(model.AbftPeriodicCkpt), scenario.OutputDiff))[0].Heatmap
 	lo, hi := h.Z.MinMax()
 	// Model and simulation must correspond within the paper's bounds.
 	if lo < -0.13 || hi > 0.13 {
@@ -65,7 +66,8 @@ func TestFig7DiffSmall(t *testing.T) {
 
 func TestFig8Charts(t *testing.T) {
 	nodes := []float64{1_000, 10_000, 100_000, 1_000_000}
-	waste, faults := Fig8(nodes)
+	arts := runSpec(t, Fig8Spec(nodes))
+	waste, faults := arts[0].Chart, arts[1].Chart
 	if len(waste.Series) != 7 || len(faults.Series) != 7 {
 		t.Fatalf("series count: %d waste, %d faults", len(waste.Series), len(faults.Series))
 	}
@@ -107,7 +109,8 @@ func TestFig8Charts(t *testing.T) {
 
 func TestFig9Charts(t *testing.T) {
 	nodes := []float64{1_000, 10_000, 100_000, 1_000_000}
-	waste, _ := Fig9(nodes)
+	arts := runSpec(t, Fig9Spec(nodes))
+	waste, _ := arts[0].Chart, arts[1].Chart
 	byName := map[string][]float64{}
 	for _, s := range waste.Series {
 		byName[s.Name] = s.Values
@@ -127,7 +130,8 @@ func TestFig9Charts(t *testing.T) {
 
 func TestFig10Charts(t *testing.T) {
 	nodes := []float64{10_000, 100_000, 1_000_000}
-	waste, faults := Fig10(nodes)
+	arts := runSpec(t, Fig10Spec(nodes))
+	waste, faults := arts[0].Chart, arts[1].Chart
 	if len(waste.Series) != 3 {
 		t.Fatalf("want 3 series, got %d", len(waste.Series))
 	}
@@ -156,7 +160,7 @@ func TestFig10Charts(t *testing.T) {
 }
 
 func TestFig10ParityTable(t *testing.T) {
-	tab := Fig10ParityTable()
+	tab := runSpec(t, Fig10ParitySpec())[0].Table
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -179,7 +183,7 @@ func TestFig10ParityTable(t *testing.T) {
 }
 
 func TestPeriodTable(t *testing.T) {
-	tab := PeriodTable()
+	tab := runSpec(t, PeriodsSpec())[0].Table
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -197,11 +201,11 @@ func TestPeriodTable(t *testing.T) {
 
 func TestAblationTables(t *testing.T) {
 	nodes := []float64{10_000, 1_000_000}
-	agg := AblationEpochAggregation(nodes)
+	agg := runSpec(t, AblationEpochsSpec(nodes))[0].Table
 	if len(agg.Rows) != 2 {
 		t.Fatalf("aggregation rows = %d", len(agg.Rows))
 	}
-	sg := AblationSafeguard(nodes)
+	sg := runSpec(t, AblationSafeguardSpec(nodes))[0].Table
 	if len(sg.Rows) != 2 {
 		t.Fatalf("safeguard rows = %d", len(sg.Rows))
 	}
@@ -220,7 +224,7 @@ func TestWeibullSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	tab := WeibullSensitivity([]float64{0.7, 1}, 30, 5)
+	tab := runSpec(t, WeibullSensitivitySpec([]float64{0.7, 1}, 30, 5))[0].Table
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -245,7 +249,7 @@ func TestDistributionSensitivity(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	cases := DefaultDistCases()
-	tab := DistributionSensitivity(cases, 30, 5)
+	tab := runSpec(t, DistSensitivitySpec(cases, 30, 5))[0].Table
 	if len(tab.Rows) != len(cases) {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(cases))
 	}

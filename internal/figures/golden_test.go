@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"abftckpt/internal/model"
+	"abftckpt/internal/scenario"
 )
 
 // update rewrites the golden CSV files instead of comparing against them:
@@ -37,7 +38,7 @@ func goldenDiffConfig(proto model.Protocol) Fig7Config {
 }
 
 // modelArtifacts are the analytic (fast, deterministic) figures and tables.
-func modelArtifacts() map[string]csvArtifact {
+func modelArtifacts(t *testing.T) map[string]csvArtifact {
 	arts := map[string]csvArtifact{}
 	letters := map[model.Protocol]string{
 		model.PurePeriodicCkpt: "fig7a_pure_model",
@@ -45,30 +46,30 @@ func modelArtifacts() map[string]csvArtifact {
 		model.AbftPeriodicCkpt: "fig7e_abft_model",
 	}
 	for _, proto := range model.Protocols {
-		arts[letters[proto]] = Fig7Model(Fig7Config{Protocol: proto})
+		arts[letters[proto]] = runSpec(t, Fig7Spec("fig7_model", Fig7Config{Protocol: proto}, scenario.OutputModel))[0].Heatmap
 	}
 	nodes := []float64{1_000, 10_000, 100_000, 1_000_000}
-	w8, f8 := Fig8(nodes)
-	arts["fig8_waste"], arts["fig8_faults"] = w8, f8
-	w9, f9 := Fig9(nodes)
-	arts["fig9_waste"], arts["fig9_faults"] = w9, f9
-	w10, f10 := Fig10(nodes)
-	arts["fig10_waste"], arts["fig10_faults"] = w10, f10
-	arts["table_fig10_parity"] = Fig10ParityTable()
-	arts["table_periods"] = PeriodTable()
-	arts["table_ablation_epochs"] = AblationEpochAggregation(nodes)
-	arts["table_ablation_safeguard"] = AblationSafeguard(nodes)
+	a8 := runSpec(t, Fig8Spec(nodes))
+	arts["fig8_waste"], arts["fig8_faults"] = a8[0].Chart, a8[1].Chart
+	a9 := runSpec(t, Fig9Spec(nodes))
+	arts["fig9_waste"], arts["fig9_faults"] = a9[0].Chart, a9[1].Chart
+	a10 := runSpec(t, Fig10Spec(nodes))
+	arts["fig10_waste"], arts["fig10_faults"] = a10[0].Chart, a10[1].Chart
+	arts["table_fig10_parity"] = runSpec(t, Fig10ParitySpec())[0].Table
+	arts["table_periods"] = runSpec(t, PeriodsSpec())[0].Table
+	arts["table_ablation_epochs"] = runSpec(t, AblationEpochsSpec(nodes))[0].Table
+	arts["table_ablation_safeguard"] = runSpec(t, AblationSafeguardSpec(nodes))[0].Table
 	return arts
 }
 
 // simArtifacts exercise the simulator-backed paths at reduced repetitions.
-func simArtifacts() map[string]csvArtifact {
+func simArtifacts(t *testing.T) map[string]csvArtifact {
 	arts := map[string]csvArtifact{
-		"fig7b_pure_diff_small": Fig7Diff(goldenDiffConfig(model.PurePeriodicCkpt)),
-		"fig7d_bi_diff_small":   Fig7Diff(goldenDiffConfig(model.BiPeriodicCkpt)),
-		"fig7f_abft_diff_small": Fig7Diff(goldenDiffConfig(model.AbftPeriodicCkpt)),
-		"table_weibull_small":   WeibullSensitivity([]float64{0.5, 0.7, 1.0}, 10, 7),
-		"table_dist_small":      DistributionSensitivity(DefaultDistCases(), 10, 7),
+		"fig7b_pure_diff_small": runSpec(t, Fig7Spec("fig7_diff", goldenDiffConfig(model.PurePeriodicCkpt), scenario.OutputDiff))[0].Heatmap,
+		"fig7d_bi_diff_small":   runSpec(t, Fig7Spec("fig7_diff", goldenDiffConfig(model.BiPeriodicCkpt), scenario.OutputDiff))[0].Heatmap,
+		"fig7f_abft_diff_small": runSpec(t, Fig7Spec("fig7_diff", goldenDiffConfig(model.AbftPeriodicCkpt), scenario.OutputDiff))[0].Heatmap,
+		"table_weibull_small":   runSpec(t, WeibullSensitivitySpec([]float64{0.5, 0.7, 1.0}, 10, 7))[0].Table,
+		"table_dist_small":      runSpec(t, DistSensitivitySpec(DefaultDistCases(), 10, 7))[0].Table,
 	}
 	return arts
 }
@@ -103,7 +104,7 @@ func checkGolden(t *testing.T, arts map[string]csvArtifact) {
 // TestGoldenModelCSV pins the analytic figures and tables to byte-identical
 // CSV output across refactors of the figure pipeline.
 func TestGoldenModelCSV(t *testing.T) {
-	checkGolden(t, modelArtifacts())
+	checkGolden(t, modelArtifacts(t))
 }
 
 // TestGoldenSimCSV pins the simulator-backed artifacts (reduced grids and
@@ -112,5 +113,5 @@ func TestGoldenSimCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	checkGolden(t, simArtifacts())
+	checkGolden(t, simArtifacts(t))
 }

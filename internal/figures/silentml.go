@@ -2,7 +2,6 @@ package figures
 
 import (
 	"abftckpt/internal/model"
-	"abftckpt/internal/plot"
 	"abftckpt/internal/scenario"
 )
 
@@ -24,50 +23,20 @@ type SilentHeatmapConfig struct {
 	Reps int
 	// Seed addresses the silent-error streams.
 	Seed uint64
-	// Workers bounds engine parallelism (0: NumCPU).
-	Workers int
 }
 
 // SilentHeatmapSpec returns the scenario spec of one silent-error heatmap;
 // output is "model", "sim" or "diff". Seed and Reps only apply to the
 // simulation-backed outputs (the engine rejects them on "model").
 func SilentHeatmapSpec(name string, cfg SilentHeatmapConfig, output string) *scenario.Spec {
-	spec := &scenario.Spec{
-		Name:     name,
-		Kind:     scenario.KindSilentHeatmap,
-		Output:   output,
-		Recovery: cfg.Recovery,
-	}
+	params := &scenario.SilentHeatmapParams{Output: output, Recovery: cfg.Recovery}
 	if len(cfg.MTBEMinutes) > 0 {
-		spec.MTBEMinutes = &scenario.Axis{Values: cfg.MTBEMinutes}
+		params.MTBEMinutes = &scenario.Axis{Values: cfg.MTBEMinutes}
 	}
 	if len(cfg.VerifyCosts) > 0 {
-		spec.VerifyCosts = &scenario.Axis{Values: cfg.VerifyCosts}
+		params.VerifyCosts = &scenario.Axis{Values: cfg.VerifyCosts}
 	}
-	if output != scenario.OutputModel {
-		seed := cfg.Seed
-		spec.Seed = &seed
-		if cfg.Reps > 0 {
-			spec.Reps = cfg.Reps
-		}
-	}
-	return spec
-}
-
-// SilentHeatmapModel computes the model-predicted silent-error waste heatmap.
-func SilentHeatmapModel(cfg SilentHeatmapConfig) *plot.Heatmap {
-	return runOne(SilentHeatmapSpec("silent_model", cfg, scenario.OutputModel), cfg.Workers).Heatmap
-}
-
-// SilentHeatmapSim computes the simulator-measured silent-error waste heatmap.
-func SilentHeatmapSim(cfg SilentHeatmapConfig) *plot.Heatmap {
-	return runOne(SilentHeatmapSpec("silent_sim", cfg, scenario.OutputSim), cfg.Workers).Heatmap
-}
-
-// SilentHeatmapDiff computes the difference heatmap WASTE_simul - WASTE_model
-// for the silent-error protocol.
-func SilentHeatmapDiff(cfg SilentHeatmapConfig) *plot.Heatmap {
-	return runOne(SilentHeatmapSpec("silent_diff", cfg, scenario.OutputDiff), cfg.Workers).Heatmap
+	return simulated(&scenario.Spec{Name: name, Kind: scenario.KindSilentHeatmap, Params: params}, output, cfg.Seed, cfg.Reps)
 }
 
 // DefaultMLSeries returns the two-level checkpointing configurations of the
@@ -100,24 +69,11 @@ func DefaultMLSeries() []scenario.MLSeriesSpec {
 // series over a node axis (default: the Figures 8-10 node counts); output is
 // "model" (default) or "sim".
 func MultiLevelScalingSpec(name string, series []scenario.MLSeriesSpec, nodes []float64, output string) *scenario.Spec {
-	spec := &scenario.Spec{
-		Name:     name,
-		Kind:     scenario.KindMultiLevelScaling,
-		Output:   output,
-		MLSeries: series,
-	}
+	params := &scenario.MultiLevelScalingParams{Output: output, MLSeries: series}
 	if len(nodes) > 0 {
-		spec.Nodes = &scenario.Axis{Values: nodes}
+		params.Nodes = &scenario.Axis{Values: nodes}
 	}
-	return spec
-}
-
-// MultiLevelScaling evaluates the model-output MultiLevelScalingSpec and
-// returns the waste chart plus the optimal-schedule table (period and level-2
-// interval K per node count).
-func MultiLevelScaling(series []scenario.MLSeriesSpec, nodes []float64) (waste *plot.LineChart, schedule *plot.Table) {
-	arts := runSpec(MultiLevelScalingSpec("multilevel", series, nodes, scenario.OutputModel), 0)
-	return arts[0].Chart, arts[1].Table
+	return &scenario.Spec{Name: name, Kind: scenario.KindMultiLevelScaling, Params: params}
 }
 
 // SilentCampaign collects the silent-error evaluation — backward- and

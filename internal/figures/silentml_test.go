@@ -24,29 +24,30 @@ func silentGoldenConfig(recovery string) SilentHeatmapConfig {
 
 // silentMLModelArtifacts are the analytic silent-error and multi-level
 // figures (full default grids; deterministic).
-func silentMLModelArtifacts() map[string]csvArtifact {
+func silentMLModelArtifacts(t *testing.T) map[string]csvArtifact {
 	arts := map[string]csvArtifact{
-		"silent_backward_model": SilentHeatmapModel(SilentHeatmapConfig{Recovery: "backward"}),
-		"silent_forward_model":  SilentHeatmapModel(SilentHeatmapConfig{Recovery: "forward"}),
+		"silent_backward_model": runSpec(t, SilentHeatmapSpec("silent_model", SilentHeatmapConfig{Recovery: "backward"}, scenario.OutputModel))[0].Heatmap,
+		"silent_forward_model":  runSpec(t, SilentHeatmapSpec("silent_model", SilentHeatmapConfig{Recovery: "forward"}, scenario.OutputModel))[0].Heatmap,
 	}
-	w, sched := MultiLevelScaling(DefaultMLSeries(), []float64{1_000, 10_000, 100_000, 1_000_000})
-	arts["multilevel_waste"], arts["multilevel_schedule"] = w, sched
+	ml := runSpec(t, MultiLevelScalingSpec("multilevel", DefaultMLSeries(),
+		[]float64{1_000, 10_000, 100_000, 1_000_000}, scenario.OutputModel))
+	arts["multilevel_waste"], arts["multilevel_schedule"] = ml[0].Chart, ml[1].Table
 	return arts
 }
 
 // silentMLSimArtifacts exercise the simulator-backed silent-error and
 // multi-level paths at reduced grids and repetitions.
-func silentMLSimArtifacts() map[string]csvArtifact {
+func silentMLSimArtifacts(t *testing.T) map[string]csvArtifact {
 	arts := map[string]csvArtifact{
-		"silent_backward_diff_small": SilentHeatmapDiff(silentGoldenConfig("backward")),
-		"silent_forward_diff_small":  SilentHeatmapDiff(silentGoldenConfig("forward")),
+		"silent_backward_diff_small": runSpec(t, SilentHeatmapSpec("silent_diff", silentGoldenConfig("backward"), scenario.OutputDiff))[0].Heatmap,
+		"silent_forward_diff_small":  runSpec(t, SilentHeatmapSpec("silent_diff", silentGoldenConfig("forward"), scenario.OutputDiff))[0].Heatmap,
 	}
 	spec := MultiLevelScalingSpec("multilevel_sim", DefaultMLSeries(),
 		[]float64{10_000, 1_000_000}, scenario.OutputSim)
 	seed := uint64(1)
 	spec.Seed = &seed
 	spec.Reps = 10
-	simArts := runSpec(spec, 0)
+	simArts := runSpec(t, spec)
 	arts["multilevel_sim_waste_small"] = simArts[0].Chart
 	arts["multilevel_sim_schedule_small"] = simArts[1].Table
 	return arts
@@ -55,7 +56,7 @@ func silentMLSimArtifacts() map[string]csvArtifact {
 // TestGoldenSilentMLModelCSV pins the analytic silent-error and multi-level
 // artifacts to byte-identical CSV output.
 func TestGoldenSilentMLModelCSV(t *testing.T) {
-	checkGolden(t, silentMLModelArtifacts())
+	checkGolden(t, silentMLModelArtifacts(t))
 }
 
 // TestGoldenSilentMLSimCSV pins the simulator-backed silent-error and
@@ -64,7 +65,7 @@ func TestGoldenSilentMLSimCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	checkGolden(t, silentMLSimArtifacts())
+	checkGolden(t, silentMLSimArtifacts(t))
 }
 
 // checkCampaignFile pins a committed campaign JSON file to its builder (run

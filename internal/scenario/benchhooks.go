@@ -196,7 +196,7 @@ func BenchAdaptiveFixedCampaign() *Campaign {
 	c := BenchAdaptiveCampaign()
 	c.Reps = 512
 	for _, s := range c.Scenarios {
-		s.Precision = nil
+		s.Params.(*HeatmapParams).Precision = nil
 	}
 	return c
 }

@@ -286,7 +286,7 @@ func TestRunnerLendsIdleWorkersToCells(t *testing.T) {
 func TestShareTracesControlsCohorts(t *testing.T) {
 	c := cohortCampaign(t)
 	for _, s := range c.Scenarios {
-		s.ShareTraces = false
+		s.Params.(*HeatmapParams).ShareTraces = false
 	}
 	plan, err := PlanCampaign(c)
 	if err != nil {

@@ -13,40 +13,55 @@ import (
 const scenariosDoc = "../../docs/SCENARIOS.md"
 
 // specTypes are all structs whose JSON fields form the campaign-file
-// schema. Adding a field to any of them without documenting it in
-// docs/SCENARIOS.md fails TestScenariosDocCoversEverySpecField.
+// schema: Campaign, Spec and every registered kind's params struct, plus
+// the struct types their fields reach. Adding a field to any of them
+// without documenting it in docs/SCENARIOS.md fails
+// TestScenariosDocCoversEverySpecField.
 func specTypes() []reflect.Type {
-	return []reflect.Type{
-		reflect.TypeOf(Campaign{}),
-		reflect.TypeOf(Spec{}),
-		reflect.TypeOf(Axis{}),
-		reflect.TypeOf(OptionsSpec{}),
-		reflect.TypeOf(PrecisionSpec{}),
-		reflect.TypeOf(RenderSpec{}),
-		reflect.TypeOf(SeriesSpec{}),
-		reflect.TypeOf(PointSpec{}),
-		reflect.TypeOf(CaseSpec{}),
-		reflect.TypeOf(SilentSpec{}),
-		reflect.TypeOf(MLSeriesSpec{}),
-		reflect.TypeOf(DistSpec{}),
-		reflect.TypeOf(ParamsOverride{}),
-		reflect.TypeOf(ScalingOverride{}),
+	var out []reflect.Type
+	seen := map[reflect.Type]bool{}
+	var walk func(t reflect.Type)
+	walk = func(t reflect.Type) {
+		for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice {
+			t = t.Elem()
+		}
+		if t.Kind() != reflect.Struct || t.PkgPath() != reflect.TypeFor[Spec]().PkgPath() || seen[t] {
+			return
+		}
+		seen[t] = true
+		out = append(out, t)
+		for i := 0; i < t.NumField(); i++ {
+			walk(t.Field(i).Type)
+		}
 	}
+	walk(reflect.TypeFor[Campaign]())
+	for _, k := range kinds {
+		walk(k.params)
+	}
+	return out
 }
 
 // TestScenariosDocCoversEverySpecField diffs the campaign-file schema (the
 // json struct tags of every spec struct) against docs/SCENARIOS.md: every
-// field name must appear as a backticked identifier.
+// field name must appear as a backticked identifier, and every kind must
+// have its own section.
 func TestScenariosDocCoversEverySpecField(t *testing.T) {
 	data, err := os.ReadFile(scenariosDoc)
 	if err != nil {
 		t.Fatalf("read %s: %v", scenariosDoc, err)
 	}
 	doc := string(data)
-	for _, typ := range specTypes() {
+	types := specTypes()
+	if len(types) < 14 {
+		t.Fatalf("schema walk found only %d struct types", len(types))
+	}
+	for _, typ := range types {
 		for i := 0; i < typ.NumField(); i++ {
 			tag := typ.Field(i).Tag.Get("json")
 			name, _, _ := strings.Cut(tag, ",")
+			if typ == reflect.TypeFor[Spec]() && name == "-" {
+				continue // Params: its fields are the kind's own
+			}
 			if name == "" || name == "-" {
 				t.Errorf("%s.%s has no json name; campaign-file fields must be tagged",
 					typ.Name(), typ.Field(i).Name)
@@ -58,13 +73,9 @@ func TestScenariosDocCoversEverySpecField(t *testing.T) {
 			}
 		}
 	}
-	// Every kind must be documented with its own section.
-	for _, kind := range []string{
-		KindHeatmap, KindScaling, KindPoints, KindPeriods, KindAblation,
-		KindSensitivity, KindSilentHeatmap, KindMultiLevelScaling,
-	} {
-		if !strings.Contains(doc, "## Kind: `"+kind+"`") {
-			t.Errorf("docs/SCENARIOS.md has no section for kind %q", kind)
+	for _, k := range kinds {
+		if !strings.Contains(doc, "## Kind: `"+k.name+"`") {
+			t.Errorf("docs/SCENARIOS.md has no section for kind %q", k.name)
 		}
 	}
 }

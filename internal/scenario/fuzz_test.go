@@ -39,7 +39,13 @@ func FuzzLoadCampaign(f *testing.F) {
 		if err != nil {
 			return // rejected inputs only need to not panic
 		}
-		// Accepted: the campaign must survive a marshal/re-load cycle.
+		// Accepted: every scenario stays within the cell bound...
+		for _, s := range c.Scenarios {
+			if n := CellCount(c, s); n > maxScenarioCells {
+				t.Fatalf("scenario %q expands into %d cells, past the %d-cell limit", s.Name, n, maxScenarioCells)
+			}
+		}
+		// ...and the campaign survives a marshal/re-load cycle.
 		enc1, err := json.Marshal(c)
 		if err != nil {
 			t.Fatalf("accepted campaign does not marshal: %v", err)

@@ -166,19 +166,14 @@ func (o *ParamsOverride) apply(p model.Params) model.Params {
 	if o == nil {
 		return p
 	}
-	setF := func(dst *float64, src *float64) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setF(&p.T0, o.T0)
-	setF(&p.C, o.C)
-	setF(&p.R, o.R)
-	setF(&p.D, o.D)
-	setF(&p.Rho, o.Rho)
-	setF(&p.Phi, o.Phi)
-	setF(&p.Recons, o.Recons)
-	setF(&p.RLbar, o.RLbar)
+	p.T0 = valueOr(o.T0, p.T0)
+	p.C = valueOr(o.C, p.C)
+	p.R = valueOr(o.R, p.R)
+	p.D = valueOr(o.D, p.D)
+	p.Rho = valueOr(o.Rho, p.Rho)
+	p.Phi = valueOr(o.Phi, p.Phi)
+	p.Recons = valueOr(o.Recons, p.Recons)
+	p.RLbar = valueOr(o.RLbar, p.RLbar)
 	return p
 }
 
@@ -206,23 +201,16 @@ func (o *ScalingOverride) apply(w model.WeakScaling) (model.WeakScaling, error) 
 	if o == nil {
 		return w, nil
 	}
-	setF := func(dst *float64, src *float64) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setF(&w.BaseNodes, o.BaseNodes)
-	setF(&w.EpochAtBase, o.EpochAtBase)
-	setF(&w.AlphaAtBase, o.AlphaAtBase)
-	setF(&w.MTBFAtBase, o.MTBFAtBase)
-	setF(&w.CkptAtBase, o.CkptAtBase)
-	setF(&w.Downtime, o.Downtime)
-	setF(&w.Rho, o.Rho)
-	setF(&w.Phi, o.Phi)
-	setF(&w.Recons, o.Recons)
-	if o.Epochs != nil {
-		w.Epochs = *o.Epochs
-	}
+	w.BaseNodes = valueOr(o.BaseNodes, w.BaseNodes)
+	w.EpochAtBase = valueOr(o.EpochAtBase, w.EpochAtBase)
+	w.AlphaAtBase = valueOr(o.AlphaAtBase, w.AlphaAtBase)
+	w.MTBFAtBase = valueOr(o.MTBFAtBase, w.MTBFAtBase)
+	w.CkptAtBase = valueOr(o.CkptAtBase, w.CkptAtBase)
+	w.Epochs = valueOr(o.Epochs, w.Epochs)
+	w.Downtime = valueOr(o.Downtime, w.Downtime)
+	w.Rho = valueOr(o.Rho, w.Rho)
+	w.Phi = valueOr(o.Phi, w.Phi)
+	w.Recons = valueOr(o.Recons, w.Recons)
 	setLaw := func(dst *model.ScalingLaw, src *string) error {
 		if src == nil {
 			return nil

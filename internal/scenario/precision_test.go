@@ -90,27 +90,23 @@ func TestPrecisionSpecExpansionErrors(t *testing.T) {
 		spec *Spec
 		want string
 	}{
-		{"model output", &Spec{Name: "x", Kind: KindHeatmap, Protocol: ProtoAbft,
-			Precision: &PrecisionSpec{RelCI: 0.1}}, "output sim or diff"},
-		{"baseline without share_traces", &Spec{Name: "x", Kind: KindHeatmap, Protocol: ProtoAbft,
+		{"model output", &Spec{Name: "x", Kind: KindHeatmap, Params: &HeatmapParams{Protocol: ProtoAbft,
+			Precision: &PrecisionSpec{RelCI: 0.1}}}, "output sim or diff"},
+		{"baseline without share_traces", &Spec{Name: "x", Kind: KindHeatmap, Params: &HeatmapParams{Protocol: ProtoAbft,
 			Output:    OutputSim,
-			Precision: &PrecisionSpec{RelCI: 0.1, Baseline: ProtoPure}}, "share_traces"},
-		{"baseline equals protocol", &Spec{Name: "x", Kind: KindHeatmap, Protocol: ProtoAbft,
+			Precision: &PrecisionSpec{RelCI: 0.1, Baseline: ProtoPure}}}, "share_traces"},
+		{"baseline equals protocol", &Spec{Name: "x", Kind: KindHeatmap, Params: &HeatmapParams{Protocol: ProtoAbft,
 			Output: OutputSim, ShareTraces: true,
-			Precision: &PrecisionSpec{RelCI: 0.1, Baseline: ProtoAbft}}, "must differ"},
-		{"baseline on diff output", &Spec{Name: "x", Kind: KindHeatmap, Protocol: ProtoAbft,
+			Precision: &PrecisionSpec{RelCI: 0.1, Baseline: ProtoAbft}}}, "must differ"},
+		{"baseline on diff output", &Spec{Name: "x", Kind: KindHeatmap, Params: &HeatmapParams{Protocol: ProtoAbft,
 			Output: OutputDiff, ShareTraces: true,
-			Precision: &PrecisionSpec{RelCI: 0.1, Baseline: ProtoPure}}, "output \"sim\""},
-		{"baseline on sensitivity", &Spec{Name: "x", Kind: KindSensitivity, ShareTraces: true,
+			Precision: &PrecisionSpec{RelCI: 0.1, Baseline: ProtoPure}}}, "output \"sim\""},
+		{"baseline on sensitivity", &Spec{Name: "x", Kind: KindSensitivity, Params: &SensitivityParams{ShareTraces: true,
 			Cases:     []CaseSpec{{Name: "exp", Dist: DistExponential}},
-			Precision: &PrecisionSpec{RelCI: 0.1, Baseline: ProtoPure}}, "heatmap"},
-		{"no target", &Spec{Name: "x", Kind: KindSensitivity,
+			Precision: &PrecisionSpec{RelCI: 0.1, Baseline: ProtoPure}}}, "heatmap"},
+		{"no target", &Spec{Name: "x", Kind: KindSensitivity, Params: &SensitivityParams{
 			Cases:     []CaseSpec{{Name: "exp", Dist: DistExponential}},
-			Precision: &PrecisionSpec{}}, "target"},
-		{"precision on scaling kind", &Spec{Name: "x", Kind: KindScaling,
-			Nodes:     &Axis{Values: []float64{1000}},
-			Series:    []SeriesSpec{{Platform: "paper-fig10", Protocol: ProtoPure}},
-			Precision: &PrecisionSpec{RelCI: 0.1}}, "does not apply"},
+			Precision: &PrecisionSpec{}}}, "target"},
 	}
 	for _, tc := range cases {
 		_, err := tc.spec.expand(c)
@@ -122,6 +118,12 @@ func TestPrecisionSpecExpansionErrors(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+	// Typed params cannot carry a misplaced field, so that case is JSON.
+	const precisionOnScaling = `{"name":"t","reps":16,"scenarios":[{"name":"x","kind":"scaling",` +
+		`"nodes":{"values":[1000]},"series":[{"platform":"paper-fig10","protocol":"pure"}],"precision":{"rel_ci":0.1}}]}`
+	if _, err := Load(strings.NewReader(precisionOnScaling)); err == nil || !strings.Contains(err.Error(), "does not apply") {
+		t.Errorf("precision on scaling kind: error %v does not mention %q", err, "does not apply")
+	}
 }
 
 // adaptiveCampaign pairs an adaptive heatmap (with a paired baseline
@@ -132,17 +134,17 @@ func adaptiveCampaign() *Campaign {
 		Name: "adaptive",
 		Reps: 96,
 		Scenarios: []*Spec{
-			{Name: "hm", Kind: KindHeatmap, Protocol: ProtoAbft, Output: OutputSim,
+			{Name: "hm", Kind: KindHeatmap, Params: &HeatmapParams{Protocol: ProtoAbft, Output: OutputSim,
 				ShareTraces: true,
 				MTBFMinutes: &Axis{Values: []float64{60, 240}},
 				Alphas:      &Axis{Values: []float64{0.2, 0.8}},
-				Precision:   &PrecisionSpec{RelCI: 0.1, Batch: 16, Baseline: ProtoPure}},
-			{Name: "sn", Kind: KindSensitivity, ShareTraces: true,
+				Precision:   &PrecisionSpec{RelCI: 0.1, Batch: 16, Baseline: ProtoPure}}},
+			{Name: "sn", Kind: KindSensitivity, Params: &SensitivityParams{ShareTraces: true,
 				Cases: []CaseSpec{
 					{Name: "exponential", Dist: DistExponential},
 					{Name: "weibull07", Dist: DistWeibull, Shape: 0.7},
 				},
-				Precision: &PrecisionSpec{RelCI: 0.1, Batch: 16}},
+				Precision: &PrecisionSpec{RelCI: 0.1, Batch: 16}}},
 		},
 	}
 }
@@ -209,9 +211,8 @@ func TestRunnerAdaptiveCampaign(t *testing.T) {
 func TestRunnerAdaptiveNeverServedStaleFixed(t *testing.T) {
 	fixedSpec := func() *Campaign {
 		c := adaptiveCampaign()
-		for _, s := range c.Scenarios {
-			s.Precision = nil
-		}
+		c.Scenarios[0].Params.(*HeatmapParams).Precision = nil
+		c.Scenarios[1].Params.(*SensitivityParams).Precision = nil
 		// The heatmap baseline grid only exists under precision; keep the
 		// campaigns cell-compatible by comparing per-scenario sim cells.
 		return c

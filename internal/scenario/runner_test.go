@@ -17,25 +17,25 @@ func testCampaign() *Campaign {
 		Name: "test",
 		Reps: 3,
 		Scenarios: []*Spec{
-			{Name: "hm", Kind: KindHeatmap, Protocol: ProtoAbft,
+			{Name: "hm", Kind: KindHeatmap, Params: &HeatmapParams{Protocol: ProtoAbft,
 				MTBFMinutes: &Axis{Values: []float64{60, 240}},
-				Alphas:      &Axis{Values: []float64{0, 1}}},
-			{Name: "hd", Kind: KindHeatmap, Protocol: ProtoAbft, Output: OutputDiff,
+				Alphas:      &Axis{Values: []float64{0, 1}}}},
+			{Name: "hd", Kind: KindHeatmap, Params: &HeatmapParams{Protocol: ProtoAbft, Output: OutputDiff,
 				MTBFMinutes: &Axis{Values: []float64{60, 240}},
-				Alphas:      &Axis{Values: []float64{0, 1}}},
-			{Name: "sc", Kind: KindScaling,
+				Alphas:      &Axis{Values: []float64{0, 1}}}},
+			{Name: "sc", Kind: KindScaling, Params: &ScalingParams{
 				Nodes: &Axis{Values: []float64{10_000, 1_000_000}},
 				Series: []SeriesSpec{
 					{Platform: "paper-fig10", Protocol: ProtoPure},
 					{Platform: "paper-fig10", Protocol: ProtoAbft},
-				}},
-			{Name: "pt", Kind: KindPoints, AtNodes: &nodes,
-				Rows: []PointSpec{{Label: "pure", Platform: "paper-fig10", Protocol: ProtoPure}}},
+				}}},
+			{Name: "pt", Kind: KindPoints, Params: &PointsParams{AtNodes: &nodes,
+				Rows: []PointSpec{{Label: "pure", Platform: "paper-fig10", Protocol: ProtoPure}}}},
 			{Name: "pd", Kind: KindPeriods},
-			{Name: "ab", Kind: KindAblation, Variant: VariantSafeguard,
-				Nodes: &Axis{Values: []float64{1_000_000}}},
-			{Name: "sn", Kind: KindSensitivity,
-				Cases: []CaseSpec{{Name: "exponential", Dist: DistExponential}}},
+			{Name: "ab", Kind: KindAblation, Params: &AblationParams{Variant: VariantSafeguard,
+				Nodes: &Axis{Values: []float64{1_000_000}}}},
+			{Name: "sn", Kind: KindSensitivity, Params: &SensitivityParams{
+				Cases: []CaseSpec{{Name: "exponential", Dist: DistExponential}}}},
 		},
 	}
 }
@@ -204,7 +204,7 @@ func TestRunnerRejectsInvalid(t *testing.T) {
 		t.Error("empty campaign should fail")
 	}
 	bad := testCampaign()
-	bad.Scenarios[0].Protocol = "bogus"
+	bad.Scenarios[0].Params.(*HeatmapParams).Protocol = "bogus"
 	if _, err := r.Run(bad); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
 		t.Errorf("invalid spec should fail with a protocol error, got %v", err)
 	}

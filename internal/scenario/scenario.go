@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 
 	"abftckpt/internal/model"
 	"abftckpt/internal/sweep"
@@ -69,35 +68,33 @@ const (
 	ProtoAbft = "abft"
 )
 
+// protocolNames are the scenario-file names of the model protocols, indexed
+// by protocol.
+var protocolNames = [...]string{
+	model.PurePeriodicCkpt: ProtoPure,
+	model.BiPeriodicCkpt:   ProtoBi,
+	model.AbftPeriodicCkpt: ProtoAbft,
+}
+
 // ParseProtocol maps a scenario-file protocol name ("pure", "bi", "abft") to
 // the model constant.
 func ParseProtocol(s string) (model.Protocol, error) {
-	switch s {
-	case ProtoPure:
-		return model.PurePeriodicCkpt, nil
-	case ProtoBi:
-		return model.BiPeriodicCkpt, nil
-	case ProtoAbft:
-		return model.AbftPeriodicCkpt, nil
-	default:
-		return 0, fmt.Errorf("scenario: unknown protocol %q (want pure, bi or abft)", s)
+	for p, name := range protocolNames {
+		if name == s {
+			return model.Protocol(p), nil
+		}
 	}
+	return 0, fmt.Errorf("scenario: unknown protocol %q (want pure, bi or abft)", s)
 }
 
 // ProtocolName is the inverse of ParseProtocol: the scenario-file name of
 // a model protocol. It panics on an unknown protocol, so a future protocol
 // addition fails loudly instead of producing mislabeled cells.
 func ProtocolName(p model.Protocol) string {
-	switch p {
-	case model.PurePeriodicCkpt:
-		return ProtoPure
-	case model.BiPeriodicCkpt:
-		return ProtoBi
-	case model.AbftPeriodicCkpt:
-		return ProtoAbft
-	default:
+	if p < 0 || int(p) >= len(protocolNames) {
 		panic(fmt.Sprintf("scenario: unknown protocol %v", p))
 	}
+	return protocolNames[p]
 }
 
 // Campaign is the top-level scenario file: a named list of scenarios with
@@ -122,22 +119,6 @@ const (
 	DefaultSeed = 42
 	DefaultReps = 100
 )
-
-// seed returns the campaign-level default seed.
-func (c *Campaign) seed() uint64 {
-	if c.Seed != nil {
-		return *c.Seed
-	}
-	return DefaultSeed
-}
-
-// reps returns the campaign-level default repetition count.
-func (c *Campaign) reps() int {
-	if c.Reps > 0 {
-		return c.Reps
-	}
-	return DefaultReps
-}
 
 // Validate checks the campaign and every scenario in it, without executing
 // anything. It reports the first problem found.
@@ -216,8 +197,10 @@ func LoadFile(path string) (*Campaign, error) {
 	return c, nil
 }
 
-// Spec declares one scenario. Kind selects which fields apply; fields of
-// other kinds must be left unset (Validate rejects the obvious conflicts).
+// Spec declares one scenario. The fields here apply to every kind; Params
+// holds the kind's own fields (a *HeatmapParams for KindHeatmap, and so on:
+// see the kind registry in kinds.go). In a campaign file both sets sit side
+// by side in one JSON object, and a field of another kind is rejected.
 type Spec struct {
 	// Name is the artifact base name (output files derive from it).
 	Name string `json:"name"`
@@ -231,94 +214,12 @@ type Spec struct {
 	Options OptionsSpec `json:"options,omitzero"`
 	// Seed overrides the campaign seed (simulation-backed kinds only).
 	Seed *uint64 `json:"seed,omitempty"`
-	// Reps overrides the campaign repetition count.
+	// Reps overrides the campaign repetition count (simulation-backed kinds
+	// only).
 	Reps int `json:"reps,omitempty"`
-	// ShareTraces drops the protocol from simulation-cell seed derivation,
-	// so the specs of a campaign that simulate the same platform point with
-	// the same seed observe identical failure realizations — the paper's
-	// paired-comparison methodology (protocols judged on the same traces,
-	// which also cancels trace noise out of waste differences). Shared
-	// processes additionally let the runner generate each failure stream
-	// once per cohort and replay it across cells (see docs/ARCHITECTURE.md,
-	// "trace cohorts"). Simulation-backed kinds only; off by default, which
-	// keeps historical seeds (and golden artifacts) unchanged.
-	ShareTraces bool `json:"share_traces,omitempty"`
-	// Precision switches the spec's simulation cells to adaptive-precision
-	// execution: Reps becomes a per-cell cap and each cell runs replicas in
-	// doubling batches until its waste CI half-width meets the target.
-	// Simulation-backed heatmap and sensitivity kinds only.
-	Precision *PrecisionSpec `json:"precision,omitempty"`
-
-	// Protocol is the protocol under study (heatmap and ablation kinds).
-	Protocol string `json:"protocol,omitempty"`
-	// Platform names a catalogue platform: a fixed platform for heatmap and
-	// sensitivity kinds, a weak-scaling platform for ablation. See
-	// PlatformNames and ScalingPlatformNames.
-	Platform string `json:"platform,omitempty"`
-	// PlatformOverrides tweaks the named fixed platform.
-	PlatformOverrides *ParamsOverride `json:"platform_overrides,omitempty"`
-
-	// Output selects the heatmap variant: "model" (default), "sim" or
-	// "diff" (simulated minus model waste).
-	Output string `json:"output,omitempty"`
-	// MTBFMinutes is the heatmap X axis in minutes (default 60..240, 19
-	// points, as in Figure 7).
-	MTBFMinutes *Axis `json:"mtbf_minutes,omitempty"`
-	// Alphas is the heatmap Y axis (default 0..1, 21 points).
-	Alphas *Axis `json:"alphas,omitempty"`
-	// Distribution selects the failure law for simulation cells (default
-	// exponential).
-	Distribution *DistSpec `json:"distribution,omitempty"`
-	// Render bounds the ASCII color scale of heatmap renderings.
-	Render *RenderSpec `json:"render,omitempty"`
-
-	// Nodes is the node-count axis of scaling and ablation kinds (default
-	// preset "paper-nodes": 1k..1M, ~8 points per decade).
-	Nodes *Axis `json:"nodes,omitempty"`
-	// Series lists the chart series of a scaling spec.
-	Series []SeriesSpec `json:"series,omitempty"`
-
-	// AtNodes is the default node count of a points spec's rows.
-	AtNodes *float64 `json:"at_nodes,omitempty"`
-	// Rows lists the configurations of a points spec.
-	Rows []PointSpec `json:"rows,omitempty"`
-
-	// CkptCosts and MTBFs span the grid of a periods spec (seconds).
-	CkptCosts []float64 `json:"ckpt_costs,omitempty"`
-	MTBFs     []float64 `json:"mtbfs,omitempty"`
-	// Downtime is the D parameter of a periods spec (seconds, default 60).
-	Downtime *float64 `json:"downtime,omitempty"`
-
-	// Variant selects the ablation: "epochs" or "safeguard".
-	Variant string `json:"variant,omitempty"`
-
-	// MTBF and Alpha fix the platform point of a sensitivity spec
-	// (default 7200 s and 0.8, the paper's Section V slice).
-	MTBF  *float64 `json:"mtbf,omitempty"`
-	Alpha *float64 `json:"alpha,omitempty"`
-	// Label is the first column header of a sensitivity table (default
-	// "distribution").
-	Label string `json:"label,omitempty"`
-	// Cases lists the failure processes of a sensitivity spec.
-	Cases []CaseSpec `json:"cases,omitempty"`
-
-	// Recovery selects the silent-error recovery mode of a silent_heatmap
-	// spec: "backward" (rollback to the last verified checkpoint, default)
-	// or "forward" (ABFT-style in-place correction).
-	Recovery string `json:"recovery,omitempty"`
-	// MTBEMinutes is the silent_heatmap X axis: mean time between silent
-	// errors, in minutes (default 60..240, 19 points).
-	MTBEMinutes *Axis `json:"mtbe_minutes,omitempty"`
-	// VerifyCosts is the silent_heatmap Y axis: the cost of one verification
-	// in seconds (default 30..600, 20 points).
-	VerifyCosts *Axis `json:"verify_costs,omitempty"`
-	// Silent tweaks the remaining silent-error parameters of a
-	// silent_heatmap spec; platform fields supply the defaults.
-	Silent *SilentSpec `json:"silent,omitempty"`
-
-	// MLSeries lists the two-level checkpointing configurations of a
-	// multilevel_scaling spec.
-	MLSeries []MLSeriesSpec `json:"ml_series,omitempty"`
+	// Params points to the kind's params struct; nil means the kind's zero
+	// params.
+	Params any `json:"-"`
 }
 
 // OptionsSpec is the JSON form of model.Options.
@@ -591,9 +492,3 @@ func (d DistSpec) Validate() error {
 		return fmt.Errorf("scenario: unknown distribution %q (want exp, weibull, gamma, lognormal or cascade)", d.Name)
 	}
 }
-
-// kindList names all spec kinds for error messages.
-var kindList = strings.Join([]string{
-	KindHeatmap, KindScaling, KindPoints, KindPeriods, KindAblation, KindSensitivity,
-	KindSilentHeatmap, KindMultiLevelScaling,
-}, ", ")

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,6 +80,12 @@ func TestLoadErrors(t *testing.T) {
 		{"analytic kind with seed", `{"name":"t","scenarios":[{"name":"a","kind":"periods","seed":1}]}`, `field "seed" does not apply`},
 		{"model heatmap with distribution", `{"name":"t","scenarios":[{"name":"a","kind":"heatmap","protocol":"abft","distribution":{"name":"weibull","shape":0.7}}]}`, `only applies to output sim or diff`},
 		{"empty axis values", `{"name":"t","scenarios":[{"name":"a","kind":"heatmap","protocol":"abft","output":"sim","alphas":{"values":[]}}]}`, "non-empty"},
+		{"periods past the cell limit", `{"name":"t","scenarios":[{"name":"a","kind":"periods","ckpt_costs":[` +
+			repeatJSON("60", 201) + `],"mtbfs":[` + repeatJSON("3600", 201) + `]}]}`, "exceeding the 40000-cell limit"},
+		{"points past the cell limit", `{"name":"t","scenarios":[{"name":"a","kind":"points","at_nodes":1000,"rows":[` +
+			repeatJSON(`{"label":"x","platform":"paper-fig10","protocol":"pure"}`, 40_001) + `]}]}`, "exceeding the 40000-cell limit"},
+		{"sensitivity past the cell limit", `{"name":"t","scenarios":[{"name":"a","kind":"sensitivity","cases":[` +
+			repeatJSON(`{"name":"x","dist":"exp"}`, 13_334) + `]}]}`, "exceeding the 40000-cell limit"},
 		{"artifact name collision", `{"name":"t","scenarios":[{"name":"x","kind":"scaling","series":[{"platform":"paper-fig10","protocol":"pure"}]},{"name":"x_waste","kind":"periods"}]}`, `both produce artifact "x_waste"`},
 	}
 	for _, tc := range cases {
@@ -90,6 +98,54 @@ func TestLoadErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// repeatJSON joins n copies of a JSON value with commas.
+func repeatJSON(v string, n int) string {
+	return strings.TrimSuffix(strings.Repeat(v+",", n), ",")
+}
+
+// TestMisplacedFieldsRejected walks the kind registry: every kind rejects
+// a field of every other kind, and an analytic kind rejects seed and reps,
+// all with the misplaced-field message.
+func TestMisplacedFieldsRejected(t *testing.T) {
+	for _, k := range kinds {
+		var foreign []string
+		for _, other := range kinds {
+			for _, f := range other.fields {
+				if !slices.Contains(k.fields, f) && !slices.Contains(foreign, f) {
+					foreign = append(foreign, f)
+					break
+				}
+			}
+		}
+		if !k.simulates {
+			foreign = append(foreign, "seed", "reps")
+		}
+		for _, f := range foreign {
+			js := fmt.Sprintf(`{"name":"t","scenarios":[{"name":"a","kind":%q,%q:1}]}`, k.name, f)
+			want := fmt.Sprintf("field %q does not apply to kind %q", f, k.name)
+			if _, err := Load(strings.NewReader(js)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with %s: error %v, want %q", k.name, f, err, want)
+			}
+		}
+	}
+}
+
+// TestSpecParamsFromGo covers Go callers: nil Params means the kind's
+// zero params, and params of another kind fail expansion.
+func TestSpecParamsFromGo(t *testing.T) {
+	c := &Campaign{Name: "t"}
+	if n := CellCount(c, &Spec{Name: "pd", Kind: KindPeriods}); n != 6 {
+		t.Errorf("periods with nil params: %d cells, want the 6 defaults", n)
+	}
+	wrong := &Spec{Name: "pd", Kind: KindPeriods, Params: &HeatmapParams{Protocol: ProtoAbft}}
+	if _, err := wrong.expand(c); err == nil || !strings.Contains(err.Error(), "do not match kind") {
+		t.Errorf("mismatched params: error %v", err)
+	}
+	if _, err := json.Marshal(&Spec{Name: "pd", Kind: KindPeriods, Params: 5}); err == nil {
+		t.Error("params that are not a JSON object should not marshal")
 	}
 }
 

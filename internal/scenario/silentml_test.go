@@ -141,27 +141,27 @@ func silentMLCampaign() *Campaign {
 		Name: "silent-ml",
 		Reps: 3,
 		Scenarios: []*Spec{
-			{Name: "sh", Kind: KindSilentHeatmap, Recovery: "forward",
+			{Name: "sh", Kind: KindSilentHeatmap, Params: &SilentHeatmapParams{Recovery: "forward",
 				MTBEMinutes: &Axis{Values: []float64{30, 60}},
-				VerifyCosts: &Axis{Values: []float64{30, 120}}},
-			{Name: "sd", Kind: KindSilentHeatmap, Output: OutputDiff,
+				VerifyCosts: &Axis{Values: []float64{30, 120}}}},
+			{Name: "sd", Kind: KindSilentHeatmap, Params: &SilentHeatmapParams{Output: OutputDiff,
 				MTBEMinutes: &Axis{Values: []float64{30, 60}},
 				VerifyCosts: &Axis{Values: []float64{30, 120}},
-				Silent:      &SilentSpec{Work: &work}},
-			{Name: "ml", Kind: KindMultiLevelScaling,
+				Silent:      &SilentSpec{Work: &work}}},
+			{Name: "ml", Kind: KindMultiLevelScaling, Params: &MultiLevelScalingParams{
 				Nodes: &Axis{Values: []float64{1_000, 10_000}},
 				MLSeries: []MLSeriesSpec{
 					{Name: "two-level", MTBFAtBase: &mtbfBase, Work: &work,
 						C1: 10, R1: 10, C2: 100, R2: 100, Coverage: 0.8},
 					{Name: "disk-only", MTBFAtBase: &mtbfBase, Work: &work,
 						C1: 100, R1: 100, C2: 0, R2: 0, Coverage: 0, K: 1},
-				}},
-			{Name: "ms", Kind: KindMultiLevelScaling, Output: OutputSim,
+				}}},
+			{Name: "ms", Kind: KindMultiLevelScaling, Params: &MultiLevelScalingParams{Output: OutputSim,
 				Nodes: &Axis{Values: []float64{1_000}},
 				MLSeries: []MLSeriesSpec{
 					{Name: "two-level", MTBFAtBase: &mtbfBase, Work: &work,
 						C1: 10, R1: 10, C2: 100, R2: 100, Coverage: 0.8},
-				}},
+				}}},
 		},
 	}
 }
@@ -304,10 +304,10 @@ func TestSensitivityCascadeCase(t *testing.T) {
 		Name: "cascade-sense",
 		Reps: 3,
 		Scenarios: []*Spec{
-			{Name: "sn", Kind: KindSensitivity, Cases: []CaseSpec{
+			{Name: "sn", Kind: KindSensitivity, Params: &SensitivityParams{Cases: []CaseSpec{
 				{Name: "exponential", Dist: DistExponential},
 				{Name: "cascading", Dist: DistCascade, Shape: 0.2},
-			}},
+			}}},
 		},
 	}
 	rep, err := (&Runner{Workers: 2}).Run(c)

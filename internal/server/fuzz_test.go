@@ -139,3 +139,91 @@ func runWithin(t *testing.T, base string, campaign []byte, budget time.Duration)
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// fuzzCellMaxWork skips cell bodies past this many replica-epochs, so each
+// fuzz iteration stays fast.
+const fuzzCellMaxWork = 64
+
+// FuzzCellRequest feeds arbitrary bodies to POST /v1/cells, seeded from the
+// bench cells and the specs of the pinned cache entries. The decoder must
+// answer 200, 400 or 413, never 500 or a panic. A 200 names the cell by
+// the hash of the test's own strict decode of the body, and a repeat POST
+// is served from memory with identical result bytes.
+func FuzzCellRequest(f *testing.F) {
+	for _, cell := range scenario.BenchCells() {
+		data, err := json.Marshal(cell)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "scenario", "testdata", "cache_entries", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no pinned cache entries found: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var entry struct {
+			Spec json.RawMessage `json:"spec"`
+		}
+		if err := json.Unmarshal(data, &entry); err != nil {
+			f.Fatalf("%s: %v", p, err)
+		}
+		f.Add([]byte(entry.Spec))
+	}
+	f.Add([]byte(`{"op":"periods","bogus":1}`))
+	f.Add([]byte(`not json`))
+
+	h := New(Config{Cache: scenario.NewCellCache("", 256), Workers: 1}).Handler()
+	// cellReply is cellResponse with the result kept as raw bytes.
+	type cellReply struct {
+		Cell   string            `json:"cell"`
+		Cache  scenario.CellTier `json:"cache"`
+		Result json.RawMessage   `json:"result"`
+	}
+	post := func(t *testing.T, body []byte) (int, cellReply) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cells", bytes.NewReader(body)))
+		var reply cellReply
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+				t.Fatalf("200 body does not decode: %v\n%s", err, rec.Body.Bytes())
+			}
+		}
+		return rec.Code, reply
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var spec scenario.CellSpec
+		decoded := dec.Decode(&spec) == nil
+		if decoded && spec.Reps*max(spec.Epochs, 1) > fuzzCellMaxWork {
+			return
+		}
+		code, first := post(t, body)
+		switch code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("status %d for body %q", code, body)
+		}
+		if !decoded {
+			t.Fatalf("200 for a body the strict decoder rejects: %q", body)
+		}
+		if first.Cell != spec.Hash() {
+			t.Fatalf("cell %s, want the hash of the body %s", first.Cell, spec.Hash())
+		}
+		code, second := post(t, body)
+		if code != http.StatusOK || second.Cache != scenario.TierMem {
+			t.Fatalf("repeat POST: status %d tier %q, want 200 %q", code, second.Cache, scenario.TierMem)
+		}
+		if second.Cell != first.Cell || !bytes.Equal(second.Result, first.Result) {
+			t.Fatalf("repeat POST changed the answer:\n%s\n%s", first.Result, second.Result)
+		}
+	})
+}
