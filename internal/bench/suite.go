@@ -105,6 +105,22 @@ func Suite() []Benchmark {
 			},
 		},
 		{
+			Name:       "sim/arena_build",
+			Brief:      "trace-arena build at one exponential and one Weibull Fig7 point (a cohort's stream generation)",
+			UnitsPerOp: 2 * replicaReps,
+			UnitName:   "replicas",
+			Fn: func(b *testing.B) {
+				cfg := fig7Sim(replicaReps)
+				horizon := 1.5 * cfg.Params.T0
+				exp := dist.NewExponential(cfg.Params.Mu)
+				weibull := dist.WeibullWithMTBF(0.7, cfg.Params.Mu)
+				for i := 0; i < b.N; i++ {
+					sim.BuildTraceArena(exp, cfg.Seed, cfg.Reps, horizon)
+					sim.BuildTraceArena(weibull, cfg.Seed, cfg.Reps, horizon)
+				}
+			},
+		},
+		{
 			Name:  "sim/adaptive_stop",
 			Brief: "adaptive-precision replica loop: sequential stopping + control variate, Fig7 point at 5% relative CI",
 			Gated: true,

@@ -96,9 +96,9 @@ const DefaultArenaBudget = 64 << 20
 // bounded amount in the feasible region (the paper's Figure 7 difference
 // panels), so a modest margin covers the bulk of replicas and the replay
 // fallback absorbs the stragglers. Undershooting is cheap — a replica past
-// its prefix draws its tail live, exactly what per-cell generation would
-// have done — while overshooting is generation paid for arrivals nobody
-// consumes, so the margin stays tight.
+// its prefix draws its tail live in the same walker, exactly what per-cell
+// generation would have done — while overshooting is generation paid for
+// arrivals nobody consumes, so the margin stays tight.
 const arenaMargin = 1.2
 
 // infeasibleHorizonFactor is the build horizon in units of useful time when

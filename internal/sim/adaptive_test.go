@@ -61,8 +61,8 @@ func adaptiveMatrix() []Config {
 // an adaptive run whose target is unreachable executes every replica, and
 // its embedded Aggregate must equal Simulate(cfg) exactly — same floats,
 // same order, same reduce — across protocols, laws, worker counts, and with
-// the control variate both off and on (the CV routes exponential replicas
-// through the scalar walker, which is pinned bit-identical to runExp).
+// the control variate both off and on (the CV count rides the walker's
+// block refills and must not perturb the replicas it counts).
 func TestSimulateAdaptiveAtCapMatchesSimulate(t *testing.T) {
 	for _, cfg := range adaptiveMatrix() {
 		want := Simulate(cfg)
@@ -181,7 +181,9 @@ func TestSimulateAdaptiveFromTraceMatchesLive(t *testing.T) {
 // TestControlVariateCountIsExact regenerates each replica's failure stream
 // into a trace arena built to the CV horizon and checks that runMeasured's
 // count equals the number of materialized arrivals at or below it — the
-// definition of N(H).
+// definition of N(H) — for live draws and for a replay whose arena is
+// shorter than H, so the count crosses from the arena prefix into live
+// draws.
 func TestControlVariateCountIsExact(t *testing.T) {
 	cfg := Config{
 		Params:   model.Fig7Params(2*model.Hour, 0.5),
@@ -192,21 +194,33 @@ func TestControlVariateCountIsExact(t *testing.T) {
 	cfg = cfg.withDefaults()
 	distrib := cfg.Distribution(cfg.Params.Mu)
 	h := modelTFinal(cfg)
-	tr := BuildTraceArena(distrib, cfg.Seed, cfg.Reps, h)
+	ref := BuildTraceArena(distrib, cfg.Seed, cfg.Reps, h)
+	short := BuildTraceArena(distrib, cfg.Seed, cfg.Reps, h/3)
+	crossing := 0
+	for rep := 0; rep < cfg.Reps; rep++ {
+		if short.arrivals[short.offsets[rep+1]-1] <= h {
+			crossing++
+		}
+	}
+	if crossing == 0 {
+		t.Fatalf("no replica's %g arena prefix ends inside H = %g", short.Horizon(), h)
+	}
 
 	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	r := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), distrib, nil)
-	r.cvHorizon = h
-	for rep := 0; rep < cfg.Reps; rep++ {
-		cv := r.runMeasured(rep).cv
-		want := 0
-		for _, a := range tr.arrivals[tr.offsets[rep]:tr.offsets[rep+1]] {
-			if a <= h {
-				want++
+	for _, tr := range []*TraceArena{nil, short} {
+		r := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), distrib, tr)
+		r.cvHorizon = h
+		for rep := 0; rep < cfg.Reps; rep++ {
+			cv := r.runMeasured(rep).cv
+			want := 0
+			for _, a := range ref.arrivals[ref.offsets[rep]:ref.offsets[rep+1]] {
+				if a <= h {
+					want++
+				}
 			}
-		}
-		if int(cv) != want {
-			t.Fatalf("rep %d: cv count %v, want %d arrivals <= %v", rep, cv, want, h)
+			if int(cv) != want {
+				t.Fatalf("replayed %v rep %d: cv count %v, want %d arrivals <= %v", tr != nil, rep, cv, want, h)
+			}
 		}
 	}
 }

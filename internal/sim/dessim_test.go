@@ -370,7 +370,7 @@ func silentOnceDES(cfg SilentConfig, clock *errorClock) RunResult {
 }
 
 // arenaSource replays one replica stream of a TraceArena as a
-// FailureSource, independently of replicaRunner's cursor: the materialized
+// FailureSource, independently of replicaRunner's block refills: the materialized
 // prefix first, then live draws from the replica's saved generator state.
 type arenaSource struct {
 	tr   *TraceArena
@@ -410,11 +410,10 @@ func (s *arenaSource) NextAfter(t float64) float64 {
 	return s.next
 }
 
-// The replica runner — registerized exponential walker, scalar walker and
-// trace replay alike — must be bit-identical to the event-calendar oracle
-// on every replica: generated streams, and arenas whose prefixes reach past
-// the run, end mid-run, or hold almost nothing so replay falls back to live
-// drawing at once. Truncated replicas must agree on makespan, fault count
+// The replica walker must be bit-identical to the event-calendar oracle on
+// every replica, under every law: generated streams, and arenas whose
+// prefixes reach past the run, end mid-run, or hold almost nothing so
+// replay falls back to live drawing at once. Truncated replicas must agree on makespan, fault count
 // and waste.
 func TestReplicaRunnerMatchesDESOracle(t *testing.T) {
 	for ci, base := range equivConfigs() {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"abftckpt/internal/dist"
@@ -129,4 +130,63 @@ func TestSimulateAggregatePinned(t *testing.T) {
 	if agg.Truncated != 0 || agg.Runs != 64 {
 		t.Errorf("runs/truncated = %d/%d, want 64/0", agg.Runs, agg.Truncated)
 	}
+}
+
+// FuzzWalkerMatchesSimulateOnce holds the one replica walker to the
+// reference SimulateOnce walker on arbitrary configurations: every failure
+// law, MTBF, α, protocol, epoch count, safeguard setting and safety
+// horizon, with the stream drawn live and replayed from arenas whose
+// horizon is any fraction of the useful time — 0 included, so replay falls
+// back to live draws at once. Every replica must be bit-identical.
+func FuzzWalkerMatchesSimulateOnce(f *testing.F) {
+	f.Add(uint8(0), 2.0, 0.8, uint8(2), uint8(1), false, 0.0, 1.5, uint64(42))
+	f.Add(uint8(1), 1.0, 0.5, uint8(2), uint8(2), true, 3.0, 0.3, uint64(3))
+	f.Add(uint8(2), 3.0, 0.4, uint8(1), uint8(1), false, 5.0, 0.0, uint64(5))
+	f.Add(uint8(3), 6.0, 0.9, uint8(0), uint8(3), false, 2.0, 2.5, uint64(15))
+	f.Add(uint8(0), 0.25, 0.2, uint8(0), uint8(1), false, 1.0, 0.05, uint64(21))
+	f.Add(uint8(1), 0.3, 0.8, uint8(2), uint8(1), true, 1.0, 1.0, uint64(23))
+	laws := []func(float64) dist.Distribution{
+		func(mtbf float64) dist.Distribution { return dist.NewExponential(mtbf) },
+		func(mtbf float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, mtbf) },
+		func(mtbf float64) dist.Distribution { return dist.GammaWithMTBF(2, mtbf) },
+		func(mtbf float64) dist.Distribution { return dist.LogNormalWithMTBF(1.2, mtbf) },
+	}
+	// fold maps an arbitrary float onto [0, span).
+	fold := func(x, span float64) float64 {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0
+		}
+		return math.Mod(math.Abs(x), span)
+	}
+	f.Fuzz(func(t *testing.T, law uint8, mtbfHours, alpha float64, proto, epochs uint8, safeguard bool, maxTime, arenaFrac float64, seed uint64) {
+		// MTBF from 15 minutes to two days and a safety horizon of at most
+		// eight useful times keep every replica short, truncated ones too.
+		cfg := Config{
+			Params:        model.Fig7Params(model.Hour*(0.25+fold(mtbfHours, 47.75)), fold(alpha, 1)),
+			Protocol:      model.Protocols[int(proto)%len(model.Protocols)],
+			Epochs:        1 + int(epochs%3),
+			Seed:          seed,
+			Distribution:  laws[int(law)%len(laws)],
+			Safeguard:     safeguard,
+			MaxTimeFactor: 1 + fold(maxTime, 7),
+			Reps:          6,
+		}
+		cfg = cfg.withDefaults()
+		distrib := cfg.Distribution(cfg.Params.Mu)
+		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
+		sched := periodicChunkSchedules(phases)
+		useful := float64(cfg.Epochs) * cfg.Params.T0
+		tr := BuildTraceArena(distrib, cfg.Seed, cfg.Reps, fold(arenaFrac, 3)*useful)
+		live := newReplicaRunner(cfg, phases, sched, distrib, nil)
+		replay := newReplicaRunner(cfg, phases, sched, distrib, tr)
+		for rep := 0; rep < cfg.Reps; rep++ {
+			want := SimulateOnce(cfg, NewRenewalSource(distrib, rng.New(rng.At(cfg.Seed, uint64(rep)))))
+			if got := live.run(rep); got != want {
+				t.Fatalf("live rep %d diverged:\n got %+v\nwant %+v", rep, got, want)
+			}
+			if got := replay.run(rep); got != want {
+				t.Fatalf("replayed rep %d (arena horizon %g) diverged:\n got %+v\nwant %+v", rep, tr.Horizon(), got, want)
+			}
+		}
+	})
 }

@@ -7,19 +7,21 @@ import (
 	"abftckpt/internal/rng"
 )
 
-// replicaRunner is the allocation-free replica engine behind Simulate. Each
-// worker owns one and replays its repetitions through it: the rng state, the
-// failure source and the timeline live inline in the struct, the phase
-// sequence and the distribution are computed once per campaign and shared,
-// and the exponential law — the paper's failure model and the overwhelmingly
-// common configuration — is sampled directly instead of through the
-// dist.Distribution interface.
+// replicaRunner is the allocation-free replica engine behind Simulate,
+// SimulateFromTrace and the adaptive campaigns. Each worker owns one and
+// replays its repetitions through it: the rng state and the arrival buffer
+// live inline in the struct, the phase sequence and the distribution are
+// computed once per campaign and shared, and every replica — generated or
+// replayed, under any failure law — runs through the one registerized
+// walker (walk.go), which consumes its failure stream as blocks of arrival
+// times handed out by refill.
 //
 // run(rep) is bit-identical to SimulateOnce(cfg, NewRenewalSource(...)) on
 // the substream rng.At(Seed, rep): same draws in the same order, same
 // floating-point operations in the same association. That equivalence is the
 // load-bearing contract (golden campaign CSVs and cached cells depend on it)
-// and is pinned exactly by TestReplicaRunnerMatchesSimulateOnce.
+// and is pinned exactly by TestReplicaRunnerMatchesSimulateOnce and
+// FuzzWalkerMatchesSimulateOnce.
 type replicaRunner struct {
 	cfg    Config
 	phases []phaseSpec
@@ -28,48 +30,48 @@ type replicaRunner struct {
 	horizon float64
 
 	// distrib is the shared inter-arrival law; when it is the exponential
-	// family, isExp short-circuits sampling to negMTBF * ln(U) — the exact
-	// expression dist.Exponential.Sample evaluates — with no dynamic
-	// dispatch on the hot path.
+	// family, isExp routes live fills through rng.Source.ExpFillFrom with
+	// negMTBF — the exact expression dist.Exponential.Sample evaluates — and
+	// no dynamic dispatch.
 	distrib dist.Distribution
 	negMTBF float64
 	isExp   bool
 
 	src rng.Source
 
-	// expBuf holds runExp's batched failure arrival times; drawEWMA tracks
-	// the per-replica draw consumption that sizes its adaptive fills.
-	expBuf   [expBatch]float64
+	// buf holds the live-drawn arrival blocks; drawn counts the arrivals
+	// handed out to the current replica, and drawEWMA tracks the
+	// per-replica consumption that sizes the live fills.
+	buf      [fillBatch]float64
+	drawn    int
 	drawEWMA int
 
-	// chunkSched is the shared periodicChunkSchedules result: runExp
+	// chunkSched is the shared periodicChunkSchedules result: the walker
 	// iterates it instead of re-deriving each chunk from a serial
 	// "completed" accumulation on the critical path.
 	chunkSched [][]float64
 
-	// Trace-replay state: when tr is non-nil the runner replays the
-	// materialized arrival prefix arrivals[trPos:trEnd] of the current
-	// replica instead of drawing; once the prefix is exhausted, trLive
-	// restores the replica's saved generator state and drawing continues
-	// scalar — bit-identical to never having materialized anything.
-	tr           *TraceArena
-	trPos, trEnd int
-	trRep        int
-	trLive       bool
+	// Trace replay: when tr is non-nil, the first block of replica rep is
+	// its materialized arena prefix, read in place; refill then restores
+	// the replica's saved generator state, so the live blocks that follow
+	// continue the stream bit-identically to never having materialized
+	// anything. inPrefix marks that prefix as not yet handed out.
+	tr       *TraceArena
+	rep      int
+	inPrefix bool
 
-	// Timeline state, mirroring the timeline type field for field.
-	now    float64
-	next   float64
-	faults int
-	capped bool
-	b      Breakdown
+	// last is the final block the walk was handed; runMeasured continues
+	// the stream from its end.
+	last []float64
 
 	// Control-variate instrumentation for adaptive runs: when cvHorizon is
-	// positive, nextArrival counts every arrival drawn (or replayed) at or
-	// below it, and runMeasured tops the count up past the run's end so
+	// positive, refill counts the arrivals at or below it in every block it
+	// hands out, and runMeasured tops the count up past the run's end, so
 	// cvCount is exactly N(cvHorizon) — for the exponential law a Poisson
-	// count with known mean cvHorizon/MTBF. Zero (the default, and always
-	// the case under Simulate/SimulateFromTrace) keeps the branch dead.
+	// count with known mean cvHorizon/MTBF. The stream is monotone, so this
+	// is the stream index of the first arrival past the horizon. Zero (the
+	// default, and always the case under Simulate/SimulateFromTrace) keeps
+	// the count off.
 	cvHorizon float64
 	cvCount   int
 }
@@ -116,87 +118,57 @@ func newReplicaRunner(cfg Config, phases []phaseSpec, chunkSched [][]float64, di
 	return r
 }
 
-// run executes repetition rep on the substream rng.At(Seed, rep).
+// run executes repetition rep on the substream rng.At(Seed, rep), replayed
+// from the arena when the runner has one.
 func (r *replicaRunner) run(rep int) RunResult {
+	r.rep = rep
+	r.drawn, r.cvCount = 0, 0
 	if r.tr == nil {
 		r.src.Reseed(rng.At1(r.cfg.Seed, uint64(rep)))
-		if r.isExp && r.cvHorizon <= 0 {
-			// Exponential failures take the fully registerized walker. With
-			// the control variate active the scalar walker runs instead —
-			// bit-identical results (both are pinned to SimulateOnce by
-			// TestReplicaRunnerMatchesSimulateOnce) with its arrivals routed
-			// through nextArrival, where the cvHorizon counting lives.
-			return r.runExp()
-		}
 	} else {
-		// Trace replay: point the cursor at the replica's materialized
-		// prefix; nextArrival reads it (and continues live past its end).
-		r.trRep = rep
-		r.trPos, r.trEnd = r.tr.offsets[rep], r.tr.offsets[rep+1]
-		r.trLive = false
+		r.inPrefix = true
 	}
-	// Scalar timeline walker: non-exponential laws, and every trace replay
-	// (replay has no sampling to batch, so the registerized exponential
-	// walker holds no advantage over plain arena loads).
-	r.b = Breakdown{}
-	r.now, r.faults, r.capped = 0, 0, false
-	// First failure: one draw at construction (NewRenewalSource), then the
-	// NextAfter(0) top-up loop of newTimeline.
-	next := r.nextArrival(0)
-	for next <= 0 {
-		next = r.nextArrival(next)
-	}
-	r.next = next
-
-	for e := 0; e < r.cfg.Epochs && !r.capped; e++ {
-		for i := range r.phases {
-			r.runPhase(&r.phases[i])
-		}
-	}
-	res := RunResult{TFinal: r.now, Faults: r.faults, Truncated: r.capped, Breakdown: r.b}
-	if r.capped {
-		res.Waste = 1
-	} else if r.now > 0 {
-		res.Waste = 1 - r.useful/r.now
-		if res.Waste < 0 {
-			res.Waste = 0
-		}
-	}
-	return res
+	return r.walk()
 }
 
-// nextArrival returns the failure arrival following next (the running
-// prefix sum of inter-arrival draws). Replayed arrivals come straight from
-// the arena; past the materialized prefix — or with no arena at all — the
-// draw is performed live, with the sampling law resolved once. The float
-// accumulation next + sample matches RenewalSource.NextAfter's next +=
-// sample exactly, and an arena load returns the identical value that
-// accumulation produced at build time.
-func (r *replicaRunner) nextArrival(next float64) float64 {
-	var v float64
-	if r.tr != nil && r.trPos < r.trEnd {
-		v = r.tr.arrivals[r.trPos]
-		r.trPos++
+// refill hands out the next block of the replica's arrival stream, which
+// continues after last (the stream's latest arrival, 0 before the first).
+// A replayed replica's first block is its arena prefix, in place; every
+// other block is drawn live into buf — through ExpFillFrom for the
+// exponential law, as a running sum of Distribution.Sample otherwise, the
+// same additions in the same order as RenewalSource.NextAfter. Out of line
+// so the (rare) refill stays one call in the walker's hot loops.
+//
+//go:noinline
+func (r *replicaRunner) refill(last float64) []float64 {
+	var blk []float64
+	if r.inPrefix {
+		r.inPrefix = false
+		tr := r.tr
+		blk = tr.arrivals[tr.offsets[r.rep]:tr.offsets[r.rep+1]]
+		// Resume the generator exactly where arena generation left it.
+		r.src.Restore(tr.states[r.rep])
 	} else {
-		if r.tr != nil && !r.trLive {
-			// First draw past the prefix: resume the replica's generator
-			// exactly where arena generation left it.
-			r.src.Restore(r.tr.states[r.trRep])
-			r.trLive = true
-		}
+		blk = r.buf[:nextFillSize(r.drawEWMA, r.drawn)]
 		if r.isExp {
-			v = next + r.negMTBF*math.Log(r.src.Float64Open())
+			r.src.ExpFillFrom(blk, r.negMTBF, last)
 		} else {
-			v = next + r.distrib.Sample(&r.src)
+			for i := range blk {
+				last += r.distrib.Sample(&r.src)
+				blk[i] = last
+			}
 		}
 	}
-	// Every arrival — drawn or replayed — passes through here exactly once
-	// per replica, so this single branch counts the control variate exactly;
-	// cvHorizon is 0 outside adaptive runs and the branch never fires.
-	if v <= r.cvHorizon {
-		r.cvCount++
+	r.drawn += len(blk)
+	if h := r.cvHorizon; h > 0 {
+		for _, a := range blk {
+			if a > h {
+				break
+			}
+			r.cvCount++
+		}
 	}
-	return v
+	return blk
 }
 
 // measured is one adaptive replica: its result and its control-variate
@@ -208,171 +180,18 @@ type measured struct {
 
 // runMeasured executes repetition rep and additionally returns the
 // control-variate observation: the number of failure arrivals in
-// [0, cvHorizon]. The walk counts every arrival it drew; arrivals beyond the
-// run's end but inside the horizon are drawn here as a top-up — extra draws
-// are harmless, as every repetition reseeds (or re-points the trace cursor)
-// from scratch. With cvHorizon <= 0 this is exactly run.
+// [0, cvHorizon]. refill counted every block the walk was handed; when the
+// stream's last block still ends inside the horizon, the count is topped up
+// here with further blocks — extra draws are harmless, as every repetition
+// reseeds (or re-points at its arena prefix) from scratch. With
+// cvHorizon <= 0 this is exactly run.
 func (r *replicaRunner) runMeasured(rep int) measured {
-	r.cvCount = 0
 	res := r.run(rep)
-	if r.cvHorizon > 0 {
-		for next := r.next; next <= r.cvHorizon; {
-			next = r.nextArrival(next)
+	if h := r.cvHorizon; h > 0 {
+		for last := r.last[len(r.last)-1]; last <= h; {
+			blk := r.refill(last)
+			last = blk[len(blk)-1]
 		}
 	}
 	return measured{res, float64(r.cvCount)}
-}
-
-// advance is timeline.run inlined over the runner state: attempt an action
-// of duration d, either completing it or advancing to the failure instant
-// and drawing the next failure time.
-func (r *replicaRunner) advance(d float64) (float64, bool) {
-	if r.capped {
-		return 0, true // drain quickly once capped
-	}
-	if r.now+d <= r.next {
-		r.now += d
-		if r.now > r.horizon {
-			r.capped = true
-		}
-		return d, true
-	}
-	done := r.next - r.now
-	r.now = r.next
-	r.faults++
-	// RenewalSource.NextAfter(r.now).
-	next := r.next
-	for next <= r.now {
-		next = r.nextArrival(next)
-	}
-	r.next = next
-	if r.now > r.horizon {
-		r.capped = true
-		return done, true
-	}
-	return done, false
-}
-
-// recoverLoop is timeline.recover over the runner state.
-func (r *replicaRunner) recoverLoop(cost float64) {
-	for {
-		done, ok := r.advance(cost)
-		if ok {
-			r.b.Recovery += done
-			return
-		}
-		r.b.Lost += done
-	}
-}
-
-// runPhase is simPhase specialized to the runner, with a fast path per phase
-// kind for the dominant case — the whole step completes before the next
-// failure and below the safety horizon — which skips the advance call and
-// its bookkeeping entirely. Every float is accumulated in the same order and
-// association as simPhase, so results are bit-identical.
-func (r *replicaRunner) runPhase(ph *phaseSpec) {
-	switch ph.kind {
-	case phaseABFT:
-		remaining := ph.work
-		for remaining > 0 && !r.capped {
-			if end := r.now + remaining; end <= r.next && end <= r.horizon {
-				r.now = end
-				r.b.Work += remaining
-				remaining = 0
-				break
-			}
-			done, ok := r.advance(remaining)
-			// ABFT retains progress: completed work counts even when a
-			// failure interrupted the attempt.
-			r.b.Work += done
-			remaining -= done
-			if !ok {
-				r.recoverLoop(ph.recovery)
-			}
-		}
-		// Exit checkpoint of the LIBRARY dataset; a failure during it is
-		// repaired by ABFT reconstruction and the checkpoint restarts.
-		for !r.capped {
-			if end := r.now + ph.ckpt; end <= r.next && end <= r.horizon {
-				r.now = end
-				r.b.Ckpt += ph.ckpt
-				return
-			}
-			done, ok := r.advance(ph.ckpt)
-			if ok {
-				r.b.Ckpt += done
-				return
-			}
-			r.b.Lost += done
-			r.recoverLoop(ph.recovery)
-		}
-
-	case phaseShort:
-		// All-or-nothing: a failure loses all progress since phase start,
-		// including the trailing checkpoint if it had begun.
-		for !r.capped {
-			if end := r.now + ph.work + ph.trailing; end <= r.next && end <= r.horizon {
-				r.now = end
-				r.b.Work += ph.work
-				r.b.Ckpt += ph.trailing
-				return
-			}
-			done, ok := r.advance(ph.work)
-			if !ok {
-				r.b.Lost += done
-				r.recoverLoop(ph.recovery)
-				continue
-			}
-			var cd float64
-			if ph.trailing > 0 {
-				var ckptOK bool
-				cd, ckptOK = r.advance(ph.trailing)
-				if !ckptOK {
-					r.b.Lost += done + cd
-					r.recoverLoop(ph.recovery)
-					continue
-				}
-			}
-			r.b.Work += done
-			r.b.Ckpt += cd
-			return
-		}
-
-	case phasePeriodic:
-		workPerPeriod := ph.period - ph.ckpt
-		completed := 0.0
-		for completed < ph.work && !r.capped {
-			chunk := workPerPeriod
-			if rem := ph.work - completed; rem < chunk {
-				chunk = rem
-			}
-			if end := r.now + chunk + ph.ckpt; end <= r.next && end <= r.horizon {
-				r.now = end
-				r.b.Work += chunk
-				r.b.Ckpt += ph.ckpt
-				completed += chunk
-				continue
-			}
-			// Attempt chunk + checkpoint; on failure, roll back to the
-			// last completed checkpoint and retry the chunk.
-			done, ok := r.advance(chunk)
-			if !ok {
-				r.b.Lost += done
-				r.recoverLoop(ph.recovery)
-				continue
-			}
-			cd, ckptOK := r.advance(ph.ckpt)
-			if !ckptOK {
-				r.b.Lost += done + cd
-				r.recoverLoop(ph.recovery)
-				continue
-			}
-			r.b.Work += done
-			r.b.Ckpt += cd
-			completed += chunk
-		}
-
-	default:
-		panic("sim: unknown phase kind")
-	}
 }

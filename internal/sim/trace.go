@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"abftckpt/internal/dist"
 	"abftckpt/internal/rng"
@@ -75,15 +76,35 @@ func (tr *TraceArena) Equal(other *TraceArena) bool {
 	return true
 }
 
+const (
+	// arenaFillSlack is how many arrivals past the horizon/mean expected
+	// ones an exponential replica's batched fills aim for: the crossing
+	// arrival and a small margin.
+	arenaFillSlack = 4
+	// arenaMaxFill bounds one batched fill of an arena build.
+	arenaMaxFill = 64
+)
+
+// arenaRepBudget is the per-replica arrival budget of an arena at
+// lambda = horizon/mean expected arrivals, shared by EstimateArenaArrivals
+// and BuildTraceArena's reservation: the exponential fill target, one
+// minimum fill of overshoot (fills are never shorter than minFill, and a
+// replica short of the horizon at its target takes further minimum fills),
+// and one standard deviation of the Poisson arrival count as margin for the
+// replicas that need more than their target. The other laws stop at the
+// crossing arrival, well inside the same budget.
+func arenaRepBudget(lambda float64) float64 {
+	return lambda + arenaFillSlack + minFill + math.Sqrt(lambda)
+}
+
 // EstimateArenaArrivals predicts how many arrivals BuildTraceArena will
-// materialize, so schedulers can enforce a memory budget before building:
-// each replica needs about horizon/mean arrivals to cross the horizon, plus
-// slack for the first arrival past it and generation-batch overshoot.
+// materialize, so schedulers can enforce a memory budget before building.
+// It is the arrival capacity BuildTraceArena reserves.
 func EstimateArenaArrivals(mean, horizon float64, reps int) int64 {
 	if mean <= 0 {
 		return math.MaxInt64
 	}
-	perRep := horizon/mean + 4
+	perRep := arenaRepBudget(horizon / mean)
 	if perRep > math.MaxInt64/8/float64(reps+1) {
 		return math.MaxInt64
 	}
@@ -114,8 +135,10 @@ func BuildTraceArena(d dist.Distribution, seed uint64, reps int, horizon float64
 	if !(tr.mean > 0) {
 		panic(fmt.Sprintf("sim: BuildTraceArena needs a distribution with positive mean, got %v", tr.mean))
 	}
-	perRep := int(horizon/tr.mean) + 2
-	tr.arrivals = make([]float64, 0, perRep*reps)
+	// One reservation covers the whole arena: regrowing it by append would
+	// copy every arrival and transiently double the footprint.
+	tr.arrivals = make([]float64, 0, EstimateArenaArrivals(tr.mean, horizon, reps))
+	target := int(horizon/tr.mean) + arenaFillSlack
 
 	negMean := 0.0
 	e, isExp := d.(dist.Exponential)
@@ -123,28 +146,20 @@ func BuildTraceArena(d dist.Distribution, seed uint64, reps int, horizon float64
 		negMean = -e.Mean()
 	}
 	var src rng.Source
-	var buf [64]float64
 	for rep := 0; rep < reps; rep++ {
 		src.Reseed(rng.At1(seed, uint64(rep)))
 		base := 0.0
 		if isExp {
-			// Batched fills keep the xoshiro state in registers and pipeline
-			// the logarithms; the fill size tracks the expected remaining
-			// arrivals so the overshoot past the horizon stays small.
-			for {
-				n := perRep - (len(tr.arrivals) - tr.offsets[rep]) + 2
-				if n < 8 {
-					n = 8
-				}
-				if n > len(buf) {
-					n = len(buf)
-				}
-				src.ExpFillFrom(buf[:n], negMean, base)
-				tr.arrivals = append(tr.arrivals, buf[:n]...)
-				base = buf[n-1]
-				if base > horizon {
-					break
-				}
+			// Batched fills write straight into the arena, keep the xoshiro
+			// state in registers and pipeline the logarithms; the fill size
+			// tracks the expected remaining arrivals so the overshoot past
+			// the horizon stays small.
+			for base <= horizon {
+				at := len(tr.arrivals)
+				n := min(max(target-(at-tr.offsets[rep]), minFill), arenaMaxFill)
+				tr.arrivals = slices.Grow(tr.arrivals, n)[:at+n]
+				src.ExpFillFrom(tr.arrivals[at:], negMean, base)
+				base = tr.arrivals[at+n-1]
 			}
 		} else {
 			for base <= horizon {

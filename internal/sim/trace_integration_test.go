@@ -1,47 +1,72 @@
 package sim
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
 	"abftckpt/internal/rng"
-	"abftckpt/internal/trace"
 )
 
-// A recorded failure trace replayed through trace.Source drives the
-// simulator deterministically: two replays of the same trace give identical
-// results, and the measured waste is consistent with the model at the
-// trace's empirical MTBF.
+// A recorded failure trace — a one-replica arena — replayed through
+// SimulateOnce drives the simulator deterministically: two replays of the
+// same trace give identical results, the replica walker replaying the same
+// arena agrees with them, and the measured waste is plausible.
 func TestSimulateOverRecordedTrace(t *testing.T) {
-	p := model.Fig7Params(2*model.Hour, 0.8)
+	cfg := Config{Params: model.Fig7Params(2*model.Hour, 0.8), Protocol: model.AbftPeriodicCkpt, Seed: 17, Reps: 1}
+	cfg = cfg.withDefaults()
+	d := cfg.Distribution(cfg.Params.Mu)
 	// Record a platform trace long enough to cover the run with margin.
-	horizon := 5 * p.T0
-	tr := trace.GeneratePlatform(dist.NewExponential(p.Mu), horizon, rng.New(17))
-	cfg := Config{Params: p, Protocol: model.AbftPeriodicCkpt}
+	tr := BuildTraceArena(d, cfg.Seed, 1, 5*cfg.Params.T0)
 
-	a := SimulateOnce(cfg, trace.NewSource(tr, rng.New(1)))
-	b := SimulateOnce(cfg, trace.NewSource(tr, rng.New(1)))
-	if a.TFinal != b.TFinal || a.Faults != b.Faults {
-		t.Fatalf("trace replay not deterministic: %v/%d vs %v/%d", a.TFinal, a.Faults, b.TFinal, b.Faults)
+	a := SimulateOnce(cfg, newArenaSource(tr, d, 0))
+	b := SimulateOnce(cfg, newArenaSource(tr, d, 0))
+	if a != b {
+		t.Fatalf("trace replay not deterministic: %+v vs %+v", a, b)
+	}
+	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
+	if got := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), d, tr).run(0); got != a {
+		t.Fatalf("walker replay diverged:\n got %+v\nwant %+v", got, a)
 	}
 	if a.Waste <= 0 || a.Waste >= 1 {
 		t.Fatalf("implausible waste %v", a.Waste)
 	}
 }
 
-// Per-node traces (superposition of individual failure processes) drive the
-// simulator with the platform MTBF mu_ind/N, matching the model's relation.
+// sortedTrace replays a sorted list of failure instants; past its end no
+// failure strikes.
+type sortedTrace []float64
+
+func (s sortedTrace) NextAfter(t float64) float64 {
+	if i := sort.SearchFloat64s(s, math.Nextafter(t, math.Inf(1))); i < len(s) {
+		return s[i]
+	}
+	return math.Inf(1)
+}
+
+// Per-node traces — the arena's replica streams, one per node, superposed
+// up to the recording horizon — drive the simulator with the platform MTBF
+// mu_ind/N, matching the model's relation.
 func TestSimulateOverPerNodeTrace(t *testing.T) {
 	const nodes = 64
 	p := model.Fig7Params(2*model.Hour, 0.8)
 	muInd := p.Mu * nodes
+	horizon := 6 * p.T0
 	var sum float64
 	const reps = 40
 	for seed := uint64(0); seed < reps; seed++ {
-		tr := trace.GeneratePerNode(dist.NewExponential(muInd), nodes, 6*p.T0, rng.New(rng.At(3, seed)))
-		res := SimulateOnce(Config{Params: p, Protocol: model.AbftPeriodicCkpt},
-			trace.NewSource(tr, rng.New(seed)))
+		tr := BuildTraceArena(dist.NewExponential(muInd), rng.At(3, seed), nodes, horizon)
+		var platform sortedTrace
+		for _, a := range tr.arrivals {
+			if a <= horizon {
+				platform = append(platform, a)
+			}
+		}
+		slices.Sort(platform)
+		res := SimulateOnce(Config{Params: p, Protocol: model.AbftPeriodicCkpt}, platform)
 		sum += res.Waste
 	}
 	got := sum / reps

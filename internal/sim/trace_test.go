@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
 )
 
@@ -156,4 +157,33 @@ func TestSimulateFromTraceRejectsMismatchedArena(t *testing.T) {
 	mustPanic("infinite horizon build", func() {
 		BuildTraceArena(cfg.Distribution(cfg.Params.Mu), 1, 1, math.Inf(1))
 	})
+}
+
+// An exponential arena reserves its arrivals once: the reservation covers
+// every replica's batched fills, so building never regrows the arena by
+// append (a copy of every arrival and a transient doubling of the
+// footprint). A build allocates exactly the arena, its offsets, its saved
+// states, its arrivals and the generator (which escapes through the
+// Distribution.Sample call of the other laws).
+func TestBuildTraceArenaAllocatesArrivalsOnce(t *testing.T) {
+	for _, pt := range []struct {
+		mtbf, horizon float64
+		reps          int
+	}{
+		{2 * model.Hour, 0, 16},                   // the first fill alone
+		{2 * model.Hour, 6 * model.Hour, 64},      // minimum fills
+		{model.Hour, 61 * model.Hour, 32},         // one full fill plus a minimum one
+		{30 * model.Minute, 125 * model.Hour, 48}, // several full fills
+		{model.Hour, 2000 * model.Hour, 8},
+	} {
+		var d dist.Distribution = dist.NewExponential(pt.mtbf)
+		allocs := testing.AllocsPerRun(20, func() {
+			BuildTraceArena(d, 11, pt.reps, pt.horizon)
+		})
+		if allocs != 5 {
+			tr := BuildTraceArena(d, 11, pt.reps, pt.horizon)
+			t.Errorf("mtbf %g horizon %g reps %d: %v allocations, want 5 (arena %d arrivals, reserved %d)",
+				pt.mtbf, pt.horizon, pt.reps, allocs, tr.Len(), EstimateArenaArrivals(pt.mtbf, pt.horizon, pt.reps))
+		}
+	}
 }

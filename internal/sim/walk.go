@@ -1,116 +1,101 @@
 package sim
 
-import "abftckpt/internal/rng"
-
-// This file is the registerized exponential walker: the timeline walk of
-// runPhase/advance specialized to the paper's exponential failure law, with
-// every piece of simulation state (clock, next failure, accumulators) held
-// in locals of a single function so the inner loops run out of registers
-// instead of chasing runner fields.
+// This file is the replica walker: the SimulateOnce timeline walk over one
+// failure stream, with every piece of simulation state (clock, next failure,
+// accumulators) held in locals of a single function so the inner loops run
+// out of registers instead of chasing runner fields. It is the only walker
+// of replicaRunner: generated and replayed replicas, the exponential law and
+// every other law all run through it.
 //
-// Failure sampling is batched: rng.Source.ExpFillFrom pre-computes a block
-// of successive failure arrival times into the runner's buffer, and each
-// failure consumes the next slot with a plain load. The consumed sequence is
-// exactly the prefix of the per-replica substream the scalar draws would
-// accumulate — every replica reseeds its stream, so the undrawn tail of the
-// final block is discarded without observable effect. Block sizes adapt to
+// The failure stream arrives in blocks of absolute arrival times from one
+// source, replicaRunner.refill, and each failure consumes the next slot with
+// a plain load. A replayed replica's first block is its arena prefix, read
+// in place; live blocks are pre-computed into the runner's buffer
+// (rng.Source.ExpFillFrom for the exponential law, a running sum of
+// Distribution.Sample otherwise). The consumed sequence is exactly the
+// prefix of the per-replica stream RenewalSource would accumulate — every
+// replica reseeds its stream, so the unconsumed tail of the final block is
+// discarded without observable effect. Live block sizes adapt to
 // the campaign: the runner tracks an EWMA of arrivals consumed per replica
 // and shrinks the final fills, so the discarded tail stays small while the
 // bulk fills stay long enough to pipeline their logarithms. The recovery
-// loop lives in a value-passing helper (expRecover) that takes and returns
-// plain scalars — no pointers into the runner, no heap traffic.
+// loop lives in a value-passing helper (walkRecover) that takes and returns
+// plain scalars.
 //
 // Every float operation replicates the reference SimulateOnce walker in the
 // same order and association, so results are bit-identical (pinned by
-// TestReplicaRunnerMatchesSimulateOnce). When editing, change the reference
-// implementation first, then mirror it here; the equivalence test will catch
-// any drift exactly.
+// TestReplicaRunnerMatchesSimulateOnce and FuzzWalkerMatchesSimulateOnce).
+// When editing, change the reference implementation first, then mirror it
+// here; the equivalence tests will catch any drift exactly.
 
 const (
-	// expBatch is the arrival-buffer capacity and the bulk fill size: long
+	// fillBatch is the arrival-buffer capacity and the bulk fill size: long
 	// fills keep rng state in registers and overlap the math.Log calls.
-	expBatch = 32
-	// expMinFill is the smallest refill, used near the expected end of a
-	// replica (and inside expRecover) to bound the discarded tail.
-	expMinFill = 8
-	// expFillSlack pads the expected remaining draws so a typical replica
+	fillBatch = 32
+	// minFill is the smallest live fill, used near the expected end of a
+	// replica to bound the discarded tail.
+	minFill = 8
+	// fillSlack pads the expected remaining draws so a typical replica
 	// finishes within its final fill instead of triggering one more.
-	expFillSlack = 4
+	fillSlack = 4
 )
 
 // nextFillSize picks how many arrivals to pre-compute: the full batch while
 // far from the expected per-replica consumption (ewma == 0 means unknown),
 // shrinking to the expected remainder near the end.
 func nextFillSize(ewma, drawn int) int {
-	n := expBatch
+	n := fillBatch
 	if ewma > 0 {
-		if rem := ewma - drawn + expFillSlack; rem < n {
+		if rem := ewma - drawn + fillSlack; rem < n {
 			n = rem
-			if n < expMinFill {
-				n = expMinFill
+			if n < minFill {
+				n = minFill
 			}
 		}
 	}
 	return n
 }
 
-// refillArrivals sizes and performs one buffer refill; out of line so the
-// (rare) refill branch stays one call in the walker's hot loops.
-//
-//go:noinline
-func refillArrivals(src *rng.Source, buf *[expBatch]float64, negMTBF, next float64, ewma, drawn int) (int, int, int) {
-	blim := nextFillSize(ewma, drawn)
-	src.ExpFillFrom(buf[:blim], negMTBF, next)
-	return blim, 0, drawn + blim
-}
-
-// expRecover completes one downtime+recovery operation of the given cost,
+// walkRecover completes one downtime+recovery operation of the given cost,
 // restarting it from scratch every time a failure interrupts it — exactly
 // timeline.recover over scalar state. It must be entered with capped ==
-// false; it returns the updated (now, next, faults, bpos, blim, drawn,
-// capped, lost, recov). Refills here use expMinFill: recovery-time refills
-// are rare and the walker re-sizes at its next own refill.
-func expRecover(now, next float64, faults int, cost, negMTBF, horizon float64, src *rng.Source, buf *[expBatch]float64, bpos, blim, drawn int, lost, recov float64) (float64, float64, int, int, int, int, bool, float64, float64) {
+// false; it returns the updated (now, next, faults, blk, bpos, capped, lost,
+// recov).
+func walkRecover(r *replicaRunner, now, next float64, faults int, cost, horizon float64, blk []float64, bpos int, lost, recov float64) (float64, float64, int, []float64, int, bool, float64, float64) {
 	for {
 		if now+cost <= next {
 			now += cost
 			recov += cost
-			return now, next, faults, bpos, blim, drawn, now > horizon, lost, recov
+			return now, next, faults, blk, bpos, now > horizon, lost, recov
 		}
 		done := next - now
 		now = next
 		faults++
 		for next <= now {
-			if bpos == blim {
-				blim = expMinFill
-				src.ExpFillFrom(buf[:blim], negMTBF, next)
-				bpos = 0
-				drawn += blim
+			if bpos == len(blk) {
+				blk, bpos = r.refill(next), 0
 			}
-			next = buf[bpos&(expBatch-1)]
+			next = blk[bpos]
 			bpos++
 		}
 		if now > horizon {
 			recov += done
-			return now, next, faults, bpos, blim, drawn, true, lost, recov
+			return now, next, faults, blk, bpos, true, lost, recov
 		}
 		lost += done
 	}
 }
 
-// runExp executes one replica of the timeline walk under exponential
-// failures. The comments name the branch of timeline.run each case mirrors:
-// "success" (the operation fits before the next failure), "success-capped"
-// (fits, but crosses the safety horizon: accounted, then the run drains) and
-// "failure-capped" (the interrupting failure itself is beyond the horizon,
-// which run reports as ok with partial progress accounted by the caller).
-func (r *replicaRunner) runExp() RunResult {
-	src := &r.src
-	negMTBF, horizon := r.negMTBF, r.horizon
+// walk executes one replica of the timeline walk. The comments name the
+// branch of timeline.run each case mirrors: "success" (the operation fits
+// before the next failure), "success-capped" (fits, but crosses the safety
+// horizon: accounted, then the run drains) and "failure-capped" (the
+// interrupting failure itself is beyond the horizon, which run reports as
+// ok with partial progress accounted by the caller).
+func (r *replicaRunner) walk() RunResult {
+	horizon := r.horizon
 	phases := r.phases
-	buf := &r.expBuf
 	epochs := r.cfg.Epochs
-	ewma := r.drawEWMA
 
 	var (
 		now    float64
@@ -121,16 +106,14 @@ func (r *replicaRunner) runExp() RunResult {
 	)
 	// First failure: one draw at construction (NewRenewalSource), then the
 	// NextAfter(0) top-up loop of newTimeline.
-	blim := nextFillSize(ewma, 0)
-	src.ExpFillFrom(buf[:blim], negMTBF, 0)
-	drawn := blim
-	next := buf[0]
+	blk := r.refill(0)
+	next := blk[0]
 	bpos := 1
 	for next <= 0 {
-		if bpos == blim {
-			blim, bpos, drawn = refillArrivals(src, buf, negMTBF, next, ewma, drawn)
+		if bpos == len(blk) {
+			blk, bpos = r.refill(next), 0
 		}
-		next = buf[bpos&(expBatch-1)]
+		next = blk[bpos]
 		bpos++
 	}
 
@@ -162,10 +145,10 @@ func (r *replicaRunner) runExp() RunResult {
 					now = next
 					faults++
 					for next <= now {
-						if bpos == blim {
-							blim, bpos, drawn = refillArrivals(src, buf, negMTBF, next, ewma, drawn)
+						if bpos == len(blk) {
+							blk, bpos = r.refill(next), 0
 						}
-						next = buf[bpos&(expBatch-1)]
+						next = blk[bpos]
 						bpos++
 					}
 					work += done
@@ -176,14 +159,14 @@ func (r *replicaRunner) runExp() RunResult {
 					}
 					if now+phRecovery <= next {
 						// Recovery completes on the first attempt — the common
-						// case, inlined from expRecover's first iteration.
+						// case, inlined from walkRecover's first iteration.
 						now += phRecovery
 						recov += phRecovery
 						if now > horizon {
 							capped = true
 						}
 					} else {
-						now, next, faults, bpos, blim, drawn, capped, lost, recov = expRecover(now, next, faults, phRecovery, negMTBF, horizon, src, buf, bpos, blim, drawn, lost, recov)
+						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 					}
 				}
 				// Exit checkpoint of the LIBRARY dataset, retried under ABFT
@@ -205,10 +188,10 @@ func (r *replicaRunner) runExp() RunResult {
 					now = next
 					faults++
 					for next <= now {
-						if bpos == blim {
-							blim, bpos, drawn = refillArrivals(src, buf, negMTBF, next, ewma, drawn)
+						if bpos == len(blk) {
+							blk, bpos = r.refill(next), 0
 						}
-						next = buf[bpos&(expBatch-1)]
+						next = blk[bpos]
 						bpos++
 					}
 					if now > horizon {
@@ -225,7 +208,7 @@ func (r *replicaRunner) runExp() RunResult {
 							capped = true
 						}
 					} else {
-						now, next, faults, bpos, blim, drawn, capped, lost, recov = expRecover(now, next, faults, phRecovery, negMTBF, horizon, src, buf, bpos, blim, drawn, lost, recov)
+						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 					}
 				}
 
@@ -261,10 +244,10 @@ func (r *replicaRunner) runExp() RunResult {
 							now = next
 							faults++
 							for next <= now {
-								if bpos == blim {
-									blim, bpos, drawn = refillArrivals(src, buf, negMTBF, next, ewma, drawn)
+								if bpos == len(blk) {
+									blk, bpos = r.refill(next), 0
 								}
-								next = buf[bpos&(expBatch-1)]
+								next = blk[bpos]
 								bpos++
 							}
 							if now > horizon {
@@ -280,7 +263,7 @@ func (r *replicaRunner) runExp() RunResult {
 								recov += phRecovery
 								capped = now > horizon
 							} else {
-								now, next, faults, bpos, blim, drawn, capped, lost, recov = expRecover(now, next, faults, phRecovery, negMTBF, horizon, src, buf, bpos, blim, drawn, lost, recov)
+								now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 							}
 							continue
 						}
@@ -292,10 +275,10 @@ func (r *replicaRunner) runExp() RunResult {
 					now = next
 					faults++
 					for next <= now {
-						if bpos == blim {
-							blim, bpos, drawn = refillArrivals(src, buf, negMTBF, next, ewma, drawn)
+						if bpos == len(blk) {
+							blk, bpos = r.refill(next), 0
 						}
-						next = buf[bpos&(expBatch-1)]
+						next = blk[bpos]
 						bpos++
 					}
 					if now > horizon {
@@ -312,7 +295,7 @@ func (r *replicaRunner) runExp() RunResult {
 							capped = true
 						}
 					} else {
-						now, next, faults, bpos, blim, drawn, capped, lost, recov = expRecover(now, next, faults, phRecovery, negMTBF, horizon, src, buf, bpos, blim, drawn, lost, recov)
+						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 					}
 				}
 
@@ -351,10 +334,10 @@ func (r *replicaRunner) runExp() RunResult {
 						now = next
 						faults++
 						for next <= now {
-							if bpos == blim {
-								blim, bpos, drawn = refillArrivals(src, buf, negMTBF, next, ewma, drawn)
+							if bpos == len(blk) {
+								blk, bpos = r.refill(next), 0
 							}
-							next = buf[bpos&(expBatch-1)]
+							next = blk[bpos]
 							bpos++
 						}
 						if now > horizon {
@@ -374,7 +357,7 @@ func (r *replicaRunner) runExp() RunResult {
 								capped = true
 							}
 						} else {
-							now, next, faults, bpos, blim, drawn, capped, lost, recov = expRecover(now, next, faults, phRecovery, negMTBF, horizon, src, buf, bpos, blim, drawn, lost, recov)
+							now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 						}
 						continue
 					}
@@ -383,10 +366,10 @@ func (r *replicaRunner) runExp() RunResult {
 					now = next
 					faults++
 					for next <= now {
-						if bpos == blim {
-							blim, bpos, drawn = refillArrivals(src, buf, negMTBF, next, ewma, drawn)
+						if bpos == len(blk) {
+							blk, bpos = r.refill(next), 0
 						}
-						next = buf[bpos&(expBatch-1)]
+						next = blk[bpos]
 						bpos++
 					}
 					if now > horizon {
@@ -404,7 +387,7 @@ func (r *replicaRunner) runExp() RunResult {
 							capped = true
 						}
 					} else {
-						now, next, faults, bpos, blim, drawn, capped, lost, recov = expRecover(now, next, faults, phRecovery, negMTBF, horizon, src, buf, bpos, blim, drawn, lost, recov)
+						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 					}
 				}
 
@@ -414,8 +397,9 @@ func (r *replicaRunner) runExp() RunResult {
 		}
 	}
 
+	r.last = blk
 	// Feed the adaptive fill sizing with what this replica actually used.
-	consumed := drawn - (blim - bpos)
+	consumed := r.drawn - (len(blk) - bpos)
 	if r.drawEWMA == 0 {
 		r.drawEWMA = consumed
 	} else {
