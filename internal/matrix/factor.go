@@ -13,94 +13,6 @@ var ErrSingular = errors.New("matrix: singular or near-singular pivot")
 // ErrNotSPD is returned when Cholesky meets a non-positive diagonal.
 var ErrNotSPD = errors.New("matrix: matrix is not symmetric positive definite")
 
-// pivotTol is the relative threshold below which a pivot is considered zero.
-const pivotTol = 1e-13
-
-// LUNoPivot factors the square matrix a in place into unit-lower L and upper
-// U (a = L*U, L's unit diagonal implicit). It requires a to be factorizable
-// without pivoting (e.g. diagonally dominant), as is standard for ABFT
-// demonstrations where row exchanges would break checksum locality.
-func LUNoPivot(a *Dense) error {
-	if a.Rows != a.Cols {
-		panic("matrix: LU requires a square matrix")
-	}
-	n := a.Rows
-	scale := a.MaxAbs()
-	if scale == 0 {
-		return ErrSingular
-	}
-	for k := 0; k < n; k++ {
-		if err := luStep(a, k, scale); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// luStep performs elimination step k of a right-looking LU on the (possibly
-// bordered) matrix a: it scales column k below the pivot and applies the
-// Schur update to rows k+1..Rows-1. Exposed within the package so the ABFT
-// layer can interleave steps with failure injection.
-func luStep(a *Dense, k int, scale float64) error {
-	p := a.At(k, k)
-	if math.Abs(p) <= pivotTol*scale {
-		return ErrSingular
-	}
-	urow := a.RowView(k)
-	for i := k + 1; i < a.Rows; i++ {
-		row := a.RowView(i)
-		l := row[k] / p
-		row[k] = l
-		if l == 0 {
-			continue
-		}
-		for j := k + 1; j < a.Cols; j++ {
-			row[j] -= l * urow[j]
-		}
-	}
-	return nil
-}
-
-// LUPartialPivot factors a in place with partial (row) pivoting, returning
-// the permutation: perm[i] is the original index of the row now at i.
-func LUPartialPivot(a *Dense) (perm []int, err error) {
-	if a.Rows != a.Cols {
-		panic("matrix: LU requires a square matrix")
-	}
-	n := a.Rows
-	perm = make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	scale := a.MaxAbs()
-	if scale == 0 {
-		return nil, ErrSingular
-	}
-	for k := 0; k < n; k++ {
-		// Select pivot.
-		best, bestVal := k, math.Abs(a.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(a.At(i, k)); v > bestVal {
-				best, bestVal = i, v
-			}
-		}
-		if bestVal <= pivotTol*scale {
-			return nil, ErrSingular
-		}
-		if best != k {
-			ra, rb := a.RowView(k), a.RowView(best)
-			for j := 0; j < n; j++ {
-				ra[j], rb[j] = rb[j], ra[j]
-			}
-			perm[k], perm[best] = perm[best], perm[k]
-		}
-		if err := luStep(a, k, scale); err != nil {
-			return nil, err
-		}
-	}
-	return perm, nil
-}
-
 // Cholesky factors the symmetric positive definite matrix a in place into
 // its lower factor L (a = L*L^T); the strict upper triangle is zeroed.
 func Cholesky(a *Dense) error {
@@ -135,8 +47,8 @@ func Cholesky(a *Dense) error {
 	return nil
 }
 
-// SolveLU solves a*x = b given the in-place LU factors (unit-lower L, upper
-// U) produced by LUNoPivot, overwriting b with x.
+// SolveLU solves a*x = b given in-place LU factors (unit-lower L, upper U),
+// such as those of abft.LUFactorizer.LU, overwriting b with x.
 func SolveLU(lu *Dense, b []float64) {
 	n := lu.Rows
 	if len(b) != n {
@@ -160,18 +72,6 @@ func SolveLU(lu *Dense, b []float64) {
 		}
 		b[i] = s / row[i]
 	}
-}
-
-// SolveLUPivot solves a*x = b given pivoted LU factors and the permutation
-// from LUPartialPivot, returning x.
-func SolveLUPivot(lu *Dense, perm []int, b []float64) []float64 {
-	n := lu.Rows
-	x := make([]float64, n)
-	for i, src := range perm {
-		x[i] = b[src]
-	}
-	SolveLU(lu, x)
-	return x
 }
 
 // ExtractLU splits in-place LU storage into explicit L (unit diagonal) and U.
@@ -225,26 +125,4 @@ func RandDiagDominant(n int, src *rng.Source) *Dense {
 		m.Set(i, i, sum+1)
 	}
 	return m
-}
-
-// RandSPD returns a random symmetric positive definite n x n matrix
-// (B*B^T + n*I for random B).
-func RandSPD(n int, src *rng.Source) *Dense {
-	b := RandDense(n, n, src)
-	out := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			var s float64
-			bi, bj := b.RowView(i), b.RowView(j)
-			for k := 0; k < n; k++ {
-				s += bi[k] * bj[k]
-			}
-			if i == j {
-				s += float64(n)
-			}
-			out.Set(i, j, s)
-			out.Set(j, i, s)
-		}
-	}
-	return out
 }

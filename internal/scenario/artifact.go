@@ -76,8 +76,8 @@ func (a *Artifact) GnuplotScript(csvPath, outPath string) (string, bool) {
 }
 
 // WriteFiles emits the artifact into dir — Name.csv, Name.txt and (for
-// heatmaps and charts) Name.gp — and returns the file names written. Both
-// cmd/figures and cmd/ftcampaign emit artifacts through this.
+// heatmaps and charts) Name.gp — and returns the file names written.
+// cmd/ftcampaign emits artifacts through this.
 func (a *Artifact) WriteFiles(dir string) ([]string, error) {
 	f, err := os.Create(filepath.Join(dir, a.Name+".csv"))
 	if err != nil {

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -156,5 +159,93 @@ func TestIntraRepoMarkdownLinks(t *testing.T) {
 				t.Errorf("%s links to %q, which does not exist (%v)", rel, m[1], err)
 			}
 		}
+	}
+}
+
+const paperMapDoc = "../../docs/PAPER_MAP.md"
+
+// codeSpan matches a backticked markdown code span, capturing its text.
+var codeSpan = regexp.MustCompile("`([^`]+)`")
+
+// citedSymbol matches a code span that starts with a qualified Go
+// identifier, pkg.Ident (the rest of the span, such as a field or method
+// selector, is ignored).
+var citedSymbol = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Za-z_][A-Za-z0-9_]*)`)
+
+// topLevelDecls returns the names of the top-level declarations (funcs
+// without a receiver, types, vars and consts) of every Go file in dir, test
+// files included.
+func topLevelDecls(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// TestPaperMapCitesExistingSymbols checks that every backticked pkg.Ident
+// of docs/PAPER_MAP.md names a top-level declaration of package
+// internal/<pkg>, so the map cannot point at deleted or renamed code. An
+// exported identifier of a package that does not exist fails too.
+func TestPaperMapCitesExistingSymbols(t *testing.T) {
+	data, err := os.ReadFile(paperMapDoc)
+	if err != nil {
+		t.Fatalf("read %s: %v", paperMapDoc, err)
+	}
+	decls := map[string]map[string]bool{}
+	checked := 0
+	for _, span := range codeSpan.FindAllStringSubmatch(string(data), -1) {
+		m := citedSymbol.FindStringSubmatch(span[1])
+		if m == nil {
+			continue
+		}
+		pkg, ident := m[1], m[2]
+		if decls[pkg] == nil {
+			dir := filepath.Join("..", pkg)
+			if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+				// A file name such as paper.json is no citation; an exported
+				// identifier of a missing package is a stale one.
+				if ast.IsExported(ident) {
+					t.Errorf("docs/PAPER_MAP.md cites %s.%s, but there is no package internal/%s", pkg, ident, pkg)
+				}
+				continue
+			}
+			decls[pkg] = topLevelDecls(t, dir)
+		}
+		checked++
+		if !decls[pkg][ident] {
+			t.Errorf("docs/PAPER_MAP.md cites %s.%s, which is not a top-level declaration of internal/%s", pkg, ident, pkg)
+		}
+	}
+	if checked < 40 {
+		t.Fatalf("checked only %d citations in %s", checked, paperMapDoc)
 	}
 }

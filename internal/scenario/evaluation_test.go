@@ -1,26 +1,83 @@
-package figures
+package scenario
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
-
-	"abftckpt/internal/model"
-	"abftckpt/internal/scenario"
 )
 
-func smallFig7Config(proto model.Protocol) Fig7Config {
-	return Fig7Config{
-		Protocol:    proto,
-		MTBFMinutes: []float64{60, 120, 240},
-		Alphas:      []float64{0, 0.5, 1},
-		Reps:        30,
-		Seed:        1,
+// Shape tests of the paper's Section V evaluation: each runs one scenario,
+// either picked out of examples/campaigns/paper.json (the shipped grid,
+// sometimes on a shorter node axis) or built as a registry literal, and
+// checks the qualitative claims of the paper on its artifacts.
+
+// runSpec executes a one-spec campaign through the engine and returns its
+// artifacts in order.
+func runSpec(t testing.TB, spec *Spec) []Artifact {
+	t.Helper()
+	rep, err := (&Runner{}).Run(&Campaign{Name: "inline", Scenarios: []*Spec{spec}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return rep.Artifacts
+}
+
+// paperScenario returns a fresh copy of the named scenario of
+// examples/campaigns/paper.json.
+func paperScenario(t testing.TB, name string) *Spec {
+	t.Helper()
+	c, err := LoadFile(exampleCampaign("paper.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range c.Scenarios {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("paper.json has no scenario %q", name)
+	return nil
+}
+
+// withNodes replaces the node axis of a scaling scenario of paper.json.
+func withNodes(t testing.TB, name string, nodes []float64) *Spec {
+	spec := paperScenario(t, name)
+	spec.Params.(*ScalingParams).Nodes = &Axis{Values: nodes}
+	return spec
+}
+
+// withSeedReps sets the seed and repetition count of a simulation-backed
+// scenario.
+func withSeedReps(spec *Spec, seed uint64, reps int) *Spec {
+	spec.Seed, spec.Reps = &seed, reps
+	return spec
+}
+
+// smallFig7Spec is a 3x3 Figure 7 heatmap of one protocol.
+func smallFig7Spec(protocol, output string) *Spec {
+	spec := &Spec{Name: "fig7_" + output, Kind: KindHeatmap, Params: &HeatmapParams{
+		Output:      output,
+		Protocol:    protocol,
+		Platform:    "paper-fig7",
+		MTBFMinutes: &Axis{Values: []float64{60, 120, 240}},
+		Alphas:      &Axis{Values: []float64{0, 0.5, 1}},
+	}}
+	if output != OutputModel {
+		withSeedReps(spec, 1, 30)
+	}
+	return spec
+}
+
+// parseCell parses a float cell of a rendered table.
+func parseCell(s string) (float64, error) {
+	var v float64
+	_, err := fmt.Sscanf(s, "%f", &v)
+	return v, err
 }
 
 func TestFig7ModelShape(t *testing.T) {
-	h := runSpec(t, Fig7Spec("fig7_model", smallFig7Config(model.PurePeriodicCkpt), scenario.OutputModel))[0].Heatmap
+	h := runSpec(t, smallFig7Spec(ProtoPure, OutputModel))[0].Heatmap
 	if h.Z.Rows != 3 || h.Z.Cols != 3 {
 		t.Fatalf("grid shape %dx%d", h.Z.Rows, h.Z.Cols)
 	}
@@ -38,7 +95,7 @@ func TestFig7ModelShape(t *testing.T) {
 }
 
 func TestFig7CompositeAlphaGradient(t *testing.T) {
-	h := runSpec(t, Fig7Spec("fig7_model", smallFig7Config(model.AbftPeriodicCkpt), scenario.OutputModel))[0].Heatmap
+	h := runSpec(t, smallFig7Spec(ProtoAbft, OutputModel))[0].Heatmap
 	// At fixed MTBF, more library time means less waste for the composite
 	// (Figure 7e: waste decreases toward alpha=1).
 	for col := 0; col < 3; col++ {
@@ -53,7 +110,7 @@ func TestFig7DiffSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	h := runSpec(t, Fig7Spec("fig7_diff", smallFig7Config(model.AbftPeriodicCkpt), scenario.OutputDiff))[0].Heatmap
+	h := runSpec(t, smallFig7Spec(ProtoAbft, OutputDiff))[0].Heatmap
 	lo, hi := h.Z.MinMax()
 	// Model and simulation must correspond within the paper's bounds.
 	if lo < -0.13 || hi > 0.13 {
@@ -66,7 +123,7 @@ func TestFig7DiffSmall(t *testing.T) {
 
 func TestFig8Charts(t *testing.T) {
 	nodes := []float64{1_000, 10_000, 100_000, 1_000_000}
-	arts := runSpec(t, Fig8Spec(nodes))
+	arts := runSpec(t, withNodes(t, "fig8", nodes))
 	waste, faults := arts[0].Chart, arts[1].Chart
 	if len(waste.Series) != 7 || len(faults.Series) != 7 {
 		t.Fatalf("series count: %d waste, %d faults", len(waste.Series), len(faults.Series))
@@ -109,8 +166,7 @@ func TestFig8Charts(t *testing.T) {
 
 func TestFig9Charts(t *testing.T) {
 	nodes := []float64{1_000, 10_000, 100_000, 1_000_000}
-	arts := runSpec(t, Fig9Spec(nodes))
-	waste, _ := arts[0].Chart, arts[1].Chart
+	waste := runSpec(t, withNodes(t, "fig9", nodes))[0].Chart
 	byName := map[string][]float64{}
 	for _, s := range waste.Series {
 		byName[s.Name] = s.Values
@@ -130,7 +186,7 @@ func TestFig9Charts(t *testing.T) {
 
 func TestFig10Charts(t *testing.T) {
 	nodes := []float64{10_000, 100_000, 1_000_000}
-	arts := runSpec(t, Fig10Spec(nodes))
+	arts := runSpec(t, withNodes(t, "fig10", nodes))
 	waste, faults := arts[0].Chart, arts[1].Chart
 	if len(waste.Series) != 3 {
 		t.Fatalf("want 3 series, got %d", len(waste.Series))
@@ -160,13 +216,13 @@ func TestFig10Charts(t *testing.T) {
 }
 
 func TestFig10ParityTable(t *testing.T) {
-	tab := runSpec(t, Fig10ParitySpec())[0].Table
+	tab := runSpec(t, paperScenario(t, "table_fig10_parity"))[0].Table
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	parse := func(s string) float64 {
-		var v float64
-		if _, err := fmtSscan(s, &v); err != nil {
+		v, err := parseCell(s)
+		if err != nil {
 			t.Fatalf("parse %q: %v", s, err)
 		}
 		return v
@@ -183,7 +239,7 @@ func TestFig10ParityTable(t *testing.T) {
 }
 
 func TestPeriodTable(t *testing.T) {
-	tab := runSpec(t, PeriodsSpec())[0].Table
+	tab := runSpec(t, paperScenario(t, "table_periods"))[0].Table
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -200,20 +256,23 @@ func TestPeriodTable(t *testing.T) {
 }
 
 func TestAblationTables(t *testing.T) {
-	nodes := []float64{10_000, 1_000_000}
-	agg := runSpec(t, AblationEpochsSpec(nodes))[0].Table
+	nodes := &Axis{Values: []float64{10_000, 1_000_000}}
+	epochs := paperScenario(t, "table_ablation_epochs")
+	epochs.Params.(*AblationParams).Nodes = nodes
+	agg := runSpec(t, epochs)[0].Table
 	if len(agg.Rows) != 2 {
 		t.Fatalf("aggregation rows = %d", len(agg.Rows))
 	}
-	sg := runSpec(t, AblationSafeguardSpec(nodes))[0].Table
+	safeguard := paperScenario(t, "table_ablation_safeguard")
+	safeguard.Params.(*AblationParams).Nodes = nodes
+	sg := runSpec(t, safeguard)[0].Table
 	if len(sg.Rows) != 2 {
 		t.Fatalf("safeguard rows = %d", len(sg.Rows))
 	}
 	// Safeguard can only help (or tie): its waste is <= the no-safeguard one.
 	for _, row := range sg.Rows {
-		var off, on float64
-		fmtSscan(row[1], &off)
-		fmtSscan(row[2], &on)
+		off, _ := parseCell(row[1])
+		on, _ := parseCell(row[2])
 		if on > off+1e-9 {
 			t.Errorf("safeguard hurt: %v > %v at nodes=%s", on, off, row[0])
 		}
@@ -224,32 +283,30 @@ func TestWeibullSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	tab := runSpec(t, WeibullSensitivitySpec([]float64{0.7, 1}, 30, 5))[0].Table
+	// The shipped shapes k = 0.7 and k = 1 (exponential), at 30 replicas.
+	spec := withSeedReps(paperScenario(t, "table_weibull"), 5, 30)
+	params := spec.Params.(*SensitivityParams)
+	params.Cases = params.Cases[1:]
+	tab := runSpec(t, spec)[0].Table
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	for _, row := range tab.Rows {
 		for _, cell := range row[1:] {
-			var v float64
-			if _, err := fmtSscan(cell, &v); err != nil || v < 0 || v > 1 {
+			if v, err := parseCell(cell); err != nil || v < 0 || v > 1 {
 				t.Errorf("implausible waste cell %q", cell)
 			}
 		}
 	}
 }
 
-// fmtSscan is a tiny indirection so tests parse the formatted cells the way
-// they were written.
-func fmtSscan(s string, v *float64) (int, error) {
-	return sscan(s, v)
-}
-
 func TestDistributionSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	cases := DefaultDistCases()
-	tab := runSpec(t, DistSensitivitySpec(cases, 30, 5))[0].Table
+	spec := withSeedReps(paperScenario(t, "table_dist_sensitivity"), 5, 30)
+	cases := spec.Params.(*SensitivityParams).Cases
+	tab := runSpec(t, spec)[0].Table
 	if len(tab.Rows) != len(cases) {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(cases))
 	}
@@ -258,8 +315,7 @@ func TestDistributionSensitivity(t *testing.T) {
 	}
 	for _, row := range tab.Rows {
 		for _, cell := range row[1:] {
-			var v float64
-			if _, err := fmtSscan(cell, &v); err != nil || v <= 0 || v >= 1 {
+			if v, err := parseCell(cell); err != nil || v <= 0 || v >= 1 {
 				t.Errorf("%s: implausible waste cell %q", row[0], cell)
 			}
 		}
