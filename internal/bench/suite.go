@@ -43,6 +43,9 @@ const (
 	replicaReps = 256
 	weibullReps = 64
 	distSamples = 1024
+	// companionReps is the replica count of a silent or two-level campaign
+	// cell in the example campaigns.
+	companionReps = 100
 )
 
 func fig7Sim(reps int) sim.Config {
@@ -133,6 +136,46 @@ func Suite() []Benchmark {
 				}
 				for i := 0; i < b.N; i++ {
 					sim.SimulateAdaptive(cfg, prec)
+				}
+			},
+		},
+		{
+			Name:       "sim/multilevel_loop",
+			Brief:      "serial two-level checkpointing replicas, schedule left to the model (Period/K 0)",
+			UnitsPerOp: companionReps,
+			UnitName:   "replicas",
+			Fn: func(b *testing.B) {
+				cfg := sim.MultiLevelConfig{
+					Params: model.MultiLevelParams{
+						W: 1e5, Mu: 3000, D: model.Minute,
+						C1: 30, R1: 30, C2: 600, R2: 600, Coverage: 0.8,
+					},
+					Reps: companionReps, Seed: 42, Workers: 1,
+				}
+				for i := 0; i < b.N; i++ {
+					sim.SimulateMultiLevel(cfg)
+				}
+			},
+		},
+		{
+			Name:       "sim/silent_loop",
+			Brief:      "serial silent-error replicas, backward and forward recovery on the Figure 7 platform",
+			UnitsPerOp: 2 * companionReps,
+			UnitName:   "replicas",
+			Fn: func(b *testing.B) {
+				p := model.Fig7Params(2*model.Hour, 0.8)
+				cfg := sim.SilentConfig{
+					Params: model.SilentParams{
+						W: p.T0, C: p.C, R: p.R, F: 30, Detect: 10,
+						V: 2 * model.Minute, MuSilent: 2 * model.Hour,
+					},
+					Reps: companionReps, Seed: 42, Workers: 1,
+				}
+				for i := 0; i < b.N; i++ {
+					for _, mode := range model.SilentRecoveries {
+						cfg.Mode = mode
+						sim.SimulateSilent(cfg)
+					}
 				}
 			},
 		},
