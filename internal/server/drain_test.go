@@ -65,6 +65,30 @@ func TestForceFailWinsOverFinish(t *testing.T) {
 	}
 }
 
+// TestSettleOrdersForceFail: settle reports a shutdown force-fail that came
+// first (the job keeps its journal entry), and once a job has settled a
+// late force-fail leaves it to finish on its own terms.
+func TestSettleOrdersForceFail(t *testing.T) {
+	forced := newJob("c")
+	forced.setRunning(0)
+	forced.forceFail("server shutdown")
+	if !forced.settle() {
+		t.Error("settle after forceFail did not report the forced job")
+	}
+	settled := newJob("c")
+	settled.setRunning(0)
+	if settled.settle() {
+		t.Fatal("settle reported a force-fail that never happened")
+	}
+	if settled.forceFail("server shutdown") {
+		t.Fatal("forceFail claimed a settled job")
+	}
+	settled.finish(&scenario.Report{Unique: 1}, nil)
+	if st := settled.status(); st.State != StateDone {
+		t.Errorf("settled job state %q (error %q), want done", st.State, st.Error)
+	}
+}
+
 // TestFailLiveJobs force-fails queued and running jobs and leaves
 // finished ones alone.
 func TestFailLiveJobs(t *testing.T) {

@@ -36,6 +36,7 @@ type job struct {
 	state     string
 	errMsg    string
 	forced    bool // force-failed (shutdown); finish must not overwrite
+	settled   bool // the runner returned; the job ends on its own terms
 	created   time.Time
 	ended     time.Time
 	queueWait time.Duration // time spent waiting for a run slot
@@ -179,11 +180,12 @@ func (j *job) onArtifact(a scenario.Artifact) {
 // forceFail drives a live job to a terminal failed state with the given
 // reason (server shutdown); it reports whether the job was live. The
 // runner goroutine may still be executing — its later finish is a no-op,
-// so the reason clients see is the shutdown's, not a stale success.
+// so the reason clients see is the shutdown's, not a stale success. A
+// settled job is past its run and about to finish, so it is left alone.
 func (j *job) forceFail(reason string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == StateDone || j.state == StateFailed {
+	if j.state == StateDone || j.state == StateFailed || j.settled {
 		return false
 	}
 	j.state = StateFailed
@@ -196,12 +198,14 @@ func (j *job) forceFail(reason string) bool {
 	return true
 }
 
-// wasForced reports whether the job ended by forceFail (shutdown) rather
-// than by its runner finishing. A forced job keeps its journal entry so
-// a restarted coordinator resumes it.
-func (j *job) wasForced() bool {
+// settle records that the job's runner has returned, so forceFail can no
+// longer claim the job, and reports whether forceFail (shutdown) claimed it
+// first. A forced job keeps its journal entry so a restarted coordinator
+// resumes it; a settled one leaves the journal and then finishes.
+func (j *job) settle() (forced bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.settled = true
 	return j.forced
 }
 

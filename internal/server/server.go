@@ -560,6 +560,13 @@ func (s *Server) runJob(j *job, campaign *scenario.Campaign) {
 		}
 	}
 	report, err := runner.Run(campaign)
+	// A job that ran to its own end leaves the journal before finish makes
+	// it terminal: a poller that sees "done" must find no store write of
+	// this job still in flight. A job force-failed first (shutdown) keeps
+	// its entry so the next coordinator process resumes it.
+	if !j.settle() {
+		s.journalRemove(j.id)
+	}
 	// Fold the job's counters into the server totals before finish makes
 	// the job terminal: a poller that sees "done" must find them in
 	// /v1/stats. finish takes j.mu inside s.mu, the order evictLocked
@@ -574,12 +581,6 @@ func (s *Server) runJob(j *job, campaign *scenario.Campaign) {
 	}
 	j.finish(report, err)
 	s.mu.Unlock()
-	// A naturally finished job (done, or failed on its own terms) leaves
-	// the journal; a force-failed one (shutdown) keeps its entry so the
-	// next coordinator process resumes it.
-	if !j.wasForced() {
-		s.journalRemove(j.id)
-	}
 	// Re-run eviction now that this job is finished: without it, jobs
 	// past MaxJobs would linger until the next submission.
 	s.mu.Lock()

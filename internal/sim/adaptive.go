@@ -43,7 +43,7 @@ type Precision struct {
 	Confidence float64
 	// ModelTFinal is the analytic model's predicted makespan for this
 	// configuration; a positive value enables the control variate under an
-	// exponential law. The timeline walker counts each replica's failure
+	// exponential law. The replica walker counts each replica's failure
 	// arrivals up to this horizon, a Poisson count with exactly known mean.
 	ModelTFinal float64
 	// DisableControlVariate forces plain estimation even when ModelTFinal
@@ -205,7 +205,7 @@ func adaptiveAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena, pr
 	cvHorizon := cvHorizonFor(cfg, distrib, prec)
 	runners := poolRunners(cfg.Workers, capReps, func() *replicaRunner {
 		r := newReplicaRunner(cfg, phases, chunkSched, distrib, tr)
-		r.cvHorizon = cvHorizon
+		r.blocks.cvHorizon = cvHorizon
 		return r
 	})
 	seq := stats.NewSequential(stats.SequentialOpts{

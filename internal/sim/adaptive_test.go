@@ -209,7 +209,7 @@ func TestControlVariateCountIsExact(t *testing.T) {
 	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
 	for _, tr := range []*TraceArena{nil, short} {
 		r := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), distrib, tr)
-		r.cvHorizon = h
+		r.blocks.cvHorizon = h
 		for rep := 0; rep < cfg.Reps; rep++ {
 			cv := r.runMeasured(rep).cv
 			want := 0

@@ -475,7 +475,7 @@ func TestSilentDESEquivalence(t *testing.T) {
 	for ci, cfg := range cases {
 		cfg = cfg.withDefaults()
 		distrib := cfg.Distribution(cfg.Params.MuSilent)
-		walker := &silentRunner{cfg: cfg, clock: newErrorClock(distrib, rng.New(cfg.Seed))}
+		walker := newSilentRunner(cfg, distrib)
 		for rep := 0; rep < cfg.Reps; rep++ {
 			oracleClock := newErrorClock(distrib, rng.New(rng.At(cfg.Seed, uint64(rep))))
 			got, want := walker.run(rep), silentOnceDES(cfg, oracleClock)

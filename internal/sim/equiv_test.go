@@ -75,27 +75,43 @@ func TestReplicaRunnerIsStateless(t *testing.T) {
 	}
 }
 
-// The timeline hot path performs zero allocations per replica: all state
-// lives in the worker's runner. This pins the optimization that took the
-// replica loop from 4 allocations per replica to none; a regression here
-// shows up long before it is visible in wall-clock benchmarks.
+// The replica hot path performs zero allocations per replica, in every
+// family: all state lives in the worker's runner. This pins the
+// optimization that took the fail-stop replica loop from 4 allocations per
+// replica to none; a regression here shows up long before it is visible in
+// wall-clock benchmarks.
 func TestReplicaRunnerAllocFree(t *testing.T) {
+	failStop := func(cfg Config) func(int) RunResult {
+		cfg = cfg.withDefaults()
+		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
+		return newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), nil).run
+	}
+	multiLevel := func(cfg MultiLevelConfig) func(int) RunResult {
+		cfg = cfg.withDefaults()
+		return newMultiLevelRunner(cfg, cfg.resolveSchedule(), cfg.Distribution(cfg.Params.Mu)).run
+	}
+	silent := func(cfg SilentConfig) func(int) RunResult {
+		cfg = cfg.withDefaults()
+		return newSilentRunner(cfg, cfg.Distribution(cfg.Params.MuSilent)).run
+	}
+	ml := mlTestConfig()
+	ml.Params.Mu = 2e5
+	ml.Params.Period, ml.Params.K = 0, 0
 	cases := []struct {
 		name string
-		cfg  Config
+		run  func(int) RunResult
 	}{
-		{"exponential", Config{Params: model.Fig7Params(2*model.Hour, 0.8), Protocol: model.AbftPeriodicCkpt, Seed: 42}},
-		{"weibull", Config{Params: model.Fig7Params(2*model.Hour, 0.5), Protocol: model.BiPeriodicCkpt, Seed: 3,
-			Distribution: func(mtbf float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, mtbf) }}},
+		{"exponential", failStop(Config{Params: model.Fig7Params(2*model.Hour, 0.8), Protocol: model.AbftPeriodicCkpt, Seed: 42})},
+		{"weibull", failStop(Config{Params: model.Fig7Params(2*model.Hour, 0.5), Protocol: model.BiPeriodicCkpt, Seed: 3,
+			Distribution: func(mtbf float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, mtbf) }})},
+		{"multilevel", multiLevel(ml)},
+		{"silent", silent(silentTestConfig(model.SilentForward))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg.withDefaults()
-			phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-			rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), nil)
 			rep := 0
 			allocs := testing.AllocsPerRun(100, func() {
-				_ = rr.run(rep)
+				_ = tc.run(rep)
 				rep++
 			})
 			if allocs != 0 {
@@ -186,6 +202,92 @@ func FuzzWalkerMatchesSimulateOnce(f *testing.F) {
 			}
 			if got := replay.run(rep); got != want {
 				t.Fatalf("replayed rep %d (arena horizon %g) diverged:\n got %+v\nwant %+v", rep, tr.Horizon(), got, want)
+			}
+		}
+	})
+}
+
+// FuzzCompanionMatchesOnce holds the two-level and silent-error walkers to
+// their scalar reference walkers on arbitrary configurations: every law,
+// work, MTBF (or MTBE) and cost, the level-1 coverage, a fixed or
+// model-resolved schedule (Period, K), both silent recovery modes and a
+// safety horizon low enough to truncate. One runner is reused across the
+// replicas, as a pool worker reuses it. Every replica must be bit-identical.
+func FuzzCompanionMatchesOnce(f *testing.F) {
+	f.Add(false, uint8(0), 1e5, 0.03, 0.0006, 0.0003, 0.0003, 0.006, 0.006, 0.8, uint8(0), 0.0, 3.0, uint64(42))
+	f.Add(false, uint8(1), 1e6, 0.5, 0.001, 0.002, 0.001, 0.01, 0.02, 0.5, uint8(4), 0.05, 2.0, uint64(7))
+	f.Add(false, uint8(2), 2e4, 0.02, 0.009, 0.0, 0.0, 0.04, 0.04, 1.5, uint8(1), 0.0, 0.5, uint64(9))
+	f.Add(false, uint8(3), 5e5, 0.1, 0.002, 0.001, 0.001, 0.01, 0.01, 0.0, uint8(0), 0.0, 6.0, uint64(15))
+	f.Add(true, uint8(0), 6e5, 0.01, 0.0001, 0.0005, 0.001, 0.001, 0.001, 0.0, uint8(0), 0.0, 3.0, uint64(42))
+	f.Add(true, uint8(1), 1e5, 0.2, 0.0002, 0.001, 0.003, 0.002, 0.002, 0.0, uint8(1), 0.02, 1.0, uint64(3))
+	f.Add(true, uint8(3), 3e4, 0.01, 0.005, 0.02, 0.01, 0.03, 0.04, 0.0, uint8(0), 0.3, 0.2, uint64(21))
+	laws := []func(float64) dist.Distribution{
+		func(mtbf float64) dist.Distribution { return dist.NewExponential(mtbf) },
+		func(mtbf float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, mtbf) },
+		func(mtbf float64) dist.Distribution { return dist.GammaWithMTBF(2, mtbf) },
+		func(mtbf float64) dist.Distribution { return dist.LogNormalWithMTBF(1.2, mtbf) },
+	}
+	fold := func(x, span float64) float64 {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0
+		}
+		return math.Mod(math.Abs(x), span)
+	}
+	const reps = 6
+	f.Fuzz(func(t *testing.T, silent bool, law uint8, work, mtbf, d, c1, r1, c2, r2, coverage float64, k uint8, period, maxTime float64, seed uint64) {
+		// Every duration is a fraction of the work W (10^3 to 10^6 s); the
+		// MTBF is at least W/100 and the horizon at most eight W, so a
+		// replica draws at most ~800 arrivals. The level-2 (silent:
+		// checkpoint) cost and any fixed period are bounded away from 0 so
+		// the walks take at most a few thousand steps.
+		w := 1e3 + fold(work, 1e6)
+		cost := func(x float64) float64 { return fold(x, 0.05) * w }
+		mu := w * (0.01 + fold(mtbf, 2))
+		fixed := 0.0
+		if p := fold(period, 0.6); p > 0 {
+			fixed = w * (0.001 + p)
+		}
+		distribution := laws[int(law)%len(laws)]
+		maxFactor := 1 + fold(maxTime, 7)
+		if silent {
+			cfg := SilentConfig{
+				Params: model.SilentParams{
+					W: w, MuSilent: mu, V: cost(c1), C: 1e-4*w + cost(c2), R: cost(r2),
+					F: cost(r1), Detect: cost(d), Period: fixed,
+				},
+				Mode:          model.SilentRecoveries[int(k)%len(model.SilentRecoveries)],
+				Seed:          seed,
+				Distribution:  distribution,
+				MaxTimeFactor: maxFactor,
+			}
+			cfg = cfg.withDefaults()
+			distrib := cfg.Distribution(cfg.Params.MuSilent)
+			walker := newSilentRunner(cfg, distrib)
+			for rep := 0; rep < reps; rep++ {
+				want := SimulateSilentOnce(cfg, newErrorClock(distrib, rng.New(rng.At(cfg.Seed, uint64(rep)))))
+				if got := walker.run(rep); got != want {
+					t.Fatalf("silent %v rep %d diverged:\n got %+v\nwant %+v", cfg.Mode, rep, got, want)
+				}
+			}
+			return
+		}
+		cfg := MultiLevelConfig{
+			Params: model.MultiLevelParams{
+				W: w, Mu: mu, D: cost(d), C1: cost(c1), R1: cost(r1), C2: 1e-4*w + cost(c2), R2: cost(r2),
+				Coverage: math.Min(fold(coverage, 1.25), 1), Period: fixed, K: int(k) % (model.MaxMultiLevelK + 1),
+			},
+			Seed:          seed,
+			Distribution:  distribution,
+			MaxTimeFactor: maxFactor,
+		}
+		cfg = cfg.withDefaults()
+		distrib := cfg.Distribution(cfg.Params.Mu)
+		walker := newMultiLevelRunner(cfg, cfg.resolveSchedule(), distrib)
+		for rep := 0; rep < reps; rep++ {
+			want := SimulateMultiLevelOnce(cfg,
+				NewRenewalSource(distrib, rng.New(rng.At(cfg.Seed, uint64(rep)))), rng.New(rng.At(cfg.Seed, uint64(rep), 1)))
+			if got := walker.run(rep); got != want {
+				t.Fatalf("two-level rep %d diverged:\n got %+v\nwant %+v", rep, got, want)
 			}
 		}
 	})

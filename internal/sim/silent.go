@@ -5,7 +5,6 @@ import (
 
 	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
-	"abftckpt/internal/rng"
 )
 
 // SilentConfig describes a silent-error (SDC) simulation campaign. The
@@ -49,44 +48,6 @@ func (c SilentConfig) withDefaults() SilentConfig {
 	return c
 }
 
-// errorClock generates silent-error arrivals on the work clock: errors
-// accrue only while (unprotected) work executes, so the clock advances by
-// exactly the executed work duration. The same clock drives the walker and
-// the event-calendar oracle of the tests, which keeps their draws — and
-// therefore their runs — bit-identical.
-type errorClock struct {
-	d        dist.Distribution
-	src      *rng.Source
-	consumed float64 // work-clock time already executed
-	next     float64 // work-clock time of the next error
-}
-
-func newErrorClock(d dist.Distribution, src *rng.Source) *errorClock {
-	return &errorClock{d: d, src: src, next: d.Sample(src)}
-}
-
-// reset rewinds the clock for a new replica drawing from a fresh stream.
-func (e *errorClock) reset() {
-	e.consumed = 0
-	e.next = e.d.Sample(e.src)
-}
-
-// advance executes t seconds of unprotected work and reports how many
-// errors struck it and the work-clock offset of the first one within this
-// span (meaningless when count is 0).
-func (e *errorClock) advance(t float64) (count int, first float64) {
-	end := e.consumed + t
-	for e.next <= end {
-		if count == 0 {
-			first = e.next - e.consumed
-		}
-		count++
-		e.next += e.d.Sample(e.src)
-	}
-	e.consumed = end
-	return count, first
-}
-
 // silentPeriod resolves the work per verified pattern of a config.
 func silentPeriod(cfg SilentConfig) float64 {
 	period := cfg.Params.Period
@@ -96,66 +57,117 @@ func silentPeriod(cfg SilentConfig) float64 {
 	return math.Min(period, cfg.Params.W)
 }
 
-// SimulateSilentOnce executes one run against one error stream. The
-// returned RunResult counts verification time as Ckpt (protection
-// overhead), detection/rollback/correction as Recovery, and discarded or
-// re-executed work as Lost; Faults is the number of verifications that
-// flagged an error.
-func SimulateSilentOnce(cfg SilentConfig, clock *errorClock) RunResult {
-	cfg = cfg.withDefaults()
-	if err := cfg.Params.Validate(); err != nil {
-		panic(err)
+// silentRunner is the worker-owned replica engine of SimulateSilent. The
+// pattern length and horizon are resolved once per campaign, and the error
+// stream comes from the runner's blockSource, read as arrival times on the
+// work clock, so every replica is bit-identical to the scalar reference
+// walker of the package's tests (pinned by TestSilentDESEquivalence and
+// FuzzCompanionMatchesOnce).
+type silentRunner struct {
+	p       model.SilentParams
+	forward bool
+	seed    uint64
+	period  float64
+	horizon float64
+	blocks  blockSource
+}
+
+// newSilentRunner prepares a worker-local runner. cfg must already have
+// defaults applied and valid params; distrib is shared across workers.
+func newSilentRunner(cfg SilentConfig, distrib dist.Distribution) *silentRunner {
+	r := &silentRunner{
+		p: cfg.Params, forward: cfg.Mode == model.SilentForward, seed: cfg.Seed,
+		period: silentPeriod(cfg), horizon: cfg.MaxTimeFactor * math.Max(cfg.Params.W, 1),
 	}
-	period := silentPeriod(cfg)
-	horizon := cfg.MaxTimeFactor * math.Max(cfg.Params.W, 1)
-	p := cfg.Params
-	var b Breakdown
-	wall, done, detections := 0.0, 0.0, 0
+	r.blocks.init(distrib, nil)
+	return r
+}
+
+// run executes replica rep on its dedicated substream.
+func (r *silentRunner) run(rep int) RunResult {
+	r.blocks.start(r.seed, rep)
+	return r.walk()
+}
+
+// walk executes one silent-error replica: work split into verified patterns,
+// errors striking during work execution only, detection at the pattern-end
+// verification, then backward (rollback and full re-execution) or forward
+// (in-place correction and protected re-execution of the tainted suffix)
+// recovery. Errors accrue on the work clock, which advances by exactly the
+// executed work, so the error stream's arrival times are read against it:
+// the block cursor and the work clock live in locals. The RunResult counts
+// verification time as Ckpt (protection overhead), detection, rollback and
+// correction as Recovery, and discarded or re-executed work as Lost; Faults
+// is the number of verifications that flagged an error.
+func (r *silentRunner) walk() RunResult {
+	p := &r.p
+	period, horizon := r.period, r.horizon
+	blocks := &r.blocks
+
+	var (
+		wall, done     float64
+		clock          float64 // work-clock time executed
+		detections     int
+		work, ck, lost float64 // Breakdown accumulators
+		recov          float64
+	)
+	blk := blocks.refill(0)
+	next, bpos := blk[0], 1 // next is the work-clock time of the next error
 
 patterns:
 	for done < p.W {
 		t := math.Min(period, p.W-done)
 		for { // verification attempts of this pattern
-			count, first := clock.advance(t)
-			// Two separate adds, mirroring the oracle's work and verify
-			// completion events, so both paths stay bit-identical.
+			// Execute t of unprotected work: errors up to its end strike
+			// it; first is the offset of the earliest.
+			end := clock + t
+			struck := next <= end
+			first := next - clock
+			next, blk, bpos = blocks.after(end, next, blk, bpos)
+			clock = end
+			// Two separate adds, mirroring the reference's work and
+			// verify completion events, so both paths stay bit-identical.
 			wall += t
 			wall += p.V
-			if count == 0 {
-				b.Work += t
-				b.Ckpt += p.V
+			if !struck {
+				work += t
+				ck += p.V
 				break
 			}
 			detections++
-			if cfg.Mode == model.SilentForward {
+			if r.forward {
 				// Correct in place and re-execute the tainted suffix under
 				// protection; the pattern is then verified clean.
 				taint := t - first
 				wall += p.Detect + p.F + taint
-				b.Work += t     // clean prefix + protected re-execution, kept
-				b.Lost += taint // the corrupted original suffix
-				b.Ckpt += p.V
-				b.Recovery += p.Detect + p.F
+				work += t     // clean prefix + protected re-execution, kept
+				lost += taint // the corrupted original suffix
+				ck += p.V
+				recov += p.Detect + p.F
 				break
 			}
 			// Backward: the whole attempt is discarded; restore and retry.
 			wall += p.Detect + p.R
-			b.Lost += t + p.V
-			b.Recovery += p.Detect + p.R
+			lost += t + p.V
+			recov += p.Detect + p.R
 			if wall > horizon {
 				break patterns
 			}
 		}
 		wall += p.C
-		b.Ckpt += p.C
+		ck += p.C
 		done += t
 		if wall > horizon {
 			break
 		}
 	}
+	blocks.finish(len(blk) - bpos)
 
 	capped := done < p.W
-	res := RunResult{TFinal: wall, Faults: detections, Truncated: capped, Breakdown: b}
+	res := RunResult{
+		TFinal: wall, Faults: detections, Truncated: capped,
+		Breakdown: Breakdown{Work: work, Ckpt: ck, Lost: lost, Recovery: recov},
+	}
 	if capped {
 		res.Waste = 1
 	} else if wall > 0 {
@@ -165,22 +177,6 @@ patterns:
 		}
 	}
 	return res
-}
-
-// silentRunner is a worker-owned replica engine for silent-error campaigns:
-// the rng source and error clock are allocated once per worker and reseeded
-// per replica, mirroring the replicaRunner architecture of the fail-stop
-// path.
-type silentRunner struct {
-	cfg   SilentConfig
-	clock *errorClock
-}
-
-// run executes replica rep on its dedicated substream.
-func (r *silentRunner) run(rep int) RunResult {
-	r.clock.src.Reseed(rng.At1(r.cfg.Seed, uint64(rep)))
-	r.clock.reset()
-	return SimulateSilentOnce(r.cfg, r.clock)
 }
 
 // SimulateSilent runs cfg.Reps independent silent-error executions across a
@@ -200,7 +196,7 @@ func SimulateSilent(cfg SilentConfig) Aggregate {
 		panic("sim: SilentConfig.Distribution returned nil")
 	}
 	runners := poolRunners(cfg.Workers, cfg.Reps, func() *silentRunner {
-		return &silentRunner{cfg: cfg, clock: newErrorClock(distrib, rng.New(cfg.Seed))}
+		return newSilentRunner(cfg, distrib)
 	})
 	var agg aggregator
 	runOrdered(runners, 0, cfg.Reps, (*silentRunner).run, agg.add)

@@ -4,57 +4,28 @@
 // first-order model neglects — failures during checkpoints, during recovery,
 // during downtime, and overlapping failures at small MTBF.
 //
-// The simulation is event-driven over a timeline: the next failure instant is
-// always known, every protocol action (work chunk, checkpoint, recovery) is
-// an interval on that timeline, and an action interrupted by a failure
-// triggers the protocol-specific reaction (rollback and re-execution for
-// checkpoint/rollback phases, checksum reconstruction for ABFT phases).
+// The simulation is event-driven over the failure stream: the next failure
+// instant is always known, every protocol action (work chunk, checkpoint,
+// recovery) is an interval of simulated time, and an action interrupted by a
+// failure triggers the protocol-specific reaction (rollback and re-execution
+// for checkpoint/rollback phases, checksum reconstruction for ABFT phases).
+// Two companion families share the same machinery: silent errors caught by
+// verified patterns (silent.go) and two-level checkpointing (multilevel.go).
+// Every replica of every family takes its arrivals from one blockSource
+// (blocks.go); the scalar reference walkers they must match bit for bit are
+// test oracles (oracle_test.go).
 package sim
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
-	"abftckpt/internal/rng"
 	"abftckpt/internal/stats"
 )
-
-// FailureSource produces the absolute times of platform failures.
-type FailureSource interface {
-	// NextAfter returns the time of the first failure strictly after t.
-	// Successive calls with non-decreasing t must return non-decreasing
-	// results consistent with a single failure realization.
-	NextAfter(t float64) float64
-}
-
-// RenewalSource is a renewal failure process: inter-arrival times are drawn
-// independently from a distribution. With an Exponential distribution this
-// is exactly the paper's failure model (a Poisson process with rate 1/MTBF).
-type RenewalSource struct {
-	dist dist.Distribution
-	src  *rng.Source
-	next float64
-}
-
-// NewRenewalSource creates a renewal process from d, drawing from src.
-func NewRenewalSource(d dist.Distribution, src *rng.Source) *RenewalSource {
-	r := &RenewalSource{dist: d, src: src}
-	r.next = d.Sample(src)
-	return r
-}
-
-// NextAfter returns the first failure time strictly after t.
-func (r *RenewalSource) NextAfter(t float64) float64 {
-	for r.next <= t {
-		r.next += r.dist.Sample(r.src)
-	}
-	return r.next
-}
 
 // Breakdown decomposes a run's wall-clock time by activity.
 type Breakdown struct {
@@ -140,58 +111,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// timeline advances simulated time against a failure source.
-type timeline struct {
-	now     float64
-	next    float64
-	source  FailureSource
-	faults  int
-	horizon float64 // safety cap
-	capped  bool
-}
-
-func newTimeline(src FailureSource, horizon float64) *timeline {
-	return &timeline{next: src.NextAfter(0), source: src, horizon: horizon}
-}
-
-// run attempts to execute an action of duration d. If no failure interrupts,
-// it advances time by d and reports success. Otherwise it advances to the
-// failure instant and returns the fraction of d that completed.
-func (t *timeline) run(d float64) (done float64, ok bool) {
-	if t.capped {
-		return 0, true // drain quickly once capped
-	}
-	if t.now+d <= t.next {
-		t.now += d
-		if t.now > t.horizon {
-			t.capped = true
-		}
-		return d, true
-	}
-	done = t.next - t.now
-	t.now = t.next
-	t.faults++
-	t.next = t.source.NextAfter(t.now)
-	if t.now > t.horizon {
-		t.capped = true
-		return done, true
-	}
-	return done, false
-}
-
-// recover completes one downtime+recovery operation of the given cost,
-// restarting it from scratch every time a failure interrupts it.
-func (t *timeline) recover(cost float64, b *Breakdown) {
-	for {
-		done, ok := t.run(cost)
-		if ok {
-			b.Recovery += done
-			return
-		}
-		b.Lost += done
-	}
-}
-
 // phaseKind selects the protection regime of one phase.
 type phaseKind int
 
@@ -209,88 +128,6 @@ type phaseSpec struct {
 	ckpt     float64 // periodic/exit checkpoint cost
 	trailing float64 // trailing checkpoint cost (short phases)
 	recovery float64 // downtime + reload (+ reconstruction for ABFT)
-}
-
-// simPhase executes one phase on the timeline.
-func simPhase(t *timeline, ph phaseSpec, b *Breakdown) {
-	switch ph.kind {
-	case phaseABFT:
-		remaining := ph.work
-		for remaining > 0 && !t.capped {
-			done, ok := t.run(remaining)
-			// ABFT retains progress: completed work counts even when a
-			// failure interrupted the attempt.
-			b.Work += done
-			remaining -= done
-			if !ok {
-				t.recover(ph.recovery, b)
-			}
-		}
-		// Exit checkpoint of the LIBRARY dataset; a failure during it is
-		// repaired by ABFT reconstruction and the checkpoint restarts.
-		for !t.capped {
-			done, ok := t.run(ph.ckpt)
-			if ok {
-				b.Ckpt += done
-				return
-			}
-			b.Lost += done
-			t.recover(ph.recovery, b)
-		}
-
-	case phaseShort:
-		// All-or-nothing: a failure loses all progress since phase start
-		// (there is no intermediate checkpoint), including the trailing
-		// checkpoint if it had begun.
-		for !t.capped {
-			done, ok := t.run(ph.work)
-			if !ok {
-				b.Lost += done
-				t.recover(ph.recovery, b)
-				continue
-			}
-			var cd float64
-			if ph.trailing > 0 {
-				var ckptOK bool
-				cd, ckptOK = t.run(ph.trailing)
-				if !ckptOK {
-					b.Lost += done + cd
-					t.recover(ph.recovery, b)
-					continue
-				}
-			}
-			b.Work += done
-			b.Ckpt += cd
-			return
-		}
-
-	case phasePeriodic:
-		workPerPeriod := ph.period - ph.ckpt
-		completed := 0.0
-		for completed < ph.work && !t.capped {
-			chunk := math.Min(workPerPeriod, ph.work-completed)
-			// Attempt chunk + checkpoint; on failure, roll back to the
-			// last completed checkpoint and retry the chunk.
-			done, ok := t.run(chunk)
-			if !ok {
-				b.Lost += done
-				t.recover(ph.recovery, b)
-				continue
-			}
-			cd, ckptOK := t.run(ph.ckpt)
-			if !ckptOK {
-				b.Lost += done + cd
-				t.recover(ph.recovery, b)
-				continue
-			}
-			b.Work += done
-			b.Ckpt += cd
-			completed += chunk
-		}
-
-	default:
-		panic(fmt.Sprintf("sim: unknown phase kind %d", ph.kind))
-	}
 }
 
 // epochPhases builds the phase sequence of one epoch for a protocol,
@@ -355,33 +192,6 @@ func epochPhases(proto model.Protocol, p model.Params, safeguard bool) []phaseSp
 	}
 }
 
-// SimulateOnce executes one full application run against one failure trace.
-func SimulateOnce(cfg Config, source FailureSource) RunResult {
-	cfg = cfg.withDefaults()
-	if err := cfg.Params.Validate(); err != nil {
-		panic(err)
-	}
-	useful := float64(cfg.Epochs) * cfg.Params.T0
-	t := newTimeline(source, cfg.MaxTimeFactor*math.Max(useful, 1))
-	var b Breakdown
-	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	for e := 0; e < cfg.Epochs && !t.capped; e++ {
-		for _, ph := range phases {
-			simPhase(t, ph, &b)
-		}
-	}
-	res := RunResult{TFinal: t.now, Faults: t.faults, Truncated: t.capped, Breakdown: b}
-	if t.capped {
-		res.Waste = 1
-	} else if t.now > 0 {
-		res.Waste = 1 - useful/t.now
-		if res.Waste < 0 {
-			res.Waste = 0
-		}
-	}
-	return res
-}
-
 // Aggregate summarizes a simulation campaign. Every Summary carries the
 // sample mean, standard deviation and 95% confidence half-width, so
 // simulator-vs-model comparisons can assert statistically (|sim - model|
@@ -410,8 +220,8 @@ type Aggregate struct {
 // Each worker drives a preallocated replicaRunner, so the steady state of a
 // campaign performs no per-replica allocations (pinned by
 // TestReplicaRunnerAllocFree) and no dynamic dispatch for exponential
-// failures, while remaining bit-identical to the reference SimulateOnce
-// walker (pinned by TestReplicaRunnerMatchesSimulateOnce).
+// failures, while remaining bit-identical to the scalar reference walker of
+// the tests (pinned by TestReplicaRunnerMatchesSimulateOnce).
 func Simulate(cfg Config) Aggregate {
 	cfg = cfg.withDefaults()
 	if err := cfg.Params.Validate(); err != nil {

@@ -1,67 +1,34 @@
 package sim
 
-// This file is the replica walker: the SimulateOnce timeline walk over one
-// failure stream, with every piece of simulation state (clock, next failure,
-// accumulators) held in locals of a single function so the inner loops run
-// out of registers instead of chasing runner fields. It is the only walker
-// of replicaRunner: generated and replayed replicas, the exponential law and
-// every other law all run through it.
+// This file is the fail-stop replica walker: the Section V protocol walk
+// over one failure stream, with every piece of simulation state (clock,
+// next failure, block cursor, accumulators) held in locals of a single
+// function so the inner loops run out of registers instead of chasing runner
+// fields. It is the only fail-stop walker in production code: generated and
+// replayed replicas, the exponential law and every other law all run
+// through it.
 //
-// The failure stream arrives in blocks of absolute arrival times from one
-// source, replicaRunner.refill, and each failure consumes the next slot with
-// a plain load. A replayed replica's first block is its arena prefix, read
-// in place; live blocks are pre-computed into the runner's buffer
-// (rng.Source.ExpFillFrom for the exponential law, a running sum of
-// Distribution.Sample otherwise). The consumed sequence is exactly the
-// prefix of the per-replica stream RenewalSource would accumulate — every
-// replica reseeds its stream, so the unconsumed tail of the final block is
-// discarded without observable effect. Live block sizes adapt to
-// the campaign: the runner tracks an EWMA of arrivals consumed per replica
-// and shrinks the final fills, so the discarded tail stays small while the
-// bulk fills stay long enough to pipeline their logarithms. The recovery
-// loop lives in a value-passing helper (walkRecover) that takes and returns
-// plain scalars.
+// The failure stream arrives in blocks of absolute arrival times from the
+// runner's blockSource (blocks.go), and each failure consumes the next slot
+// with a plain load. The recovery loop lives in a value-passing helper
+// (walkRecover) that takes and returns plain scalars.
 //
-// Every float operation replicates the reference SimulateOnce walker in the
-// same order and association, so results are bit-identical (pinned by
+// The reference is the scalar walker of the package's tests
+// (oracle_test.go), which steps an interface-driven failure source one
+// arrival at a time. Every float operation here replicates it in the same
+// order and association, so results are bit-identical (pinned by
 // TestReplicaRunnerMatchesSimulateOnce and FuzzWalkerMatchesSimulateOnce).
-// When editing, change the reference implementation first, then mirror it
-// here; the equivalence tests will catch any drift exactly.
-
-const (
-	// fillBatch is the arrival-buffer capacity and the bulk fill size: long
-	// fills keep rng state in registers and overlap the math.Log calls.
-	fillBatch = 32
-	// minFill is the smallest live fill, used near the expected end of a
-	// replica to bound the discarded tail.
-	minFill = 8
-	// fillSlack pads the expected remaining draws so a typical replica
-	// finishes within its final fill instead of triggering one more.
-	fillSlack = 4
-)
-
-// nextFillSize picks how many arrivals to pre-compute: the full batch while
-// far from the expected per-replica consumption (ewma == 0 means unknown),
-// shrinking to the expected remainder near the end.
-func nextFillSize(ewma, drawn int) int {
-	n := fillBatch
-	if ewma > 0 {
-		if rem := ewma - drawn + fillSlack; rem < n {
-			n = rem
-			if n < minFill {
-				n = minFill
-			}
-		}
-	}
-	return n
-}
+// When editing, change the reference first, then mirror it here; the
+// equivalence tests will catch any drift exactly. The comments below name
+// the reference's operations: run (one action against the next failure)
+// and recover (a downtime+recovery retried until it completes).
 
 // walkRecover completes one downtime+recovery operation of the given cost,
 // restarting it from scratch every time a failure interrupts it — exactly
-// timeline.recover over scalar state. It must be entered with capped ==
-// false; it returns the updated (now, next, faults, blk, bpos, capped, lost,
-// recov).
-func walkRecover(r *replicaRunner, now, next float64, faults int, cost, horizon float64, blk []float64, bpos int, lost, recov float64) (float64, float64, int, []float64, int, bool, float64, float64) {
+// the reference's recover over scalar state. It must be entered with
+// capped == false; it returns the updated (now, next, faults, blk, bpos,
+// capped, lost, recov).
+func walkRecover(s *blockSource, now, next float64, faults int, cost, horizon float64, blk []float64, bpos int, lost, recov float64) (float64, float64, int, []float64, int, bool, float64, float64) {
 	for {
 		if now+cost <= next {
 			now += cost
@@ -71,13 +38,7 @@ func walkRecover(r *replicaRunner, now, next float64, faults int, cost, horizon 
 		done := next - now
 		now = next
 		faults++
-		for next <= now {
-			if bpos == len(blk) {
-				blk, bpos = r.refill(next), 0
-			}
-			next = blk[bpos]
-			bpos++
-		}
+		next, blk, bpos = s.after(now, next, blk, bpos)
 		if now > horizon {
 			recov += done
 			return now, next, faults, blk, bpos, true, lost, recov
@@ -86,8 +47,8 @@ func walkRecover(r *replicaRunner, now, next float64, faults int, cost, horizon 
 	}
 }
 
-// walk executes one replica of the timeline walk. The comments name the
-// branch of timeline.run each case mirrors: "success" (the operation fits
+// walk executes one replica. The comments name the branch of the
+// reference's run each case mirrors: "success" (the operation fits
 // before the next failure), "success-capped" (fits, but crosses the safety
 // horizon: accounted, then the run drains) and "failure-capped" (the
 // interrupting failure itself is beyond the horizon, which run reports as
@@ -96,6 +57,7 @@ func (r *replicaRunner) walk() RunResult {
 	horizon := r.horizon
 	phases := r.phases
 	epochs := r.cfg.Epochs
+	blocks := &r.blocks
 
 	var (
 		now    float64
@@ -104,18 +66,10 @@ func (r *replicaRunner) walk() RunResult {
 
 		work, ck, lost, recov float64 // Breakdown accumulators
 	)
-	// First failure: one draw at construction (NewRenewalSource), then the
-	// NextAfter(0) top-up loop of newTimeline.
-	blk := r.refill(0)
-	next := blk[0]
-	bpos := 1
-	for next <= 0 {
-		if bpos == len(blk) {
-			blk, bpos = r.refill(next), 0
-		}
-		next = blk[bpos]
-		bpos++
-	}
+	// First failure: the stream's first arrival, then the reference's
+	// top-up past time 0.
+	blk := blocks.refill(0)
+	next, blk, bpos := blocks.after(0, blk[0], blk, 1)
 
 	for e := 0; e < epochs && !capped; e++ {
 		for pi := range phases {
@@ -146,7 +100,7 @@ func (r *replicaRunner) walk() RunResult {
 					faults++
 					for next <= now {
 						if bpos == len(blk) {
-							blk, bpos = r.refill(next), 0
+							blk, bpos = blocks.refill(next), 0
 						}
 						next = blk[bpos]
 						bpos++
@@ -166,7 +120,7 @@ func (r *replicaRunner) walk() RunResult {
 							capped = true
 						}
 					} else {
-						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
+						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(blocks, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 					}
 				}
 				// Exit checkpoint of the LIBRARY dataset, retried under ABFT
@@ -189,7 +143,7 @@ func (r *replicaRunner) walk() RunResult {
 					faults++
 					for next <= now {
 						if bpos == len(blk) {
-							blk, bpos = r.refill(next), 0
+							blk, bpos = blocks.refill(next), 0
 						}
 						next = blk[bpos]
 						bpos++
@@ -208,7 +162,7 @@ func (r *replicaRunner) walk() RunResult {
 							capped = true
 						}
 					} else {
-						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
+						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(blocks, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 					}
 				}
 
@@ -245,7 +199,7 @@ func (r *replicaRunner) walk() RunResult {
 							faults++
 							for next <= now {
 								if bpos == len(blk) {
-									blk, bpos = r.refill(next), 0
+									blk, bpos = blocks.refill(next), 0
 								}
 								next = blk[bpos]
 								bpos++
@@ -263,7 +217,7 @@ func (r *replicaRunner) walk() RunResult {
 								recov += phRecovery
 								capped = now > horizon
 							} else {
-								now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
+								now, next, faults, blk, bpos, capped, lost, recov = walkRecover(blocks, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 							}
 							continue
 						}
@@ -276,7 +230,7 @@ func (r *replicaRunner) walk() RunResult {
 					faults++
 					for next <= now {
 						if bpos == len(blk) {
-							blk, bpos = r.refill(next), 0
+							blk, bpos = blocks.refill(next), 0
 						}
 						next = blk[bpos]
 						bpos++
@@ -295,7 +249,7 @@ func (r *replicaRunner) walk() RunResult {
 							capped = true
 						}
 					} else {
-						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
+						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(blocks, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 					}
 				}
 
@@ -335,7 +289,7 @@ func (r *replicaRunner) walk() RunResult {
 						faults++
 						for next <= now {
 							if bpos == len(blk) {
-								blk, bpos = r.refill(next), 0
+								blk, bpos = blocks.refill(next), 0
 							}
 							next = blk[bpos]
 							bpos++
@@ -357,7 +311,7 @@ func (r *replicaRunner) walk() RunResult {
 								capped = true
 							}
 						} else {
-							now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
+							now, next, faults, blk, bpos, capped, lost, recov = walkRecover(blocks, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 						}
 						continue
 					}
@@ -367,7 +321,7 @@ func (r *replicaRunner) walk() RunResult {
 					faults++
 					for next <= now {
 						if bpos == len(blk) {
-							blk, bpos = r.refill(next), 0
+							blk, bpos = blocks.refill(next), 0
 						}
 						next = blk[bpos]
 						bpos++
@@ -387,7 +341,7 @@ func (r *replicaRunner) walk() RunResult {
 							capped = true
 						}
 					} else {
-						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(r, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
+						now, next, faults, blk, bpos, capped, lost, recov = walkRecover(blocks, now, next, faults, phRecovery, horizon, blk, bpos, lost, recov)
 					}
 				}
 
@@ -398,13 +352,7 @@ func (r *replicaRunner) walk() RunResult {
 	}
 
 	r.last = blk
-	// Feed the adaptive fill sizing with what this replica actually used.
-	consumed := r.drawn - (len(blk) - bpos)
-	if r.drawEWMA == 0 {
-		r.drawEWMA = consumed
-	} else {
-		r.drawEWMA += (consumed - r.drawEWMA) / 4
-	}
+	blocks.finish(len(blk) - bpos)
 
 	res := RunResult{
 		TFinal: now, Faults: faults, Truncated: capped,

@@ -217,7 +217,7 @@ func (t *Trace) CountInWindow(from, to float64) int {
 	return hi - lo
 }
 
-// Source adapts a Trace into a sim.FailureSource replaying its events.
+// Source replays a Trace's events as a failure stream (NextAfter).
 // Beyond the recorded horizon the replay continues with a renewal process at
 // the trace's empirical MTBF (a trace is finite; a simulation may not be),
 // unless Extend is nil in which case no further failures occur.
