@@ -149,9 +149,6 @@ func LogNormalWithMTBF(sigma, mtbf float64) LogNormal {
 	return ln
 }
 
-// Sigma returns the log-standard-deviation.
-func (l LogNormal) Sigma() float64 { return l.sigma }
-
 // Sample draws exp(mu + sigma*Z) with Z standard normal.
 func (l LogNormal) Sample(src *rng.Source) float64 {
 	return math.Exp(l.mu + l.sigma*src.NormFloat64())

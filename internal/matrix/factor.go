@@ -10,43 +10,6 @@ import (
 // ErrSingular is returned when a factorization meets a (near-)zero pivot.
 var ErrSingular = errors.New("matrix: singular or near-singular pivot")
 
-// ErrNotSPD is returned when Cholesky meets a non-positive diagonal.
-var ErrNotSPD = errors.New("matrix: matrix is not symmetric positive definite")
-
-// Cholesky factors the symmetric positive definite matrix a in place into
-// its lower factor L (a = L*L^T); the strict upper triangle is zeroed.
-func Cholesky(a *Dense) error {
-	if a.Rows != a.Cols {
-		panic("matrix: Cholesky requires a square matrix")
-	}
-	n := a.Rows
-	for k := 0; k < n; k++ {
-		d := a.At(k, k)
-		for j := 0; j < k; j++ {
-			v := a.At(k, j)
-			d -= v * v
-		}
-		if d <= 0 {
-			return ErrNotSPD
-		}
-		d = math.Sqrt(d)
-		a.Set(k, k, d)
-		for i := k + 1; i < n; i++ {
-			v := a.At(i, k)
-			for j := 0; j < k; j++ {
-				v -= a.At(i, j) * a.At(k, j)
-			}
-			a.Set(i, k, v/d)
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			a.Set(i, j, 0)
-		}
-	}
-	return nil
-}
-
 // SolveLU solves a*x = b given in-place LU factors (unit-lower L, upper U),
 // such as those of abft.LUFactorizer.LU, overwriting b with x.
 func SolveLU(lu *Dense, b []float64) {

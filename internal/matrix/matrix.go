@@ -1,7 +1,7 @@
 // Package matrix provides the dense linear-algebra kernels that the ABFT
 // layer protects: a row-major dense matrix type, parallel blocked
-// matrix-matrix products, Cholesky factorization, LU triangular solves and
-// residuals, norms and generators.
+// matrix-matrix products, LU triangular solves and residuals, norms and
+// generators.
 //
 // The package is self-contained (stdlib only) and tuned for clarity over
 // peak FLOPs: kernels are cache-blocked and parallelized across row bands

@@ -229,36 +229,6 @@ func TestSolveLUPivot(t *testing.T) {
 	}
 }
 
-func TestCholesky(t *testing.T) {
-	src := rng.New(4)
-	for _, n := range []int{1, 3, 20, 50} {
-		a := RandSPD(n, src)
-		orig := a.Clone()
-		if err := Cholesky(a); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		// Reconstruct L*L^T.
-		lt := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				lt.Set(i, j, a.At(j, i))
-			}
-		}
-		prod := NewDense(n, n)
-		Mul(prod, a, lt)
-		if !prod.EqualApprox(orig, 1e-8*orig.MaxAbs()+1e-10) {
-			t.Errorf("n=%d: L*L^T != A", n)
-		}
-	}
-}
-
-func TestCholeskyRejectsNonSPD(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // indefinite
-	if err := Cholesky(a); err != ErrNotSPD {
-		t.Fatalf("err = %v, want ErrNotSPD", err)
-	}
-}
-
 // Property: LU of a random diagonally dominant matrix always reconstructs.
 func TestQuickLUReconstruction(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {

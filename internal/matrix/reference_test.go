@@ -1,15 +1,10 @@
 package matrix
 
-import (
-	"math"
+import "math"
 
-	"abftckpt/internal/rng"
-)
-
-// Reference factorizations and generators that only this package's tests
-// use: LU with and without partial pivoting, the pivoted solve, and random
-// SPD matrices for the Cholesky tests. The ABFT layer runs its own
-// checksum-carrying LU (abft.LUFactorizer).
+// Reference factorizations that only this package's tests use: LU with
+// and without partial pivoting and the pivoted solve. The ABFT layer runs
+// its own checksum-carrying LU (abft.LUFactorizer).
 
 // pivotTol is the relative threshold below which a pivot is considered zero.
 const pivotTol = 1e-13
@@ -108,26 +103,4 @@ func SolveLUPivot(lu *Dense, perm []int, b []float64) []float64 {
 	}
 	SolveLU(lu, x)
 	return x
-}
-
-// RandSPD returns a random symmetric positive definite n x n matrix
-// (B*B^T + n*I for random B).
-func RandSPD(n int, src *rng.Source) *Dense {
-	b := RandDense(n, n, src)
-	out := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			var s float64
-			bi, bj := b.RowView(i), b.RowView(j)
-			for k := 0; k < n; k++ {
-				s += bi[k] * bj[k]
-			}
-			if i == j {
-				s += float64(n)
-			}
-			out.Set(i, j, s)
-			out.Set(j, i, s)
-		}
-	}
-	return out
 }

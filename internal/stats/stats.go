@@ -95,29 +95,6 @@ func (a *Accumulator) Max() float64 {
 	return a.max
 }
 
-// Merge folds another accumulator into a (parallel reduction), using the
-// Chan et al. pairwise combination formulas.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += delta * float64(b.n) / float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n = n
-}
-
 // Summary is a value snapshot of an Accumulator, convenient for CSV export.
 type Summary struct {
 	N      int
@@ -222,16 +199,4 @@ func KolmogorovSmirnov(xs []float64, cdf func(float64) float64) float64 {
 		}
 	}
 	return d
-}
-
-// Mean computes the exact mean of a slice (convenience for tests/tools).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

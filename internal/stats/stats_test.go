@@ -40,49 +40,6 @@ func TestAccumulatorSingleObservation(t *testing.T) {
 	}
 }
 
-func TestMergeMatchesSequential(t *testing.T) {
-	src := rng.New(1)
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = src.Float64()*100 - 50
-	}
-	var whole Accumulator
-	whole.AddAll(xs)
-
-	var left, right Accumulator
-	left.AddAll(xs[:337])
-	right.AddAll(xs[337:])
-	left.Merge(&right)
-
-	if left.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", left.N(), whole.N())
-	}
-	if math.Abs(left.Mean()-whole.Mean()) > 1e-9 {
-		t.Errorf("merged mean %v vs %v", left.Mean(), whole.Mean())
-	}
-	if math.Abs(left.Variance()-whole.Variance()) > 1e-9 {
-		t.Errorf("merged variance %v vs %v", left.Variance(), whole.Variance())
-	}
-	if left.Min() != whole.Min() || left.Max() != whole.Max() {
-		t.Error("merged min/max mismatch")
-	}
-}
-
-func TestMergeWithEmpty(t *testing.T) {
-	var a, empty Accumulator
-	a.AddAll([]float64{1, 2, 3})
-	before := a.Summarize()
-	a.Merge(&empty)
-	if a.Summarize() != before {
-		t.Error("merging empty changed state")
-	}
-	var b Accumulator
-	b.Merge(&a)
-	if b.Summarize() != before {
-		t.Error("merging into empty did not copy state")
-	}
-}
-
 func TestCI95ShrinksWithN(t *testing.T) {
 	src := rng.New(2)
 	var small, large Accumulator
@@ -191,38 +148,6 @@ func TestHistogramPanicsOnBadBounds(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestMeanHelper(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %v", got)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("Mean(nil) should be NaN")
-	}
-}
-
-// Property: merging any split of a sequence equals accumulating it whole.
-func TestQuickMergeEquivalence(t *testing.T) {
-	f := func(seed uint64, cutRaw uint8) bool {
-		src := rng.New(seed)
-		n := 100
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = src.NormFloat64() * 10
-		}
-		cut := int(cutRaw) % n
-		var whole, a, b Accumulator
-		whole.AddAll(xs)
-		a.AddAll(xs[:cut])
-		b.AddAll(xs[cut:])
-		a.Merge(&b)
-		return math.Abs(a.Mean()-whole.Mean()) < 1e-9 &&
-			math.Abs(a.Variance()-whole.Variance()) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

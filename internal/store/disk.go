@@ -22,7 +22,8 @@ func NewDisk(dir string) *Disk { return &Disk{dir: dir} }
 func (s *Disk) Dir() string { return s.dir }
 
 // path shards keys by their first byte, matching the historical cache
-// layout key for key.
+// layout key for key. Get and Put check the key first, so the path never
+// leaves the directory.
 func (s *Disk) path(key string) string {
 	if len(key) < 2 {
 		return filepath.Join(s.dir, "__", key+".json")
@@ -32,6 +33,9 @@ func (s *Disk) path(key string) string {
 
 // Get implements ResultStore.
 func (s *Disk) Get(key string) ([]byte, error) {
+	if err := checkKey(key); err != nil {
+		return nil, err
+	}
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -45,6 +49,9 @@ func (s *Disk) Get(key string) ([]byte, error) {
 // Put implements ResultStore: write a temp file in the shard directory and
 // rename it into place, so readers never observe a torn value.
 func (s *Disk) Put(key string, value []byte) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: disk dir: %w", err)

@@ -149,12 +149,21 @@ func (s *Remote) Close() error {
 // path clients are configured with (ftserve uses /v1/store):
 //
 //	mux.Handle("/v1/store/", http.StripPrefix("/v1/store", store.Handler(rs)))
+//
+// A batch with any key that breaks the key rule (ErrBadKey) is refused
+// whole with 400.
 func Handler(rs ResultStore) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /get", func(w http.ResponseWriter, r *http.Request) {
 		var req getRequest
 		if !decodeBatch(w, r, &req, func() int { return len(req.Keys) }) {
 			return
+		}
+		for _, k := range req.Keys {
+			if err := checkKey(k); err != nil {
+				storeError(w, http.StatusBadRequest, "%v", err)
+				return
+			}
 		}
 		got, err := rs.GetBatch(req.Keys)
 		if err != nil {
@@ -177,8 +186,8 @@ func Handler(rs ResultStore) http.Handler {
 			return
 		}
 		for _, it := range req.Items {
-			if it.Key == "" {
-				storeError(w, http.StatusBadRequest, "store: empty key in batch")
+			if err := checkKey(it.Key); err != nil {
+				storeError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
 		}

@@ -8,20 +8,46 @@
 // with a response channel per caller.
 //
 // The store deliberately knows nothing about cell semantics: keys are
-// opaque hex hashes, values are opaque bytes. Verification (decoding an
-// entry and re-checking its spec against the hash) stays in the caller, so
-// a corrupt value degrades to a cache miss there, never to a wrong result.
+// opaque names under one rule (ErrBadKey), values are opaque bytes.
+// Verification (decoding an entry and re-checking its spec against the
+// hash) stays in the caller, so a corrupt value degrades to a cache miss
+// there, never to a wrong result.
 package store
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // ErrNotFound reports a key with no stored value. Backends return it from
 // Get; GetBatch simply omits missing keys.
 var ErrNotFound = errors.New("store: key not found")
 
+// maxKeyLen is the longest key checkKey accepts.
+const maxKeyLen = 128
+
+// ErrBadKey reports a key that breaks the store key rule.
+var ErrBadKey = errors.New("store: key must be 1-128 bytes of [0-9a-z-]")
+
+// checkKey enforces the one store key rule: 1 to maxKeyLen bytes of
+// [0-9a-z-]. Cell hashes (lowercase hex) and the server's "job-journal"
+// pass it; a key with a path separator or a dot, which could name a file
+// outside a Disk store's directory, does not. Disk and Handler enforce it.
+func checkKey(key string) error {
+	if len(key) == 0 || len(key) > maxKeyLen {
+		return fmt.Errorf("%w (got %d bytes)", ErrBadKey, len(key))
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || c == '-') {
+			return fmt.Errorf("%w (byte %d is %q)", ErrBadKey, i, c)
+		}
+	}
+	return nil
+}
+
 // Item is one key/value pair of a batched write.
 type Item struct {
-	// Key is the cell content hash (lowercase hex).
+	// Key is the cell content hash (lowercase hex); see ErrBadKey.
 	Key string `json:"key"`
 	// Value is the serialized cell entry. It marshals as base64 in the
 	// remote protocol.

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -342,4 +345,137 @@ func TestHandlerRejectsOversizedBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d, want 400", resp.StatusCode)
 	}
+}
+
+// outside lists the files under root that are not inside dir.
+func outside(t *testing.T, root, dir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() && !strings.HasPrefix(p, dir+string(filepath.Separator)) {
+			out = append(out, p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// post sends body to one of Handler's endpoints and returns the response.
+func post(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
+// TestKeysCannotEscapeDiskStore pins the store key rule where a key
+// becomes a path: a /put or /get naming a parent directory is refused
+// with 400, the whole batch with it, and Disk itself refuses the key, so
+// nothing is written or read outside the store's directory.
+func TestKeysCannotEscapeDiskStore(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b", "cache")
+	secret := filepath.Join(root, "a", "secret.json")
+	if err := os.MkdirAll(filepath.Dir(secret), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(secret, []byte(`{"token":"hunter2"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := Handler(NewDisk(dir))
+
+	put := post(h, "/put", []byte(`{"items":[{"key":"`+key(1)+`","value":"eA=="},{"key":"../escaped","value":"eA=="}]}`))
+	if put.Code != http.StatusBadRequest {
+		t.Errorf("put ../escaped: status %d, want 400", put.Code)
+	}
+	get := post(h, "/get", []byte(`{"keys":["../secret"]}`))
+	if get.Code != http.StatusBadRequest || strings.Contains(get.Body.String(), `"items"`) {
+		t.Errorf("get ../secret: status %d, body %q; want 400 without the file", get.Code, get.Body)
+	}
+	if files := outside(t, root, dir); len(files) != 1 || files[0] != secret {
+		t.Errorf("files outside the store: %v", files)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("a refused batch wrote into the store (stat: %v)", err)
+	}
+
+	d := NewDisk(dir)
+	for _, k := range []string{"", "../secret", "a/b", "A0", "ab.json", strings.Repeat("a", 129)} {
+		if err := d.Put(k, []byte("x")); !errors.Is(err, ErrBadKey) {
+			t.Errorf("Disk.Put(%q) = %v, want ErrBadKey", k, err)
+		}
+		if _, err := d.Get(k); !errors.Is(err, ErrBadKey) {
+			t.Errorf("Disk.Get(%q) = %v, want ErrBadKey", k, err)
+		}
+	}
+	for _, k := range []string{key(7), "job-journal", "a", strings.Repeat("z", 128)} {
+		if err := checkKey(k); err != nil {
+			t.Errorf("checkKey(%q) = %v, want nil", k, err)
+		}
+	}
+}
+
+// FuzzStoreHandler posts arbitrary bodies to Handler's /get and /put over
+// a Disk store: the status is always 200, 400 or 413, no file appears
+// outside the store's directory, and a 200 put reads back byte-equal
+// through /get.
+func FuzzStoreHandler(f *testing.F) {
+	f.Add(true, []byte(`{"items":[{"key":"ab12","value":"eA=="},{"key":"job-journal","value":""}]}`))
+	f.Add(true, []byte(`{"items":[{"key":"../escaped","value":"eA=="}]}`))
+	f.Add(true, []byte(`{"items":[{"key":"a","value":"eA=="},{"key":"a","value":"eQ=="}]}`))
+	f.Add(false, []byte(`{"keys":["ab12","../secret"]}`))
+	f.Add(false, []byte(`{"keys":["ab12"]} trailing`))
+	f.Add(false, []byte(`{"keys":null,"extra":1}`))
+	f.Fuzz(func(t *testing.T, isPut bool, body []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "a", "b", "cache")
+		h := Handler(NewDisk(dir))
+		path := "/get"
+		if isPut {
+			path = "/put"
+		}
+		rec := post(h, path, body)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("%s: status %d (%s)", path, rec.Code, rec.Body)
+		}
+		if files := outside(t, root, dir); len(files) != 0 {
+			t.Fatalf("%s wrote outside the store: %v", path, files)
+		}
+		if !isPut || rec.Code != http.StatusOK {
+			return
+		}
+		var req putRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("accepted put does not decode: %v", err)
+		}
+		want := map[string][]byte{} // the last value of a repeated key wins
+		keys := []string{}
+		for _, it := range req.Items {
+			if _, ok := want[it.Key]; !ok {
+				keys = append(keys, it.Key)
+			}
+			want[it.Key] = it.Value
+		}
+		getBody, _ := json.Marshal(getRequest{Keys: keys})
+		got := post(h, "/get", getBody)
+		var resp getResponse
+		if got.Code != http.StatusOK || json.Unmarshal(got.Body.Bytes(), &resp) != nil {
+			t.Fatalf("read back: status %d (%s)", got.Code, got.Body)
+		}
+		if len(resp.Items) != len(keys) {
+			t.Fatalf("read back %d of %d keys", len(resp.Items), len(keys))
+		}
+		for _, it := range resp.Items {
+			if !bytes.Equal(it.Value, want[it.Key]) {
+				t.Fatalf("key %q read back %q, put %q", it.Key, it.Value, want[it.Key])
+			}
+		}
+	})
 }

@@ -1,14 +1,8 @@
-// Package sweep runs parameter sweeps (grids and 1-D scans) in parallel
-// across a worker pool. Cells are independent; determinism is preserved by
-// addressing each cell's random stream with its indices (rng.At) rather than
-// by execution order.
+// Package sweep holds the dense result matrix of a two-dimensional
+// parameter sweep and the evenly spaced axes such sweeps run over.
 package sweep
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Matrix is a dense row-major result grid: Rows x Cols float64 values.
 type Matrix struct {
@@ -54,89 +48,6 @@ func (m *Matrix) MinMax() (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// Sub returns the element-wise difference m - other.
-func (m *Matrix) Sub(other *Matrix) *Matrix {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("sweep: dimension mismatch in Sub")
-	}
-	out := NewMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] - other.Data[i]
-	}
-	return out
-}
-
-// Grid is a rectangular parameter grid: Xs indexes columns, Ys rows.
-type Grid struct {
-	Xs, Ys []float64
-}
-
-// CellFunc computes the value of one grid cell. It receives both the integer
-// indices (for stream addressing) and the parameter values.
-type CellFunc func(row, col int, y, x float64) float64
-
-// Run evaluates f over every cell of g using `workers` goroutines
-// (runtime.NumCPU() when workers <= 0) and returns the len(Ys) x len(Xs)
-// result matrix.
-func Run(g Grid, workers int, f CellFunc) *Matrix {
-	if len(g.Xs) == 0 || len(g.Ys) == 0 {
-		panic("sweep: empty grid")
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	m := NewMatrix(len(g.Ys), len(g.Xs))
-	type job struct{ row, col int }
-	jobs := make(chan job, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				m.Set(j.row, j.col, f(j.row, j.col, g.Ys[j.row], g.Xs[j.col]))
-			}
-		}()
-	}
-	for row := range g.Ys {
-		for col := range g.Xs {
-			jobs <- job{row, col}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	return m
-}
-
-// Scan evaluates f over a 1-D parameter list in parallel and returns the
-// values in input order.
-func Scan(xs []float64, workers int, f func(i int, x float64) float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	out := make([]float64, len(xs))
-	jobs := make(chan int, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = f(i, xs[i])
-			}
-		}()
-	}
-	for i := range xs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return out
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 )
 
@@ -36,63 +35,6 @@ func TestMatrixBoundsPanic(t *testing.T) {
 	}
 }
 
-func TestMatrixSub(t *testing.T) {
-	a, b := NewMatrix(2, 2), NewMatrix(2, 2)
-	a.Set(0, 0, 5)
-	b.Set(0, 0, 3)
-	d := a.Sub(b)
-	if d.At(0, 0) != 2 {
-		t.Errorf("sub = %v", d.At(0, 0))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("dimension mismatch should panic")
-		}
-	}()
-	a.Sub(NewMatrix(1, 1))
-}
-
-func TestRunComputesAllCells(t *testing.T) {
-	g := Grid{Xs: []float64{1, 2, 3}, Ys: []float64{10, 20}}
-	var calls atomic.Int64
-	m := Run(g, 4, func(row, col int, y, x float64) float64 {
-		calls.Add(1)
-		return y + x
-	})
-	if calls.Load() != 6 {
-		t.Fatalf("calls = %d, want 6", calls.Load())
-	}
-	if m.At(0, 0) != 11 || m.At(1, 2) != 23 {
-		t.Errorf("values wrong: %v, %v", m.At(0, 0), m.At(1, 2))
-	}
-}
-
-func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	g := Grid{Xs: Linspace(0, 1, 11), Ys: Linspace(0, 1, 7)}
-	f := func(row, col int, y, x float64) float64 { return math.Sin(x*7+y*13) * float64(row*31+col) }
-	a := Run(g, 1, f)
-	b := Run(g, 8, f)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("cell %d differs across worker counts", i)
-		}
-	}
-}
-
-func TestScan(t *testing.T) {
-	xs := []float64{1, 4, 9, 16}
-	got := Scan(xs, 3, func(i int, x float64) float64 { return math.Sqrt(x) })
-	want := []float64{1, 2, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Scan[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if Scan(nil, 2, func(int, float64) float64 { return 0 }) != nil {
-		t.Error("empty scan should be nil")
-	}
-}
-
 func TestLinspace(t *testing.T) {
 	got := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}
@@ -107,13 +49,4 @@ func TestLinspace(t *testing.T) {
 	if got := Linspace(60, 240, 19); got[18] != 240 {
 		t.Errorf("endpoint drift: %v", got[18])
 	}
-}
-
-func TestRunPanicsOnEmptyGrid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Run(Grid{}, 1, func(int, int, float64, float64) float64 { return 0 })
 }
