@@ -373,6 +373,21 @@ func (c Cascade) String() string {
 	return fmt.Sprintf("Cascade(prob=%g, mtbf=%g)", c.prob, c.mean)
 }
 
+// Shape bounds of the shaped families, enforced by Family. Inside them no
+// *WithMTBF constructor panics, and for any MTBF between 1e-50 and 1e50
+// every draw is positive and finite, so a renewal stream always advances.
+// Outside them the laws degenerate numerically: below Weibull shape 0.1,
+// Gamma(1+1/k) soon overflows and the scale collapses to 0; a log-normal
+// sigma beyond 10 drives exp(mu + sigma*Z) to 0 or +Inf (sigma^2 overflows
+// mu to -Inf near 1e154); below gamma shape 0.1 the boost U^(1/k) underflows
+// to 0 for more and more draws (all of them near 1e-300). The upper bounds
+// keep the laws away from degenerate near-constant intervals.
+const (
+	MinWeibullShape, MaxWeibullShape = 0.1, 100.0
+	MaxLogNormalSigma                = 10.0
+	MinGammaShape, MaxGammaShape     = 0.1, 1000.0
+)
+
 // Family resolves a distribution family by name into an MTBF-parameterized
 // constructor, for command-line selection. shape is the Weibull/gamma shape
 // k, the log-normal sigma, or the cascade burst probability; it is ignored
@@ -383,18 +398,18 @@ func Family(name string, shape float64) (func(mtbf float64) Distribution, error)
 	case "exp", "exponential":
 		return func(mtbf float64) Distribution { return NewExponential(mtbf) }, nil
 	case "weibull":
-		if !(shape > 0) {
-			return nil, fmt.Errorf("dist: weibull needs shape > 0, got %g", shape)
+		if !(shape >= MinWeibullShape && shape <= MaxWeibullShape) {
+			return nil, fmt.Errorf("dist: weibull needs shape in [%g, %g], got %g", MinWeibullShape, MaxWeibullShape, shape)
 		}
 		return func(mtbf float64) Distribution { return WeibullWithMTBF(shape, mtbf) }, nil
 	case "lognormal":
-		if !(shape > 0) {
-			return nil, fmt.Errorf("dist: lognormal needs sigma > 0, got %g", shape)
+		if !(shape > 0 && shape <= MaxLogNormalSigma) {
+			return nil, fmt.Errorf("dist: lognormal needs sigma in (0, %g], got %g", MaxLogNormalSigma, shape)
 		}
 		return func(mtbf float64) Distribution { return LogNormalWithMTBF(shape, mtbf) }, nil
 	case "gamma":
-		if !(shape > 0) {
-			return nil, fmt.Errorf("dist: gamma needs shape > 0, got %g", shape)
+		if !(shape >= MinGammaShape && shape <= MaxGammaShape) {
+			return nil, fmt.Errorf("dist: gamma needs shape in [%g, %g], got %g", MinGammaShape, MaxGammaShape, shape)
 		}
 		return func(mtbf float64) Distribution { return GammaWithMTBF(shape, mtbf) }, nil
 	case "cascade":

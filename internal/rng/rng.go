@@ -14,6 +14,8 @@ package rng
 import (
 	"math"
 	"math/bits"
+
+	"abftckpt/internal/vmath"
 )
 
 // splitmix64 advances x and returns the next SplitMix64 output.
@@ -85,21 +87,13 @@ func (r *Source) Float64Open() float64 {
 	}
 }
 
-// ExpFillFrom fills dst with the running sums of successive exponential
-// variates negMean * ln(U), U uniform in (0, 1), starting from base: element
-// i is exactly the value base would reach after i+1 additions of the draws
-// the expression negMean * math.Log(r.Float64Open()) produces — the same
-// adds in the same order, so consumers batching arrival times this way
-// observe bit-identical streams (pinned by TestExpFillFromMatchesScalarDraws).
-// Batching exists for the simulator's replica loop, which consumes one
-// arrival per failure: the xoshiro state stays in registers for the whole
-// batch instead of round-tripping through memory and two call frames per
-// draw, the logarithms of a batch pipeline instead of serializing on the
-// consumer's dependency chain, and the consumer reads finished arrival
-// times with a plain load.
+// Float64OpenFill fills dst with successive Float64Open values: element i
+// is exactly the (i+1)-th value Float64Open would return, and the generator
+// ends in the same state. The xoshiro state stays in registers for the whole
+// fill instead of round-tripping through memory and a call frame per draw.
 //
 // The generator step below mirrors Uint64 exactly; keep the two in sync.
-func (r *Source) ExpFillFrom(dst []float64, negMean, base float64) {
+func (r *Source) Float64OpenFill(dst []float64) {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for i := range dst {
 		var u float64
@@ -117,10 +111,30 @@ func (r *Source) ExpFillFrom(dst []float64, negMean, base float64) {
 				break
 			}
 		}
-		base += negMean * math.Log(u)
-		dst[i] = base
+		dst[i] = u
 	}
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+}
+
+// ExpFillFrom fills dst with the running sums of successive exponential
+// variates negMean * ln(U), U uniform in (0, 1), starting from base: element
+// i is exactly the value base would reach after i+1 additions of the draws
+// the expression negMean * math.Log(r.Float64Open()) produces — the same
+// adds in the same order, so consumers batching arrival times this way
+// observe bit-identical streams (pinned by TestExpFillFromMatchesScalarDraws).
+// Batching exists for the simulator's replica loop, which consumes one
+// arrival per failure. It runs in three passes over dst: the uniforms
+// (Float64OpenFill), their logarithms two at a time (vmath.Log, bit-exact
+// to math.Log), then the running sum, so none of the passes serializes on
+// the consumer's dependency chain and the consumer reads finished arrival
+// times with a plain load.
+func (r *Source) ExpFillFrom(dst []float64, negMean, base float64) {
+	r.Float64OpenFill(dst)
+	vmath.Log(dst)
+	for i, l := range dst {
+		base += float64(negMean * l) // rounded before the add: never fused
+		dst[i] = base
+	}
 }
 
 // State snapshots the generator state. Together with Restore it lets a

@@ -284,3 +284,21 @@ func TestStateRestoreContinuesStream(t *testing.T) {
 		}
 	}
 }
+
+// Float64OpenFill must hand out exactly the values successive Float64Open
+// calls would, and leave the generator where those calls leave it.
+func TestFloat64OpenFillMatchesFloat64Open(t *testing.T) {
+	for n := 0; n <= 70; n++ {
+		batch, scalar := New(uint64(n)), New(uint64(n))
+		got := make([]float64, n)
+		batch.Float64OpenFill(got)
+		for i, g := range got {
+			if want := scalar.Float64Open(); g != want {
+				t.Fatalf("n=%d value %d: %v != Float64Open %v", n, i, g, want)
+			}
+		}
+		if batch.State() != scalar.State() {
+			t.Fatalf("n=%d: generator state diverged", n)
+		}
+	}
+}

@@ -414,21 +414,7 @@ func (d *DistSpec) constructor() (func(mtbf float64) dist.Distribution, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	shape := spec.Shape
-	switch spec.Name {
-	case DistExponential:
-		return func(mtbf float64) dist.Distribution { return dist.NewExponential(mtbf) }, nil
-	case DistWeibull:
-		return func(mtbf float64) dist.Distribution { return dist.WeibullWithMTBF(shape, mtbf) }, nil
-	case DistGamma:
-		return func(mtbf float64) dist.Distribution { return dist.GammaWithMTBF(shape, mtbf) }, nil
-	case DistLogNormal:
-		return func(mtbf float64) dist.Distribution { return dist.LogNormalWithMTBF(shape, mtbf) }, nil
-	case DistCascade:
-		return func(mtbf float64) dist.Distribution { return dist.CascadeWithMTBF(shape, mtbf) }, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown distribution %q", spec.Name)
-	}
+	return dist.Family(spec.Name, spec.Shape)
 }
 
 // Validate checks the cell is executable without running it.

@@ -19,6 +19,7 @@ import (
 	"math"
 	"os"
 
+	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
 	"abftckpt/internal/sweep"
 )
@@ -471,19 +472,13 @@ const (
 	DistCascade     = "cascade"
 )
 
-// Validate checks the distribution name and shape.
+// Validate checks the distribution name and that the shape lies within
+// the family's bounds (dist.Family; listed in docs/SCENARIOS.md).
 func (d DistSpec) Validate() error {
 	switch d.Name {
-	case DistExponential:
-		return nil
-	case DistWeibull, DistGamma, DistLogNormal:
-		if d.Shape <= 0 {
-			return fmt.Errorf("scenario: distribution %q needs shape > 0", d.Name)
-		}
-		return nil
-	case DistCascade:
-		if !(d.Shape > 0 && d.Shape < 1) {
-			return fmt.Errorf("scenario: distribution %q needs a burst probability shape in (0,1)", d.Name)
+	case DistExponential, DistWeibull, DistGamma, DistLogNormal, DistCascade:
+		if _, err := dist.Family(d.Name, d.Shape); err != nil {
+			return fmt.Errorf("scenario: distribution %q: %w", d.Name, err)
 		}
 		return nil
 	case "":

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
 )
 
@@ -70,7 +71,7 @@ func TestLoadErrors(t *testing.T) {
 		{"bad ablation variant", `{"name":"t","scenarios":[{"name":"a","kind":"ablation","variant":"color"}]}`, "ablation variant"},
 		{"sensitivity without cases", `{"name":"t","scenarios":[{"name":"a","kind":"sensitivity"}]}`, "at least one case"},
 		{"unknown distribution", `{"name":"t","scenarios":[{"name":"a","kind":"sensitivity","cases":[{"name":"x","dist":"cauchy"}]}]}`, "unknown distribution"},
-		{"missing shape", `{"name":"t","scenarios":[{"name":"a","kind":"sensitivity","cases":[{"name":"x","dist":"weibull"}]}]}`, "shape > 0"},
+		{"missing shape", `{"name":"t","scenarios":[{"name":"a","kind":"sensitivity","cases":[{"name":"x","dist":"weibull"}]}]}`, "needs shape in"},
 		{"negative spec reps", `{"name":"t","scenarios":[{"name":"a","kind":"sensitivity","reps":-2,"cases":[{"name":"x","dist":"exp"}]}]}`, "reps"},
 		{"negative fixed period", `{"name":"t","scenarios":[{"name":"a","kind":"periods","options":{"fixed_period_g":-1}}]}`, "non-negative"},
 		{"heatmap with series", `{"name":"t","scenarios":[{"name":"a","kind":"heatmap","protocol":"abft","series":[{"platform":"paper-fig10","protocol":"pure"}]}]}`, `field "series" does not apply`},
@@ -244,5 +245,68 @@ func TestScalingLawJSON(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"CkptScaling":"cubic"}`), &back); err == nil {
 		t.Error("unknown law name should fail to parse")
+	}
+}
+
+// degenerateShapes are distribution specs whose laws break down numerically
+// at an ordinary MTBF: Weibull shape 0.001 overflows Gamma(1+1/k) and
+// collapses the scale to 0 (the constructor panics), a log-normal sigma of
+// 1e200 drives mu to -Inf (the constructor panics), and gamma shape 1e-300
+// underflows every draw to 0, so a walker waiting for the next arrival
+// never advances.
+var degenerateShapes = []struct{ name, dist string }{
+	{"weibull 0.001", `{"name":"weibull","shape":0.001}`},
+	{"lognormal 1e200", `{"name":"lognormal","shape":1e200}`},
+	{"gamma 1e-300", `{"name":"gamma","shape":1e-300}`},
+}
+
+// Each degenerate spec must be refused at load time with an error naming
+// its scenario, and a sim cell carrying it must fail validation, before any
+// worker constructs or draws from the law.
+func TestDegenerateShapesRejected(t *testing.T) {
+	for _, tc := range degenerateShapes {
+		t.Run(tc.name, func(t *testing.T) {
+			body := `{"name":"t","scenarios":[{"name":"deg","kind":"heatmap","output":"sim","protocol":"pure","reps":4,` +
+				`"distribution":` + tc.dist + `,"mtbf_minutes":{"values":[60]},"alphas":{"values":[0.5]}}]}`
+			_, err := Load(strings.NewReader(body))
+			if err == nil || !strings.Contains(err.Error(), `scenario "deg"`) {
+				t.Fatalf("Load: error %v, want one naming scenario \"deg\"", err)
+			}
+			var d DistSpec
+			if err := json.Unmarshal([]byte(tc.dist), &d); err != nil {
+				t.Fatal(err)
+			}
+			p := model.Params{T0: 604800, Alpha: 0.5, Mu: 3600, C: 600, R: 600, D: 60, Rho: 0.8, Phi: 1.03, Recons: 2}
+			cell := CellSpec{Op: OpSim, Protocol: "pure", Params: &p, Reps: 4, Dist: &d}
+			if err := cell.Validate(); err == nil {
+				t.Fatalf("sim cell with %s validated", tc.dist)
+			}
+		})
+	}
+}
+
+// The bounds are inclusive and admit every shape the committed campaigns
+// use; just outside them the spec is refused.
+func TestShapeBoundsEdges(t *testing.T) {
+	for _, tc := range []struct {
+		d  DistSpec
+		ok bool
+	}{
+		{DistSpec{Name: DistWeibull, Shape: dist.MinWeibullShape}, true},
+		{DistSpec{Name: DistWeibull, Shape: dist.MaxWeibullShape}, true},
+		{DistSpec{Name: DistWeibull, Shape: math.Nextafter(dist.MinWeibullShape, 0)}, false},
+		{DistSpec{Name: DistWeibull, Shape: math.Nextafter(dist.MaxWeibullShape, 1000)}, false},
+		{DistSpec{Name: DistGamma, Shape: dist.MinGammaShape}, true},
+		{DistSpec{Name: DistGamma, Shape: dist.MaxGammaShape}, true},
+		{DistSpec{Name: DistGamma, Shape: math.Nextafter(dist.MinGammaShape, 0)}, false},
+		{DistSpec{Name: DistGamma, Shape: math.Nextafter(dist.MaxGammaShape, 1e4)}, false},
+		{DistSpec{Name: DistLogNormal, Shape: 1e-9}, true},
+		{DistSpec{Name: DistLogNormal, Shape: dist.MaxLogNormalSigma}, true},
+		{DistSpec{Name: DistLogNormal, Shape: math.Nextafter(dist.MaxLogNormalSigma, 100)}, false},
+		{DistSpec{Name: DistLogNormal, Shape: 0}, false},
+	} {
+		if err := tc.d.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%+v: Validate error %v, want ok=%v", tc.d, err, tc.ok)
+		}
 	}
 }

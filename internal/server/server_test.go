@@ -245,6 +245,35 @@ func TestCampaignNonFiniteParamsRejected(t *testing.T) {
 	}
 }
 
+// TestDegenerateShapesRejected posts distribution shapes whose laws break
+// down numerically at an ordinary MTBF (a constructor panic or arrivals
+// that never advance) to both endpoints. Each must be a 400 up front, not
+// a job or a cell that takes a runner worker down.
+func TestDegenerateShapesRejected(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, d := range []string{
+		`{"name":"weibull","shape":0.001}`,
+		`{"name":"lognormal","shape":1e200}`,
+		`{"name":"gamma","shape":1e-300}`,
+	} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		campaign := `{"name":"x","scenarios":[{"name":"h","kind":"heatmap","protocol":"pure","output":"sim","reps":4,` +
+			`"distribution":` + d + `,"mtbf_minutes":{"values":[60]},"alphas":{"values":[0.5]}}]}`
+		if code, _ := postJSON(t, ts.URL+"/v1/campaigns", campaign, &e); code != http.StatusBadRequest ||
+			!strings.Contains(e.Error, `scenario "h"`) {
+			t.Errorf("campaign with %s: code %d error %q, want 400 naming the scenario", d, code, e.Error)
+		}
+		cell := `{"op": "sim", "protocol": "pure", "seed": 1, "dist": ` + d + `,
+			"params": {"T0": 604800, "Alpha": 0.5, "Mu": 3600, "C": 600, "R": 600, "D": 60, "Rho": 0.8, "Phi": 1.03, "Recons": 2},
+			"epochs": 1, "reps": 4}`
+		if code, _ := postJSON(t, ts.URL+"/v1/cells", cell, &e); code != http.StatusBadRequest {
+			t.Errorf("cell with %s: code %d, want 400", d, code)
+		}
+	}
+}
+
 // TestUnknownJobAndArtifact checks 404s for unknown jobs and artifacts.
 func TestUnknownJobAndArtifact(t *testing.T) {
 	ts, _ := newTestServer(t)

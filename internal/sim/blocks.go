@@ -10,23 +10,17 @@ import (
 // its renewal stream from the substream rng.At(Seed, rep) as blocks of
 // absolute arrival times; a walker keeps its cursor into the current block
 // in locals and consumes each arrival with a plain load, calling refill only
-// when the block runs out. Live blocks are drawn into the inline buffer —
-// through rng.Source.ExpFillFrom for the exponential law, as a running sum
-// of Distribution.Sample otherwise — so a replica's stream is exactly the
-// sequence of prefix sums a scalar renewal process accumulates, the same
+// when the block runs out. Live blocks are drawn into the inline buffer by
+// dist.Fill, so a replica's stream is exactly the sequence of prefix sums a
+// scalar renewal process of Distribution.Sample draws accumulates, the same
 // additions in the same order. A replayed fail-stop replica's first block is
 // its TraceArena prefix, read in place.
 //
 // Each worker owns one blockSource inside its runner; it holds no pointer
 // into per-replica state, so replicas allocate nothing.
 type blockSource struct {
-	// distrib is the shared inter-arrival law; when it is the exponential
-	// family, isExp routes live fills through rng.Source.ExpFillFrom with
-	// negMean — the exact expression dist.Exponential.Sample evaluates — and
-	// no dynamic dispatch.
+	// distrib is the shared inter-arrival law.
 	distrib dist.Distribution
-	negMean float64
-	isExp   bool
 
 	src rng.Source
 
@@ -56,7 +50,7 @@ type blockSource struct {
 
 const (
 	// fillBatch is the arrival-buffer capacity and the bulk fill size: long
-	// fills keep rng state in registers and overlap the math.Log calls.
+	// fills keep rng state in registers and batch the logarithms.
 	fillBatch = 32
 	// minFill is the smallest live fill, used near the expected end of a
 	// replica to bound the discarded tail.
@@ -86,10 +80,6 @@ func nextFillSize(ewma, drawn int) int {
 // (nil draws every stream live).
 func (s *blockSource) init(d dist.Distribution, tr *TraceArena) {
 	s.distrib, s.tr = d, tr
-	if e, ok := d.(dist.Exponential); ok {
-		s.isExp = true
-		s.negMean = -e.Mean()
-	}
 }
 
 // start points the source at replica rep's stream: the substream
@@ -119,14 +109,7 @@ func (s *blockSource) refill(last float64) []float64 {
 		s.src.Restore(tr.states[s.rep])
 	} else {
 		blk = s.buf[:nextFillSize(s.drawEWMA, s.drawn)]
-		if s.isExp {
-			s.src.ExpFillFrom(blk, s.negMean, last)
-		} else {
-			for i := range blk {
-				last += s.distrib.Sample(&s.src)
-				blk[i] = last
-			}
-		}
+		dist.Fill(s.distrib, &s.src, blk, last)
 	}
 	s.drawn += len(blk)
 	if h := s.cvHorizon; h > 0 {

@@ -78,8 +78,8 @@ func (tr *TraceArena) Equal(other *TraceArena) bool {
 
 const (
 	// arenaFillSlack is how many arrivals past the horizon/mean expected
-	// ones an exponential replica's batched fills aim for: the crossing
-	// arrival and a small margin.
+	// ones a replica's batched fills aim for: the crossing arrival and a
+	// small margin.
 	arenaFillSlack = 4
 	// arenaMaxFill bounds one batched fill of an arena build.
 	arenaMaxFill = 64
@@ -91,8 +91,8 @@ const (
 // minimum fill of overshoot (fills are never shorter than minFill, and a
 // replica short of the horizon at its target takes further minimum fills),
 // and one standard deviation of the Poisson arrival count as margin for the
-// replicas that need more than their target. The other laws stop at the
-// crossing arrival, well inside the same budget.
+// replicas that need more than their target. A law burstier than the
+// exponential may need more; the arena then grows past the reservation.
 func arenaRepBudget(lambda float64) float64 {
 	return lambda + arenaFillSlack + minFill + math.Sqrt(lambda)
 }
@@ -113,11 +113,10 @@ func EstimateArenaArrivals(mean, horizon float64, reps int) int64 {
 
 // BuildTraceArena materializes the failure process: for each rep in
 // [0, reps), the prefix sums of inter-arrival draws from d on the substream
-// rng.At1(seed, rep), generated until the first arrival beyond horizon. The
-// draws, their order and their float accumulation are exactly those the
-// simulator performs (exponential streams go through rng.Source.ExpFillFrom,
-// the other laws through Distribution.Sample), so replaying the arena is
-// bit-identical to generating on the fly.
+// rng.At1(seed, rep), generated until the first fill that reaches beyond
+// horizon. The draws, their order and their float accumulation are exactly
+// those the simulator performs (both go through dist.Fill), so replaying
+// the arena is bit-identical to generating on the fly.
 func BuildTraceArena(d dist.Distribution, seed uint64, reps int, horizon float64) *TraceArena {
 	if reps <= 0 {
 		panic("sim: BuildTraceArena needs reps > 0")
@@ -140,32 +139,18 @@ func BuildTraceArena(d dist.Distribution, seed uint64, reps int, horizon float64
 	tr.arrivals = make([]float64, 0, EstimateArenaArrivals(tr.mean, horizon, reps))
 	target := int(horizon/tr.mean) + arenaFillSlack
 
-	negMean := 0.0
-	e, isExp := d.(dist.Exponential)
-	if isExp {
-		negMean = -e.Mean()
-	}
 	var src rng.Source
 	for rep := 0; rep < reps; rep++ {
 		src.Reseed(rng.At1(seed, uint64(rep)))
-		base := 0.0
-		if isExp {
-			// Batched fills write straight into the arena, keep the xoshiro
-			// state in registers and pipeline the logarithms; the fill size
-			// tracks the expected remaining arrivals so the overshoot past
-			// the horizon stays small.
-			for base <= horizon {
-				at := len(tr.arrivals)
-				n := min(max(target-(at-tr.offsets[rep]), minFill), arenaMaxFill)
-				tr.arrivals = slices.Grow(tr.arrivals, n)[:at+n]
-				src.ExpFillFrom(tr.arrivals[at:], negMean, base)
-				base = tr.arrivals[at+n-1]
-			}
-		} else {
-			for base <= horizon {
-				base += d.Sample(&src)
-				tr.arrivals = append(tr.arrivals, base)
-			}
+		// Batched fills write straight into the arena; the fill size tracks
+		// the expected remaining arrivals so the overshoot past the horizon
+		// stays small.
+		for base := 0.0; base <= horizon; {
+			at := len(tr.arrivals)
+			n := min(max(target-(at-tr.offsets[rep]), minFill), arenaMaxFill)
+			tr.arrivals = slices.Grow(tr.arrivals, n)[:at+n]
+			dist.Fill(d, &src, tr.arrivals[at:], base)
+			base = tr.arrivals[at+n-1]
 		}
 		tr.offsets[rep+1] = len(tr.arrivals)
 		tr.states[rep] = src.State()
