@@ -139,16 +139,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// A remote store replaces the on-disk tier: results read from and
 	// write to a store served by an ftserve (its /v1/store mount), shared
-	// with every other node pointed at the same URL. Writes go through a
-	// batcher so a campaign's per-cell puts coalesce into few round-trips.
+	// with every other node pointed at the same URL. The runner writes
+	// each executed cohort with one PutBatch, one round-trip.
 	var cellCache *scenario.CellCache
 	if *storeURL != "" {
 		if *noCache || *cache != "" {
 			fmt.Fprintln(stderr, "ftcampaign: -store-url is mutually exclusive with -cache and -no-cache")
 			return 2
 		}
-		cellCache = scenario.NewCellCacheStore(store.WithChecksum(store.NewBatcher(store.NewRemote(*storeURL, nil), 0, 0)), 0)
-		defer cellCache.Close() //nolint:errcheck // flush-on-exit; puts already reported their errors
+		cellCache = scenario.NewCellCacheStore(store.WithChecksum(store.NewRemote(*storeURL, nil)), 0)
+		defer cellCache.Close() //nolint:errcheck // releases idle connections; writes already reported their errors
 		cacheDir = ""
 	}
 

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"abftckpt/internal/store"
 )
 
 const quickstart = "../../examples/campaigns/quickstart.json"
@@ -249,5 +253,69 @@ func TestRunSilentMLCampaign(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(out, f)); err != nil {
 			t.Errorf("missing output %s: %v", f, err)
 		}
+	}
+}
+
+// readOutputs reads every file a run wrote into dir, by name.
+func readOutputs(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range entries {
+		if e.IsDir() {
+			t.Fatalf("unexpected directory %s in %s", e.Name(), dir)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
+}
+
+// TestRunRemoteStore runs quickstart against a remote result store: the
+// outputs equal a -no-cache run's, the store ends up holding one entry
+// per unique cell, and a rerun is served entirely from the store.
+func TestRunRemoteStore(t *testing.T) {
+	mem := store.NewMemory()
+	srv := httptest.NewServer(store.Handler(mem))
+	t.Cleanup(srv.Close)
+	dir := t.TempDir()
+
+	local := filepath.Join(dir, "local")
+	if code, _, stderr := runCmd(t, "-spec", quickstart, "-out", local, "-no-cache"); code != 0 {
+		t.Fatalf("-no-cache run: exit %d, stderr: %s", code, stderr)
+	}
+	remote := filepath.Join(dir, "remote")
+	if code, _, stderr := runCmd(t, "-spec", quickstart, "-out", remote, "-store-url", srv.URL); code != 0 {
+		t.Fatalf("-store-url run: exit %d, stderr: %s", code, stderr)
+	}
+	want, got := readOutputs(t, local), readOutputs(t, remote)
+	if len(got) != len(want) {
+		t.Fatalf("remote run wrote %d files, -no-cache run %d", len(got), len(want))
+	}
+	for name, data := range want {
+		if !bytes.Equal(got[name], data) {
+			t.Errorf("%s differs between the -store-url and -no-cache runs", name)
+		}
+	}
+	var m manifest
+	if err := json.Unmarshal(want["manifest.json"], &m); err != nil {
+		t.Fatal(err)
+	}
+	if mem.Len() != m.Unique {
+		t.Errorf("store holds %d entries, want one per unique cell (%d)", mem.Len(), m.Unique)
+	}
+
+	code, stdout, stderr := runCmd(t, "-spec", quickstart, "-out", filepath.Join(dir, "rerun"), "-store-url", srv.URL)
+	if code != 0 {
+		t.Fatalf("rerun: exit %d, stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, ", 0 executed") {
+		t.Errorf("rerun not served from the store: %s", stdout)
 	}
 }

@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	cacheDir := fs.String("cache", "", "on-disk cell cache directory (empty: in-memory tier only)")
 	storeURL := fs.String("store-url", "", "remote result store base URL (e.g. http://host:port/v1/store); mutually exclusive with -cache")
-	storeBatch := fs.Int("store-batch", store.DefaultBatchSize, "coalesce store writes into batches of this size (0: write through unbatched)")
 	memCells := fs.Int("mem-cells", scenario.DefaultMemCells, "in-memory LRU capacity in cells")
 	workers := fs.Int("workers", 0, "cell-level parallelism per campaign job (0: NumCPU)")
 	coordinator := fs.String("coordinator", "", "comma-separated worker base URLs; dispatch campaign cells to them instead of executing locally")
@@ -96,19 +95,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Second cache tier: disk layout, remote store, or none. A remote
-	// store gets a write batcher in front (unless -store-batch 0), so a
-	// campaign's per-cell writes coalesce into a few round-trips.
+	// Second cache tier: disk layout, remote store, or none. The cache
+	// batches its own writes: one PutBatch per executed cohort, shard or
+	// cell request.
 	cache := scenario.NewCellCache(*cacheDir, *memCells)
 	if *storeURL != "" {
-		var rs store.ResultStore = store.NewRemote(*storeURL, nil)
-		if *storeBatch > 0 {
-			rs = store.NewBatcher(rs, *storeBatch, 0)
-		}
 		// Verify remote reads locally: the coordinator serves framed
 		// bytes verbatim, so a flipped bit on the wire or in its store
 		// surfaces here as a counted corrupt miss, never a wrong result.
-		cache = scenario.NewCellCacheStore(store.WithChecksum(rs), *memCells)
+		cache = scenario.NewCellCacheStore(store.WithChecksum(store.NewRemote(*storeURL, nil)), *memCells)
 	}
 
 	var workerURLs []string

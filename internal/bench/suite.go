@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"abftckpt/internal/abft"
 	"abftckpt/internal/app"
@@ -464,26 +462,6 @@ func Suite() []Benchmark {
 						b.Fatal(err)
 					}
 				}
-			},
-		},
-		{
-			Name:  "store/batcher_coalesce",
-			Brief: "concurrent puts through the write batcher over the in-memory store",
-			Fn: func(b *testing.B) {
-				// A short delay window keeps the benchmark measuring the
-				// commit loop's coalescing, not the idle-flush timer.
-				rs := store.NewBatcher(store.NewMemory(), 8, 50*time.Microsecond)
-				defer rs.Close() //nolint:errcheck
-				val := make([]byte, 1<<10)
-				var n atomic.Int64
-				b.SetParallelism(8)
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						if err := rs.Put(fmt.Sprintf("%064d", n.Add(1)%4096), val); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
 			},
 		},
 		{

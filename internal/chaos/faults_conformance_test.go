@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"abftckpt/internal/store"
 )
@@ -23,11 +22,6 @@ func backends(t *testing.T) map[string]func(t *testing.T) store.ResultStore {
 			srv := httptest.NewServer(store.Handler(store.NewMemory()))
 			t.Cleanup(srv.Close)
 			return store.NewRemote(srv.URL, srv.Client())
-		},
-		"batcher": func(t *testing.T) store.ResultStore {
-			b := store.NewBatcher(store.NewDisk(t.TempDir()), 4, time.Millisecond)
-			t.Cleanup(func() { b.Close() })
-			return b
 		},
 	}
 }

@@ -89,16 +89,14 @@ func (s *Store) Put(key string, value []byte) error {
 // GetBatch implements store.ResultStore, applying per-key decisions so
 // the schedule does not depend on how callers group keys into batches:
 // an injected error drops that key from the result (a miss), corruption
-// flips a bit of its value.
+// flips a bit of its value. The inner store's values pass through along
+// with its error (a *store.CorruptError comes with the intact values).
 func (s *Store) GetBatch(keys []string) (map[string][]byte, error) {
 	s.ops.Add(1)
 	if len(keys) > 0 {
 		s.dice.delay("delay/get/"+keys[0], s.faults.MaxDelay)
 	}
 	got, err := s.inner.GetBatch(keys)
-	if err != nil {
-		return nil, err
-	}
 	for _, key := range keys {
 		value, ok := got[key]
 		if !ok {
@@ -113,7 +111,7 @@ func (s *Store) GetBatch(keys []string) (map[string][]byte, error) {
 			s.corrupted.Add(1)
 		}
 	}
-	return got, nil
+	return got, err
 }
 
 // PutBatch implements store.ResultStore with per-key error decisions; if

@@ -72,36 +72,18 @@ func putEntryBuf(buf *bytes.Buffer) {
 	}
 }
 
-// storeCell persists the executed cell keyed k into the store. The store
-// owns atomicity (store.Disk writes temp + rename) and may batch the
-// commit (store.Batcher); either way the call returns only after the
-// result is accepted or the commit failed.
-func storeCell(rs store.ResultStore, k cellKey, res CellResult, elapsedMS float64) error {
-	if rs == nil {
-		return nil
-	}
-	buf, err := encodeCellEntry(k, res, elapsedMS)
-	if err != nil {
-		return err
-	}
-	defer putEntryBuf(buf)
-	if err := rs.Put(k.hash, buf.Bytes()); err != nil {
-		return fmt.Errorf("scenario: cache write: %w", err)
-	}
-	return nil
-}
-
-// pendingPut is an executed cell whose store write the caller batches.
+// pendingPut is an executed cell waiting for its caller's batched store
+// write (CellCache.writeBatch).
 type pendingPut struct {
 	key       cellKey
 	result    CellResult
 	elapsedMS float64
 }
 
-// storeCells persists executed cells into the store in one PutBatch (see
-// storeCell for the single-cell write). The error covers the whole batch:
-// a PutBatch may be partially applied, and content addressing makes the
-// next write of any lost entry safe.
+// storeCells persists executed cells into the store in one PutBatch. The
+// store owns atomicity (store.Disk writes temp + rename). The error covers
+// the whole batch: a PutBatch may be partially applied, and content
+// addressing makes the next write of any lost entry safe.
 func storeCells(rs store.ResultStore, cells []pendingPut) error {
 	if rs == nil || len(cells) == 0 {
 		return nil

@@ -411,10 +411,7 @@ func (d *DistSpec) constructor() (func(mtbf float64) dist.Distribution, error) {
 	if d != nil {
 		spec = *d
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return dist.Family(spec.Name, spec.Shape)
+	return spec.family()
 }
 
 // Validate checks the cell is executable without running it.

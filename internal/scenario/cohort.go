@@ -158,3 +158,38 @@ func buildCohortArena(co cohort, cells []CellSpec, budget int64) *sim.TraceArena
 	}
 	return sim.BuildTraceArena(ctor(co.key.MTBF), co.key.Seed, co.key.Reps, horizon)
 }
+
+// execCohort executes one trace cohort's cells, in order, through the
+// cache's singleflight (CellCache.execute): the one execution path of a
+// local campaign run and of a worker's shard. It materializes the
+// cohort's failure process once (see buildCohortArena) and hands each
+// cell's outcome to done; an error, or done returning false, stops the
+// cohort. It returns the cells executed here, for the caller's
+// writeBatch (none when the cache has no store), and whether an arena was
+// built. simWorkers bounds replica-level parallelism inside each cell.
+func (c *CellCache) execCohort(co cohort, cells map[string]*cellState, simWorkers int, budget int64,
+	done func(st *cellState, res CellResult, tier CellTier, elapsedMS float64, err error) bool) ([]pendingPut, bool) {
+	var arena *sim.TraceArena
+	if len(co.hashes) > 1 {
+		specs := make([]CellSpec, len(co.hashes))
+		for i, h := range co.hashes {
+			specs[i] = cells[h].spec
+		}
+		arena = buildCohortArena(co, specs, budget)
+	}
+	opts := ExecOptions{Workers: simWorkers, Arena: arena}
+	var pending []pendingPut
+	for _, h := range co.hashes {
+		st := cells[h]
+		res, tier, elapsedMS, err := c.execute(st.key, func() (CellResult, error) {
+			return st.spec.ExecuteOpts(opts)
+		})
+		if err == nil && tier == TierExec && c.store != nil {
+			pending = append(pending, pendingPut{key: st.key, result: res, elapsedMS: elapsedMS})
+		}
+		if !done(st, res, tier, elapsedMS, err) || err != nil {
+			break
+		}
+	}
+	return pending, arena != nil
+}

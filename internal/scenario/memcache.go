@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -54,7 +55,7 @@ type CacheStats struct {
 	// silent error: it degrades to a miss and the re-execution overwrites
 	// the bad entry, so the artifact is never built from corrupt data. An
 	// entry counts once however often it is read before it is overwritten
-	// (a campaign run reads a missing cell twice: preload, then execution).
+	// (say, by two jobs sharing the cache that both preload it).
 	CorruptEntries int64 `json:"corrupt_entries"`
 }
 
@@ -115,13 +116,10 @@ func NewCellCache(dir string, memCells int) *CellCache {
 
 // NewCellCacheStore returns a cache whose second tier is the given result
 // store (nil: memory tier only). The store may be any backend — memory,
-// disk, remote — optionally wrapped in a store.Batcher; the cache keys
-// every Get, Put, GetBatch and PutBatch by cell content hash. Per-key
-// reads count a corrupt entry through any wrapper (store.ErrCorrupt
-// propagates), but a batch read (shard execution) can only count the
-// entries the store names corrupt: rs must itself have a
-// GetBatchChecked method — a store.Checksummed outermost, or a wrapper
-// that forwards it — or those entries read as plain misses.
+// disk, remote — under any pass-through wrappers; the cache keys every
+// Get, GetBatch and PutBatch by cell content hash. Reads count a corrupt
+// entry whenever the store's error says so: store.ErrCorrupt from Get,
+// a *store.CorruptError naming the keys from GetBatch.
 func NewCellCacheStore(rs store.ResultStore, memCells int) *CellCache {
 	if memCells <= 0 {
 		memCells = DefaultMemCells
@@ -144,15 +142,6 @@ func (c *CellCache) Dir() string { return c.dir }
 // memory-only). The server mounts the store API over it so workers can
 // share one cache.
 func (c *CellCache) Store() store.ResultStore { return c.store }
-
-// Flush forces buffered store writes (a store.Batcher in the stack) to
-// commit. Memory-only caches return nil.
-func (c *CellCache) Flush() error {
-	if c.store == nil {
-		return nil
-	}
-	return c.store.Flush()
-}
 
 // Close flushes and releases the second-tier store. The cache must not be
 // used afterwards.
@@ -253,23 +242,29 @@ func (c *CellCache) GetOrExecute(spec CellSpec) (CellResult, CellTier, error) {
 }
 
 // do is GetOrExecute for a cell whose key the caller already derived, with
-// an injectable executor (the runner passes its own; tests gate it to pin
-// down coalescing).
+// an injectable executor (the coordinator passes its shard results; tests
+// gate it to pin down coalescing): lookup, then execute, then a writeBatch
+// of the one executed cell.
 func (c *CellCache) do(k cellKey, exec func() (CellResult, error)) (CellResult, CellTier, error) {
-	res, tier, _, err := c.execute(k, exec, false)
+	if res, tier, ok := c.lookup(k); ok {
+		return res, tier, nil
+	}
+	res, tier, elapsedMS, err := c.execute(k, exec)
+	if err == nil && tier == TierExec {
+		c.writeBatch([]pendingPut{{key: k, result: res, elapsedMS: elapsedMS}})
+	}
 	return res, tier, err
 }
 
-// execute is the singleflight path behind do and shard execution. A
-// memory hit returns at once, and a request for a cell already in flight
-// waits for that execution (TierCoalesced). Otherwise this call leads: it
-// reads the store, executes on a miss and writes the result back, then
-// settles every waiter. batched marks a caller that has already read the
-// store for this cell (lookupBatch) and writes executed results itself
-// (writeBatch): the leader then skips both store calls, and store-error
-// and damage accounting wait for the caller's write. elapsedMS is the
-// execution time of a TierExec result.
-func (c *CellCache) execute(k cellKey, exec func() (CellResult, error), batched bool) (CellResult, CellTier, float64, error) {
+// execute is the singleflight, and it runs the executor and nothing else.
+// A memory hit returns at once, and a request for a cell already in
+// flight waits for that execution (TierCoalesced). Otherwise this call
+// leads: it executes, puts the result into memory and settles every
+// waiter. Store traffic is the caller's: every read happens before
+// (lookup, lookupBatch) and the write of a TierExec result after
+// (writeBatch), which also settles its store-error and damage accounting.
+// elapsedMS is the execution time of a TierExec result.
+func (c *CellCache) execute(k cellKey, exec func() (CellResult, error)) (CellResult, CellTier, float64, error) {
 	hash := k.hash
 	c.mu.Lock()
 	if res, ok := c.memHitLocked(hash); ok {
@@ -304,47 +299,15 @@ func (c *CellCache) execute(k cellKey, exec func() (CellResult, error), batched 
 		close(fc.done)
 	}()
 
-	// Leader path: store, then execution. No lock is held during I/O or
-	// cell execution.
-	tier := TierDisk
-	var res CellResult
-	var err error
-	var elapsedMS float64
-	hit, corrupt := false, false
-	storeFailed := false
-	if c.store != nil && !batched {
-		c.mu.Lock()
-		c.stats.DiskReads++
-		c.mu.Unlock()
-		res, hit, corrupt = loadCell(c.store, k)
-	}
-	if !hit {
-		tier = TierExec
-		start := time.Now()
-		res, err = exec()
-		elapsedMS = float64(time.Since(start).Microseconds()) / 1000
-		// A cache-write failure must not masquerade as an execution
-		// failure: the result is correct, only the store tier is degraded
-		// (full disk, read-only directory, unreachable remote). Keep the
-		// result, serve it to every coalesced waiter, and count the store
-		// error.
-		if err == nil && !batched {
-			storeFailed = storeCell(c.store, k, res, elapsedMS) != nil
-		}
-	}
+	// No lock is held during cell execution.
+	start := time.Now()
+	res, err := exec()
+	elapsedMS := float64(time.Since(start).Microseconds()) / 1000
 	c.mu.Lock()
-	c.noteReadLocked(hash, res, hit, corrupt)
-	switch {
-	case hit:
-	case err != nil:
+	if err != nil {
 		c.stats.ExecErrors++
-	default:
+	} else {
 		c.stats.Executed++
-		if storeFailed {
-			c.stats.StoreErrors++
-		} else if !batched {
-			delete(c.damaged, hash) // the write replaced it
-		}
 		c.insertLocked(hash, res)
 	}
 	delete(c.flight, hash)
@@ -353,24 +316,18 @@ func (c *CellCache) execute(k cellKey, exec func() (CellResult, error), batched 
 	settled = true
 	close(fc.done)
 	if err != nil {
-		return CellResult{}, tier, 0, err
+		return CellResult{}, TierExec, 0, err
 	}
-	return res, tier, elapsedMS, nil
-}
-
-// batchChecker is a store whose batch read also names the keys it found
-// corrupt (store.Checksummed), which a plain GetBatch drops as misses.
-type batchChecker interface {
-	GetBatchChecked(keys []string) (values map[string][]byte, corrupt []string, err error)
+	return res, TierExec, elapsedMS, nil
 }
 
 // lookupBatch is lookup for many cells at once: one pass over the memory
 // tier, then one store GetBatch for the misses, with the same per-cell
 // bookkeeping (noteReadLocked). Damaged entries count when they come back
-// unparseable, or when the store names them corrupt: that takes a
-// batchChecker store (see NewCellCacheStore). A store
-// error degrades the whole batch to misses. It returns the hits with
-// their tiers; every other key is a miss.
+// unparseable, or when the store names them in a *store.CorruptError,
+// whose intact values still count as hits. Any other store error
+// degrades the whole batch to misses. It returns the hits with their
+// tiers; every other key is a miss.
 func (c *CellCache) lookupBatch(keys []cellKey) (map[string]CellResult, map[string]CellTier) {
 	results := make(map[string]CellResult, len(keys))
 	tiers := make(map[string]CellTier, len(keys))
@@ -394,15 +351,13 @@ func (c *CellCache) lookupBatch(keys []cellKey) (map[string]CellResult, map[stri
 	for i, k := range misses {
 		hashes[i] = k.hash
 	}
-	var got map[string][]byte
+	got, err := c.store.GetBatch(hashes)
 	var corrupt []string
-	var err error
-	if cs, ok := c.store.(batchChecker); ok {
-		got, corrupt, err = cs.GetBatchChecked(hashes)
-	} else {
-		got, err = c.store.GetBatch(hashes)
-	}
-	if err != nil {
+	var ce *store.CorruptError
+	switch {
+	case errors.As(err, &ce):
+		corrupt = ce.Keys
+	case err != nil:
 		return results, tiers
 	}
 	// Decode outside the lock; only the bookkeeping below holds it.
@@ -432,12 +387,13 @@ func (c *CellCache) lookupBatch(keys []cellKey) (map[string]CellResult, map[stri
 	return results, tiers
 }
 
-// writeBatch stores the cells a batched caller executed (see execute) in
-// one store write. On success their damaged marks clear; on failure every
-// cell counts one store error and keeps its mark, exactly as a failed
-// per-cell write does.
+// writeBatch stores cells the caller executed (see execute) in one store
+// write. On success their damaged marks clear. On failure every cell
+// counts one store error and keeps its mark: a cache-write failure (full
+// disk, read-only directory, unreachable remote) is not an execution
+// failure, and the result stays served from memory.
 func (c *CellCache) writeBatch(cells []pendingPut) {
-	if len(cells) == 0 {
+	if c.store == nil || len(cells) == 0 {
 		return
 	}
 	err := storeCells(c.store, cells)

@@ -187,7 +187,7 @@ func TestCellCacheLRUEviction(t *testing.T) {
 func TestCellCacheStoreErrorDegradesGracefully(t *testing.T) {
 	dir := t.TempDir()
 	spec := periodsCell(model.Hour)
-	// Block the shard directory with a regular file: storeCell's MkdirAll
+	// Block the shard directory with a regular file: the disk store's MkdirAll
 	// fails with ENOTDIR regardless of privileges (chmod tricks are
 	// bypassed when tests run as root).
 	if err := os.WriteFile(filepath.Join(dir, spec.Hash()[:2]), []byte("in the way"), 0o644); err != nil {

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"abftckpt/internal/sim"
 )
 
 // CellEvent reports the completion of one unique cell, streamed to
@@ -283,8 +281,6 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	// cohorts per worker — through the cache: a concurrent run sharing the
 	// cache may have executed (or be executing) a cell, in which case the
 	// tier reports a hit and the cell counts as cached, not executed.
-	// Completion handling runs under the mutex: mark the cell done,
-	// decrement every subscribed scenario, assemble those that hit zero.
 	batches := r.schedule(todo, func(h string) CellSpec { return states[h].spec }, totalWorkers)
 	budget := r.ArenaBudget
 	if budget <= 0 {
@@ -303,6 +299,121 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 			simWorkers = lent
 		}
 	}
+
+	// complete handles one finished cell under the mutex: record the first
+	// error, or mark the cell done, decrement every subscribed scenario and
+	// assemble those that hit zero. It reports whether the run goes on.
+	// Callbacks run under the lock: they are never invoked concurrently,
+	// at the price of serializing progress reporting (cell execution
+	// itself stays parallel).
+	complete := func(st *cellState, res CellResult, tier CellTier, elapsedMS float64, err error) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			return false
+		}
+		st.result, st.done = res, true
+		st.cached = tier != TierExec
+		var elapsed time.Duration
+		if st.cached {
+			report.CacheHits++
+		} else {
+			elapsed = time.Duration(elapsedMS * float64(time.Millisecond))
+			report.Executed++
+			if st.spec.Precision != nil && res.Sim != nil {
+				report.AdaptiveCells++
+				report.AdaptiveReplicasUsed += int64(res.Sim.Runs)
+				report.AdaptiveReplicasCap += int64(res.Sim.RepsCap)
+			}
+		}
+		completed++
+		emit(CellEvent{Hash: st.key.hash, Index: completed, Total: len(order), Cached: st.cached, Elapsed: elapsed})
+		// A scenario may reference the same cell more than once;
+		// subscribers holds one entry per reference, so every reference
+		// is decremented exactly once.
+		for _, run := range subscribers[st.key.hash] {
+			if firstErr != nil {
+				break
+			}
+			run.pending--
+			done := run.pending == 0 && artifacts[run.slot] == nil
+			if done {
+				if err := finishSpec(run); err != nil && firstErr == nil {
+					firstErr = err
+					break
+				}
+			}
+			emitScenario(run, done)
+		}
+		return firstErr == nil
+	}
+
+	// runUnit executes one unit. Locally that is one cohort: its cells run
+	// through execCohort without another store read, and the cells it
+	// executed are written with one writeBatch. Under ExecBatch the
+	// compute, arena included, happens wherever the hook runs, and each
+	// result is read back through the cache (do). A panic in ExecBatch or
+	// in a cell's execution (execute re-raises it after settling its
+	// waiters) becomes the run's first error, naming the unit's first cell
+	// not yet done; the remaining units then drain as after any error.
+	runUnit := func(co cohort) {
+		defer func() {
+			if v := recover(); v != nil {
+				mu.Lock()
+				defer mu.Unlock()
+				h := co.hashes[0]
+				for _, x := range co.hashes {
+					if !states[x].done {
+						h = x
+						break
+					}
+				}
+				if firstErr == nil {
+					firstErr = fmt.Errorf("scenario: cell %s: execution panicked: %v", h[:12], v)
+				}
+			}
+		}()
+		if r.ExecBatch == nil {
+			pending, built := cache.execCohort(co, states, simWorkers, budget, complete)
+			cache.writeBatch(pending)
+			if built {
+				mu.Lock()
+				report.Cohorts++
+				for _, h := range co.hashes {
+					if st := states[h]; st.done && !st.cached {
+						report.CohortCells++
+					}
+				}
+				mu.Unlock()
+			}
+			return
+		}
+		specs := make([]CellSpec, len(co.hashes))
+		for i, h := range co.hashes {
+			specs[i] = states[h].spec
+		}
+		batchRes, batchErr := r.ExecBatch(specs)
+		if batchErr == nil && len(batchRes) != len(specs) {
+			batchErr = fmt.Errorf("scenario: ExecBatch returned %d results for %d cells", len(batchRes), len(specs))
+		}
+		for i, h := range co.hashes {
+			st := states[h]
+			start := time.Now()
+			res, tier, err := cache.do(st.key, func() (CellResult, error) {
+				if batchErr != nil {
+					return CellResult{}, batchErr
+				}
+				return batchRes[i], nil
+			})
+			if !complete(st, res, tier, float64(time.Since(start).Microseconds())/1000, err) {
+				break
+			}
+		}
+	}
+
 	if len(batches) > 0 {
 		jobs := make(chan cohort)
 		var wg sync.WaitGroup
@@ -318,104 +429,8 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 				for co := range jobs {
 					// After the first error only drain the queue; do not
 					// start new work.
-					if failed() {
-						continue
-					}
-					// Materialize the cohort's failure process once; nil
-					// (singleton, bad spec or over-budget arena) falls back
-					// to per-cell generation. Under ExecBatch the compute —
-					// arena included — happens wherever the hook runs, so no
-					// local arena is built.
-					var arena *sim.TraceArena
-					var batchRes []CellResult
-					var batchErr error
-					if r.ExecBatch != nil {
-						specs := make([]CellSpec, len(co.hashes))
-						for i, h := range co.hashes {
-							specs[i] = states[h].spec
-						}
-						batchRes, batchErr = r.ExecBatch(specs)
-						if batchErr == nil && len(batchRes) != len(specs) {
-							batchErr = fmt.Errorf("scenario: ExecBatch returned %d results for %d cells", len(batchRes), len(specs))
-						}
-					} else if len(co.hashes) > 1 {
-						cells := make([]CellSpec, len(co.hashes))
-						for i, h := range co.hashes {
-							cells[i] = states[h].spec
-						}
-						if arena = buildCohortArena(co, cells, budget); arena != nil {
-							mu.Lock()
-							report.Cohorts++
-							mu.Unlock()
-						}
-					}
-					for i, h := range co.hashes {
-						if failed() {
-							break
-						}
-						st := states[h]
-						exec := func() (CellResult, error) {
-							return st.spec.ExecuteOpts(ExecOptions{Workers: simWorkers, Arena: arena})
-						}
-						if r.ExecBatch != nil {
-							i := i
-							exec = func() (CellResult, error) {
-								if batchErr != nil {
-									return CellResult{}, batchErr
-								}
-								return batchRes[i], nil
-							}
-						}
-						start := time.Now()
-						res, tier, err := cache.do(st.key, exec)
-						elapsed := time.Since(start)
-						mu.Lock()
-						if err != nil {
-							if firstErr == nil {
-								firstErr = err
-							}
-							mu.Unlock()
-							continue
-						}
-						st.result, st.done = res, true
-						st.cached = tier != TierExec
-						if st.cached {
-							report.CacheHits++
-							elapsed = 0
-						} else {
-							report.Executed++
-							if arena != nil {
-								report.CohortCells++
-							}
-							if st.spec.Precision != nil && res.Sim != nil {
-								report.AdaptiveCells++
-								report.AdaptiveReplicasUsed += int64(res.Sim.Runs)
-								report.AdaptiveReplicasCap += int64(res.Sim.RepsCap)
-							}
-						}
-						completed++
-						// Callbacks run under the lock: they are never invoked
-						// concurrently, at the price of serializing progress
-						// reporting (cell execution itself stays parallel).
-						emit(CellEvent{Hash: h, Index: completed, Total: len(order), Cached: st.cached, Elapsed: elapsed})
-						// A scenario may reference the same cell more than
-						// once; subscribers holds one entry per reference, so
-						// every reference is decremented exactly once.
-						for _, run := range subscribers[h] {
-							if firstErr != nil {
-								break
-							}
-							run.pending--
-							done := run.pending == 0 && artifacts[run.slot] == nil
-							if done {
-								if err := finishSpec(run); err != nil && firstErr == nil {
-									firstErr = err
-									break
-								}
-							}
-							emitScenario(run, done)
-						}
-						mu.Unlock()
+					if !failed() {
+						runUnit(co)
 					}
 				}
 			}()

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"abftckpt/internal/store"
 )
 
 // testCampaign mixes every cell op: a model heatmap, a diff heatmap reusing
@@ -207,5 +210,72 @@ func TestRunnerRejectsInvalid(t *testing.T) {
 	bad.Scenarios[0].Params.(*HeatmapParams).Protocol = "bogus"
 	if _, err := r.Run(bad); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
 		t.Errorf("invalid spec should fail with a protocol error, got %v", err)
+	}
+}
+
+// TestRunnerStoreTraffic pins a local run's store traffic: every store read
+// happens in the preload (one Get per unique cell) and every write after
+// execution, one PutBatch per executed cohort (singletons included), with
+// no per-cell Put. A warm rerun reads each cell once and writes nothing.
+func TestRunnerStoreTraffic(t *testing.T) {
+	c := packCampaign(t)
+	todo, specs := uniqueCells(t, c)
+	units := groupCohorts(todo, func(h string) CellSpec { return specs[h] })
+	multi := 0
+	for _, co := range units {
+		if len(co.hashes) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 || multi == len(units) {
+		t.Fatalf("campaign has %d multi-cell cohorts of %d units; want both kinds", multi, len(units))
+	}
+	cnt := &countingStore{ResultStore: store.WithChecksum(store.NewMemory())}
+
+	// {Get, Put, GetBatch, PutBatch}
+	r := Runner{Cache: NewCellCacheStore(cnt, 0), Workers: 2}
+	cold, err := r.Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Executed != cold.Unique {
+		t.Fatalf("cold run executed %d of %d cells", cold.Executed, cold.Unique)
+	}
+	if got, want := cnt.traffic(), [4]int64{int64(cold.Unique), 0, 0, int64(len(units))}; got != want {
+		t.Errorf("cold run traffic %v, want %v: one Get per cell, one PutBatch per cohort", got, want)
+	}
+
+	r = Runner{Cache: NewCellCacheStore(cnt, 0), Workers: 2}
+	warm, err := r.Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Executed != 0 {
+		t.Fatalf("warm run executed %d cells", warm.Executed)
+	}
+	if got, want := cnt.traffic(), [4]int64{int64(warm.Unique), 0, 0, 0}; got != want {
+		t.Errorf("warm run traffic %v, want %v: one Get per cell and no write", got, want)
+	}
+}
+
+// TestRunnerExecBatchPanicIsError: a panic in the ExecBatch hook fails the
+// run with an error naming the unit's cell, instead of killing the
+// process, and the run does not hang on the units left.
+func TestRunnerExecBatchPanicIsError(t *testing.T) {
+	r := Runner{Cache: NewCellCache("", 0), Workers: 2, ExecBatch: func([]CellSpec) ([]CellResult, error) {
+		panic("hook exploded")
+	}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Run(testCampaign())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "execution panicked: hook exploded") || !strings.HasPrefix(err.Error(), "scenario: cell ") {
+			t.Fatalf("err = %v, want a cell execution-panicked error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run hung after a panicking unit")
 	}
 }

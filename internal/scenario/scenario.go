@@ -475,15 +475,24 @@ const (
 // Validate checks the distribution name and that the shape lies within
 // the family's bounds (dist.Family; listed in docs/SCENARIOS.md).
 func (d DistSpec) Validate() error {
+	_, err := d.family()
+	return err
+}
+
+// family is Validate that also returns the family's constructor, so a
+// caller that needs both resolves the family once. The name check comes
+// first: dist.Family also takes "exponential", which a campaign may not.
+func (d DistSpec) family() (func(mtbf float64) dist.Distribution, error) {
 	switch d.Name {
 	case DistExponential, DistWeibull, DistGamma, DistLogNormal, DistCascade:
-		if _, err := dist.Family(d.Name, d.Shape); err != nil {
-			return fmt.Errorf("scenario: distribution %q: %w", d.Name, err)
+		ctor, err := dist.Family(d.Name, d.Shape)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: distribution %q: %w", d.Name, err)
 		}
-		return nil
+		return ctor, nil
 	case "":
-		return fmt.Errorf("scenario: distribution name is required (exp, weibull, gamma, lognormal or cascade)")
+		return nil, fmt.Errorf("scenario: distribution name is required (exp, weibull, gamma, lognormal or cascade)")
 	default:
-		return fmt.Errorf("scenario: unknown distribution %q (want exp, weibull, gamma, lognormal or cascade)", d.Name)
+		return nil, fmt.Errorf("scenario: unknown distribution %q (want exp, weibull, gamma, lognormal or cascade)", d.Name)
 	}
 }

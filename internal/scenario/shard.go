@@ -1,7 +1,5 @@
 package scenario
 
-import "abftckpt/internal/sim"
-
 // Shard execution: a worker serving POST /v1/shards runs a batch of cells
 // through its cache with exactly the semantics of a local campaign run —
 // trace-cohort grouping included, so a cohort dispatched to one worker
@@ -134,14 +132,13 @@ type ShardOutcome struct {
 
 // ExecuteShard runs the cells through the cache: one batched lookup (the
 // memory tier, then a single store GetBatch), execution of the misses
-// through the cache's singleflight path, grouped into trace cohorts
-// (cells sharing a failure process generate their arrival streams once
-// and replay them; see groupCohorts), and a single PutBatch of what was
-// executed. simWorkers bounds replica-level parallelism inside each
-// simulation cell (<= 0: 1); arenaBudget bounds one cohort's materialized
-// arena (<= 0: DefaultArenaBudget). The first cell error aborts the shard
-// after the cells executed so far are written. Cells must be
-// pre-validated by the caller.
+// grouped into trace cohorts (cells sharing a failure process generate
+// their arrival streams once and replay them; see execCohort), and a
+// single PutBatch of what was executed. simWorkers bounds replica-level
+// parallelism inside each simulation cell (<= 0: 1); arenaBudget bounds
+// one cohort's materialized arena (<= 0: DefaultArenaBudget). The first
+// cell error aborts the shard after the cells executed so far are
+// written. Cells must be pre-validated by the caller.
 func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int, arenaBudget int64) (*ShardOutcome, error) {
 	if arenaBudget <= 0 {
 		arenaBudget = DefaultArenaBudget
@@ -152,18 +149,14 @@ func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int, arenaBudge
 
 	// Deduplicate within the shard (a well-behaved coordinator sends
 	// unique cells, but the semantics must not depend on it).
-	type shardCell struct {
-		spec CellSpec
-		key  cellKey
-	}
-	byHash := map[string]shardCell{}
+	byHash := map[string]*cellState{}
 	var keys []cellKey
 	hashes := make([]string, len(specs))
 	for i, spec := range specs {
 		k := spec.key()
 		hashes[i] = k.hash
 		if _, ok := byHash[k.hash]; !ok {
-			byHash[k.hash] = shardCell{spec: spec, key: k}
+			byHash[k.hash] = &cellState{spec: spec, key: k}
 			keys = append(keys, k)
 		}
 	}
@@ -177,30 +170,19 @@ func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int, arenaBudge
 	}
 	var executed []pendingPut
 	var execErr error
-run:
-	for _, co := range groupCohorts(misses, func(h string) CellSpec { return byHash[h].spec }) {
-		var arena *sim.TraceArena
-		if len(co.hashes) > 1 {
-			cells := make([]CellSpec, len(co.hashes))
-			for i, h := range co.hashes {
-				cells[i] = byHash[h].spec
-			}
-			arena = buildCohortArena(co, cells, arenaBudget)
+	done := func(st *cellState, res CellResult, tier CellTier, _ float64, err error) bool {
+		if err != nil {
+			execErr = err
+			return false
 		}
-		for _, h := range co.hashes {
-			cell := byHash[h]
-			opts := ExecOptions{Workers: simWorkers, Arena: arena}
-			res, tier, elapsedMS, err := cache.execute(cell.key, func() (CellResult, error) {
-				return cell.spec.ExecuteOpts(opts)
-			}, true)
-			if err != nil {
-				execErr = err
-				break run
-			}
-			results[h], tiers[h] = res, tier
-			if tier == TierExec {
-				executed = append(executed, pendingPut{key: cell.key, result: res, elapsedMS: elapsedMS})
-			}
+		results[st.key.hash], tiers[st.key.hash] = res, tier
+		return true
+	}
+	for _, co := range groupCohorts(misses, func(h string) CellSpec { return byHash[h].spec }) {
+		pending, _ := cache.execCohort(co, byHash, simWorkers, arenaBudget, done)
+		executed = append(executed, pending...)
+		if execErr != nil {
+			break
 		}
 	}
 	cache.writeBatch(executed)

@@ -532,3 +532,30 @@ func TestExecuteShardFailedWriteKeepsDamage(t *testing.T) {
 		}
 	}
 }
+
+// TestExecuteShardCountsCorruptThroughWrapper: a damaged entry read by a
+// shard through a pass-through wrapper above the checksum layer counts
+// once, because the checksum layer's batch read names it in its error.
+func TestExecuteShardCountsCorruptThroughWrapper(t *testing.T) {
+	c := packCampaign(t)
+	mem := filledStore(t, c)
+	todo, specs := uniqueCells(t, c)
+	victim := todo[len(todo)/2]
+	flipEntry(t, mem, victim)
+
+	cache := NewCellCacheStore(&countingStore{ResultStore: store.WithChecksum(mem)}, 0)
+	var shard []CellSpec
+	for _, h := range todo {
+		shard = append(shard, specs[h])
+	}
+	out, err := ExecuteShard(cache, shard, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Executed != 1 || out.Cached != len(shard)-1 {
+		t.Errorf("executed %d, cached %d; want 1, %d", out.Executed, out.Cached, len(shard)-1)
+	}
+	if st := cache.Stats(); st.CorruptEntries != 1 || st.DiskHits != int64(len(shard)-1) {
+		t.Errorf("corrupt %d, disk hits %d; want 1, %d", st.CorruptEntries, st.DiskHits, len(shard)-1)
+	}
+}

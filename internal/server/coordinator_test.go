@@ -358,16 +358,13 @@ func TestCoordinatorAllWorkersDownFailsJob(t *testing.T) {
 func TestRemoteStoreTierE2E(t *testing.T) {
 	upstream, upstreamSrv := newTestServer(t) // disk-backed, mounts /v1/store/
 
-	remote := store.NewBatcher(store.NewRemote(upstream.URL+"/v1/store", nil), 16, 0)
+	remote := store.NewRemote(upstream.URL+"/v1/store", nil)
 	srv := New(Config{Cache: scenario.NewCellCacheStore(remote, 128), Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	if code, _ := postJSON(t, ts.URL+"/v1/cells", periodsCellBody, nil); code != http.StatusOK {
 		t.Fatalf("cell: code %d", code)
-	}
-	if err := srv.Cache().Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
 	}
 	// The upstream's disk store now holds the cell: a fresh cache over the
 	// same remote store serves it without executing.

@@ -16,6 +16,21 @@ import (
 // applications (arXiv:1511.04478).
 var ErrCorrupt = errors.New("store: checksum mismatch (corrupt value)")
 
+// CorruptError names the keys of a batch read whose values came back
+// corrupt (in no particular order). Checksummed.GetBatch returns it
+// together with the intact values; errors.Is(err, ErrCorrupt) holds for
+// it.
+type CorruptError struct {
+	Keys []string
+}
+
+func (e *CorruptError) Error() string {
+	return fmt.Sprintf("%v: %d key(s)", ErrCorrupt, len(e.Keys))
+}
+
+// Unwrap makes errors.Is(err, ErrCorrupt) hold.
+func (e *CorruptError) Unwrap() error { return ErrCorrupt }
+
 // Checksum trailer framing. A framed value is
 //
 //	<payload> "cks1:" <16 hex chars of FNV-64a(payload)> "\n"
@@ -100,13 +115,11 @@ func splitChecksum(framed []byte) (payload []byte, verified bool, err error) {
 // Checksummed wraps a ResultStore with write-side checksum framing and
 // read-side verification: Put appends a checksum trailer, Get verifies
 // and strips it, and a mismatch surfaces as ErrCorrupt (GetBatch omits
-// the corrupt key, like a miss, and counts it; GetBatchChecked also names
-// it). Legacy values without a
-// trailer pass through unverified, so existing caches stay warm.
+// the corrupt key and names it in a *CorruptError). Legacy values without
+// a trailer pass through unverified, so existing caches stay warm.
 //
-// The wrapper composes with any backend — Disk, Remote, Memory, or a
-// Batcher stack — because it only rewrites values; keys, batching and
-// layout are untouched.
+// The wrapper composes with any backend — Disk, Remote, Memory — because
+// it only rewrites values; keys, batching and layout are untouched.
 type Checksummed struct {
 	inner    ResultStore
 	verified atomic.Int64
@@ -175,25 +188,17 @@ func (s *Checksummed) Put(key string, value []byte) error {
 	return s.inner.Put(key, appendChecksum(value))
 }
 
-// GetBatch implements ResultStore. Corrupt values are omitted — to the
-// caller they look like misses, which is exactly the degradation the
-// cache wants — and counted in Stats.
+// GetBatch implements ResultStore. Corrupt values are omitted from the
+// map, counted in Stats and named in a *CorruptError returned alongside
+// the intact values, so a batch reader above any pass-through wrapper can
+// count each detected silent error the way a per-key Get reports it.
 func (s *Checksummed) GetBatch(keys []string) (map[string][]byte, error) {
-	out, _, err := s.GetBatchChecked(keys)
-	return out, err
-}
-
-// GetBatchChecked is GetBatch that also names the keys whose values came
-// back corrupt (in no particular order), so a caller that reads a whole
-// batch can count each detected silent error the way a per-key Get
-// reports it with ErrCorrupt. A wrapper over a Checksummed that forwards
-// this method keeps batch readers above it counting those keys.
-func (s *Checksummed) GetBatchChecked(keys []string) (values map[string][]byte, corrupt []string, err error) {
 	got, err := s.inner.GetBatch(keys)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	values = make(map[string][]byte, len(got))
+	values := make(map[string][]byte, len(got))
+	var corrupt []string
 	for k, framed := range got {
 		payload, err := s.verify(framed)
 		if err != nil {
@@ -202,7 +207,10 @@ func (s *Checksummed) GetBatchChecked(keys []string) (values map[string][]byte, 
 		}
 		values[k] = payload
 	}
-	return values, corrupt, nil
+	if len(corrupt) > 0 {
+		return values, &CorruptError{Keys: corrupt}
+	}
+	return values, nil
 }
 
 // PutBatch implements ResultStore: every item is framed.

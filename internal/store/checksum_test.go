@@ -61,8 +61,9 @@ func TestChecksummedDetectsCorruption(t *testing.T) {
 		t.Fatalf("get: %q, %v", got, err)
 	}
 
-	// Corrupt k1 in the backing store: Get must fail with ErrCorrupt,
-	// and GetBatch must omit it while still returning healthy k2.
+	// Corrupt k1 in the backing store: Get must fail with ErrCorrupt, and
+	// GetBatch must omit it, name it in a *CorruptError and still return
+	// healthy k2. A missing key is not corrupt.
 	framed, err := inner.Get(k1)
 	if err != nil {
 		t.Fatal(err)
@@ -74,32 +75,24 @@ func TestChecksummedDetectsCorruption(t *testing.T) {
 	if _, err := cs.Get(k1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("get of corrupted value: err %v, want ErrCorrupt", err)
 	}
-	batch, err := cs.GetBatch([]string{k1, k2})
-	if err != nil {
-		t.Fatalf("getbatch: %v", err)
+	batch, err := cs.GetBatch([]string{k1, k2, key(3)})
+	var ce *CorruptError
+	if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) {
+		t.Fatalf("getbatch: err %v, want a *CorruptError matching ErrCorrupt", err)
 	}
-	if _, ok := batch[k1]; ok {
-		t.Fatal("corrupted key surfaced from GetBatch")
+	if len(ce.Keys) != 1 || ce.Keys[0] != k1 {
+		t.Fatalf("getbatch corrupt keys %v, want [k1]", ce.Keys)
 	}
-	if string(batch[k2]) != "payload-two" {
-		t.Fatalf("healthy neighbor damaged: %q", batch[k2])
+	if len(batch) != 1 || string(batch[k2]) != "payload-two" {
+		t.Fatalf("getbatch values %q, want only healthy k2", batch)
 	}
-
-	// GetBatchChecked returns the same values and names the corrupt key.
-	checked, corrupt, err := cs.GetBatchChecked([]string{k1, k2, key(3)})
-	if err != nil {
-		t.Fatalf("getbatchchecked: %v", err)
-	}
-	if len(checked) != 1 || string(checked[k2]) != "payload-two" {
-		t.Fatalf("getbatchchecked values %q, want only healthy k2", checked)
-	}
-	if len(corrupt) != 1 || corrupt[0] != k1 {
-		t.Fatalf("getbatchchecked corrupt %v, want [k1] (a missing key is not corrupt)", corrupt)
+	if _, err := cs.GetBatch([]string{k2}); err != nil {
+		t.Fatalf("getbatch of intact values: %v", err)
 	}
 
 	stats := cs.Stats()
-	if stats.Corrupt != 3 {
-		t.Fatalf("corrupt count %d, want 3 (Get, GetBatch, GetBatchChecked)", stats.Corrupt)
+	if stats.Corrupt != 2 {
+		t.Fatalf("corrupt count %d, want 2 (Get, GetBatch)", stats.Corrupt)
 	}
 	if stats.Verified < 2 {
 		t.Fatalf("verified count %d, want >= 2", stats.Verified)

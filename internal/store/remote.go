@@ -19,8 +19,9 @@ import (
 //	POST {base}/put  {"items": [{"key": "...", "value": "<base64>"}]}
 //	                 -> {"stored": N}
 //
-// The protocol is batch-first so a Batcher in front of a Remote turns a
-// campaign's per-cell writes into a few HTTP round-trips.
+// The protocol is batch-first: the cell cache reads a shard's cells with
+// one GetBatch and writes what a cohort or shard executed with one
+// PutBatch, so each is one HTTP round-trip.
 
 // getRequest and putRequest are the wire shapes.
 type getRequest struct {

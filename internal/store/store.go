@@ -3,9 +3,10 @@
 // content hash. Three backends share one interface — an in-memory map, the
 // content-hashed on-disk layout the cache has always used (byte- and
 // key-compatible, so existing warm caches survive), and an HTTP client
-// speaking a small batch GET/PUT API (Handler serves it) — plus a write
-// Batcher that coalesces Puts from many goroutines into batched commits
-// with a response channel per caller.
+// speaking a small batch GET/PUT API (Handler serves it) — plus
+// Checksummed, which frames values with a checksum and verifies reads.
+// Writers batch themselves: the cell cache writes executed results with
+// one PutBatch per cohort, shard or single-cell request.
 //
 // The store deliberately knows nothing about cell semantics: keys are
 // opaque names under one rule (ErrBadKey), values are opaque bytes.

@@ -11,8 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -29,18 +27,6 @@ func backends(t *testing.T) map[string]func(t *testing.T) ResultStore {
 			srv := httptest.NewServer(Handler(NewMemory()))
 			t.Cleanup(srv.Close)
 			return NewRemote(srv.URL, srv.Client())
-		},
-		"batcher-disk": func(t *testing.T) ResultStore {
-			b := NewBatcher(NewDisk(t.TempDir()), 4, time.Millisecond)
-			t.Cleanup(func() { b.Close() })
-			return b
-		},
-		"batcher-remote": func(t *testing.T) ResultStore {
-			srv := httptest.NewServer(Handler(NewMemory()))
-			t.Cleanup(srv.Close)
-			b := NewBatcher(NewRemote(srv.URL, srv.Client()), 8, time.Millisecond)
-			t.Cleanup(func() { b.Close() })
-			return b
 		},
 		"checksum-disk": func(t *testing.T) ResultStore {
 			return WithChecksum(NewDisk(t.TempDir()))
@@ -151,151 +137,6 @@ func TestDiskLayoutCompatibility(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(dir, h2[:2], h2+".json"))
 	if err != nil || !bytes.Equal(data, val) {
 		t.Fatalf("layout: %q, %v", data, err)
-	}
-}
-
-// countingStore wraps Memory and counts PutBatch commits and items.
-type countingStore struct {
-	*Memory
-	commits atomic.Int64
-	items   atomic.Int64
-	fail    atomic.Bool
-}
-
-func (c *countingStore) PutBatch(items []Item) error {
-	if c.fail.Load() {
-		return fmt.Errorf("injected commit failure")
-	}
-	c.commits.Add(1)
-	c.items.Add(int64(len(items)))
-	return c.Memory.PutBatch(items)
-}
-
-// TestBatcherCoalesces drives many concurrent Puts through a Batcher and
-// asserts they commit in strictly fewer batches than items, every caller
-// sees success, and every value is durably stored.
-func TestBatcherCoalesces(t *testing.T) {
-	inner := &countingStore{Memory: NewMemory()}
-	b := NewBatcher(inner, 16, 5*time.Millisecond)
-	defer b.Close()
-
-	const n = 128
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = b.Put(key(i), []byte(fmt.Sprintf("v%d", i)))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	if got := inner.items.Load(); got != n {
-		t.Fatalf("committed items %d, want %d", got, n)
-	}
-	if commits := inner.commits.Load(); commits >= n {
-		t.Fatalf("batcher did not coalesce: %d commits for %d items", commits, n)
-	}
-	for i := 0; i < n; i++ {
-		v, err := b.Get(key(i))
-		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("get %d: %q, %v", i, v, err)
-		}
-	}
-}
-
-// TestBatcherDeliversCommitErrorToEveryCaller pins the response-channel
-// contract: when the backend commit fails, every caller in that batch sees
-// the error (not just the one that triggered the flush).
-func TestBatcherDeliversCommitErrorToEveryCaller(t *testing.T) {
-	inner := &countingStore{Memory: NewMemory()}
-	inner.fail.Store(true)
-	b := NewBatcher(inner, 4, time.Millisecond)
-	defer b.Close()
-
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = b.Put(key(i), []byte("x"))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("put %d succeeded despite failing backend", i)
-		}
-	}
-}
-
-// TestBatcherCloseFlushes pins shutdown semantics: Close commits what is
-// buffered, and late Puts get an explicit error instead of a lost write.
-func TestBatcherCloseFlushes(t *testing.T) {
-	inner := &countingStore{Memory: NewMemory()}
-	// Huge delay and batch: nothing would commit without Close's flush.
-	b := NewBatcher(inner, 1024, time.Hour)
-
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := b.Put(key(i), []byte("x")); err != nil {
-				t.Errorf("put %d: %v", i, err)
-			}
-		}(i)
-	}
-	// Give the puts a moment to enqueue, then close underneath them.
-	time.Sleep(10 * time.Millisecond)
-	if err := b.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	wg.Wait()
-	if got := inner.items.Load(); got != 8 {
-		t.Fatalf("committed items %d, want 8", got)
-	}
-	if err := b.Put(key(100), []byte("late")); err == nil {
-		t.Fatal("put after close succeeded")
-	}
-	if err := b.Close(); err != nil {
-		t.Fatalf("double close: %v", err)
-	}
-}
-
-// TestBatcherFlushBarrier: Flush returns only after previously accepted
-// puts are committed.
-func TestBatcherFlushBarrier(t *testing.T) {
-	inner := &countingStore{Memory: NewMemory()}
-	b := NewBatcher(inner, 1024, time.Hour)
-	defer b.Close()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := b.Put(key(1), []byte("x")); err != nil {
-			t.Errorf("put: %v", err)
-		}
-	}()
-	// Wait until the put is enqueued (the loop has it buffered).
-	deadline := time.Now().Add(time.Second)
-	for inner.items.Load() == 0 {
-		if err := b.Flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("put never committed")
-		}
-	}
-	<-done
-	if _, err := inner.Get(key(1)); err != nil {
-		t.Fatalf("value not durable after flush: %v", err)
 	}
 }
 
