@@ -127,20 +127,14 @@ func Simulate(cfg SimConfig) SimAggregate {
 
 // TraceArena is a materialized failure process: per-repetition arrival
 // streams generated once and replayed across simulation campaigns that
-// share the process (see SimulateFromTrace).
+// share the process (set SimConfig.Trace; results are bit-identical to
+// generating on the fly).
 type TraceArena = sim.TraceArena
 
 // BuildTraceArena materializes the failure process (d, seed, reps) through
 // the given horizon; see sim.BuildTraceArena.
 func BuildTraceArena(d Distribution, seed uint64, reps int, horizon float64) *TraceArena {
 	return sim.BuildTraceArena(d, seed, reps, horizon)
-}
-
-// SimulateFromTrace runs the simulator like Simulate but replays failure
-// arrivals from a prebuilt arena — bit-identical results, with the stream
-// generation cost paid once per arena instead of once per campaign.
-func SimulateFromTrace(cfg SimConfig, tr *TraceArena) SimAggregate {
-	return sim.SimulateFromTrace(cfg, tr)
 }
 
 // SimPrecision configures adaptive-precision execution: a CI half-width
@@ -157,13 +151,6 @@ type SimAdaptiveAggregate = sim.AdaptiveAggregate
 // failures the analytic model prediction serves as a control variate.
 func SimulateAdaptive(cfg SimConfig, prec SimPrecision) SimAdaptiveAggregate {
 	return sim.SimulateAdaptive(cfg, prec)
-}
-
-// SimulateAdaptiveFromTrace is SimulateAdaptive over a prebuilt arena
-// covering at least cfg.Reps repetitions — identical results to the live
-// path, including the control-variate statistics.
-func SimulateAdaptiveFromTrace(cfg SimConfig, tr *TraceArena, prec SimPrecision) SimAdaptiveAggregate {
-	return sim.SimulateAdaptiveFromTrace(cfg, tr, prec)
 }
 
 // SilentRecovery selects how a verified-pattern protocol recovers from a
@@ -282,7 +269,7 @@ func LoadCampaignFile(path string) (*Campaign, error) { return scenario.LoadFile
 // RunCampaign executes a campaign with the given cell cache directory
 // (empty disables caching) and returns the report with all artifacts.
 func RunCampaign(c *Campaign, cacheDir string) (*CampaignReport, error) {
-	r := scenario.Runner{CacheDir: cacheDir}
+	r := scenario.Runner{Cache: scenario.NewCellCache(cacheDir, 0)}
 	return r.Run(c)
 }
 

@@ -74,8 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noCache := fs.Bool("no-cache", false, "disable the cell cache")
 	storeURL := fs.String("store-url", "", "remote result store base URL (e.g. http://host:port/v1/store) instead of the on-disk cache")
 	workers := fs.Int("workers", 0, "cell-level parallelism (0: NumCPU)")
-	cohorts := fs.Bool("cohorts", true, "generate each shared failure process once and replay it across its cells (trace cohorts)")
-	arenaMB := fs.Int("arena-mb", 0, "per-cohort trace-arena memory budget in MiB (0: default 64)")
 	validate := fs.Bool("validate", false, "validate the campaign file and exit")
 	dryRun := fs.Bool("dry-run", false, "validate and print the cell plan without executing")
 	platforms := fs.Bool("platforms", false, "list the built-in platform catalogue and exit")
@@ -130,26 +128,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return fail(err)
 	}
-	cacheDir := *cache
-	if cacheDir == "" {
-		cacheDir = filepath.Join(*out, ".ftcache")
-	}
-	if *noCache {
-		cacheDir = ""
-	}
 	// A remote store replaces the on-disk tier: results read from and
 	// write to a store served by an ftserve (its /v1/store mount), shared
 	// with every other node pointed at the same URL. The runner writes
 	// each executed cohort with one PutBatch, one round-trip.
 	var cellCache *scenario.CellCache
-	if *storeURL != "" {
+	switch {
+	case *storeURL != "":
 		if *noCache || *cache != "" {
 			fmt.Fprintln(stderr, "ftcampaign: -store-url is mutually exclusive with -cache and -no-cache")
 			return 2
 		}
 		cellCache = scenario.NewCellCacheStore(store.WithChecksum(store.NewRemote(*storeURL, nil)), 0)
 		defer cellCache.Close() //nolint:errcheck // releases idle connections; writes already reported their errors
-		cacheDir = ""
+	case *noCache:
+		cellCache = scenario.NewCellCache("", 0)
+	case *cache != "":
+		cellCache = scenario.NewCellCache(*cache, 0)
+	default:
+		cellCache = scenario.NewCellCache(filepath.Join(*out, ".ftcache"), 0)
 	}
 
 	start := time.Now()
@@ -157,11 +154,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var artErr error
 	filesByName := map[string][]string{}
 	runner := scenario.Runner{
-		Cache:          cellCache,
-		CacheDir:       cacheDir,
-		Workers:        *workers,
-		DisableCohorts: !*cohorts,
-		ArenaBudget:    int64(*arenaMB) << 20,
+		Cache:   cellCache,
+		Workers: *workers,
 		OnEvent: func(ev scenario.CellEvent) {
 			if *verbose {
 				state := "executed"

@@ -80,39 +80,14 @@ func cohortSpec(t *testing.T) string {
 	return path
 }
 
-// A dry run over shared failure processes reports the cohort plan, and the
-// run itself produces identical manifests with -cohorts on (the default)
-// and off.
-func TestCohortsFlagAndDryRunReport(t *testing.T) {
-	spec := cohortSpec(t)
-	code, stdout, stderr := runCmd(t, "-spec", spec, "-dry-run")
+// A dry run over shared failure processes reports the cohort plan.
+func TestDryRunReportsCohorts(t *testing.T) {
+	code, stdout, stderr := runCmd(t, "-spec", cohortSpec(t), "-dry-run")
 	if code != 0 {
 		t.Fatalf("dry-run exit %d, stderr: %s", code, stderr)
 	}
 	if !strings.Contains(stdout, "trace cohorts: 1 shared failure processes covering 2 sim cells") {
 		t.Errorf("dry-run output missing the cohort plan:\n%s", stdout)
-	}
-
-	outOn := filepath.Join(t.TempDir(), "on")
-	if code, _, stderr := runCmd(t, "-spec", spec, "-out", outOn, "-no-cache"); code != 0 {
-		t.Fatalf("cohort run exit %d, stderr: %s", code, stderr)
-	}
-	outOff := filepath.Join(t.TempDir(), "off")
-	if code, _, stderr := runCmd(t, "-spec", spec, "-out", outOff, "-no-cache", "-cohorts=false"); code != 0 {
-		t.Fatalf("per-cell run exit %d, stderr: %s", code, stderr)
-	}
-	for _, name := range []string{"sp.csv", "sa.csv"} {
-		a, err := os.ReadFile(filepath.Join(outOn, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(outOff, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s differs between -cohorts and -cohorts=false", name)
-		}
 	}
 }
 

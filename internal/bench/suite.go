@@ -98,10 +98,10 @@ func Suite() []Benchmark {
 				cfg := fig7Sim(replicaReps)
 				// The arena is built once and replayed every iteration —
 				// exactly how a cohort amortizes stream generation.
-				tr := sim.BuildTraceArena(dist.NewExponential(cfg.Params.Mu), cfg.Seed, cfg.Reps, 1.5*cfg.Params.T0)
+				cfg.Trace = sim.BuildTraceArena(dist.NewExponential(cfg.Params.Mu), cfg.Seed, cfg.Reps, 1.5*cfg.Params.T0)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sim.SimulateFromTrace(cfg, tr)
+					sim.Simulate(cfg)
 				}
 			},
 		},
@@ -422,7 +422,7 @@ func Suite() []Benchmark {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					r := &scenario.Runner{CacheDir: dir, Workers: 1}
+					r := &scenario.Runner{Cache: scenario.NewCellCache(dir, 0), Workers: 1}
 					if _, err := r.Run(c); err != nil {
 						b.Fatal(err)
 					}

@@ -189,7 +189,7 @@ func TestQuickCacheRoundTrip(t *testing.T) {
 		if _, _, err := c.do(spec.key(), func() (CellResult, error) { return res, nil }); err != nil {
 			return false
 		}
-		memGot, tier, ok := c.Lookup(spec)
+		memGot, tier, ok := c.lookup(spec.key())
 		return ok && tier == TierMem && mustCanonicalResult(t, memGot) == want
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {

@@ -580,17 +580,17 @@ func (c CellSpec) validateMonteCarlo() error {
 
 // ExecOptions tune how a cell executes. They never change the result: any
 // combination is bit-identical to the default (sim.Simulate's worker
-// invariance and sim.SimulateFromTrace's replay equivalence), so the cache
-// key stays the cell spec alone.
+// invariance and its bit-identical trace replay), so the cache key stays
+// the cell spec alone.
 type ExecOptions struct {
 	// Workers bounds replica-level parallelism inside a simulation cell
 	// (<= 0: single-threaded). The Runner lends idle workers to cells when
 	// a campaign has fewer unique cells than cores.
 	Workers int
 	// Arena, when non-nil, replays the cell's failure process from a
-	// materialized trace instead of regenerating it. The caller must have
-	// derived it from the cell's process key (see SimProcessKey); it is
-	// ignored by non-simulation ops.
+	// materialized trace (sim.Config.Trace) instead of regenerating it.
+	// The caller must have derived it from the cell's process key (see
+	// SimProcessKey); it is ignored by non-simulation ops.
 	Arena *sim.TraceArena
 }
 
@@ -628,6 +628,7 @@ func (c CellSpec) ExecuteOpts(o ExecOptions) (CellResult, error) {
 			Workers:      workers,
 			Distribution: ctor,
 			Safeguard:    c.Options.Safeguard,
+			Trace:        o.Arena,
 		}
 		if p := c.Precision; p != nil {
 			prec := sim.Precision{
@@ -647,21 +648,9 @@ func (c CellSpec) ExecuteOpts(o ExecOptions) (CellResult, error) {
 				}
 				prec.ModelTFinal = float64(epochs) * r.TFinal
 			}
-			var agg sim.AdaptiveAggregate
-			if o.Arena != nil {
-				agg = sim.SimulateAdaptiveFromTrace(cfg, o.Arena, prec)
-			} else {
-				agg = sim.SimulateAdaptive(cfg, prec)
-			}
-			return CellResult{Sim: newAdaptiveSimCellResult(agg)}, nil
+			return CellResult{Sim: newAdaptiveSimCellResult(sim.SimulateAdaptive(cfg, prec))}, nil
 		}
-		var agg sim.Aggregate
-		if o.Arena != nil {
-			agg = sim.SimulateFromTrace(cfg, o.Arena)
-		} else {
-			agg = sim.Simulate(cfg)
-		}
-		return CellResult{Sim: newSimCellResult(agg)}, nil
+		return CellResult{Sim: newSimCellResult(sim.Simulate(cfg))}, nil
 	case OpSilentModel:
 		mode, _ := model.ParseSilentRecovery(c.Silent.Recovery)
 		return CellResult{SilentModel: newSilentModelCellResult(model.EvaluateSilent(mode, c.Silent.Params))}, nil

@@ -84,12 +84,14 @@ func groupCohorts(hashes []string, spec func(hash string) CellSpec) []cohort {
 	return out
 }
 
-// DefaultArenaBudget bounds one cohort's materialized trace arena (bytes).
-// At the paper's heaviest heatmap point (one-week epochs, one-hour MTBF,
-// 1000 repetitions) an arena runs a few MB, so the default leaves two
-// orders of magnitude of headroom while still refusing degenerate processes
-// (tiny MTBF against a huge horizon estimate).
-const DefaultArenaBudget = 64 << 20
+// arenaBudget bounds one cohort's materialized trace arena (bytes). At the
+// paper's heaviest heatmap point (one-week epochs, one-hour MTBF, 1000
+// repetitions) an arena runs a few MB, so the budget leaves two orders of
+// magnitude of headroom while still refusing degenerate processes (tiny
+// MTBF against a huge horizon estimate). It is not a setting: replay and
+// per-cell generation give the same bytes, so the budget only bounds
+// memory.
+const arenaBudget = 64 << 20
 
 // arenaMargin scales the model-predicted makespan into the arena build
 // horizon: the simulator's waste exceeds the first-order model's by a
@@ -167,7 +169,7 @@ func buildCohortArena(co cohort, cells []CellSpec, budget int64) *sim.TraceArena
 // cohort. It returns the cells executed here, for the caller's
 // writeBatch (none when the cache has no store), and whether an arena was
 // built. simWorkers bounds replica-level parallelism inside each cell.
-func (c *CellCache) execCohort(co cohort, cells map[string]*cellState, simWorkers int, budget int64,
+func (c *CellCache) execCohort(co cohort, cells map[string]*cellState, simWorkers int,
 	done func(st *cellState, res CellResult, tier CellTier, elapsedMS float64, err error) bool) ([]pendingPut, bool) {
 	var arena *sim.TraceArena
 	if len(co.hashes) > 1 {
@@ -175,7 +177,7 @@ func (c *CellCache) execCohort(co cohort, cells map[string]*cellState, simWorker
 		for i, h := range co.hashes {
 			specs[i] = cells[h].spec
 		}
-		arena = buildCohortArena(co, specs, budget)
+		arena = buildCohortArena(co, specs, arenaBudget)
 	}
 	opts := ExecOptions{Workers: simWorkers, Arena: arena}
 	var pending []pendingPut

@@ -233,28 +233,27 @@ func TestRunnerCohortsBitIdenticalToPerCell(t *testing.T) {
 	}
 }
 
-// A tiny arena budget disables materialization (the estimate exceeds it),
-// and the campaign still produces identical artifacts.
+// A cohort whose estimated arena exceeds the budget builds none (its cells
+// then generate per cell, which TestRunnerCohortsBitIdenticalToPerCell
+// holds byte-identical), and the same cohort builds under arenaBudget.
 func TestRunnerArenaBudgetFallback(t *testing.T) {
-	c := cohortCampaign(t)
-	tight := &Runner{Cache: NewCellCache("", 0), Workers: 1, ArenaBudget: 128}
-	repTight, err := tight.Run(c)
+	e, err := expandCampaign(cohortCampaign(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repTight.Cohorts != 0 || repTight.CohortCells != 0 {
-		t.Errorf("128-byte budget still built arenas: %d/%d", repTight.Cohorts, repTight.CohortCells)
+	co := groupCohorts(e.order, func(h string) CellSpec { return e.states[h].spec })[0]
+	cells := make([]CellSpec, len(co.hashes))
+	for i, h := range co.hashes {
+		cells[i] = e.states[h].spec
 	}
-	roomy := &Runner{Cache: NewCellCache("", 0), Workers: 1}
-	repRoomy, err := roomy.Run(c)
-	if err != nil {
-		t.Fatal(err)
+	if len(cells) != 3 {
+		t.Fatalf("first cohort has %d cells, want 3", len(cells))
 	}
-	a, b := artifactCSVs(t, repTight), artifactCSVs(t, repRoomy)
-	for name, csv := range a {
-		if !bytes.Equal(b[name], csv) {
-			t.Errorf("artifact %q differs under the tight budget", name)
-		}
+	if tr := buildCohortArena(co, cells, 128); tr != nil {
+		t.Errorf("128-byte budget built a %d-byte arena", tr.Bytes())
+	}
+	if tr := buildCohortArena(co, cells, arenaBudget); tr == nil || tr.Reps() != co.key.Reps {
+		t.Errorf("default budget built no arena of %d streams", co.key.Reps)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestCorruptDiskEntryBecomesCountedMiss(t *testing.T) {
 	// A fresh cache (cold memory tier) must detect the damage: Lookup
 	// misses and counts it, GetOrExecute re-executes and heals the entry.
 	cold := NewCellCache(dir, 4)
-	if _, _, ok := cold.Lookup(spec); ok {
+	if _, _, ok := cold.lookup(spec.key()); ok {
 		t.Fatal("corrupted entry served as a hit")
 	}
 	if got := cold.Stats().CorruptEntries; got != 1 {
@@ -57,7 +57,7 @@ func TestCorruptDiskEntryBecomesCountedMiss(t *testing.T) {
 	// The overwrite healed the store: a third cache hits on disk.
 	healed := NewCellCache(dir, 4)
 	defer healed.Close()
-	if _, tier, ok := healed.Lookup(spec); !ok || tier != TierDisk {
+	if _, tier, ok := healed.lookup(spec.key()); !ok || tier != TierDisk {
 		t.Fatalf("healed entry: ok=%v tier=%s", ok, tier)
 	}
 	if got := healed.Stats().CorruptEntries; got != 0 {

@@ -61,16 +61,6 @@ func checkCells(kind string, n int) error {
 	return nil
 }
 
-// CellCount reports how many cells a scenario expands into under the
-// campaign's defaults (0 when the spec is invalid). Used by dry runs.
-func CellCount(c *Campaign, s *Spec) int {
-	ex, err := s.expand(c)
-	if err != nil {
-		return 0
-	}
-	return len(ex.cells)
-}
-
 // seedReps returns the spec's seed and repetition count, falling back to the
 // campaign's, then to DefaultSeed and DefaultReps.
 func (s *Spec) seedReps(c *Campaign) (seed uint64, reps int) {

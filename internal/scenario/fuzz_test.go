@@ -39,10 +39,14 @@ func FuzzLoadCampaign(f *testing.F) {
 		if err != nil {
 			return // rejected inputs only need to not panic
 		}
-		// Accepted: every scenario stays within the cell bound...
-		for _, s := range c.Scenarios {
-			if n := CellCount(c, s); n > maxScenarioCells {
-				t.Fatalf("scenario %q expands into %d cells, past the %d-cell limit", s.Name, n, maxScenarioCells)
+		// Accepted: every scenario expands within the cell bound...
+		p, err := PlanCampaign(c)
+		if err != nil {
+			t.Fatalf("accepted campaign does not plan: %v", err)
+		}
+		for _, s := range p.Scenarios {
+			if s.Cells > maxScenarioCells {
+				t.Fatalf("scenario %q expands into %d cells, past the %d-cell limit", s.Name, s.Cells, maxScenarioCells)
 			}
 		}
 		// ...and the campaign survives a marshal/re-load cycle.

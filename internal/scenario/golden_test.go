@@ -167,11 +167,11 @@ func TestQuickstartCampaignLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, s := range c.Scenarios {
-		total += CellCount(c, s)
+	p, err := PlanCampaign(c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if total == 0 {
+	if p.Cells == 0 {
 		t.Error("quickstart campaign expands to zero cells")
 	}
 }

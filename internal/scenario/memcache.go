@@ -73,7 +73,6 @@ const DefaultMemCells = 4096
 // jobs, and between jobs and synchronous single-cell evaluations.
 type CellCache struct {
 	store    store.ResultStore // nil: memory tier only
-	dir      string            // root of a disk-layout store, "" otherwise
 	capacity int
 
 	mu      sync.Mutex
@@ -109,9 +108,7 @@ func NewCellCache(dir string, memCells int) *CellCache {
 	if dir != "" {
 		rs = store.WithChecksum(store.NewDisk(dir))
 	}
-	c := NewCellCacheStore(rs, memCells)
-	c.dir = dir
-	return c
+	return NewCellCacheStore(rs, memCells)
 }
 
 // NewCellCacheStore returns a cache whose second tier is the given result
@@ -133,10 +130,6 @@ func NewCellCacheStore(rs store.ResultStore, memCells int) *CellCache {
 		damaged:  map[string]bool{},
 	}
 }
-
-// Dir returns the root directory when the second tier is the disk layout
-// ("" for any other backend, including none).
-func (c *CellCache) Dir() string { return c.dir }
 
 // Store returns the second-tier result store (nil when the cache is
 // memory-only). The server mounts the store API over it so workers can
@@ -202,13 +195,8 @@ func (c *CellCache) noteReadLocked(hash string, res CellResult, hit, corrupt boo
 	}
 }
 
-// Lookup consults the memory tier then the store tier, never executing. A
+// lookup consults the memory tier then the store tier, never executing. A
 // store hit is promoted into memory.
-func (c *CellCache) Lookup(spec CellSpec) (CellResult, CellTier, bool) {
-	return c.lookup(spec.key())
-}
-
-// lookup is Lookup for a cell whose key the caller already derived.
 func (c *CellCache) lookup(k cellKey) (CellResult, CellTier, bool) {
 	c.mu.Lock()
 	if res, ok := c.memHitLocked(k.hash); ok {

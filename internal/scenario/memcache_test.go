@@ -166,10 +166,10 @@ func TestCellCacheLRUEviction(t *testing.T) {
 	if _, tier, _ := c.do(d.key(), mkexec(3)); tier != TierExec {
 		t.Fatal("d should execute")
 	}
-	if _, _, ok := c.Lookup(a); !ok {
+	if _, _, ok := c.lookup(a.key()); !ok {
 		t.Error("a (recently used) was evicted")
 	}
-	if _, _, ok := c.Lookup(b); ok {
+	if _, _, ok := c.lookup(b.key()); ok {
 		t.Error("b (least recently used) survived past capacity")
 	}
 	// With no disk tier, evicted cells re-execute; the value must come

@@ -35,36 +35,65 @@ type ScenarioPlan struct {
 // PlanCampaign validates and expands the campaign without executing
 // anything, returning the cell plan.
 func PlanCampaign(c *Campaign) (*Plan, error) {
+	e, err := expandCampaign(c)
+	if err != nil {
+		return nil, err
+	}
+	p := e.plan(c.Name)
+	return &p, nil
+}
+
+// expandedCampaign is a campaign expanded and deduplicated in one pass:
+// what PlanCampaign reports and Runner.Run executes.
+type expandedCampaign struct {
+	exs    []*expansion
+	hashes [][]string            // per expansion, its cells' hashes in cell order
+	states map[string]*cellState // unique cells by hash
+	order  []string              // unique cells in first-reference order
+	refs   int                   // cell references across all scenarios
+}
+
+// expandCampaign validates and expands every scenario and deduplicates
+// their cells by content hash, deriving each cell's key once.
+func expandCampaign(c *Campaign) (*expandedCampaign, error) {
 	exs, err := c.expandAll()
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Campaign: c.Name}
-	unique := map[string]CellSpec{}
-	var order []string // unique cells in first-reference order
-	for _, ex := range exs {
-		sp := ScenarioPlan{
-			Name:      ex.spec.Name,
-			Kind:      ex.spec.Kind,
-			Cells:     len(ex.cells),
-			Artifacts: append([]string(nil), ex.artifacts...),
-		}
-		for _, cell := range ex.cells {
-			h := cell.Hash()
-			if _, ok := unique[h]; !ok {
-				unique[h] = cell
-				order = append(order, h)
+	e := &expandedCampaign{exs: exs, hashes: make([][]string, len(exs)), states: map[string]*cellState{}}
+	for i, ex := range exs {
+		hashes := make([]string, len(ex.cells))
+		for j, cell := range ex.cells {
+			k := cell.key()
+			if _, ok := e.states[k.hash]; !ok {
+				e.states[k.hash] = &cellState{spec: cell, key: k}
+				e.order = append(e.order, k.hash)
 			}
+			hashes[j] = k.hash
 		}
-		p.Cells += len(ex.cells)
-		p.Scenarios = append(p.Scenarios, sp)
+		e.hashes[i] = hashes
+		e.refs += len(ex.cells)
 	}
-	p.Unique = len(unique)
-	for _, co := range groupCohorts(order, func(h string) CellSpec { return unique[h] }) {
+	return e, nil
+}
+
+// plan describes the expanded campaign. Grouping its unique cells into
+// cohorts is work of its own, done only when a plan is asked for.
+func (e *expandedCampaign) plan(name string) Plan {
+	p := Plan{Campaign: name, Cells: e.refs, Unique: len(e.order)}
+	for _, co := range groupCohorts(e.order, func(h string) CellSpec { return e.states[h].spec }) {
 		if len(co.hashes) > 1 {
 			p.Cohorts++
 			p.CohortCells += len(co.hashes)
 		}
 	}
-	return p, nil
+	for i, ex := range e.exs {
+		p.Scenarios = append(p.Scenarios, ScenarioPlan{
+			Name:      ex.spec.Name,
+			Kind:      ex.spec.Kind,
+			Cells:     len(e.hashes[i]),
+			Artifacts: append([]string(nil), ex.artifacts...),
+		})
+	}
+	return p
 }

@@ -218,8 +218,12 @@ func TestRunnerAdaptiveNeverServedStaleFixed(t *testing.T) {
 		return c
 	}
 	cacheDir := t.TempDir()
-	r := &Runner{CacheDir: cacheDir, Workers: 4}
-	cold, err := r.Run(fixedSpec())
+	// Each run opens the cache afresh, so reruns are served by the disk
+	// tier rather than by the memory tier of an earlier run.
+	run := func(c *Campaign) (*Report, error) {
+		return (&Runner{Cache: NewCellCache(cacheDir, 0), Workers: 4}).Run(c)
+	}
+	cold, err := run(fixedSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +232,7 @@ func TestRunnerAdaptiveNeverServedStaleFixed(t *testing.T) {
 	}
 	// Every adaptive sim cell must re-execute: none may be served from the
 	// fixed-rep cache entries.
-	adapt, err := r.Run(adaptiveCampaign())
+	adapt, err := run(adaptiveCampaign())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +245,7 @@ func TestRunnerAdaptiveNeverServedStaleFixed(t *testing.T) {
 	}
 	// Rerunning the adaptive campaign unchanged is fully cached and
 	// byte-identical.
-	warm, err := r.Run(adaptiveCampaign())
+	warm, err := run(adaptiveCampaign())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +262,7 @@ func TestRunnerAdaptiveNeverServedStaleFixed(t *testing.T) {
 		}
 	}
 	// And the fixed campaign still replays from cache untouched.
-	fixedWarm, err := r.Run(fixedSpec())
+	fixedWarm, err := run(fixedSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +293,7 @@ func TestFixedCellResultHasNoAdaptiveKeys(t *testing.T) {
 
 // TestAdaptiveCellUnderCohortMatchesSolo pins that arena replay does not
 // change an adaptive cell's result (the scenario-level face of
-// sim.SimulateAdaptiveFromTrace's equivalence guarantee).
+// the replay equivalence of sim.SimulateAdaptive under Config.Trace).
 func TestAdaptiveCellUnderCohortMatchesSolo(t *testing.T) {
 	run := func(disable bool) *Report {
 		r := &Runner{Workers: 2, DisableCohorts: disable}

@@ -70,14 +70,11 @@ type Report struct {
 // a worker pool, and assembles artifacts as soon as their cells complete.
 type Runner struct {
 	// Cache is the two-tier cell cache to run through. When nil, Run
-	// builds a private cache over CacheDir, so separate runs share only
-	// the disk tier; a server shares one CellCache across jobs and
+	// builds a private memory-only cache; pass NewCellCache(dir, 0) for
+	// an on-disk one. A server shares one CellCache across jobs and
 	// synchronous cell evaluations to get memory hits and singleflight
 	// coalescing between them.
 	Cache *CellCache
-	// CacheDir is the on-disk cell cache used when Cache is nil; empty
-	// disables disk caching.
-	CacheDir string
 	// Workers bounds cell-level parallelism (0: NumCPU): the cache preload
 	// spreads its lookups over this many goroutines, and execution runs
 	// cells (grouped into trace cohorts) on as many; when a campaign has
@@ -86,16 +83,12 @@ type Runner struct {
 	// cell). Results are bit-identical for any worker count at either
 	// level (see sim.Simulate).
 	Workers int
-	// DisableCohorts turns off trace-cohort execution: every simulation
-	// cell regenerates its own failure streams. Results are identical
-	// either way (sim.SimulateFromTrace is bit-identical to sim.Simulate);
-	// the toggle exists for benchmarking and as an operational escape
-	// hatch.
+	// DisableCohorts selects the reference path: every simulation cell
+	// generates its own failure streams instead of replaying its cohort's
+	// arena. Replay is bit-identical to generation (sim.Config.Trace), so
+	// the two paths give the same bytes; equivalence tests and reference
+	// runs set it to hold the cohort path to that.
 	DisableCohorts bool
-	// ArenaBudget bounds one cohort's materialized trace arena in bytes
-	// (0: DefaultArenaBudget). Cohorts whose estimated arena exceeds the
-	// budget fall back to per-cell generation.
-	ArenaBudget int64
 	// ExecBatch, when set, replaces local cell execution: the cells left
 	// after the cache preload are packed, in order, into units of whole
 	// cohorts (so a remote worker still shares each failure process across
@@ -142,57 +135,29 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	}
 	cache := r.Cache
 	if cache == nil {
-		cache = NewCellCache(r.CacheDir, 0)
+		cache = NewCellCache("", 0)
 	}
 
 	// Expand every scenario and deduplicate cells by content hash.
+	e, err := expandCampaign(c)
+	if err != nil {
+		return nil, err
+	}
+	if r.OnPlan != nil {
+		r.OnPlan(e.plan(c.Name))
+	}
 	type specRun struct {
 		ex      *expansion
 		hashes  []string
 		pending int
 		slot    int // artifact position in the report
 	}
-	exs, err := c.expandAll()
-	if err != nil {
-		return nil, err
+	states, order := e.states, e.order
+	runs := make([]*specRun, len(e.exs))
+	for i, ex := range e.exs {
+		runs[i] = &specRun{ex: ex, hashes: e.hashes[i], slot: i}
 	}
-	states := map[string]*cellState{}
-	var order []string // unique cells in first-reference order
-	runs := make([]*specRun, 0, len(exs))
-	totalRefs := 0
-	for i, ex := range exs {
-		run := &specRun{ex: ex, slot: i}
-		for _, cell := range ex.cells {
-			k := cell.key()
-			if _, ok := states[k.hash]; !ok {
-				states[k.hash] = &cellState{spec: cell, key: k}
-				order = append(order, k.hash)
-			}
-			run.hashes = append(run.hashes, k.hash)
-		}
-		totalRefs += len(ex.cells)
-		runs = append(runs, run)
-	}
-
-	report := &Report{Campaign: c.Name, Cells: totalRefs, Unique: len(order)}
-	if r.OnPlan != nil {
-		plan := Plan{Campaign: c.Name, Cells: totalRefs, Unique: len(order)}
-		for _, co := range groupCohorts(order, func(h string) CellSpec { return states[h].spec }) {
-			if len(co.hashes) > 1 {
-				plan.Cohorts++
-				plan.CohortCells += len(co.hashes)
-			}
-		}
-		for _, run := range runs {
-			plan.Scenarios = append(plan.Scenarios, ScenarioPlan{
-				Name:      run.ex.spec.Name,
-				Kind:      run.ex.spec.Kind,
-				Cells:     len(run.hashes),
-				Artifacts: append([]string(nil), run.ex.artifacts...),
-			})
-		}
-		r.OnPlan(plan)
-	}
+	report := &Report{Campaign: c.Name, Cells: e.refs, Unique: len(order)}
 
 	totalWorkers := r.Workers
 	if totalWorkers <= 0 {
@@ -282,10 +247,6 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	// cache may have executed (or be executing) a cell, in which case the
 	// tier reports a hit and the cell counts as cached, not executed.
 	batches := r.schedule(todo, func(h string) CellSpec { return states[h].spec }, totalWorkers)
-	budget := r.ArenaBudget
-	if budget <= 0 {
-		budget = DefaultArenaBudget
-	}
 	workers := totalWorkers
 	if workers > len(batches) {
 		workers = len(batches)
@@ -377,7 +338,7 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 			}
 		}()
 		if r.ExecBatch == nil {
-			pending, built := cache.execCohort(co, states, simWorkers, budget, complete)
+			pending, built := cache.execCohort(co, states, simWorkers, complete)
 			cache.writeBatch(pending)
 			if built {
 				mu.Lock()

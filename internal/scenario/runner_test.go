@@ -62,15 +62,19 @@ func artifactCSVs(t *testing.T, rep *Report) map[string][]byte {
 func TestRunnerCacheRerun(t *testing.T) {
 	cache := t.TempDir()
 	c := testCampaign()
-	r := &Runner{CacheDir: cache, Workers: 4}
-	first, err := r.Run(c)
+	// Each run opens the cache afresh, so reruns are served by the disk
+	// tier rather than by the memory tier of an earlier run.
+	run := func(c *Campaign) (*Report, error) {
+		return (&Runner{Cache: NewCellCache(cache, 0), Workers: 4}).Run(c)
+	}
+	first, err := run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Executed != first.Unique || first.CacheHits != 0 {
 		t.Fatalf("cold run: executed=%d cached=%d unique=%d", first.Executed, first.CacheHits, first.Unique)
 	}
-	second, err := r.Run(testCampaign())
+	second, err := run(testCampaign())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func TestRunnerCacheRerun(t *testing.T) {
 	// Changing the campaign invalidates only the touched cells.
 	c3 := testCampaign()
 	c3.Reps = 4 // only simulation cells depend on reps
-	third, err := r.Run(c3)
+	third, err := run(c3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +178,12 @@ func TestRunnerWorkerInvariance(t *testing.T) {
 // re-executed, not trusted.
 func TestCacheCorruptionDegradesToMiss(t *testing.T) {
 	cache := t.TempDir()
-	r := &Runner{CacheDir: cache, Workers: 2}
-	if _, err := r.Run(testCampaign()); err != nil {
+	// Each run opens the cache afresh, so reruns are served by the disk
+	// tier rather than by the memory tier of an earlier run.
+	run := func(c *Campaign) (*Report, error) {
+		return (&Runner{Cache: NewCellCache(cache, 0), Workers: 2}).Run(c)
+	}
+	if _, err := run(testCampaign()); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt every cache file.
@@ -188,7 +196,7 @@ func TestCacheCorruptionDegradesToMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run(testCampaign())
+	rep, err := run(testCampaign())
 	if err != nil {
 		t.Fatal(err)
 	}

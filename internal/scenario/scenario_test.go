@@ -31,7 +31,11 @@ func TestLoadValid(t *testing.T) {
 	if c.Name != "t" || len(c.Scenarios) != 1 {
 		t.Fatalf("unexpected campaign: %+v", c)
 	}
-	if got := CellCount(c, c.Scenarios[0]); got != 4 {
+	p, err := PlanCampaign(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Scenarios[0].Cells; got != 4 {
 		t.Fatalf("cell count = %d, want 4", got)
 	}
 }
@@ -137,9 +141,9 @@ func TestMisplacedFieldsRejected(t *testing.T) {
 // TestSpecParamsFromGo covers Go callers: nil Params means the kind's
 // zero params, and params of another kind fail expansion.
 func TestSpecParamsFromGo(t *testing.T) {
-	c := &Campaign{Name: "t"}
-	if n := CellCount(c, &Spec{Name: "pd", Kind: KindPeriods}); n != 6 {
-		t.Errorf("periods with nil params: %d cells, want the 6 defaults", n)
+	c := &Campaign{Name: "t", Scenarios: []*Spec{{Name: "pd", Kind: KindPeriods}}}
+	if p, err := PlanCampaign(c); err != nil || p.Scenarios[0].Cells != 6 {
+		t.Errorf("periods with nil params: plan %+v (error %v), want the 6 default cells", p, err)
 	}
 	wrong := &Spec{Name: "pd", Kind: KindPeriods, Params: &HeatmapParams{Protocol: ProtoAbft}}
 	if _, err := wrong.expand(c); err == nil || !strings.Contains(err.Error(), "do not match kind") {

@@ -119,15 +119,17 @@ func packUnits(cohorts []cohort, spec func(hash string) CellSpec, workers int) [
 	return out
 }
 
-// ShardOutcome summarizes one executed shard.
+// ShardOutcome summarizes one executed shard. It is also the POST
+// /v1/shards response body, so its field order is the wire order.
 type ShardOutcome struct {
 	// Results holds one result per input cell, in input order.
-	Results []CellResult
+	Results []CellResult `json:"results"`
 	// Tiers reports, per input cell, the cache tier that served it.
-	Tiers []CellTier
-	// Executed and Cached partition the cells: Executed ran here, Cached
-	// were served by the worker's cache (any tier).
-	Executed, Cached int
+	Tiers []CellTier `json:"tiers"`
+	// Executed and Cached partition the unique cells: Executed ran here,
+	// Cached were served by the worker's cache (any tier).
+	Executed int `json:"executed"`
+	Cached   int `json:"cached"`
 }
 
 // ExecuteShard runs the cells through the cache: one batched lookup (the
@@ -135,14 +137,10 @@ type ShardOutcome struct {
 // grouped into trace cohorts (cells sharing a failure process generate
 // their arrival streams once and replay them; see execCohort), and a
 // single PutBatch of what was executed. simWorkers bounds replica-level
-// parallelism inside each simulation cell (<= 0: 1); arenaBudget bounds
-// one cohort's materialized arena (<= 0: DefaultArenaBudget). The first
-// cell error aborts the shard after the cells executed so far are
-// written. Cells must be pre-validated by the caller.
-func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int, arenaBudget int64) (*ShardOutcome, error) {
-	if arenaBudget <= 0 {
-		arenaBudget = DefaultArenaBudget
-	}
+// parallelism inside each simulation cell (<= 0: 1). The first cell
+// error aborts the shard after the cells executed so far are written.
+// Cells must be pre-validated by the caller.
+func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int) (*ShardOutcome, error) {
 	if simWorkers <= 0 {
 		simWorkers = 1
 	}
@@ -179,7 +177,7 @@ func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int, arenaBudge
 		return true
 	}
 	for _, co := range groupCohorts(misses, func(h string) CellSpec { return byHash[h].spec }) {
-		pending, _ := cache.execCohort(co, byHash, simWorkers, arenaBudget, done)
+		pending, _ := cache.execCohort(co, byHash, simWorkers, done)
 		executed = append(executed, pending...)
 		if execErr != nil {
 			break

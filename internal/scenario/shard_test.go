@@ -62,7 +62,7 @@ func (l *unitLog) hook(worker *CellCache) func([]CellSpec) ([]CellResult, error)
 		l.mu.Lock()
 		l.units = append(l.units, hashes)
 		l.mu.Unlock()
-		out, err := ExecuteShard(worker, specs, 1, 0)
+		out, err := ExecuteShard(worker, specs, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -403,7 +403,7 @@ func TestExecuteShardStoreTraffic(t *testing.T) {
 	rs := store.WithChecksum(cnt)
 
 	// {Get, Put, GetBatch, PutBatch}
-	cold, err := ExecuteShard(NewCellCacheStore(rs, 0), shard, 1, 0)
+	cold, err := ExecuteShard(NewCellCacheStore(rs, 0), shard, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestExecuteShardStoreTraffic(t *testing.T) {
 	}
 
 	warm := NewCellCacheStore(rs, 0)
-	hits, err := ExecuteShard(warm, shard, 1, 0)
+	hits, err := ExecuteShard(warm, shard, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestExecuteShardStoreTraffic(t *testing.T) {
 		}
 	}
 
-	if _, err := ExecuteShard(warm, shard, 1, 0); err != nil {
+	if _, err := ExecuteShard(warm, shard, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := cnt.traffic(); got != [4]int64{} {
@@ -466,7 +466,7 @@ func TestExecuteShardCountsCorruptOnce(t *testing.T) {
 	rs := store.WithChecksum(mem)
 	cache := NewCellCacheStore(rs, 0)
 	r := Runner{Cache: cache, Workers: 2, ExecBatch: func(specs []CellSpec) ([]CellResult, error) {
-		out, err := ExecuteShard(cache, specs, 1, 0)
+		out, err := ExecuteShard(cache, specs, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -489,7 +489,7 @@ func TestExecuteShardCountsCorruptOnce(t *testing.T) {
 	if cache.damaged[victim] {
 		t.Error("rewritten entry still marked damaged")
 	}
-	if _, tier, ok := NewCellCacheStore(store.WithChecksum(mem), 0).Lookup(specs[victim]); !ok || tier != TierDisk {
+	if _, tier, ok := NewCellCacheStore(store.WithChecksum(mem), 0).lookup(specs[victim].key()); !ok || tier != TierDisk {
 		t.Errorf("victim not rewritten: ok %v tier %s", ok, tier)
 	}
 }
@@ -512,7 +512,7 @@ func TestExecuteShardFailedWriteKeepsDamage(t *testing.T) {
 	for _, h := range todo {
 		shard = append(shard, specs[h])
 	}
-	out, err := ExecuteShard(cache, shard, 1, 0)
+	out, err := ExecuteShard(cache, shard, 1)
 	if err != nil {
 		t.Fatalf("a failed store write must not fail the shard: %v", err)
 	}
@@ -548,7 +548,7 @@ func TestExecuteShardCountsCorruptThroughWrapper(t *testing.T) {
 	for _, h := range todo {
 		shard = append(shard, specs[h])
 	}
-	out, err := ExecuteShard(cache, shard, 1, 0)
+	out, err := ExecuteShard(cache, shard, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

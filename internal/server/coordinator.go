@@ -61,17 +61,6 @@ type shardRequest struct {
 	Cells []scenario.CellSpec `json:"cells"`
 }
 
-// shardResponse is the POST /v1/shards response body.
-type shardResponse struct {
-	// Results holds one result per request cell, in request order.
-	Results []scenario.CellResult `json:"results"`
-	// Tiers reports the worker cache tier that served each cell.
-	Tiers []scenario.CellTier `json:"tiers"`
-	// Executed and Cached partition the unique cells of the shard.
-	Executed int `json:"executed"`
-	Cached   int `json:"cached"`
-}
-
 // WorkerStatus is one worker's cumulative dispatch counters, surfaced in
 // /v1/stats and /metrics on a coordinator.
 type WorkerStatus struct {
@@ -138,17 +127,12 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	if simWorkers <= 0 {
 		simWorkers = runtime.NumCPU()
 	}
-	out, err := scenario.ExecuteShard(s.cache, req.Cells, simWorkers, 0)
+	out, err := scenario.ExecuteShard(s.cache, req.Cells, simWorkers)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, shardResponse{
-		Results:  out.Results,
-		Tiers:    out.Tiers,
-		Executed: out.Executed,
-		Cached:   out.Cached,
-	})
+	writeJSON(w, http.StatusOK, out)
 }
 
 // workerStatusError is a non-200 answer from a worker. A 4xx means the
@@ -336,7 +320,7 @@ func (s *Server) probeWorker(ctx context.Context, i int) bool {
 // postShard performs one shard round-trip against one worker. The
 // request carries ctx, so job cancellation and drain force-fail abort
 // in-flight round-trips, not just the waits between them.
-func (s *Server) postShard(ctx context.Context, workerURL string, body []byte) (*shardResponse, error) {
+func (s *Server) postShard(ctx context.Context, workerURL string, body []byte) (*scenario.ShardOutcome, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, workerURL+"/v1/shards", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -366,7 +350,7 @@ func (s *Server) postShard(ctx context.Context, workerURL string, body []byte) (
 		}
 		return nil, se
 	}
-	var out shardResponse
+	var out scenario.ShardOutcome
 	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, fmt.Errorf("decode response: %w", err)
 	}

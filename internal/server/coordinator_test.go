@@ -81,7 +81,7 @@ func TestShardEndpoint(t *testing.T) {
 	  {"op": "periods", "probe": {"c": 120, "mu": 3600, "d": 60, "r": 60}},
 	  {"op": "periods", "probe": {"c": 60, "mu": 3600, "d": 60, "r": 60}}
 	]}`
-	var resp shardResponse
+	var resp scenario.ShardOutcome
 	if code, _ := postJSON(t, ts.URL+"/v1/shards", body, &resp); code != http.StatusOK {
 		t.Fatalf("shard: code %d", code)
 	}
@@ -100,7 +100,7 @@ func TestShardEndpoint(t *testing.T) {
 	}
 
 	// Same shard again: everything served from the worker's cache.
-	var again shardResponse
+	var again scenario.ShardOutcome
 	if code, _ := postJSON(t, ts.URL+"/v1/shards", body, &again); code != http.StatusOK {
 		t.Fatalf("shard rerun: code %d", code)
 	}

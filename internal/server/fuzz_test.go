@@ -227,3 +227,78 @@ func FuzzCellRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzShardRequest feeds arbitrary bodies to POST /v1/shards, seeded from
+// TestShardEndpoint's body and the bench cells. The decoder must answer
+// 200, 400 or 413, never 500 or a panic. A 200 must decode strictly into
+// scenario.ShardOutcome with one result and one tier per request cell,
+// and Executed+Cached must count the request's unique cells.
+func FuzzShardRequest(f *testing.F) {
+	f.Add([]byte(`{"cells": [
+	  {"op": "periods", "probe": {"c": 60, "mu": 3600, "d": 60, "r": 60}},
+	  {"op": "periods", "probe": {"c": 120, "mu": 3600, "d": 60, "r": 60}},
+	  {"op": "periods", "probe": {"c": 60, "mu": 3600, "d": 60, "r": 60}}
+	]}`))
+	var all []scenario.CellSpec
+	for _, cell := range scenario.BenchCells() {
+		data, err := json.Marshal(shardRequest{Cells: []scenario.CellSpec{cell}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		all = append(all, cell)
+	}
+	data, err := json.Marshal(shardRequest{Cells: all})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"cells": []}`))
+	f.Add([]byte(`{"cells": [{"op": "periods"}], "bogus": 1}`))
+	f.Add([]byte(`not json`))
+
+	h := New(Config{Cache: scenario.NewCellCache("", 256), Workers: 1}).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req shardRequest
+		decoded := dec.Decode(&req) == nil
+		if decoded {
+			work := 0
+			for _, c := range req.Cells {
+				work += max(c.Reps, 0) * max(c.Epochs, 1)
+			}
+			if work > fuzzCellMaxWork {
+				return
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shards", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.Bytes())
+		}
+		if !decoded {
+			t.Fatalf("200 for a body the strict decoder rejects: %q", body)
+		}
+		out := json.NewDecoder(rec.Body)
+		out.DisallowUnknownFields()
+		var got scenario.ShardOutcome
+		if err := out.Decode(&got); err != nil {
+			t.Fatalf("200 body does not decode strictly: %v", err)
+		}
+		if len(got.Results) != len(req.Cells) || len(got.Tiers) != len(req.Cells) {
+			t.Fatalf("%d results, %d tiers for %d cells", len(got.Results), len(got.Tiers), len(req.Cells))
+		}
+		unique := map[string]bool{}
+		for _, c := range req.Cells {
+			unique[c.Hash()] = true
+		}
+		if got.Executed+got.Cached != len(unique) {
+			t.Fatalf("executed %d + cached %d, want %d unique cells", got.Executed, got.Cached, len(unique))
+		}
+	})
+}

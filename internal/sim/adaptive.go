@@ -119,92 +119,22 @@ type AdaptiveAggregate struct {
 // doubling batches until the waste CI half-width meets prec's target or
 // cfg.Reps is exhausted. With an unreachable target it runs every replica
 // and the embedded Aggregate is bit-identical to Simulate(cfg) (pinned by
-// TestSimulateAdaptiveAtCapMatchesSimulate).
-func SimulateAdaptive(cfg Config, prec Precision) AdaptiveAggregate {
-	cfg = cfg.withDefaults()
-	if err := cfg.Params.Validate(); err != nil {
-		panic(err)
-	}
-	if err := prec.Validate(); err != nil {
-		panic(err)
-	}
-	distrib := cfg.Distribution(cfg.Params.Mu)
-	if distrib == nil {
-		panic("sim: Config.Distribution returned nil")
-	}
-	return adaptiveAggregate(cfg, distrib, nil, prec)
-}
-
-// SimulateAdaptiveFromTrace is SimulateAdaptive over a prebuilt TraceArena:
-// replicas replay the arena's failure streams (with live fallback past the
-// prefix) exactly as SimulateFromTrace does. The arena must hold at least
-// cfg.Reps streams — the hard cap — even though the run typically stops far
+// TestSimulateAdaptiveAtCapMatchesSimulate). A replay arena (cfg.Trace)
+// must cover cfg.Reps, the cap, even though the run usually stops far
 // earlier; cohort scheduling sizes arenas by the cap so any cell of the
 // cohort, adaptive or fixed, can replay them.
-func SimulateAdaptiveFromTrace(cfg Config, tr *TraceArena, prec Precision) AdaptiveAggregate {
-	cfg = cfg.withDefaults()
-	if err := cfg.Params.Validate(); err != nil {
-		panic(err)
-	}
+func SimulateAdaptive(cfg Config, prec Precision) AdaptiveAggregate {
+	cfg, distrib := cfg.resolve()
 	if err := prec.Validate(); err != nil {
 		panic(err)
 	}
-	if tr == nil {
-		panic("sim: SimulateAdaptiveFromTrace needs a trace arena (use SimulateAdaptive to generate on the fly)")
-	}
-	if tr.seed != cfg.Seed {
-		panic(fmt.Sprintf("sim: trace arena seed %d does not match Config.Seed %d", tr.seed, cfg.Seed))
-	}
-	if tr.Reps() < cfg.Reps {
-		panic(fmt.Sprintf("sim: trace arena holds %d replica streams, campaign cap needs %d", tr.Reps(), cfg.Reps))
-	}
-	distrib := cfg.Distribution(cfg.Params.Mu)
-	if distrib == nil {
-		panic("sim: Config.Distribution returned nil")
-	}
-	if distrib.Mean() != tr.mean {
-		panic(fmt.Sprintf("sim: trace arena mean %v does not match distribution mean %v", tr.mean, distrib.Mean()))
-	}
-	return adaptiveAggregate(cfg, distrib, tr, prec)
-}
-
-// cvHorizonFor resolves the control-variate horizon: positive only when the
-// CV is usable — an exponential law (the arrival count over a fixed window
-// is Poisson with exactly known mean; no closed-form renewal function exists
-// for the other laws) with a model prediction available. The horizon is
-// clipped to the run's safety cap.
-func cvHorizonFor(cfg Config, distrib dist.Distribution, prec Precision) float64 {
-	if prec.DisableControlVariate {
-		return 0
-	}
-	if prec.ModelTFinal <= 0 || math.IsInf(prec.ModelTFinal, 0) {
-		return 0
-	}
-	if _, ok := distrib.(dist.Exponential); !ok {
-		return 0
-	}
-	h := prec.ModelTFinal
-	useful := float64(cfg.Epochs) * cfg.Params.T0
-	if hardCap := cfg.MaxTimeFactor * math.Max(useful, 1); h > hardCap {
-		h = hardCap
-	}
-	return h
-}
-
-// adaptiveAggregate is the shared body of SimulateAdaptive and
-// SimulateAdaptiveFromTrace. It runs the same replica pool and ordered
-// reduce as simulateAggregate — the only structural difference is that
-// replicas run in doubling batches with a sequential Look after each, so
-// running an adaptive campaign to its cap accumulates bit-identically to
-// Simulate.
-func adaptiveAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena, prec Precision) AdaptiveAggregate {
 	prec = prec.withDefaults()
 	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
 	chunkSched := periodicChunkSchedules(phases)
 	capReps := cfg.Reps
 	cvHorizon := cvHorizonFor(cfg, distrib, prec)
 	runners := poolRunners(cfg.Workers, capReps, func() *replicaRunner {
-		r := newReplicaRunner(cfg, phases, chunkSched, distrib, tr)
+		r := newReplicaRunner(cfg, phases, chunkSched, distrib)
 		r.blocks.cvHorizon = cvHorizon
 		return r
 	})
@@ -253,4 +183,27 @@ func adaptiveAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena, pr
 		CVVarianceRatio: seq.VarianceRatio(),
 		Replicas:        replicas,
 	}
+}
+
+// cvHorizonFor resolves the control-variate horizon: positive only when the
+// CV is usable — an exponential law (the arrival count over a fixed window
+// is Poisson with exactly known mean; no closed-form renewal function exists
+// for the other laws) with a model prediction available. The horizon is
+// clipped to the run's safety cap.
+func cvHorizonFor(cfg Config, distrib dist.Distribution, prec Precision) float64 {
+	if prec.DisableControlVariate {
+		return 0
+	}
+	if prec.ModelTFinal <= 0 || math.IsInf(prec.ModelTFinal, 0) {
+		return 0
+	}
+	if _, ok := distrib.(dist.Exponential); !ok {
+		return 0
+	}
+	h := prec.ModelTFinal
+	useful := float64(cfg.Epochs) * cfg.Params.T0
+	if hardCap := cfg.MaxTimeFactor * math.Max(useful, 1); h > hardCap {
+		h = hardCap
+	}
+	return h
 }

@@ -161,7 +161,7 @@ func TestSimulateAdaptiveFromTraceMatchesLive(t *testing.T) {
 		d := cfg.Distribution(cfg.Params.Mu)
 		// A short horizon exercises the live-fallback continuation path too.
 		tr := BuildTraceArena(d, cfg.Seed, cfg.Reps, 2*cfg.Params.Mu)
-		replay := SimulateAdaptiveFromTrace(cfg, tr, prec)
+		replay := SimulateAdaptive(withTrace(cfg, tr), prec)
 		if live.Aggregate != replay.Aggregate || live.WasteEstimate != replay.WasteEstimate ||
 			live.WasteHalfWidth != replay.WasteHalfWidth || live.CVBeta != replay.CVBeta ||
 			live.Runs != replay.Runs {
@@ -208,7 +208,7 @@ func TestControlVariateCountIsExact(t *testing.T) {
 
 	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
 	for _, tr := range []*TraceArena{nil, short} {
-		r := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), distrib, tr)
+		r := newReplicaRunner(withTrace(cfg, tr), phases, periodicChunkSchedules(phases), distrib)
 		r.blocks.cvHorizon = h
 		for rep := 0; rep < cfg.Reps; rep++ {
 			cv := r.runMeasured(rep).cv

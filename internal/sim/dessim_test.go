@@ -429,7 +429,7 @@ func TestReplicaRunnerMatchesDESOracle(t *testing.T) {
 			arenas = append(arenas, BuildTraceArena(distrib, cfg.Seed, cfg.Reps, horizon))
 		}
 		for _, tr := range arenas {
-			rr := newReplicaRunner(cfg, phases, sched, distrib, tr)
+			rr := newReplicaRunner(withTrace(cfg, tr), phases, sched, distrib)
 			for rep := 0; rep < cfg.Reps; rep++ {
 				var src FailureSource
 				if tr == nil {

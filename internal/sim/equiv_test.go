@@ -40,7 +40,7 @@ func TestReplicaRunnerMatchesSimulateOnce(t *testing.T) {
 	for ci, base := range equivConfigs() {
 		cfg := base.withDefaults()
 		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-		rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), nil)
+		rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu))
 		truncated := 0
 		for rep := 0; rep < 48; rep++ {
 			got := rr.run(rep)
@@ -65,7 +65,7 @@ func TestReplicaRunnerMatchesSimulateOnce(t *testing.T) {
 func TestReplicaRunnerIsStateless(t *testing.T) {
 	cfg := equivConfigs()[0].withDefaults()
 	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), nil)
+	rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu))
 	first := rr.run(17)
 	for _, rep := range []int{3, 99, 0, 17, 41} {
 		rr.run(rep)
@@ -84,7 +84,7 @@ func TestReplicaRunnerAllocFree(t *testing.T) {
 	failStop := func(cfg Config) func(int) RunResult {
 		cfg = cfg.withDefaults()
 		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-		return newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), nil).run
+		return newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu)).run
 	}
 	multiLevel := func(cfg MultiLevelConfig) func(int) RunResult {
 		cfg = cfg.withDefaults()
@@ -193,8 +193,8 @@ func FuzzWalkerMatchesSimulateOnce(f *testing.F) {
 		sched := periodicChunkSchedules(phases)
 		useful := float64(cfg.Epochs) * cfg.Params.T0
 		tr := BuildTraceArena(distrib, cfg.Seed, cfg.Reps, fold(arenaFrac, 3)*useful)
-		live := newReplicaRunner(cfg, phases, sched, distrib, nil)
-		replay := newReplicaRunner(cfg, phases, sched, distrib, tr)
+		live := newReplicaRunner(cfg, phases, sched, distrib)
+		replay := newReplicaRunner(withTrace(cfg, tr), phases, sched, distrib)
 		for rep := 0; rep < cfg.Reps; rep++ {
 			want := SimulateOnce(cfg, NewRenewalSource(distrib, rng.New(rng.At(cfg.Seed, uint64(rep)))))
 			if got := live.run(rep); got != want {

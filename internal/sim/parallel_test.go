@@ -168,7 +168,7 @@ func TestSimulateWorkerInvarianceAcrossBlocks(t *testing.T) {
 		{"SimulateFromTrace", func(w int) any {
 			cfg := failStop
 			cfg.Workers = w
-			return SimulateFromTrace(cfg, arena)
+			return Simulate(withTrace(cfg, arena))
 		}},
 		{"SimulateAdaptive", func(w int) any {
 			cfg := failStop

@@ -6,8 +6,8 @@ import (
 	"abftckpt/internal/dist"
 )
 
-// replicaRunner is the allocation-free replica engine behind Simulate,
-// SimulateFromTrace and the adaptive campaigns. Each worker owns one and
+// replicaRunner is the allocation-free replica engine behind Simulate and
+// SimulateAdaptive, live or replaying Config.Trace. Each worker owns one and
 // replays its repetitions through it: the arrival source lives inline in the
 // struct, the phase sequence and the distribution are computed once per
 // campaign and shared, and every replica — generated or replayed, under any
@@ -71,15 +71,16 @@ func periodicChunkSchedules(phases []phaseSpec) [][]float64 {
 }
 
 // newReplicaRunner prepares a worker-local runner. cfg must already have
-// defaults applied; phases, chunkSched, distrib and tr are shared across
-// workers (all are pure or read-only values, and Distribution.Sample must be
-// safe for concurrent use). A nil tr generates failure arrivals on the fly;
-// a non-nil tr replays its materialized streams.
-func newReplicaRunner(cfg Config, phases []phaseSpec, chunkSched [][]float64, distrib dist.Distribution, tr *TraceArena) *replicaRunner {
+// defaults applied; phases, chunkSched, distrib and cfg.Trace are shared
+// across workers (all are pure or read-only values, and
+// Distribution.Sample must be safe for concurrent use). A nil cfg.Trace
+// generates failure arrivals on the fly; an arena replays its
+// materialized streams.
+func newReplicaRunner(cfg Config, phases []phaseSpec, chunkSched [][]float64, distrib dist.Distribution) *replicaRunner {
 	r := &replicaRunner{cfg: cfg, phases: phases, chunkSched: chunkSched}
 	r.useful = float64(cfg.Epochs) * cfg.Params.T0
 	r.horizon = cfg.MaxTimeFactor * math.Max(r.useful, 1)
-	r.blocks.init(distrib, tr)
+	r.blocks.init(distrib, cfg.Trace)
 	return r
 }
 

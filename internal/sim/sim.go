@@ -87,6 +87,16 @@ type Config struct {
 	// MaxTimeFactor caps a run at MaxTimeFactor*(Epochs*T0) to keep
 	// infeasible scenarios finite; default DefaultMaxTimeFactor.
 	MaxTimeFactor float64
+	// Trace, when non-nil, replays failure arrivals from a prebuilt arena
+	// instead of drawing them. Results are bit-identical to generating on
+	// the fly (pinned by TestSimulateFromTraceMatchesSimulate) while the
+	// arena's generation cost is shared by every campaign replaying it;
+	// replicas that outrun the arena's prefix continue drawing live. The
+	// arena must hold at least Reps streams for Seed, drawn from the same
+	// distribution: seed, stream count and mean are checked, and the
+	// caller matches the family and shape (internal/scenario's process
+	// keys guarantee it).
+	Trace *TraceArena
 }
 
 // DefaultMaxTimeFactor is the Config.MaxTimeFactor default: the horizon
@@ -109,6 +119,35 @@ func (c Config) withDefaults() Config {
 		c.MaxTimeFactor = DefaultMaxTimeFactor
 	}
 	return c
+}
+
+// resolve applies the defaults, validates the parameters, builds the
+// failure distribution once (a pure value shared by every worker) and
+// checks a replay arena against it. It runs on the caller's goroutine, so
+// a misconfigured campaign — invalid parameters, a nil or invalid
+// distribution, a mismatched arena — panics where it is recoverable
+// instead of inside a worker.
+func (c Config) resolve() (Config, dist.Distribution) {
+	c = c.withDefaults()
+	if err := c.Params.Validate(); err != nil {
+		panic(err)
+	}
+	d := c.Distribution(c.Params.Mu)
+	if d == nil {
+		panic("sim: Config.Distribution returned nil")
+	}
+	if tr := c.Trace; tr != nil {
+		if tr.seed != c.Seed {
+			panic(fmt.Sprintf("sim: trace arena seed %d does not match Config.Seed %d", tr.seed, c.Seed))
+		}
+		if tr.Reps() < c.Reps {
+			panic(fmt.Sprintf("sim: trace arena holds %d replica streams, campaign needs %d", tr.Reps(), c.Reps))
+		}
+		if d.Mean() != tr.mean {
+			panic(fmt.Sprintf("sim: trace arena mean %v does not match distribution mean %v", tr.mean, d.Mean()))
+		}
+	}
+	return c, d
 }
 
 // phaseKind selects the protection regime of one phase.
@@ -212,10 +251,10 @@ type Aggregate struct {
 
 // Simulate runs cfg.Reps independent executions across a worker pool and
 // aggregates them. Each repetition draws its failure trace from the substream
-// rng.At(Seed, rep) — addressed by repetition index, not by worker — and the
-// per-run results are reduced sequentially in repetition order, so the
-// aggregate is reproducible bit-for-bit regardless of cfg.Workers and of
-// scheduling order.
+// rng.At(Seed, rep) — addressed by repetition index, not by worker — or
+// replays it from cfg.Trace, and the per-run results are reduced
+// sequentially in repetition order, so the aggregate is reproducible
+// bit-for-bit regardless of cfg.Workers, of scheduling order and of replay.
 //
 // Each worker drives a preallocated replicaRunner, so the steady state of a
 // campaign performs no per-replica allocations (pinned by
@@ -223,29 +262,11 @@ type Aggregate struct {
 // failures, while remaining bit-identical to the scalar reference walker of
 // the tests (pinned by TestReplicaRunnerMatchesSimulateOnce).
 func Simulate(cfg Config) Aggregate {
-	cfg = cfg.withDefaults()
-	if err := cfg.Params.Validate(); err != nil {
-		panic(err)
-	}
-	// Resolve the distribution once up front: it is a pure value shared by
-	// every worker, and a misconfigured distribution (e.g. non-positive
-	// shape) or an unknown protocol panics here on the caller's goroutine,
-	// where it is recoverable, instead of inside a worker.
-	distrib := cfg.Distribution(cfg.Params.Mu)
-	if distrib == nil {
-		panic("sim: Config.Distribution returned nil")
-	}
-	return simulateAggregate(cfg, distrib, nil)
-}
-
-// simulateAggregate is the shared body of Simulate and SimulateFromTrace:
-// cfg must already have defaults applied and distrib be resolved; a non-nil
-// tr switches the runners to trace replay.
-func simulateAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena) Aggregate {
+	cfg, distrib := cfg.resolve()
 	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
 	chunkSched := periodicChunkSchedules(phases)
 	runners := poolRunners(cfg.Workers, cfg.Reps, func() *replicaRunner {
-		return newReplicaRunner(cfg, phases, chunkSched, distrib, tr)
+		return newReplicaRunner(cfg, phases, chunkSched, distrib)
 	})
 	var agg aggregator
 	runOrdered(runners, 0, cfg.Reps, (*replicaRunner).run, agg.add)

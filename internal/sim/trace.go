@@ -11,8 +11,8 @@ import (
 
 // TraceArena is a materialized failure process: for every repetition of a
 // campaign it holds the prefix-summed failure arrival times of the substream
-// rng.At1(Seed, rep), generated once and replayed by any number of
-// SimulateFromTrace campaigns that share the process (same distribution,
+// rng.At1(Seed, rep), generated once and replayed (Config.Trace) by any
+// number of campaigns that share the process (same distribution,
 // MTBF, seed and repetition count). The arrivals live in one flat []float64
 // arena indexed by per-replica offsets, so a cohort of simulation cells — a
 // heatmap scanning several protocols or period variants over one platform
@@ -156,42 +156,4 @@ func BuildTraceArena(d dist.Distribution, seed uint64, reps int, horizon float64
 		tr.states[rep] = src.State()
 	}
 	return tr
-}
-
-// SimulateFromTrace runs the campaign like Simulate, but replays failure
-// arrivals from a prebuilt TraceArena instead of drawing them: per-replica
-// results, and therefore the Aggregate, are bit-identical to Simulate on the
-// same Config (pinned by TestSimulateFromTraceMatchesSimulate) while the
-// arena's RNG and math.Log work is shared across every campaign replaying
-// it. Replicas that outrun their materialized prefix continue drawing live
-// from the arena's saved generator states, so correctness never depends on
-// the arena's horizon.
-//
-// The arena must hold at least cfg.Reps replica streams for cfg.Seed, drawn
-// from the same distribution as cfg (seed, repetition count and the
-// distribution mean are checked; the caller is responsible for matching the
-// distribution family and shape, which the per-cell process keys of
-// internal/scenario guarantee).
-func SimulateFromTrace(cfg Config, tr *TraceArena) Aggregate {
-	cfg = cfg.withDefaults()
-	if err := cfg.Params.Validate(); err != nil {
-		panic(err)
-	}
-	if tr == nil {
-		panic("sim: SimulateFromTrace needs a trace arena (use Simulate to generate on the fly)")
-	}
-	if tr.seed != cfg.Seed {
-		panic(fmt.Sprintf("sim: trace arena seed %d does not match Config.Seed %d", tr.seed, cfg.Seed))
-	}
-	if tr.Reps() < cfg.Reps {
-		panic(fmt.Sprintf("sim: trace arena holds %d replica streams, campaign needs %d", tr.Reps(), cfg.Reps))
-	}
-	distrib := cfg.Distribution(cfg.Params.Mu)
-	if distrib == nil {
-		panic("sim: Config.Distribution returned nil")
-	}
-	if distrib.Mean() != tr.mean {
-		panic(fmt.Sprintf("sim: trace arena mean %v does not match distribution mean %v", tr.mean, distrib.Mean()))
-	}
-	return simulateAggregate(cfg, distrib, tr)
 }

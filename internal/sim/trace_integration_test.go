@@ -28,7 +28,7 @@ func TestSimulateOverRecordedTrace(t *testing.T) {
 		t.Fatalf("trace replay not deterministic: %+v vs %+v", a, b)
 	}
 	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	if got := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), d, tr).run(0); got != a {
+	if got := newReplicaRunner(withTrace(cfg, tr), phases, periodicChunkSchedules(phases), d).run(0); got != a {
 		t.Fatalf("walker replay diverged:\n got %+v\nwant %+v", got, a)
 	}
 	if a.Waste <= 0 || a.Waste >= 1 {

@@ -15,11 +15,17 @@ func buildArenaFor(cfg Config, horizon float64) *TraceArena {
 	return BuildTraceArena(cfg.Distribution(cfg.Params.Mu), cfg.Seed, cfg.Reps, horizon)
 }
 
-// SimulateFromTrace must be bit-identical — not approximately equal — to
-// Simulate on every configuration: all protocols, all failure laws, the
-// safeguard, multi-epoch runs and horizon truncation, and for every arena
-// horizon, including horizons so short that every replica falls back to
-// live drawing mid-run. Golden campaign CSVs and the shared cell cache
+// withTrace returns cfg replaying tr (nil: generating on the fly).
+func withTrace(cfg Config, tr *TraceArena) Config {
+	cfg.Trace = tr
+	return cfg
+}
+
+// Replaying a trace arena (Config.Trace) must be bit-identical — not
+// approximately equal — to generating on the fly on every configuration:
+// all protocols, all failure laws, the safeguard, multi-epoch runs and
+// horizon truncation, and for every arena horizon, including horizons so
+// short that every replica falls back to live drawing mid-run. Golden campaign CSVs and the shared cell cache
 // depend on this equivalence.
 func TestSimulateFromTraceMatchesSimulate(t *testing.T) {
 	for ci, cfg := range equivConfigs() {
@@ -32,7 +38,7 @@ func TestSimulateFromTraceMatchesSimulate(t *testing.T) {
 		}
 		for _, horizon := range []float64{3 * useful, 0.3 * useful, 0} {
 			tr := buildArenaFor(cfg, horizon)
-			got := SimulateFromTrace(cfg, tr)
+			got := Simulate(withTrace(cfg, tr))
 			if got != want {
 				t.Fatalf("config %d horizon %g diverged:\n got %+v\nwant %+v", ci, horizon, got, want)
 			}
@@ -51,12 +57,12 @@ func TestSimulateFromTracePrefixAndWorkers(t *testing.T) {
 
 	short := cfg
 	short.Reps = 20
-	if got, want := SimulateFromTrace(short, tr), Simulate(short); got != want {
+	if got, want := Simulate(withTrace(short, tr)), Simulate(short); got != want {
 		t.Fatalf("prefix replay diverged:\n got %+v\nwant %+v", got, want)
 	}
 	parallel := cfg
 	parallel.Workers = 4
-	if got, want := SimulateFromTrace(parallel, tr), Simulate(cfg); got != want {
+	if got, want := Simulate(withTrace(parallel, tr)), Simulate(cfg); got != want {
 		t.Fatalf("parallel replay diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -115,7 +121,7 @@ func TestTraceReplayAllocFree(t *testing.T) {
 	for _, horizon := range []float64{2 * cfg.Params.T0, 0} {
 		tr := buildArenaFor(cfg, horizon)
 		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-		rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), tr)
+		rr := newReplicaRunner(withTrace(cfg, tr), phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu))
 		rep := 0
 		allocs := testing.AllocsPerRun(100, func() {
 			_ = rr.run(rep % cfg.Reps)
@@ -143,16 +149,15 @@ func TestSimulateFromTraceRejectsMismatchedArena(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("nil arena", func() { SimulateFromTrace(cfg, nil) })
 	wrongSeed := cfg
 	wrongSeed.Seed++
-	mustPanic("wrong seed", func() { SimulateFromTrace(wrongSeed, tr) })
+	mustPanic("wrong seed", func() { Simulate(withTrace(wrongSeed, tr)) })
 	tooManyReps := cfg
 	tooManyReps.Reps = 9
-	mustPanic("too many reps", func() { SimulateFromTrace(tooManyReps, tr) })
+	mustPanic("too many reps", func() { Simulate(withTrace(tooManyReps, tr)) })
 	wrongMean := cfg
 	wrongMean.Params.Mu *= 2
-	mustPanic("wrong mean", func() { SimulateFromTrace(wrongMean, tr) })
+	mustPanic("wrong mean", func() { Simulate(withTrace(wrongMean, tr)) })
 	mustPanic("zero reps build", func() { BuildTraceArena(cfg.Distribution(cfg.Params.Mu), 1, 0, 10) })
 	mustPanic("infinite horizon build", func() {
 		BuildTraceArena(cfg.Distribution(cfg.Params.Mu), 1, 1, math.Inf(1))
