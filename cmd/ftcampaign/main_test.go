@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"abftckpt/internal/store"
@@ -292,5 +294,32 @@ func TestRunRemoteStore(t *testing.T) {
 	}
 	if !strings.Contains(stdout, ", 0 executed") {
 		t.Errorf("rerun not served from the store: %s", stdout)
+	}
+}
+
+// TestRemoteStoreRerunRoundTrips: a warm -store-url rerun reads the store
+// in a handful of batched round-trips, not one per cell. quickstart.json
+// has 173 unique cells; the handler counts every /get request.
+func TestRemoteStoreRerunRoundTrips(t *testing.T) {
+	var gets atomic.Int64
+	h := store.Handler(store.NewMemory())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/get" {
+			gets.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	dir := t.TempDir()
+	if code, _, stderr := runCmd(t, "-spec", quickstart, "-out", filepath.Join(dir, "cold"), "-store-url", srv.URL); code != 0 {
+		t.Fatalf("cold run: exit %d, stderr: %s", code, stderr)
+	}
+	gets.Store(0)
+	code, stdout, stderr := runCmd(t, "-spec", quickstart, "-out", filepath.Join(dir, "warm"), "-store-url", srv.URL)
+	if code != 0 || !strings.Contains(stdout, ", 0 executed") {
+		t.Fatalf("warm run: exit %d, stdout %s, stderr: %s", code, stdout, stderr)
+	}
+	if n := gets.Load(); n >= 10 {
+		t.Errorf("warm rerun made %d /get requests, want fewer than 10", n)
 	}
 }

@@ -63,7 +63,6 @@ func main() {
 	workers := flag.Int("workers", 0, "replica worker goroutines (0 = all cores)")
 	distFlag := flag.String("dist", "exp", "failure distribution family (exp|weibull|lognormal|gamma)")
 	shape := flag.Float64("shape", 1, "shape parameter (weibull/gamma k, lognormal sigma)")
-	weibull := flag.Float64("weibull", 0, "deprecated: Weibull shape k (0 = use -dist/-shape)")
 	ciRel := flag.Float64("ci-rel", 0, "adaptive precision: stop when the waste CI half-width <= ci-rel * |estimate| (0 = fixed reps)")
 	ciAbs := flag.Float64("ci-abs", 0, "adaptive precision: stop when the waste CI half-width <= ci-abs (0 = fixed reps)")
 	ciBatch := flag.Int("ci-batch", 0, "adaptive precision: first batch size (0 = default, doubles per look)")
@@ -78,22 +77,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "invalid parameters:", err)
 		os.Exit(2)
 	}
-	family, shapeVal := *distFlag, *shape
-	if *weibull > 0 {
-		distSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "dist" || f.Name == "shape" {
-				distSet = true
-			}
-		})
-		if distSet {
-			fmt.Fprintln(os.Stderr, "cannot combine deprecated -weibull with -dist/-shape; use -dist weibull -shape k")
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "warning: -weibull is deprecated, use -dist weibull -shape k")
-		family, shapeVal = "weibull", *weibull
-	}
-	makeDist, err := dist.Family(family, shapeVal)
+	makeDist, err := dist.Family(*distFlag, *shape)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -118,8 +118,8 @@ func TestChecksumCatchesInjectedCorruption(t *testing.T) {
 			if corrupt == 0 {
 				t.Fatal("no corruption fired at 40%")
 			}
-			if got := cs.Stats().Corrupt; int(got) != corrupt {
-				t.Fatalf("checksum corrupt count %d, want %d", got, corrupt)
+			if got := faulty.Stats().Corrupted; int(got) != corrupt {
+				t.Fatalf("%d reads returned ErrCorrupt, want one per injected flip (%d)", corrupt, got)
 			}
 		})
 	}

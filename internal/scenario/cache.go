@@ -3,35 +3,18 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
 	"abftckpt/internal/store"
 )
 
-// loadCell returns the cached result of the cell keyed k from the store,
-// if present and intact. Any store error — missing key, unreachable
-// remote, corrupt bytes — degrades to a miss; corrupt additionally
-// reports that the miss was a damaged entry (checksum mismatch from the
-// store, or bytes that came back but are not JSON), so the cache can
-// count detected silent errors separately from cold reads. The
-// re-execution that follows overwrites the damaged entry with a good one.
-func loadCell(rs store.ResultStore, k cellKey) (res CellResult, ok, corrupt bool) {
-	if rs == nil {
-		return CellResult{}, false, false
-	}
-	data, err := rs.Get(k.hash)
-	if err != nil {
-		return CellResult{}, false, errors.Is(err, store.ErrCorrupt)
-	}
-	return decodeStored(data, k)
-}
-
 // decodeStored decodes the retrieved value of the cell keyed k. A value
-// that is not even JSON is torn or flipped, not cold, and reports corrupt;
-// JSON the entry codec rejects (another version, another cell's spec, a
-// shape no writer emits) stays a plain miss.
+// that is not even JSON is torn or flipped, not cold, and reports corrupt:
+// the cache counts it as a detected silent error, and the re-execution
+// that follows overwrites it. JSON the entry codec rejects (another
+// version, another cell's spec, a shape no writer emits) stays a plain
+// miss.
 func decodeStored(data []byte, k cellKey) (res CellResult, ok, corrupt bool) {
 	res, ok = decodeCellEntry(data, k)
 	return res, ok, !ok && !json.Valid(data)

@@ -177,9 +177,9 @@ func TestQuickCacheRoundTrip(t *testing.T) {
 				t.Logf("store: %v", err)
 				return false
 			}
-			got, ok, _ := loadCell(rs, spec.key())
-			if !ok || mustCanonicalResult(t, got) != want {
-				t.Logf("store round-trip mismatch: ok=%v", ok)
+			got, tier, ok := NewCellCacheStore(rs, 4).lookup(spec.key())
+			if !ok || tier != TierDisk || mustCanonicalResult(t, got) != want {
+				t.Logf("store round-trip mismatch: ok=%v tier=%s", ok, tier)
 				return false
 			}
 		}

@@ -452,24 +452,14 @@ func (c CellSpec) Validate() error {
 		if _, err := ParseProtocol(c.Protocol); err != nil {
 			return err
 		}
-		if c.Reps <= 0 {
-			return fmt.Errorf("scenario: sim cell needs reps > 0")
-		}
-		if c.Reps > MaxSimReps {
-			return fmt.Errorf("scenario: sim cell reps %d exceeds the %d limit", c.Reps, MaxSimReps)
+		if err := c.validateMonteCarlo(); err != nil {
+			return err
 		}
 		if c.Epochs < 0 || c.Epochs > MaxSimEpochs {
 			return fmt.Errorf("scenario: sim cell epochs must be in [0, %d]", MaxSimEpochs)
 		}
-		epochs := c.Epochs
-		if epochs == 0 {
-			epochs = 1
-		}
-		if c.Reps*epochs > MaxSimBudget {
+		if epochs := max(c.Epochs, 1); c.Reps*epochs > MaxSimBudget {
 			return fmt.Errorf("scenario: sim cell reps*epochs %d exceeds the %d budget", c.Reps*epochs, MaxSimBudget)
-		}
-		if _, err := c.Dist.constructor(); err != nil {
-			return err
 		}
 		if err := c.Precision.Validate(); err != nil {
 			return err

@@ -161,16 +161,13 @@ func buildCohortArena(co cohort, cells []CellSpec, budget int64) *sim.TraceArena
 	return sim.BuildTraceArena(ctor(co.key.MTBF), co.key.Seed, co.key.Reps, horizon)
 }
 
-// execCohort executes one trace cohort's cells, in order, through the
-// cache's singleflight (CellCache.execute): the one execution path of a
-// local campaign run and of a worker's shard. It materializes the
-// cohort's failure process once (see buildCohortArena) and hands each
-// cell's outcome to done; an error, or done returning false, stops the
-// cohort. It returns the cells executed here, for the caller's
-// writeBatch (none when the cache has no store), and whether an arena was
-// built. simWorkers bounds replica-level parallelism inside each cell.
-func (c *CellCache) execCohort(co cohort, cells map[string]*cellState, simWorkers int,
-	done func(st *cellState, res CellResult, tier CellTier, elapsedMS float64, err error) bool) ([]pendingPut, bool) {
+// execCohort executes one trace cohort's cells, in order, through
+// execCells: the one execution path of a local campaign run and of a
+// worker's shard. It materializes the cohort's failure process once (see
+// buildCohortArena). It returns the cells executed here, for the caller's
+// writeBatch, and whether an arena was built. simWorkers bounds
+// replica-level parallelism inside each cell.
+func (c *CellCache) execCohort(co cohort, cells map[string]*cellState, simWorkers int, done cellDone) ([]pendingPut, bool) {
 	var arena *sim.TraceArena
 	if len(co.hashes) > 1 {
 		specs := make([]CellSpec, len(co.hashes))
@@ -180,18 +177,8 @@ func (c *CellCache) execCohort(co cohort, cells map[string]*cellState, simWorker
 		arena = buildCohortArena(co, specs, arenaBudget)
 	}
 	opts := ExecOptions{Workers: simWorkers, Arena: arena}
-	var pending []pendingPut
-	for _, h := range co.hashes {
-		st := cells[h]
-		res, tier, elapsedMS, err := c.execute(st.key, func() (CellResult, error) {
-			return st.spec.ExecuteOpts(opts)
-		})
-		if err == nil && tier == TierExec && c.store != nil {
-			pending = append(pending, pendingPut{key: st.key, result: res, elapsedMS: elapsedMS})
-		}
-		if !done(st, res, tier, elapsedMS, err) || err != nil {
-			break
-		}
-	}
+	pending := c.execCells(co.hashes, cells, func(st *cellState) (CellResult, error) {
+		return st.spec.ExecuteOpts(opts)
+	}, done)
 	return pending, arena != nil
 }

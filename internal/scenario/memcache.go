@@ -136,8 +136,9 @@ func NewCellCacheStore(rs store.ResultStore, memCells int) *CellCache {
 // share one cache.
 func (c *CellCache) Store() store.ResultStore { return c.store }
 
-// Close flushes and releases the second-tier store. The cache must not be
-// used afterwards.
+// Close releases the second-tier store. The cache buffers no writes
+// (writeBatch returns once its PutBatch does), so there is nothing of its
+// own to flush. The cache must not be used afterwards.
 func (c *CellCache) Close() error {
 	if c.store == nil {
 		return nil
@@ -179,46 +180,12 @@ func (c *CellCache) memHitLocked(hash string) (CellResult, bool) {
 	return el.Value.(*memEntry).result, true
 }
 
-// noteReadLocked records what a store read found for one cell: a hit
-// clears its damaged mark, counts a disk hit and promotes the result into
-// memory; a damaged entry is counted once until it is read intact or
-// rewritten; a plain miss changes nothing. Callers hold c.mu.
-func (c *CellCache) noteReadLocked(hash string, res CellResult, hit, corrupt bool) {
-	switch {
-	case hit:
-		delete(c.damaged, hash)
-		c.stats.DiskHits++
-		c.insertLocked(hash, res)
-	case corrupt && !c.damaged[hash]:
-		c.damaged[hash] = true
-		c.stats.CorruptEntries++
-	}
-}
-
-// lookup consults the memory tier then the store tier, never executing. A
-// store hit is promoted into memory.
+// lookup is lookupBatch of one key.
 func (c *CellCache) lookup(k cellKey) (CellResult, CellTier, bool) {
-	c.mu.Lock()
-	if res, ok := c.memHitLocked(k.hash); ok {
-		c.mu.Unlock()
-		return res, TierMem, true
-	}
-	if c.store == nil {
-		c.mu.Unlock()
-		return CellResult{}, "", false
-	}
-	c.stats.DiskReads++
-	c.mu.Unlock()
-	res, ok, corrupt := loadCell(c.store, k)
-	if ok || corrupt {
-		c.mu.Lock()
-		c.noteReadLocked(k.hash, res, ok, corrupt)
-		c.mu.Unlock()
-	}
-	if !ok {
-		return CellResult{}, "", false
-	}
-	return res, TierDisk, true
+	var res [1]CellResult
+	var tiers [1]CellTier
+	c.lookupBatch([]cellKey{k}, res[:], tiers[:])
+	return res[0], tiers[0], tiers[0] != ""
 }
 
 // GetOrExecute returns the cell's result: from memory, else from disk,
@@ -230,9 +197,8 @@ func (c *CellCache) GetOrExecute(spec CellSpec) (CellResult, CellTier, error) {
 }
 
 // do is GetOrExecute for a cell whose key the caller already derived, with
-// an injectable executor (the coordinator passes its shard results; tests
-// gate it to pin down coalescing): lookup, then execute, then a writeBatch
-// of the one executed cell.
+// an injectable executor (tests gate it to pin down coalescing): lookup,
+// then execute, then a writeBatch of the one executed cell.
 func (c *CellCache) do(k cellKey, exec func() (CellResult, error)) (CellResult, CellTier, error) {
 	if res, tier, ok := c.lookup(k); ok {
 		return res, tier, nil
@@ -249,7 +215,7 @@ func (c *CellCache) do(k cellKey, exec func() (CellResult, error)) (CellResult, 
 // flight waits for that execution (TierCoalesced). Otherwise this call
 // leads: it executes, puts the result into memory and settles every
 // waiter. Store traffic is the caller's: every read happens before
-// (lookup, lookupBatch) and the write of a TierExec result after
+// (lookupBatch) and the write of a TierExec result after
 // (writeBatch), which also settles its store-error and damage accounting.
 // elapsedMS is the execution time of a TierExec result.
 func (c *CellCache) execute(k cellKey, exec func() (CellResult, error)) (CellResult, CellTier, float64, error) {
@@ -309,70 +275,123 @@ func (c *CellCache) execute(k cellKey, exec func() (CellResult, error)) (CellRes
 	return res, TierExec, elapsedMS, nil
 }
 
-// lookupBatch is lookup for many cells at once: one pass over the memory
-// tier, then one store GetBatch for the misses, with the same per-cell
-// bookkeeping (noteReadLocked). Damaged entries count when they come back
-// unparseable, or when the store names them in a *store.CorruptError,
-// whose intact values still count as hits. Any other store error
-// degrades the whole batch to misses. It returns the hits with their
-// tiers; every other key is a miss.
-func (c *CellCache) lookupBatch(keys []cellKey) (map[string]CellResult, map[string]CellTier) {
-	results := make(map[string]CellResult, len(keys))
-	tiers := make(map[string]CellTier, len(keys))
-	var misses []cellKey
+// lookupBatch is the cache's one read: it consults the memory tier, then
+// reads every miss from the store with one GetBatch, never executing. It
+// reports by position: on a hit, res[i] holds key i's result and tiers[i]
+// its tier (TierMem or TierDisk); on a miss tiers[i] is empty. A store hit
+// clears the key's damaged mark and is promoted into memory. A damaged
+// entry, one that comes back unparseable or that the store names in a
+// *store.CorruptError (whose intact values still count as hits), counts
+// once until it is read intact or rewritten. Any other store error
+// degrades every store read of the batch to a miss.
+func (c *CellCache) lookupBatch(keys []cellKey, res []CellResult, tiers []CellTier) {
+	misses := 0
 	c.mu.Lock()
-	for _, k := range keys {
-		if res, ok := c.memHitLocked(k.hash); ok {
-			results[k.hash], tiers[k.hash] = res, TierMem
+	for i, k := range keys {
+		var ok bool
+		if res[i], ok = c.memHitLocked(k.hash); ok {
+			tiers[i] = TierMem
 		} else {
-			misses = append(misses, k)
+			tiers[i] = ""
+			misses++
 		}
 	}
-	if c.store == nil || len(misses) == 0 {
+	if c.store == nil || misses == 0 {
 		c.mu.Unlock()
-		return results, tiers
+		return
 	}
-	c.stats.DiskReads += int64(len(misses))
+	c.stats.DiskReads += int64(misses)
 	c.mu.Unlock()
 
-	hashes := make([]string, len(misses))
-	for i, k := range misses {
-		hashes[i] = k.hash
+	hashes := make([]string, 0, misses)
+	for i, k := range keys {
+		if tiers[i] == "" {
+			hashes = append(hashes, k.hash)
+		}
 	}
 	got, err := c.store.GetBatch(hashes)
-	var corrupt []string
 	var ce *store.CorruptError
-	switch {
-	case errors.As(err, &ce):
-		corrupt = ce.Keys
-	case err != nil:
-		return results, tiers
+	if err != nil && !errors.As(err, &ce) {
+		return
+	}
+	var damaged []string
+	if ce != nil {
+		damaged = ce.Keys
 	}
 	// Decode outside the lock; only the bookkeeping below holds it.
-	type read struct {
-		key          cellKey
-		res          CellResult
-		hit, damaged bool
-	}
-	reads := make([]read, 0, len(got))
-	for _, k := range misses {
-		if data, ok := got[k.hash]; ok {
-			res, hit, damaged := decodeStored(data, k)
-			reads = append(reads, read{k, res, hit, damaged})
+	for i, k := range keys {
+		if data, ok := got[k.hash]; ok && tiers[i] == "" {
+			r, hit, corrupt := decodeStored(data, k)
+			if hit {
+				res[i], tiers[i] = r, TierDisk
+			} else if corrupt {
+				damaged = append(damaged, k.hash)
+			}
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, h := range corrupt {
-		c.noteReadLocked(h, CellResult{}, false, true)
-	}
-	for _, r := range reads {
-		c.noteReadLocked(r.key.hash, r.res, r.hit, r.damaged)
-		if r.hit {
-			results[r.key.hash], tiers[r.key.hash] = r.res, TierDisk
+	for _, h := range damaged {
+		if !c.damaged[h] {
+			c.damaged[h] = true
+			c.stats.CorruptEntries++
 		}
 	}
-	return results, tiers
+	for i, k := range keys {
+		if tiers[i] == TierDisk {
+			delete(c.damaged, k.hash)
+			c.stats.DiskHits++
+			c.insertLocked(k.hash, res[i])
+		}
+	}
+}
+
+// cellDone receives one cell's outcome from a batch path (settle,
+// execCells); returning false stops the batch.
+type cellDone func(st *cellState, res CellResult, tier CellTier, elapsedMS float64, err error) bool
+
+// settle is the cache's read → execute → write sequence for a batch of
+// cells: one lookupBatch of the cells named by hashes, done for each hit,
+// exec for the misses (in order), and one writeBatch of what exec
+// executed. done returning false on a hit skips exec and the write.
+func (c *CellCache) settle(hashes []string, cells map[string]*cellState, done cellDone, exec func(misses []string) []pendingPut) {
+	keys := make([]cellKey, len(hashes))
+	for i, h := range hashes {
+		keys[i] = cells[h].key
+	}
+	res := make([]CellResult, len(hashes))
+	tiers := make([]CellTier, len(hashes))
+	c.lookupBatch(keys, res, tiers)
+	var misses []string
+	for i, h := range hashes {
+		switch {
+		case tiers[i] == "":
+			misses = append(misses, h)
+		case !done(cells[h], res[i], tiers[i], 0, nil):
+			return
+		}
+	}
+	c.writeBatch(exec(misses))
+}
+
+// execCells runs the cells named by hashes, in order, through the
+// singleflight (execute), computing each with run, and hands each outcome
+// to done; an error, or done returning false, stops it. It returns the
+// cells executed here, for the caller's writeBatch (none when the cache
+// has no store).
+func (c *CellCache) execCells(hashes []string, cells map[string]*cellState, run func(st *cellState) (CellResult, error), done cellDone) []pendingPut {
+	var pending []pendingPut
+	for _, h := range hashes {
+		st := cells[h]
+		res, tier, elapsedMS, err := c.execute(st.key, func() (CellResult, error) { return run(st) })
+		if err == nil && tier == TierExec && c.store != nil {
+			pending = append(pending, pendingPut{key: st.key, result: res, elapsedMS: elapsedMS})
+		}
+		if !done(st, res, tier, elapsedMS, err) || err != nil {
+			break
+		}
+	}
+	return pending
 }
 
 // writeBatch stores cells the caller executed (see execute) in one store

@@ -79,6 +79,27 @@ func TestCellCacheWarmPath(t *testing.T) {
 	}
 }
 
+// TestCellCacheMemHitAllocatesOnlyTheKey: a memory hit through
+// GetOrExecute, the warm path of POST /v1/cells, allocates nothing beyond
+// deriving the cell's key. The one-key read goes through lookupBatch,
+// whose store-side bookkeeping a memory hit must not pay for.
+func TestCellCacheMemHitAllocatesOnlyTheKey(t *testing.T) {
+	spec := periodsCell(model.Hour)
+	c := NewCellCache("", 0)
+	if _, _, err := c.GetOrExecute(spec); err != nil {
+		t.Fatal(err)
+	}
+	key := testing.AllocsPerRun(100, func() { spec.key() })
+	hit := testing.AllocsPerRun(100, func() {
+		if _, tier, _ := c.GetOrExecute(spec); tier != TierMem {
+			t.Fatalf("tier %s, want mem", tier)
+		}
+	})
+	if hit > key {
+		t.Errorf("memory hit allocates %v times, deriving the key %v", hit, key)
+	}
+}
+
 // TestCellCacheSingleflight pins down request coalescing: N concurrent
 // identical requests execute the cell exactly once, the leader reporting
 // TierExec and every waiter TierCoalesced with the leader's result.

@@ -76,8 +76,8 @@ type Runner struct {
 	// coalescing between them.
 	Cache *CellCache
 	// Workers bounds cell-level parallelism (0: NumCPU): the cache preload
-	// spreads its lookups over this many goroutines, and execution runs
-	// cells (grouped into trace cohorts) on as many; when a campaign has
+	// spreads its batched lookups over this many goroutines, and execution
+	// runs cells (grouped into trace cohorts) on as many; when a campaign has
 	// fewer units than workers, the runner lends the idle workers to the
 	// simulation cells themselves (Workers / units replica workers per
 	// cell). Results are bit-identical for any worker count at either
@@ -96,7 +96,9 @@ type Runner struct {
 	// work, within MaxShardCells and the shard load budgets (see
 	// packUnits), and each unit is handed to the hook in one call. It
 	// must come back as one result per spec, in order. Results still flow
-	// through the cache — dedupe, singleflight, store write-back and Report
+	// through the cache: each unit is read back with one store GetBatch,
+	// and what the store lacks is settled from the hook's results through
+	// the singleflight and written with one PutBatch. Dedupe and Report
 	// accounting are identical to local execution; only the compute moves.
 	// The coordinator sets this to dispatch units to workers over HTTP, one
 	// shard each. The hook may be called from several workers
@@ -313,13 +315,15 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	}
 
 	// runUnit executes one unit. Locally that is one cohort: its cells run
-	// through execCohort without another store read, and the cells it
-	// executed are written with one writeBatch. Under ExecBatch the
-	// compute, arena included, happens wherever the hook runs, and each
-	// result is read back through the cache (do). A panic in ExecBatch or
-	// in a cell's execution (execute re-raises it after settling its
-	// waiters) becomes the run's first error, naming the unit's first cell
-	// not yet done; the remaining units then drain as after any error.
+	// through execCohort without another store read (the preload has just
+	// made it), and the cells it executed are written with one writeBatch.
+	// Under ExecBatch the compute, arena included, happens wherever the
+	// hook runs; the unit is then read back through the cache's batch path
+	// (settle), and the cells the store lacks are settled from the hook's
+	// results and written with one writeBatch. A panic in ExecBatch or in a
+	// cell's execution (execute re-raises it after settling its waiters)
+	// becomes the run's first error, naming the unit's first cell not yet
+	// done; the remaining units then drain as after any error.
 	runUnit := func(co cohort) {
 		defer func() {
 			if v := recover(); v != nil {
@@ -360,19 +364,17 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 		if batchErr == nil && len(batchRes) != len(specs) {
 			batchErr = fmt.Errorf("scenario: ExecBatch returned %d results for %d cells", len(batchRes), len(specs))
 		}
-		for i, h := range co.hashes {
-			st := states[h]
-			start := time.Now()
-			res, tier, err := cache.do(st.key, func() (CellResult, error) {
-				if batchErr != nil {
-					return CellResult{}, batchErr
-				}
-				return batchRes[i], nil
-			})
-			if !complete(st, res, tier, float64(time.Since(start).Microseconds())/1000, err) {
-				break
+		got := make(map[string]CellResult, len(batchRes))
+		if batchErr == nil {
+			for i, h := range co.hashes {
+				got[h] = batchRes[i]
 			}
 		}
+		cache.settle(co.hashes, states, complete, func(misses []string) []pendingPut {
+			return cache.execCells(misses, states, func(st *cellState) (CellResult, error) {
+				return got[st.key.hash], batchErr
+			}, complete)
+		})
 	}
 
 	if len(batches) > 0 {
@@ -429,25 +431,38 @@ func (r *Runner) schedule(todo []string, spec func(hash string) CellSpec, worker
 	return units
 }
 
+// preloadChunk is how many cells one preload claim reads with one
+// lookupBatch, so one store GetBatch: one round-trip on a remote store,
+// 44 for the 2,788 cells of paper.json. It is a constant, not a setting:
+// the artifacts do not depend on it.
+const preloadChunk = 64
+
 // preload looks every unique cell up in the cache tiers, never executing,
-// and marks each hit done and cached in its state. The lookups are
-// independent, so the caller and up to workers-1 goroutines claim cells
-// one at a time; each writes only the states it claimed. Lookups stay per
-// key: the batch lookup shard execution uses (lookupBatch) counts corrupt
-// entries just as well, but moving the preload onto it changes the warm
-// path and is left to a change measured there.
+// and marks each hit done and cached in its state. The caller and up to
+// workers-1 goroutines claim chunks of order and read each with one
+// lookupBatch; each writes only the states it claimed.
 func preload(cache *CellCache, order []string, states map[string]*cellState, workers int) {
 	var next atomic.Int64
 	lookups := func() {
-		for i := int(next.Add(1)) - 1; i < len(order); i = int(next.Add(1)) - 1 {
-			st := states[order[i]]
-			if res, _, ok := cache.lookup(st.key); ok {
-				st.result, st.done, st.cached = res, true, true
+		keys := make([]cellKey, preloadChunk)
+		res := make([]CellResult, preloadChunk)
+		tiers := make([]CellTier, preloadChunk)
+		for lo := int(next.Add(preloadChunk)) - preloadChunk; lo < len(order); lo = int(next.Add(preloadChunk)) - preloadChunk {
+			chunk := order[lo:min(lo+preloadChunk, len(order))]
+			for i, h := range chunk {
+				keys[i] = states[h].key
+			}
+			cache.lookupBatch(keys[:len(chunk)], res, tiers)
+			for i, h := range chunk {
+				if tiers[i] != "" {
+					st := states[h]
+					st.result, st.done, st.cached = res[i], true, true
+				}
 			}
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(workers, len(order)); w++ {
+	for w := 1; w < min(workers, (len(order)+preloadChunk-1)/preloadChunk); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,12 +222,27 @@ func TestRunnerRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestRunnerStoreTraffic pins a local run's store traffic: every store read
-// happens in the preload (one Get per unique cell) and every write after
-// execution, one PutBatch per executed cohort (singletons included), with
-// no per-cell Put. A warm rerun reads each cell once and writes nothing.
-func TestRunnerStoreTraffic(t *testing.T) {
+// trafficCampaign is packCampaign plus a 100-cell model heatmap: multi-
+// cell cohorts, singletons, and more unique cells than one preload chunk.
+func trafficCampaign(t *testing.T) *Campaign {
+	t.Helper()
 	c := packCampaign(t)
+	c.Scenarios = append(c.Scenarios, &Spec{Name: "grid", Kind: KindHeatmap, Params: &HeatmapParams{Protocol: ProtoPure,
+		MTBFMinutes: &Axis{Values: []float64{60, 90, 120, 180, 240, 360, 480, 720, 960, 1440}},
+		Alphas:      &Axis{Values: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}}}})
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRunnerStoreTraffic pins a local run's store traffic: every store read
+// happens in the preload, one GetBatch per chunk of preloadChunk unique
+// cells and no per-key Get, and every write after execution, one PutBatch
+// per executed cohort (singletons included), with no per-cell Put. A warm
+// rerun reads in the same chunks and writes nothing.
+func TestRunnerStoreTraffic(t *testing.T) {
+	c := trafficCampaign(t)
 	todo, specs := uniqueCells(t, c)
 	units := groupCohorts(todo, func(h string) CellSpec { return specs[h] })
 	multi := 0
@@ -237,6 +253,10 @@ func TestRunnerStoreTraffic(t *testing.T) {
 	}
 	if multi == 0 || multi == len(units) {
 		t.Fatalf("campaign has %d multi-cell cohorts of %d units; want both kinds", multi, len(units))
+	}
+	chunks := int64((len(todo) + preloadChunk - 1) / preloadChunk)
+	if chunks < 2 {
+		t.Fatalf("%d unique cells fit one preload chunk; want several", len(todo))
 	}
 	cnt := &countingStore{ResultStore: store.WithChecksum(store.NewMemory())}
 
@@ -249,8 +269,8 @@ func TestRunnerStoreTraffic(t *testing.T) {
 	if cold.Executed != cold.Unique {
 		t.Fatalf("cold run executed %d of %d cells", cold.Executed, cold.Unique)
 	}
-	if got, want := cnt.traffic(), [4]int64{int64(cold.Unique), 0, 0, int64(len(units))}; got != want {
-		t.Errorf("cold run traffic %v, want %v: one Get per cell, one PutBatch per cohort", got, want)
+	if got, want := cnt.traffic(), [4]int64{0, 0, chunks, int64(len(units))}; got != want {
+		t.Errorf("cold run traffic %v, want %v: one GetBatch per preload chunk, one PutBatch per cohort", got, want)
 	}
 
 	r = Runner{Cache: NewCellCacheStore(cnt, 0), Workers: 2}
@@ -261,8 +281,65 @@ func TestRunnerStoreTraffic(t *testing.T) {
 	if warm.Executed != 0 {
 		t.Fatalf("warm run executed %d cells", warm.Executed)
 	}
-	if got, want := cnt.traffic(), [4]int64{int64(warm.Unique), 0, 0, 0}; got != want {
-		t.Errorf("warm run traffic %v, want %v: one Get per cell and no write", got, want)
+	if got, want := cnt.traffic(), [4]int64{0, 0, chunks, 0}; got != want {
+		t.Errorf("warm run traffic %v, want %v: one GetBatch per preload chunk and no write", got, want)
+	}
+}
+
+// TestRunnerExecBatchStoreTraffic pins the coordinator side of a run:
+// after the preload, each dispatched unit is read back with one GetBatch,
+// and the cells the store lacked are written with one PutBatch per unit.
+// Over a store the workers share, the read-back finds every cell and
+// writes nothing.
+func TestRunnerExecBatchStoreTraffic(t *testing.T) {
+	c := trafficCampaign(t)
+	var units atomic.Int64
+	own := &countingStore{ResultStore: store.WithChecksum(store.NewMemory())}
+	r := Runner{Cache: NewCellCacheStore(own, 0), Workers: 2, ExecBatch: func(specs []CellSpec) ([]CellResult, error) {
+		units.Add(1)
+		out := make([]CellResult, len(specs))
+		for i, spec := range specs {
+			res, err := spec.Execute()
+			if err != nil {
+				return nil, err
+			}
+			out[i] = res
+		}
+		return out, nil
+	}}
+	rep, err := r.Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := int64((rep.Unique + preloadChunk - 1) / preloadChunk)
+	n := units.Swap(0)
+	if n < 2 || rep.Executed != rep.Unique {
+		t.Fatalf("%d units, %d of %d cells executed; want several units and every cell", n, rep.Executed, rep.Unique)
+	}
+	if got, want := own.traffic(), [4]int64{0, 0, chunks + n, n}; got != want {
+		t.Errorf("own store traffic %v, want %v: preload chunks plus one GetBatch and one PutBatch per unit", got, want)
+	}
+
+	shared := store.NewMemory()
+	worker := NewCellCacheStore(store.WithChecksum(shared), 0)
+	coord := &countingStore{ResultStore: store.WithChecksum(shared)}
+	r = Runner{Cache: NewCellCacheStore(coord, 0), Workers: 2, ExecBatch: func(specs []CellSpec) ([]CellResult, error) {
+		units.Add(1)
+		out, err := ExecuteShard(worker, specs, 1)
+		if err != nil {
+			return nil, err
+		}
+		return out.Results, nil
+	}}
+	if rep, err = r.Run(c); err != nil {
+		t.Fatal(err)
+	}
+	n = units.Swap(0)
+	if got, want := coord.traffic(), [4]int64{0, 0, chunks + n, 0}; got != want {
+		t.Errorf("shared store traffic %v, want %v: one GetBatch per unit and no write", got, want)
+	}
+	if rep.Executed != 0 || rep.CacheHits != rep.Unique {
+		t.Errorf("shared store: executed %d, hits %d of %d; want every cell read back", rep.Executed, rep.CacheHits, rep.Unique)
 	}
 }
 
@@ -285,5 +362,23 @@ func TestRunnerExecBatchPanicIsError(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("run hung after a panicking unit")
+	}
+}
+
+// TestRunnerExecBatchCountMismatchIsError: a hook that returns more or
+// fewer results than it was given cells fails the run with an error
+// saying so, and caches nothing from that unit.
+func TestRunnerExecBatchCountMismatchIsError(t *testing.T) {
+	for _, extra := range []int{-1, 1} {
+		cache := NewCellCache("", 0)
+		r := Runner{Cache: cache, Workers: 2, ExecBatch: func(specs []CellSpec) ([]CellResult, error) {
+			return make([]CellResult, len(specs)+extra), nil
+		}}
+		if _, err := r.Run(testCampaign()); err == nil || !strings.Contains(err.Error(), "ExecBatch returned") {
+			t.Errorf("%+d results: err = %v, want a result-count error", extra, err)
+		}
+		if st := cache.Stats(); st.Executed != 0 {
+			t.Errorf("%+d results: %d cells cached from a bad unit", extra, st.Executed)
+		}
 	}
 }

@@ -132,14 +132,14 @@ type ShardOutcome struct {
 	Cached   int `json:"cached"`
 }
 
-// ExecuteShard runs the cells through the cache: one batched lookup (the
-// memory tier, then a single store GetBatch), execution of the misses
-// grouped into trace cohorts (cells sharing a failure process generate
-// their arrival streams once and replay them; see execCohort), and a
-// single PutBatch of what was executed. simWorkers bounds replica-level
-// parallelism inside each simulation cell (<= 0: 1). The first cell
-// error aborts the shard after the cells executed so far are written.
-// Cells must be pre-validated by the caller.
+// ExecuteShard runs the cells through the cache's batch path (settle):
+// one batched lookup (the memory tier, then a single store GetBatch),
+// execution of the misses grouped into trace cohorts (cells sharing a
+// failure process generate their arrival streams once and replay them;
+// see execCohort), and a single PutBatch of what was executed. simWorkers
+// bounds replica-level parallelism inside each simulation cell (<= 0: 1).
+// The first cell error aborts the shard after the cells executed so far
+// are written. Cells must be pre-validated by the caller.
 func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int) (*ShardOutcome, error) {
 	if simWorkers <= 0 {
 		simWorkers = 1
@@ -148,42 +148,37 @@ func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int) (*ShardOut
 	// Deduplicate within the shard (a well-behaved coordinator sends
 	// unique cells, but the semantics must not depend on it).
 	byHash := map[string]*cellState{}
-	var keys []cellKey
+	var unique []string
 	hashes := make([]string, len(specs))
 	for i, spec := range specs {
 		k := spec.key()
 		hashes[i] = k.hash
 		if _, ok := byHash[k.hash]; !ok {
 			byHash[k.hash] = &cellState{spec: spec, key: k}
-			keys = append(keys, k)
+			unique = append(unique, k.hash)
 		}
 	}
 
-	results, tiers := cache.lookupBatch(keys)
-	var misses []string
-	for _, k := range keys {
-		if _, ok := results[k.hash]; !ok {
-			misses = append(misses, k.hash)
-		}
-	}
-	var executed []pendingPut
+	tiers := make(map[string]CellTier, len(unique))
 	var execErr error
 	done := func(st *cellState, res CellResult, tier CellTier, _ float64, err error) bool {
 		if err != nil {
 			execErr = err
 			return false
 		}
-		results[st.key.hash], tiers[st.key.hash] = res, tier
+		st.result, tiers[st.key.hash] = res, tier
 		return true
 	}
-	for _, co := range groupCohorts(misses, func(h string) CellSpec { return byHash[h].spec }) {
-		pending, _ := cache.execCohort(co, byHash, simWorkers, done)
-		executed = append(executed, pending...)
-		if execErr != nil {
-			break
+	cache.settle(unique, byHash, done, func(misses []string) (executed []pendingPut) {
+		for _, co := range groupCohorts(misses, func(h string) CellSpec { return byHash[h].spec }) {
+			pending, _ := cache.execCohort(co, byHash, simWorkers, done)
+			executed = append(executed, pending...)
+			if execErr != nil {
+				break
+			}
 		}
-	}
-	cache.writeBatch(executed)
+		return executed
+	})
 	if execErr != nil {
 		return nil, execErr
 	}
@@ -194,7 +189,7 @@ func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int) (*ShardOut
 	}
 	counted := map[string]bool{}
 	for i, h := range hashes {
-		out.Results[i] = results[h]
+		out.Results[i] = byHash[h].result
 		out.Tiers[i] = tiers[h]
 		if counted[h] {
 			continue

@@ -352,11 +352,12 @@ func TestPackUnitsSpreadsSimulationWork(t *testing.T) {
 	}
 }
 
-// countingStore counts the calls that reach a store and can fail its
-// batched writes.
+// countingStore counts the calls that reach a store and the corrupt keys
+// its batch reads name, and can fail its batched writes.
 type countingStore struct {
 	store.ResultStore
 	gets, puts, getBatches, putBatches atomic.Int64
+	corrupt                            atomic.Int64 // keys named by a *store.CorruptError
 	failPuts                           atomic.Bool
 }
 
@@ -372,7 +373,12 @@ func (s *countingStore) Put(key string, value []byte) error {
 
 func (s *countingStore) GetBatch(keys []string) (map[string][]byte, error) {
 	s.getBatches.Add(1)
-	return s.ResultStore.GetBatch(keys)
+	got, err := s.ResultStore.GetBatch(keys)
+	var ce *store.CorruptError
+	if errors.As(err, &ce) {
+		s.corrupt.Add(int64(len(ce.Keys)))
+	}
+	return got, err
 }
 
 func (s *countingStore) PutBatch(items []store.Item) error {
@@ -463,7 +469,7 @@ func TestExecuteShardCountsCorruptOnce(t *testing.T) {
 	victim := todo[len(todo)/2]
 	flipEntry(t, mem, victim)
 
-	rs := store.WithChecksum(mem)
+	rs := &countingStore{ResultStore: store.WithChecksum(mem)}
 	cache := NewCellCacheStore(rs, 0)
 	r := Runner{Cache: cache, Workers: 2, ExecBatch: func(specs []CellSpec) ([]CellResult, error) {
 		out, err := ExecuteShard(cache, specs, 1)
@@ -476,8 +482,8 @@ func TestExecuteShardCountsCorruptOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.Stats().Corrupt; got != 2 {
-		t.Errorf("checksum layer rejected %d reads, want 2 (preload and shard)", got)
+	if got := rs.corrupt.Load(); got != 2 {
+		t.Errorf("reads named %d corrupt entries, want 2 (preload and shard)", got)
 	}
 	st := cache.Stats()
 	if st.CorruptEntries != 1 || st.Executed != 1 || st.StoreErrors != 0 {

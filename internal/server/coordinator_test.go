@@ -354,7 +354,8 @@ func TestCoordinatorAllWorkersDownFailsJob(t *testing.T) {
 
 // TestRemoteStoreTierE2E wires one server's cache to another server's
 // mounted /v1/store/ — the deployment shape of a worker pointed at a
-// coordinator's store — and checks results land in the upstream store.
+// coordinator's store — and checks results land in the upstream store
+// and the upstream counts the store requests.
 func TestRemoteStoreTierE2E(t *testing.T) {
 	upstream, upstreamSrv := newTestServer(t) // disk-backed, mounts /v1/store/
 
@@ -377,5 +378,16 @@ func TestRemoteStoreTierE2E(t *testing.T) {
 	}
 	if upstreamSrv.Cache().Stats().Executed != 0 {
 		t.Error("upstream executed cells; the store mount must not execute")
+	}
+	// The mount is instrumented like every route: the cold cell's /get and
+	// /put and the fresh cache's /get.
+	var storeReqs int64
+	for _, ep := range upstreamSrv.Metrics().EndpointSummaries() {
+		if ep.Endpoint == "store" {
+			storeReqs = ep.Requests
+		}
+	}
+	if storeReqs != 3 {
+		t.Errorf("upstream counted %d store requests, want 3", storeReqs)
 	}
 }

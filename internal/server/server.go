@@ -274,7 +274,7 @@ func (s *Server) Handler() http.Handler {
 		if cs, ok := rs.(*store.Checksummed); ok {
 			rs = cs.Inner()
 		}
-		mux.Handle("POST /v1/store/", http.StripPrefix("/v1/store", store.Handler(rs)))
+		mux.HandleFunc("POST /v1/store/", s.instrument("store", http.StripPrefix("/v1/store", store.Handler(rs)).ServeHTTP))
 	}
 	return mux
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
-	"sync/atomic"
 )
 
 // ErrCorrupt reports a stored value whose checksum trailer does not match
@@ -116,27 +115,14 @@ func splitChecksum(framed []byte) (payload []byte, verified bool, err error) {
 // read-side verification: Put appends a checksum trailer, Get verifies
 // and strips it, and a mismatch surfaces as ErrCorrupt (GetBatch omits
 // the corrupt key and names it in a *CorruptError). Legacy values without
-// a trailer pass through unverified, so existing caches stay warm.
+// a trailer pass through unverified, so existing caches stay warm. The
+// wrapper keeps no counters: readers count what its errors report (the
+// cell cache's CacheStats.CorruptEntries).
 //
 // The wrapper composes with any backend — Disk, Remote, Memory — because
 // it only rewrites values; keys, batching and layout are untouched.
 type Checksummed struct {
-	inner    ResultStore
-	verified atomic.Int64
-	legacy   atomic.Int64
-	corrupt  atomic.Int64
-}
-
-// CorruptionStats counts read-side verification outcomes. Counters are
-// cumulative and monotone; read them with Stats.
-type CorruptionStats struct {
-	// Verified counts reads whose checksum trailer matched.
-	Verified int64 `json:"verified"`
-	// Legacy counts reads of values without a trailer (pre-checksum
-	// writes), passed through unverified.
-	Legacy int64 `json:"legacy"`
-	// Corrupt counts reads rejected with ErrCorrupt.
-	Corrupt int64 `json:"corrupt"`
+	inner ResultStore
 }
 
 // WithChecksum wraps inner in checksum framing and verification.
@@ -150,37 +136,14 @@ func WithChecksum(inner ResultStore) *Checksummed {
 // wrapper over a server wrapper) would make every entry unreadable.
 func (s *Checksummed) Inner() ResultStore { return s.inner }
 
-// Stats returns a snapshot of the verification counters.
-func (s *Checksummed) Stats() CorruptionStats {
-	return CorruptionStats{
-		Verified: s.verified.Load(),
-		Legacy:   s.legacy.Load(),
-		Corrupt:  s.corrupt.Load(),
-	}
-}
-
-// verify classifies one read and returns the payload (nil on corruption).
-func (s *Checksummed) verify(framed []byte) ([]byte, error) {
-	payload, verified, err := splitChecksum(framed)
-	switch {
-	case err != nil:
-		s.corrupt.Add(1)
-		return nil, err
-	case verified:
-		s.verified.Add(1)
-	default:
-		s.legacy.Add(1)
-	}
-	return payload, nil
-}
-
 // Get implements ResultStore. A corrupt value returns ErrCorrupt.
 func (s *Checksummed) Get(key string) ([]byte, error) {
 	framed, err := s.inner.Get(key)
 	if err != nil {
 		return nil, err
 	}
-	return s.verify(framed)
+	payload, _, err := splitChecksum(framed)
+	return payload, err
 }
 
 // Put implements ResultStore: the value is framed with its checksum.
@@ -189,28 +152,29 @@ func (s *Checksummed) Put(key string, value []byte) error {
 }
 
 // GetBatch implements ResultStore. Corrupt values are omitted from the
-// map, counted in Stats and named in a *CorruptError returned alongside
-// the intact values, so a batch reader above any pass-through wrapper can
-// count each detected silent error the way a per-key Get reports it.
+// map and named in a *CorruptError returned alongside the intact values,
+// so a batch reader above any pass-through wrapper can count each
+// detected silent error the way a per-key Get reports it. Values are
+// verified in place in the inner store's map.
 func (s *Checksummed) GetBatch(keys []string) (map[string][]byte, error) {
 	got, err := s.inner.GetBatch(keys)
 	if err != nil {
 		return nil, err
 	}
-	values := make(map[string][]byte, len(got))
 	var corrupt []string
 	for k, framed := range got {
-		payload, err := s.verify(framed)
+		payload, _, err := splitChecksum(framed)
 		if err != nil {
 			corrupt = append(corrupt, k)
+			delete(got, k)
 			continue
 		}
-		values[k] = payload
+		got[k] = payload
 	}
 	if len(corrupt) > 0 {
-		return values, &CorruptError{Keys: corrupt}
+		return got, &CorruptError{Keys: corrupt}
 	}
-	return values, nil
+	return got, nil
 }
 
 // PutBatch implements ResultStore: every item is framed.

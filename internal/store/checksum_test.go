@@ -86,16 +86,8 @@ func TestChecksummedDetectsCorruption(t *testing.T) {
 	if len(batch) != 1 || string(batch[k2]) != "payload-two" {
 		t.Fatalf("getbatch values %q, want only healthy k2", batch)
 	}
-	if _, err := cs.GetBatch([]string{k2}); err != nil {
-		t.Fatalf("getbatch of intact values: %v", err)
-	}
-
-	stats := cs.Stats()
-	if stats.Corrupt != 2 {
-		t.Fatalf("corrupt count %d, want 2 (Get, GetBatch)", stats.Corrupt)
-	}
-	if stats.Verified < 2 {
-		t.Fatalf("verified count %d, want >= 2", stats.Verified)
+	if batch, err := cs.GetBatch([]string{k2}); err != nil || string(batch[k2]) != "payload-two" {
+		t.Fatalf("getbatch of intact values: %q, %v", batch, err)
 	}
 }
 
@@ -113,8 +105,9 @@ func TestChecksummedLegacyPassThrough(t *testing.T) {
 	if err != nil || !bytes.Equal(got, legacy) {
 		t.Fatalf("legacy read: %q, %v", got, err)
 	}
-	if s := cs.Stats(); s.Legacy != 1 || s.Corrupt != 0 {
-		t.Fatalf("stats after legacy read: %+v", s)
+	batch, err := cs.GetBatch([]string{key(9)})
+	if err != nil || !bytes.Equal(batch[key(9)], legacy) {
+		t.Fatalf("legacy batch read: %q, %v", batch, err)
 	}
 }
 

@@ -76,18 +76,16 @@ func (s *Disk) Put(key string, value []byte) error {
 	return nil
 }
 
-// GetBatch implements ResultStore.
+// GetBatch implements ResultStore. It reads what it can: an entry whose
+// read fails (a bad key, a directory or an unreadable file at its path)
+// is omitted like a missing one, so one damaged entry never costs the
+// rest of the batch. Get reports the same entry as an error.
 func (s *Disk) GetBatch(keys []string) (map[string][]byte, error) {
-	out := map[string][]byte{}
+	out := make(map[string][]byte, len(keys))
 	for _, k := range keys {
-		v, err := s.Get(k)
-		if err == ErrNotFound {
-			continue
+		if v, err := s.Get(k); err == nil {
+			out[k] = v
 		}
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
 	}
 	return out, nil
 }

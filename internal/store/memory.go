@@ -50,7 +50,7 @@ func (s *Memory) Put(key string, value []byte) error {
 
 // GetBatch implements ResultStore.
 func (s *Memory) GetBatch(keys []string) (map[string][]byte, error) {
-	out := map[string][]byte{}
+	out := make(map[string][]byte, len(keys))
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, k := range keys {

@@ -5,8 +5,10 @@
 // key-compatible, so existing warm caches survive), and an HTTP client
 // speaking a small batch GET/PUT API (Handler serves it) — plus
 // Checksummed, which frames values with a checksum and verifies reads.
-// Writers batch themselves: the cell cache writes executed results with
-// one PutBatch per cohort, shard or single-cell request.
+// Callers batch themselves: the cell cache reads with one GetBatch per
+// preload chunk, shard, dispatched unit or single-cell request, and
+// writes executed results with one PutBatch per cohort, shard, unit or
+// single-cell request.
 //
 // The store deliberately knows nothing about cell semantics: keys are
 // opaque names under one rule (ErrBadKey), values are opaque bytes.
@@ -60,9 +62,10 @@ type Item struct {
 type ResultStore interface {
 	// Get returns the value stored under key, or ErrNotFound.
 	Get(key string) ([]byte, error)
-	// Put stores value under key, overwriting any previous value. Values
-	// for one key are always identical (content-addressed), so overwrites
-	// are idempotent.
+	// Put stores value under key, overwriting any previous value. Keys are
+	// content hashes, so values for one key carry the same cell result;
+	// they may differ in metadata (an entry records its execution time,
+	// elapsed_ms), and an overwrite replaces one valid entry with another.
 	Put(key string, value []byte) error
 	// GetBatch returns the stored values of the given keys; missing keys
 	// are omitted, not errors.

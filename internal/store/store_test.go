@@ -140,6 +140,44 @@ func TestDiskLayoutCompatibility(t *testing.T) {
 	}
 }
 
+// TestDiskGetBatchReadsWhatItCan: a directory where one entry's file
+// should be fails that entry's read, not the batch. Disk.GetBatch and
+// POST /get both return the other two entries, and Get still reports the
+// unreadable one as an error.
+func TestDiskGetBatchReadsWhatItCan(t *testing.T) {
+	dir := t.TempDir()
+	d := NewDisk(dir)
+	keys := []string{key(1), key(2), key(3)}
+	if err := d.PutBatch([]Item{{Key: keys[0], Value: []byte("one")}, {Key: keys[2], Value: []byte("three")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(d.path(keys[1]), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Get(keys[1]); err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of a directory entry: %v, want a read error", err)
+	}
+	want := map[string][]byte{keys[0]: []byte("one"), keys[2]: []byte("three")}
+	got, err := d.GetBatch(keys)
+	if err != nil || len(got) != 2 || !bytes.Equal(got[keys[0]], want[keys[0]]) || !bytes.Equal(got[keys[2]], want[keys[2]]) {
+		t.Fatalf("GetBatch = %q, %v; want the two readable entries", got, err)
+	}
+
+	body, _ := json.Marshal(getRequest{Keys: keys})
+	rec := post(Handler(d), "/get", body)
+	var resp getResponse
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /get: status %d, body %q", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Items) != 2 || resp.Items[0].Key != keys[0] || resp.Items[1].Key != keys[2] ||
+		!bytes.Equal(resp.Items[0].Value, want[keys[0]]) || !bytes.Equal(resp.Items[1].Value, want[keys[2]]) {
+		t.Fatalf("POST /get items %+v, want the two readable entries in key order", resp.Items)
+	}
+}
+
 // TestRemoteErrors covers the client's non-2xx and malformed-batch paths.
 func TestRemoteErrors(t *testing.T) {
 	srv := httptest.NewServer(Handler(NewMemory()))
