@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -459,6 +460,30 @@ func Suite() []Benchmark {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := rs.Put(fmt.Sprintf("%064d", i%4096), val); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		},
+		{
+			Name:       "store/verify_batch",
+			Brief:      "checksum-verified GetBatch of 64 framed ~620-byte entries over the in-memory store",
+			UnitsPerOp: 64,
+			UnitName:   "items",
+			Fn: func(b *testing.B) {
+				rs := store.WithChecksum(store.NewMemory())
+				items := make([]store.Item, 64)
+				keys := make([]string, len(items))
+				for i := range items {
+					keys[i] = fmt.Sprintf("%064d", i)
+					items[i] = store.Item{Key: keys[i], Value: bytes.Repeat([]byte{'0' + byte(i%10)}, 620)}
+				}
+				if err := rs.PutBatch(items); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := rs.GetBatch(keys); err != nil {
 						b.Fatal(err)
 					}
 				}

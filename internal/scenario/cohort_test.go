@@ -237,7 +237,7 @@ func TestRunnerCohortsBitIdenticalToPerCell(t *testing.T) {
 // then generate per cell, which TestRunnerCohortsBitIdenticalToPerCell
 // holds byte-identical), and the same cohort builds under arenaBudget.
 func TestRunnerArenaBudgetFallback(t *testing.T) {
-	e, err := expandCampaign(cohortCampaign(t))
+	e, err := expandCampaign(cohortCampaign(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"bytes"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -62,5 +65,39 @@ func TestCorruptDiskEntryBecomesCountedMiss(t *testing.T) {
 	}
 	if got := healed.Stats().CorruptEntries; got != 0 {
 		t.Fatalf("healed cache CorruptEntries = %d, want 0", got)
+	}
+}
+
+// TestDecodeRejectsFramedEntry pins how a binary that knows no checksum
+// framing reads an entry framed by a newer one (a mixed fleet sharing a
+// store, or a rollback): its checksum layer passes the unknown trailer
+// through as a legacy value, so the entry decoder must reject it, and
+// the cell degrades to a miss and a re-execution, never to a wrong
+// result.
+func TestDecodeRejectsFramedEntry(t *testing.T) {
+	cell := BenchCells()[OpModel]
+	k := cell.key()
+	res, err := cell.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := appendCellEntry(nil, k, &res, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := decodeCellEntry(entry, k); !ok {
+		t.Fatal("the unframed entry does not decode")
+	}
+	crc := crc32.Checksum(entry, crc32.MakeTable(crc32.Castagnoli))
+	for _, framed := range [][]byte{
+		fmt.Appendf(bytes.Clone(entry), "cks2:%08x\n", crc),
+		fmt.Appendf(bytes.Clone(entry), "cks1:%016x\n", uint64(crc)),
+	} {
+		if _, ok := decodeCellEntry(framed, k); ok {
+			t.Fatalf("decodeCellEntry accepted %q", framed[len(entry):])
+		}
+		if _, ok, _ := decodeStored(framed, k); ok {
+			t.Fatalf("decodeStored accepted %q", framed[len(entry):])
+		}
 	}
 }

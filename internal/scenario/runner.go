@@ -75,9 +75,10 @@ type Runner struct {
 	// synchronous cell evaluations to get memory hits and singleflight
 	// coalescing between them.
 	Cache *CellCache
-	// Workers bounds cell-level parallelism (0: NumCPU): the cache preload
-	// spreads its batched lookups over this many goroutines, and execution
-	// runs cells (grouped into trace cohorts) on as many; when a campaign has
+	// Workers bounds cell-level parallelism (0: NumCPU): planning derives
+	// cell keys on this many goroutines, the cache preload spreads its
+	// batched lookups over them, and execution runs cells (grouped into
+	// trace cohorts) on as many; when a campaign has
 	// fewer units than workers, the runner lends the idle workers to the
 	// simulation cells themselves (Workers / units replica workers per
 	// cell). Results are bit-identical for any worker count at either
@@ -140,8 +141,13 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 		cache = NewCellCache("", 0)
 	}
 
+	totalWorkers := r.Workers
+	if totalWorkers <= 0 {
+		totalWorkers = runtime.NumCPU()
+	}
+
 	// Expand every scenario and deduplicate cells by content hash.
-	e, err := expandCampaign(c)
+	e, err := expandCampaign(c, totalWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -160,11 +166,6 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 		runs[i] = &specRun{ex: ex, hashes: e.hashes[i], slot: i}
 	}
 	report := &Report{Campaign: c.Name, Cells: e.refs, Unique: len(order)}
-
-	totalWorkers := r.Workers
-	if totalWorkers <= 0 {
-		totalWorkers = runtime.NumCPU()
-	}
 
 	// Load whatever the cache tiers already have, then take the hits in
 	// first-reference order, so counters, events and assembly do not

@@ -3,8 +3,8 @@ package store
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
-	"strconv"
 )
 
 // ErrCorrupt reports a stored value whose checksum trailer does not match
@@ -30,85 +30,128 @@ func (e *CorruptError) Error() string {
 // Unwrap makes errors.Is(err, ErrCorrupt) hold.
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
-// Checksum trailer framing. A framed value is
+// Checksum trailer framing. A framed value is its payload, verbatim,
+// followed by one trailer line. New writes use
+//
+//	<payload> "cks2:" <8 hex chars of CRC-32C(payload)> "\n"
+//
+// and reads also verify the framing written before it,
 //
 //	<payload> "cks1:" <16 hex chars of FNV-64a(payload)> "\n"
 //
-// appended after the payload verbatim. Cell entries end in "}\n" (the
-// scenario entry codec writes them that way, as json.Encoder did before
-// it), so the trailer reads as a trailing non-JSON line:
-// a pre-checksum binary that loads a framed entry fails its JSON decode
-// and degrades to a cache miss, never to a wrong result, while legacy
-// values without a trailer pass through Checksummed unverified — old
-// caches stay warm across the upgrade.
-const (
-	checksumMagic = "cks1:"
-	// checksumTrailerLen is len(checksumMagic) + 16 hex digits + "\n".
-	checksumTrailerLen = len(checksumMagic) + 16 + 1
+// so stores and caches filled by an older binary stay warm. CRC-32C is
+// hardware-assisted on amd64 and arm64 and catches every burst error of
+// up to 32 bits. Cell entries end in "}\n" (the scenario entry codec
+// writes them that way, as json.Encoder did before it), so the trailer
+// reads as a trailing non-JSON line: a binary that does not know a
+// framing fails its JSON decode and degrades to a cache miss, never to a
+// wrong result, while legacy values without a trailer pass through
+// Checksummed unverified.
+type framing struct {
+	magic  string
+	digits int // hex digits of the checksum
+	sum    func(payload []byte) uint64
+}
+
+var (
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	// crcFraming is what appendChecksum writes.
+	crcFraming = framing{magic: "cks2:", digits: 8, sum: func(p []byte) uint64 {
+		return uint64(crc32.Checksum(p, castagnoli))
+	}}
+	// fnvFraming is the legacy framing, verified on read only.
+	fnvFraming = framing{magic: "cks1:", digits: 16, sum: func(p []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(p) //nolint:errcheck // hash.Hash never errors
+		return h.Sum64()
+	}}
 )
 
-// appendChecksum frames value with its checksum trailer.
-func appendChecksum(value []byte) []byte {
-	h := fnv.New64a()
-	h.Write(value) //nolint:errcheck // hash.Hash never errors
-	out := make([]byte, 0, len(value)+checksumTrailerLen)
-	out = append(out, value...)
-	out = append(out, checksumMagic...)
-	out = fmt.Appendf(out, "%016x\n", h.Sum64())
+// trailerLen is len(magic) + the hex digits + "\n".
+func (f *framing) trailerLen() int { return len(f.magic) + f.digits + 1 }
+
+// appendTo frames value with f's trailer.
+func (f *framing) appendTo(value []byte) []byte {
+	const hexDigits = "0123456789abcdef"
+	out := make([]byte, len(value)+f.trailerLen())
+	n := copy(out, value)
+	n += copy(out[n:], f.magic)
+	sum := f.sum(value)
+	for i := f.digits - 1; i >= 0; i-- {
+		out[n+i] = hexDigits[sum&0xf]
+		sum >>= 4
+	}
+	out[len(out)-1] = '\n'
 	return out
 }
 
-// splitChecksum verifies and strips the trailer. Values without a trailer
-// are legacy writes: returned unchanged with verified=false. A trailer
-// that does not match its payload returns ErrCorrupt — and so does a
-// "near-framed" trailer (magic one byte off, digits or newline mangled,
-// digits otherwise hex-shaped), so a bit flip inside the trailer itself
-// cannot demote a framed value to legacy and slip past verification.
-// Legacy cell entries are JSON ending in "}\n", which can never look
-// near-framed ('}' is not a hex digit), so the upgrade path is unharmed.
-func splitChecksum(framed []byte) (payload []byte, verified bool, err error) {
-	if len(framed) < checksumTrailerLen {
-		return framed, false, nil
+// split verifies and strips f's trailer. framed reports whether the value
+// carries the trailer at all, exactly or "near-framed" (magic one byte
+// off, digits or newline mangled, digits otherwise hex-shaped); a framed
+// value whose trailer does not match its payload returns ErrCorrupt.
+func (f *framing) split(value []byte) (payload []byte, framed bool, err error) {
+	n := f.trailerLen()
+	if len(value) < n {
+		return nil, false, nil
 	}
-	trailer := framed[len(framed)-checksumTrailerLen:]
+	trailer := value[len(value)-n:]
 	magicDiff := 0
-	for i := 0; i < len(checksumMagic); i++ {
-		if trailer[i] != checksumMagic[i] {
+	for i := 0; i < len(f.magic); i++ {
+		if trailer[i] != f.magic[i] {
 			magicDiff++
 		}
 	}
-	digits := trailer[len(checksumMagic) : checksumTrailerLen-1]
+	var want uint64
 	hexShaped := true
-	for _, c := range digits {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+	for _, c := range trailer[len(f.magic) : n-1] {
+		switch {
+		case '0' <= c && c <= '9':
+			want = want<<4 | uint64(c-'0')
+		case 'a' <= c && c <= 'f':
+			want = want<<4 | uint64(c-'a'+10)
+		default:
 			hexShaped = false
-			break
 		}
 	}
-	newlineOK := trailer[checksumTrailerLen-1] == '\n'
+	newlineOK := trailer[n-1] == '\n'
 	switch {
 	case magicDiff == 0:
 		// A framed value (possibly with corrupted digits or newline).
 	case magicDiff == 1 && hexShaped && newlineOK:
 		// One corrupted magic byte on an otherwise well-formed trailer.
-		return nil, false, ErrCorrupt
+		return nil, true, ErrCorrupt
 	default:
-		return framed, false, nil
+		return nil, false, nil
 	}
-	if !newlineOK || !hexShaped {
-		return nil, false, ErrCorrupt
-	}
-	payload = framed[:len(framed)-checksumTrailerLen]
-	want, perr := strconv.ParseUint(string(digits), 16, 64)
-	if perr != nil {
-		return nil, false, ErrCorrupt
-	}
-	h := fnv.New64a()
-	h.Write(payload) //nolint:errcheck
-	if h.Sum64() != want {
-		return nil, false, ErrCorrupt
+	payload = value[:len(value)-n]
+	if !newlineOK || !hexShaped || f.sum(payload) != want {
+		return nil, true, ErrCorrupt
 	}
 	return payload, true, nil
+}
+
+// appendChecksum frames value with its CRC-32C trailer.
+func appendChecksum(value []byte) []byte { return crcFraming.appendTo(value) }
+
+// splitChecksum verifies and strips the trailer of either framing. Values
+// without a trailer are legacy writes: returned unchanged with
+// verified=false. A trailer that does not match its payload returns
+// ErrCorrupt — and so does a near-framed trailer, so a byte flip inside
+// the trailer itself (a cks2 magic turned cks1 included) cannot demote a
+// framed value to legacy and slip past verification. The two framings
+// cannot be mistaken for each other under one flipped byte: the last 14
+// bytes of a cks1 value are hex digits and a newline, three bytes from
+// any cks2 magic, and the cks1 digit field of a cks2 value holds the
+// non-hex "ks:" of its magic. Legacy cell entries are JSON ending in
+// "}\n", which can never look near-framed ('}' is not a hex digit), so
+// the upgrade path is unharmed.
+func splitChecksum(value []byte) (payload []byte, verified bool, err error) {
+	for _, f := range [...]*framing{&crcFraming, &fnvFraming} {
+		if payload, framed, err := f.split(value); framed {
+			return payload, err == nil, err
+		}
+	}
+	return value, false, nil
 }
 
 // Checksummed wraps a ResultStore with write-side checksum framing and

@@ -3,21 +3,78 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"hash/fnv"
 	"testing"
 )
 
+// appendChecksumCks1 is the legacy cks1 framer, written out as older
+// binaries did: the payload, "cks1:", 16 hex digits of its FNV-64a and a
+// newline. Reads must keep verifying what it writes.
+func appendChecksumCks1(value []byte) []byte {
+	h := fnv.New64a()
+	h.Write(value) //nolint:errcheck // hash.Hash never errors
+	return fmt.Appendf(append([]byte(nil), value...), "cks1:%016x\n", h.Sum64())
+}
+
+// framers are the two framings reads verify: today's writer and the
+// legacy one.
+var framers = []struct {
+	name   string
+	frame  func([]byte) []byte
+	magic  string
+	digits int
+}{
+	{"cks2", appendChecksum, "cks2:", 8},
+	{"cks1", appendChecksumCks1, "cks1:", 16},
+}
+
 func TestChecksumFraming(t *testing.T) {
 	payload := []byte(`{"v":1,"result":{"waste":0.25}}` + "\n")
-	framed := appendChecksum(payload)
-	if len(framed) != len(payload)+checksumTrailerLen {
-		t.Fatalf("framed length %d, want %d", len(framed), len(payload)+checksumTrailerLen)
+
+	// New writes carry the CRC-32C trailer, byte for byte.
+	crc := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
+	if got, want := appendChecksum(payload), fmt.Appendf(append([]byte(nil), payload...), "cks2:%08x\n", crc); !bytes.Equal(got, want) {
+		t.Fatalf("appendChecksum = %q, want %q", got, want)
 	}
-	back, verified, err := splitChecksum(framed)
-	if err != nil || !verified {
-		t.Fatalf("splitChecksum: verified=%v err=%v", verified, err)
-	}
-	if !bytes.Equal(back, payload) {
-		t.Fatalf("payload round-trip: got %q", back)
+
+	for _, fr := range framers {
+		framed := fr.frame(payload)
+		trailerLen := len(fr.magic) + fr.digits + 1
+		if len(framed) != len(payload)+trailerLen || !bytes.HasPrefix(framed[len(payload):], []byte(fr.magic)) {
+			t.Fatalf("%s: framed %q", fr.name, framed)
+		}
+		back, verified, err := splitChecksum(framed)
+		if err != nil || !verified {
+			t.Fatalf("%s: splitChecksum: verified=%v err=%v", fr.name, verified, err)
+		}
+		if !bytes.Equal(back, payload) {
+			t.Fatalf("%s: payload round-trip: got %q", fr.name, back)
+		}
+
+		// Every single-byte change of the trailer is corruption, never a
+		// pass-through as legacy: a mangled magic (a cks2 magic turned
+		// cks1 and back included), digit or newline.
+		for pos := len(payload); pos < len(framed); pos++ {
+			for flip := 1; flip < 256; flip++ {
+				mut := append([]byte(nil), framed...)
+				mut[pos] ^= byte(flip)
+				if _, _, err := splitChecksum(mut); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s: trailer byte %d flipped by %#x (%q): err %v, want ErrCorrupt",
+						fr.name, pos-len(payload), flip, mut[len(payload):], err)
+				}
+			}
+		}
+
+		// Any single-bit flip in the payload is caught by the checksum.
+		for bit := 0; bit < len(payload)*8; bit++ {
+			mut := append([]byte(nil), framed...)
+			mut[bit/8] ^= 1 << (bit % 8)
+			if _, _, err := splitChecksum(mut); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: payload bit %d flipped: err %v, want ErrCorrupt", fr.name, bit, err)
+			}
+		}
 	}
 
 	// Values without a trailer are legacy: passed through unverified.
@@ -28,18 +85,6 @@ func TestChecksumFraming(t *testing.T) {
 		}
 		if !bytes.Equal(back, legacy) {
 			t.Fatalf("legacy %q mutated to %q", legacy, back)
-		}
-	}
-
-	// Any single-bit flip anywhere in the framed value must be caught —
-	// in the payload, the magic (reads as legacy, fails downstream
-	// decode), or the digits.
-	for bit := 0; bit < len(framed)*8; bit += 7 {
-		mut := append([]byte(nil), framed...)
-		mut[bit/8] ^= 1 << (bit % 8)
-		back, verified, err := splitChecksum(mut)
-		if err == nil && verified && !bytes.Equal(back, payload) {
-			t.Fatalf("bit %d: flip verified as valid with altered payload", bit)
 		}
 	}
 }
@@ -127,27 +172,34 @@ func TestChecksummedTrailerDigitsMangled(t *testing.T) {
 	}
 }
 
-// FuzzChecksumTrailer: framing round-trips any payload, a single-byte
-// change anywhere in a framed value is reported as ErrCorrupt, and
-// splitChecksum never panics, whatever bytes it is handed.
+// FuzzChecksumTrailer: both framings round-trip any payload, a
+// single-byte change anywhere in a framed value is reported as
+// ErrCorrupt, and splitChecksum never panics, whatever bytes it is
+// handed.
 func FuzzChecksumTrailer(f *testing.F) {
-	f.Add([]byte(`{"v":1,"spec":{},"result":{},"elapsed_ms":1}`+"\n"), uint(3), byte(0x04))
+	entry := []byte(`{"v":1,"spec":{},"result":{},"elapsed_ms":1}` + "\n")
+	f.Add(entry, uint(3), byte(0x04))
 	f.Add([]byte{}, uint(0), byte(0xff))
 	f.Add([]byte("cks1:0123456789abcdef\n"), uint(30), byte(0x20))
+	f.Add(appendChecksumCks1(entry), uint(len(entry)+3), byte(0x03))
+	f.Add([]byte("cks2:01234567\n"), uint(17), byte(0x03))
 	f.Fuzz(func(t *testing.T, payload []byte, pos uint, flip byte) {
 		splitChecksum(payload) //nolint:errcheck // must only not panic
 
-		framed := appendChecksum(payload)
-		got, verified, err := splitChecksum(framed)
-		if err != nil || !verified || !bytes.Equal(got, payload) {
-			t.Fatalf("round trip: verified %v, err %v, payload %q, want %q", verified, err, got, payload)
-		}
-		if flip == 0 {
-			return
-		}
-		framed[pos%uint(len(framed))] ^= flip
-		if _, _, err := splitChecksum(framed); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("byte %d flipped by %#x: err %v, want ErrCorrupt", pos%uint(len(framed)), flip, err)
+		for _, fr := range framers {
+			framed := fr.frame(payload)
+			got, verified, err := splitChecksum(framed)
+			if err != nil || !verified || !bytes.Equal(got, payload) {
+				t.Fatalf("%s round trip: verified %v, err %v, payload %q, want %q", fr.name, verified, err, got, payload)
+			}
+			if flip == 0 {
+				continue
+			}
+			at := pos % uint(len(framed))
+			framed[at] ^= flip
+			if _, _, err := splitChecksum(framed); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: byte %d flipped by %#x: err %v, want ErrCorrupt", fr.name, at, flip, err)
+			}
 		}
 	})
 }
