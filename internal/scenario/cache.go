@@ -55,19 +55,11 @@ func putEntryBuf(buf *bytes.Buffer) {
 	}
 }
 
-// pendingPut is an executed cell waiting for its caller's batched store
-// write (CellCache.writeBatch).
-type pendingPut struct {
-	key       cellKey
-	result    CellResult
-	elapsedMS float64
-}
-
 // storeCells persists executed cells into the store in one PutBatch. The
 // store owns atomicity (store.Disk writes temp + rename). The error covers
 // the whole batch: a PutBatch may be partially applied, and content
 // addressing makes the next write of any lost entry safe.
-func storeCells(rs store.ResultStore, cells []pendingPut) error {
+func storeCells(rs store.ResultStore, cells []*cellState) error {
 	if rs == nil || len(cells) == 0 {
 		return nil
 	}
@@ -78,13 +70,13 @@ func storeCells(rs store.ResultStore, cells []pendingPut) error {
 			putEntryBuf(buf)
 		}
 	}()
-	for _, p := range cells {
-		buf, err := encodeCellEntry(p.key, p.result, p.elapsedMS)
+	for _, st := range cells {
+		buf, err := encodeCellEntry(st.key, st.result, st.elapsedMS)
 		if err != nil {
 			return err
 		}
 		bufs = append(bufs, buf)
-		items = append(items, store.Item{Key: p.key.hash, Value: buf.Bytes()})
+		items = append(items, store.Item{Key: st.key.hash, Value: buf.Bytes()})
 	}
 	if err := rs.PutBatch(items); err != nil {
 		return fmt.Errorf("scenario: cache write: %w", err)

@@ -173,7 +173,7 @@ func TestQuickCacheRoundTrip(t *testing.T) {
 
 		// Store tier, every backend.
 		for _, rs := range stores {
-			if err := storeCells(rs, []pendingPut{{key: spec.key(), result: res, elapsedMS: 1}}); err != nil {
+			if err := storeCells(rs, []*cellState{{key: spec.key(), result: res, tier: TierExec, elapsedMS: 1}}); err != nil {
 				t.Logf("store: %v", err)
 				return false
 			}

@@ -54,32 +54,31 @@ func SimProcessKey(c CellSpec) (ProcessKey, bool) {
 	}, true
 }
 
-// cohort is one group of unique cells sharing a failure process, addressed
-// by their cache hashes in first-reference order.
+// cohort is one group of unique cells sharing a failure process, in
+// first-reference order.
 type cohort struct {
-	key    ProcessKey
-	hashes []string
+	key   ProcessKey
+	cells []*cellState
 }
 
-// groupCohorts partitions cells (hash -> spec, iterated in the order of
-// hashes) into cohorts: simulation cells grouped by process key, everything
-// else a singleton. The returned slice preserves first-reference order, so
-// scheduling stays deterministic.
-func groupCohorts(hashes []string, spec func(hash string) CellSpec) []cohort {
+// groupCohorts partitions cells, in order, into cohorts: simulation cells
+// grouped by process key, everything else a singleton. The returned slice
+// preserves first-reference order, so scheduling stays deterministic.
+func groupCohorts(cells []*cellState) []cohort {
 	var out []cohort
 	index := map[ProcessKey]int{}
-	for _, h := range hashes {
-		key, ok := SimProcessKey(spec(h))
+	for _, st := range cells {
+		key, ok := SimProcessKey(st.spec)
 		if !ok {
-			out = append(out, cohort{hashes: []string{h}})
+			out = append(out, cohort{cells: []*cellState{st}})
 			continue
 		}
 		if i, seen := index[key]; seen {
-			out[i].hashes = append(out[i].hashes, h)
+			out[i].cells = append(out[i].cells, st)
 			continue
 		}
 		index[key] = len(out)
-		out = append(out, cohort{key: key, hashes: []string{h}})
+		out = append(out, cohort{key: key, cells: []*cellState{st}})
 	}
 	return out
 }
@@ -114,9 +113,10 @@ const infeasibleHorizonFactor = 4
 // the largest prediction (with margin) covers the typical replica of every
 // member. Replay never depends on the estimate for correctness — replicas
 // outrunning the prefix continue drawing live.
-func cohortHorizon(key ProcessKey, cells []CellSpec) float64 {
+func cohortHorizon(co cohort) float64 {
 	maxH := 0.0
-	for _, c := range cells {
+	for _, st := range co.cells {
+		c := &st.spec
 		proto, err := ParseProtocol(c.Protocol)
 		if err != nil || c.Params == nil {
 			continue
@@ -135,8 +135,8 @@ func cohortHorizon(key ProcessKey, cells []CellSpec) float64 {
 			maxH = est
 		}
 	}
-	if maxH > key.Horizon {
-		maxH = key.Horizon
+	if maxH > co.key.Horizon {
+		maxH = co.key.Horizon
 	}
 	return maxH
 }
@@ -145,16 +145,15 @@ func cohortHorizon(key ProcessKey, cells []CellSpec) float64 {
 // nil when the cohort cannot profit from one (fewer than two cells) or its
 // estimated footprint exceeds the budget (the cells then generate their
 // streams per cell, exactly as without cohorts).
-func buildCohortArena(co cohort, cells []CellSpec, budget int64) *sim.TraceArena {
-	if len(cells) < 2 {
+func buildCohortArena(co cohort, budget int64) *sim.TraceArena {
+	if len(co.cells) < 2 {
 		return nil
 	}
-	first := cells[0]
-	ctor, err := first.Dist.constructor()
+	ctor, err := co.cells[0].spec.Dist.constructor()
 	if err != nil {
 		return nil
 	}
-	horizon := cohortHorizon(co.key, cells)
+	horizon := cohortHorizon(co)
 	if est := sim.EstimateArenaArrivals(co.key.MTBF, horizon, co.key.Reps); est > budget/8 {
 		return nil
 	}
@@ -167,18 +166,11 @@ func buildCohortArena(co cohort, cells []CellSpec, budget int64) *sim.TraceArena
 // buildCohortArena). It returns the cells executed here, for the caller's
 // writeBatch, and whether an arena was built. simWorkers bounds
 // replica-level parallelism inside each cell.
-func (c *CellCache) execCohort(co cohort, cells map[string]*cellState, simWorkers int, done cellDone) ([]pendingPut, bool) {
-	var arena *sim.TraceArena
-	if len(co.hashes) > 1 {
-		specs := make([]CellSpec, len(co.hashes))
-		for i, h := range co.hashes {
-			specs[i] = cells[h].spec
-		}
-		arena = buildCohortArena(co, specs, arenaBudget)
-	}
+func (c *CellCache) execCohort(co cohort, simWorkers int, done cellDone) ([]*cellState, bool) {
+	arena := buildCohortArena(co, arenaBudget)
 	opts := ExecOptions{Workers: simWorkers, Arena: arena}
-	pending := c.execCells(co.hashes, cells, func(st *cellState) (CellResult, error) {
+	executed := c.execCells(co.cells, func(st *cellState) (CellResult, error) {
 		return st.spec.ExecuteOpts(opts)
 	}, done)
-	return pending, arena != nil
+	return executed, arena != nil
 }

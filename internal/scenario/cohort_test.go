@@ -65,30 +65,29 @@ func cellsFrom(in cohortInputs) []CellSpec {
 // cohorts never do.
 func TestQuickCohortGroupingIsPartition(t *testing.T) {
 	prop := func(in cohortInputs) bool {
-		cells := cellsFrom(in)
-		specs := map[string]CellSpec{}
-		var order []string
-		for _, c := range cells {
-			h := c.Hash()
-			if _, ok := specs[h]; !ok {
-				specs[h] = c
-				order = append(order, h)
+		seenHash := map[string]bool{}
+		var order []*cellState
+		for _, c := range cellsFrom(in) {
+			k := c.key()
+			if !seenHash[k.hash] {
+				seenHash[k.hash] = true
+				order = append(order, &cellState{spec: c, key: k})
 			}
 		}
-		cohorts := groupCohorts(order, func(h string) CellSpec { return specs[h] })
-		seen := map[string]int{}
+		cohorts := groupCohorts(order)
+		seen := map[*cellState]int{}
 		total := 0
 		for ci, co := range cohorts {
-			total += len(co.hashes)
-			for _, h := range co.hashes {
-				if prev, dup := seen[h]; dup {
-					t.Logf("cell %s in cohorts %d and %d", h[:8], prev, ci)
+			total += len(co.cells)
+			for _, st := range co.cells {
+				if prev, dup := seen[st]; dup {
+					t.Logf("cell %s in cohorts %d and %d", st.key.hash[:8], prev, ci)
 					return false
 				}
-				seen[h] = ci
-				key, isSim := SimProcessKey(specs[h])
+				seen[st] = ci
+				key, isSim := SimProcessKey(st.spec)
 				if !isSim {
-					if len(co.hashes) != 1 {
+					if len(co.cells) != 1 {
 						t.Logf("non-sim cell grouped with others")
 						return false
 					}
@@ -107,7 +106,7 @@ func TestQuickCohortGroupingIsPartition(t *testing.T) {
 		// Distinct sim cohorts carry distinct keys.
 		keys := map[ProcessKey]bool{}
 		for _, co := range cohorts {
-			if _, isSim := SimProcessKey(specs[co.hashes[0]]); !isSim {
+			if _, isSim := SimProcessKey(co.cells[0].spec); !isSim {
 				continue
 			}
 			if keys[co.key] {
@@ -148,7 +147,7 @@ func TestQuickProcessKeyEqualityImpliesIdenticalArenas(t *testing.T) {
 			t.Logf("keys differ: %+v vs %+v", ka, kb)
 			return false
 		}
-		horizon := cohortHorizon(ka, []CellSpec{a, b})
+		horizon := cohortHorizon(cohort{key: ka, cells: []*cellState{{spec: a}, {spec: b}}})
 		ctorA, _ := a.Dist.constructor()
 		ctorB, _ := b.Dist.constructor()
 		arA := sim.BuildTraceArena(ctorA(ka.MTBF), ka.Seed, ka.Reps, horizon)
@@ -241,18 +240,14 @@ func TestRunnerArenaBudgetFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := groupCohorts(e.order, func(h string) CellSpec { return e.states[h].spec })[0]
-	cells := make([]CellSpec, len(co.hashes))
-	for i, h := range co.hashes {
-		cells[i] = e.states[h].spec
+	co := groupCohorts(e.order)[0]
+	if len(co.cells) != 3 {
+		t.Fatalf("first cohort has %d cells, want 3", len(co.cells))
 	}
-	if len(cells) != 3 {
-		t.Fatalf("first cohort has %d cells, want 3", len(cells))
-	}
-	if tr := buildCohortArena(co, cells, 128); tr != nil {
+	if tr := buildCohortArena(co, 128); tr != nil {
 		t.Errorf("128-byte budget built a %d-byte arena", tr.Bytes())
 	}
-	if tr := buildCohortArena(co, cells, arenaBudget); tr == nil || tr.Reps() != co.key.Reps {
+	if tr := buildCohortArena(co, arenaBudget); tr == nil || tr.Reps() != co.key.Reps {
 		t.Errorf("default budget built no arena of %d streams", co.key.Reps)
 	}
 }

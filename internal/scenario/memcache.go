@@ -182,10 +182,9 @@ func (c *CellCache) memHitLocked(hash string) (CellResult, bool) {
 
 // lookup is lookupBatch of one key.
 func (c *CellCache) lookup(k cellKey) (CellResult, CellTier, bool) {
-	var res [1]CellResult
-	var tiers [1]CellTier
-	c.lookupBatch([]cellKey{k}, res[:], tiers[:])
-	return res[0], tiers[0], tiers[0] != ""
+	st := cellState{key: k}
+	c.lookupBatch([]*cellState{&st})
+	return st.result, st.tier, st.tier != ""
 }
 
 // GetOrExecute returns the cell's result: from memory, else from disk,
@@ -193,7 +192,17 @@ func (c *CellCache) lookup(k cellKey) (CellResult, CellTier, bool) {
 // Concurrent calls for the same cell coalesce — exactly one executes, the
 // rest wait for its result and report TierCoalesced.
 func (c *CellCache) GetOrExecute(spec CellSpec) (CellResult, CellTier, error) {
-	return c.do(spec.key(), spec.Execute)
+	_, res, tier, err := c.Evaluate(spec)
+	return res, tier, err
+}
+
+// Evaluate is GetOrExecute that also returns the cell's hash (its cache
+// key, what CellSpec.Hash returns), taken from the one key it derives:
+// what POST /v1/cells answers with.
+func (c *CellCache) Evaluate(spec CellSpec) (hash string, res CellResult, tier CellTier, err error) {
+	k := spec.key()
+	res, tier, err = c.do(k, spec.Execute)
+	return k.hash, res, tier, err
 }
 
 // do is GetOrExecute for a cell whose key the caller already derived, with
@@ -205,7 +214,7 @@ func (c *CellCache) do(k cellKey, exec func() (CellResult, error)) (CellResult, 
 	}
 	res, tier, elapsedMS, err := c.execute(k, exec)
 	if err == nil && tier == TierExec {
-		c.writeBatch([]pendingPut{{key: k, result: res, elapsedMS: elapsedMS}})
+		c.writeBatch([]*cellState{{key: k, result: res, tier: tier, elapsedMS: elapsedMS}})
 	}
 	return res, tier, err
 }
@@ -276,23 +285,21 @@ func (c *CellCache) execute(k cellKey, exec func() (CellResult, error)) (CellRes
 }
 
 // lookupBatch is the cache's one read: it consults the memory tier, then
-// reads every miss from the store with one GetBatch, never executing. It
-// reports by position: on a hit, res[i] holds key i's result and tiers[i]
-// its tier (TierMem or TierDisk); on a miss tiers[i] is empty. A store hit
-// clears the key's damaged mark and is promoted into memory. A damaged
-// entry, one that comes back unparseable or that the store names in a
-// *store.CorruptError (whose intact values still count as hits), counts
-// once until it is read intact or rewritten. Any other store error
+// reads every miss from the store with one GetBatch, never executing. The
+// cells must be unsettled; each hit is settled in place, its result and
+// tier (TierMem or TierDisk) set, and a miss keeps its empty tier. A
+// store hit clears the key's damaged mark and is promoted into memory. A
+// damaged entry, one that comes back unparseable or that the store names
+// in a *store.CorruptError (whose intact values still count as hits),
+// counts once until it is read intact or rewritten. Any other store error
 // degrades every store read of the batch to a miss.
-func (c *CellCache) lookupBatch(keys []cellKey, res []CellResult, tiers []CellTier) {
+func (c *CellCache) lookupBatch(cells []*cellState) {
 	misses := 0
 	c.mu.Lock()
-	for i, k := range keys {
-		var ok bool
-		if res[i], ok = c.memHitLocked(k.hash); ok {
-			tiers[i] = TierMem
+	for _, st := range cells {
+		if res, ok := c.memHitLocked(st.key.hash); ok {
+			st.result, st.tier = res, TierMem
 		} else {
-			tiers[i] = ""
 			misses++
 		}
 	}
@@ -304,9 +311,9 @@ func (c *CellCache) lookupBatch(keys []cellKey, res []CellResult, tiers []CellTi
 	c.mu.Unlock()
 
 	hashes := make([]string, 0, misses)
-	for i, k := range keys {
-		if tiers[i] == "" {
-			hashes = append(hashes, k.hash)
+	for _, st := range cells {
+		if st.tier == "" {
+			hashes = append(hashes, st.key.hash)
 		}
 	}
 	got, err := c.store.GetBatch(hashes)
@@ -319,13 +326,13 @@ func (c *CellCache) lookupBatch(keys []cellKey, res []CellResult, tiers []CellTi
 		damaged = ce.Keys
 	}
 	// Decode outside the lock; only the bookkeeping below holds it.
-	for i, k := range keys {
-		if data, ok := got[k.hash]; ok && tiers[i] == "" {
-			r, hit, corrupt := decodeStored(data, k)
+	for _, st := range cells {
+		if data, ok := got[st.key.hash]; ok && st.tier == "" {
+			r, hit, corrupt := decodeStored(data, st.key)
 			if hit {
-				res[i], tiers[i] = r, TierDisk
+				st.result, st.tier = r, TierDisk
 			} else if corrupt {
-				damaged = append(damaged, k.hash)
+				damaged = append(damaged, st.key.hash)
 			}
 		}
 	}
@@ -337,61 +344,58 @@ func (c *CellCache) lookupBatch(keys []cellKey, res []CellResult, tiers []CellTi
 			c.stats.CorruptEntries++
 		}
 	}
-	for i, k := range keys {
-		if tiers[i] == TierDisk {
-			delete(c.damaged, k.hash)
+	for _, st := range cells {
+		if st.tier == TierDisk {
+			delete(c.damaged, st.key.hash)
 			c.stats.DiskHits++
-			c.insertLocked(k.hash, res[i])
+			c.insertLocked(st.key.hash, st.result)
 		}
 	}
 }
 
-// cellDone receives one cell's outcome from a batch path (settle,
-// execCells); returning false stops the batch.
-type cellDone func(st *cellState, res CellResult, tier CellTier, elapsedMS float64, err error) bool
+// cellDone receives one cell from a batch path (settle, execCells) once
+// the cell has settled, or with the error that stopped it; returning
+// false stops the batch.
+type cellDone func(st *cellState, err error) bool
 
 // settle is the cache's read → execute → write sequence for a batch of
-// cells: one lookupBatch of the cells named by hashes, done for each hit,
-// exec for the misses (in order), and one writeBatch of what exec
-// executed. done returning false on a hit skips exec and the write.
-func (c *CellCache) settle(hashes []string, cells map[string]*cellState, done cellDone, exec func(misses []string) []pendingPut) {
-	keys := make([]cellKey, len(hashes))
-	for i, h := range hashes {
-		keys[i] = cells[h].key
-	}
-	res := make([]CellResult, len(hashes))
-	tiers := make([]CellTier, len(hashes))
-	c.lookupBatch(keys, res, tiers)
-	var misses []string
-	for i, h := range hashes {
+// unsettled cells: one lookupBatch, done for each hit, exec for the
+// misses (in order), and one writeBatch of the cells exec executed. done
+// returning false on a hit skips exec and the write.
+func (c *CellCache) settle(cells []*cellState, done cellDone, exec func(misses []*cellState) []*cellState) {
+	c.lookupBatch(cells)
+	var misses []*cellState
+	for _, st := range cells {
 		switch {
-		case tiers[i] == "":
-			misses = append(misses, h)
-		case !done(cells[h], res[i], tiers[i], 0, nil):
+		case st.tier == "":
+			misses = append(misses, st)
+		case !done(st, nil):
 			return
 		}
 	}
 	c.writeBatch(exec(misses))
 }
 
-// execCells runs the cells named by hashes, in order, through the
-// singleflight (execute), computing each with run, and hands each outcome
-// to done; an error, or done returning false, stops it. It returns the
-// cells executed here, for the caller's writeBatch (none when the cache
-// has no store).
-func (c *CellCache) execCells(hashes []string, cells map[string]*cellState, run func(st *cellState) (CellResult, error), done cellDone) []pendingPut {
-	var pending []pendingPut
-	for _, h := range hashes {
-		st := cells[h]
+// execCells runs the cells, in order, through the singleflight (execute),
+// computing each with run, and settles each in place (result, tier and,
+// for TierExec, execution time) before handing it to done; an error, or
+// done returning false, stops it. It returns the cells executed here, for
+// the caller's writeBatch (none when the cache has no store).
+func (c *CellCache) execCells(cells []*cellState, run func(st *cellState) (CellResult, error), done cellDone) []*cellState {
+	var executed []*cellState
+	for _, st := range cells {
 		res, tier, elapsedMS, err := c.execute(st.key, func() (CellResult, error) { return run(st) })
-		if err == nil && tier == TierExec && c.store != nil {
-			pending = append(pending, pendingPut{key: st.key, result: res, elapsedMS: elapsedMS})
+		if err == nil {
+			st.result, st.tier, st.elapsedMS = res, tier, elapsedMS
+			if tier == TierExec && c.store != nil {
+				executed = append(executed, st)
+			}
 		}
-		if !done(st, res, tier, elapsedMS, err) || err != nil {
+		if !done(st, err) || err != nil {
 			break
 		}
 	}
-	return pending
+	return executed
 }
 
 // writeBatch stores cells the caller executed (see execute) in one store
@@ -399,7 +403,7 @@ func (c *CellCache) execCells(hashes []string, cells map[string]*cellState, run 
 // counts one store error and keeps its mark: a cache-write failure (full
 // disk, read-only directory, unreachable remote) is not an execution
 // failure, and the result stays served from memory.
-func (c *CellCache) writeBatch(cells []pendingPut) {
+func (c *CellCache) writeBatch(cells []*cellState) {
 	if c.store == nil || len(cells) == 0 {
 		return
 	}
@@ -410,7 +414,7 @@ func (c *CellCache) writeBatch(cells []pendingPut) {
 		c.stats.StoreErrors += int64(len(cells))
 		return
 	}
-	for _, p := range cells {
-		delete(c.damaged, p.key.hash)
+	for _, st := range cells {
+		delete(c.damaged, st.key.hash)
 	}
 }

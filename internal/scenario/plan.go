@@ -53,31 +53,31 @@ func PlanCampaign(c *Campaign) (*Plan, error) {
 // expandedCampaign is a campaign expanded and deduplicated in one pass:
 // what PlanCampaign reports and Runner.Run executes.
 type expandedCampaign struct {
-	exs    []*expansion
-	hashes [][]string            // per expansion, its cells' hashes in cell order
-	states map[string]*cellState // unique cells by hash
-	order  []string              // unique cells in first-reference order
-	refs   int                   // cell references across all scenarios
+	exs   []*expansion
+	refs  [][]*cellState // per expansion, its cells' unique states in cell order
+	order []*cellState   // unique cells in first-reference order
+	cells int            // cell references across all scenarios
 }
 
 // expandCampaign validates and expands every scenario and deduplicates
 // their cells by content hash, deriving each reference's key once. The
 // keys are derived on up to workers goroutines (see keyCells); the dedup
-// that follows is serial, so order, hashes and the key each unique cell
-// keeps are the same for any worker count.
+// that follows is serial, so order, references and the key each unique
+// cell keeps are the same for any worker count.
 func expandCampaign(c *Campaign, workers int) (*expandedCampaign, error) {
 	exs, err := c.expandAll()
 	if err != nil {
 		return nil, err
 	}
-	e := &expandedCampaign{exs: exs, hashes: make([][]string, len(exs)), states: map[string]*cellState{}}
+	e := &expandedCampaign{exs: exs, refs: make([][]*cellState, len(exs))}
 	for _, ex := range exs {
-		e.refs += len(ex.cells)
+		e.cells += len(ex.cells)
 	}
-	keys := keyCells(exs, e.refs, workers)
+	keys := keyCells(exs, e.cells, workers)
+	unique := map[string]*cellState{}
 	at := 0
 	for i, ex := range exs {
-		hashes := make([]string, len(ex.cells))
+		refs := make([]*cellState, len(ex.cells))
 		for j, cell := range ex.cells {
 			var k cellKey
 			if keys != nil {
@@ -85,33 +85,33 @@ func expandCampaign(c *Campaign, workers int) (*expandedCampaign, error) {
 			} else {
 				k = cell.key()
 			}
-			if st, ok := e.states[k.hash]; ok {
-				// A repeat reference shares the first one's hash string;
-				// its own key is garbage from here on.
-				k = st.key
-			} else {
-				e.states[k.hash] = &cellState{spec: cell, key: k}
-				e.order = append(e.order, k.hash)
+			// A repeat reference shares the first one's state; its own
+			// key is garbage from here on.
+			st, ok := unique[k.hash]
+			if !ok {
+				st = &cellState{spec: cell, key: k}
+				unique[k.hash] = st
+				e.order = append(e.order, st)
 			}
-			hashes[j] = k.hash
+			refs[j] = st
 		}
 		at += len(ex.cells)
-		e.hashes[i] = hashes
+		e.refs[i] = refs
 	}
 	return e, nil
 }
 
 // keyChunk is how many consecutive cell references of one expansion a
-// keying goroutine claims at a time: large enough that the claim is
-// noise next to 64 canonical encodes and SHA-256 sums, small enough that
-// the last claims balance the pool.
+// keying claim covers: large enough that the claim is noise next to 64
+// canonical encodes and SHA-256 sums, small enough that the last claims
+// balance the pool.
 const keyChunk = 64
 
 // keyCells derives the key of every cell reference, in campaign order
-// (expansion by expansion, cell by cell), on up to workers goroutines,
-// each writing only its own claimed slots. It returns nil when there is
-// at most one worker or one chunk of references: the caller then keys
-// inline, with no slots and no goroutines.
+// (expansion by expansion, cell by cell), claiming chunks of references
+// on up to workers goroutines (see claim), each writing only its own
+// slots. It returns nil when there is at most one worker or one chunk of
+// references: the caller then keys inline, with no slots.
 func keyCells(exs []*expansion, refs, workers int) []cellKey {
 	if workers <= 1 || refs <= keyChunk {
 		return nil
@@ -126,43 +126,60 @@ func keyCells(exs []*expansion, refs, workers int) []cellKey {
 		at += len(ex.cells)
 	}
 	keys := make([]cellKey, refs)
+	claim(len(spans), workers, func(n int) {
+		sp := spans[n]
+		for j, cell := range exs[sp.ex].cells[sp.lo:sp.hi] {
+			keys[sp.at+sp.lo+j] = cell.key()
+		}
+	})
+	return keys
+}
+
+// claim calls do(i) once for every i in [0, n): the caller and up to
+// workers-1 goroutines each claim the next index until none is left, and
+// claim returns once every call has. With at most one worker or one item
+// it runs inline and starts no goroutine. do must be safe to call
+// concurrently for distinct indices.
+func claim(n, workers int, do func(i int)) {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			do(i)
+		}
+		return
+	}
 	var next atomic.Int64
-	derive := func() {
-		for n := int(next.Add(1)) - 1; n < len(spans); n = int(next.Add(1)) - 1 {
-			sp := spans[n]
-			for j, cell := range exs[sp.ex].cells[sp.lo:sp.hi] {
-				keys[sp.at+sp.lo+j] = cell.key()
-			}
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			do(i)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(workers, len(spans)); w++ {
+	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			derive()
+			run()
 		}()
 	}
-	derive()
+	run()
 	wg.Wait()
-	return keys
 }
 
 // plan describes the expanded campaign. Grouping its unique cells into
 // cohorts is work of its own, done only when a plan is asked for.
 func (e *expandedCampaign) plan(name string) Plan {
-	p := Plan{Campaign: name, Cells: e.refs, Unique: len(e.order)}
-	for _, co := range groupCohorts(e.order, func(h string) CellSpec { return e.states[h].spec }) {
-		if len(co.hashes) > 1 {
+	p := Plan{Campaign: name, Cells: e.cells, Unique: len(e.order)}
+	for _, co := range groupCohorts(e.order) {
+		if len(co.cells) > 1 {
 			p.Cohorts++
-			p.CohortCells += len(co.hashes)
+			p.CohortCells += len(co.cells)
 		}
 	}
 	for i, ex := range e.exs {
 		p.Scenarios = append(p.Scenarios, ScenarioPlan{
 			Name:      ex.spec.Name,
 			Kind:      ex.spec.Kind,
-			Cells:     len(e.hashes[i]),
+			Cells:     len(e.refs[i]),
 			Artifacts: append([]string(nil), ex.artifacts...),
 		})
 	}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -13,8 +14,10 @@ import (
 // TestExpandCampaignWorkerInvariance pins the parallel key phase of
 // planning: for every committed campaign, expanding on 1, 2, 3 and 8
 // workers gives the same unique cells in the same first-reference order,
-// the same per-scenario hashes, and, per unique cell, the same spec and
-// canonical bytes, each key matching the one CellSpec.Hash derives alone.
+// every reference pointing at its unique cell's state, the same
+// per-scenario hashes read through those states, and, per unique cell,
+// the same spec and canonical bytes, each key matching the one
+// CellSpec.Hash derives alone.
 func TestExpandCampaignWorkerInvariance(t *testing.T) {
 	files, err := filepath.Glob(exampleCampaign("*.json"))
 	if err != nil || len(files) == 0 {
@@ -30,31 +33,22 @@ func TestExpandCampaignWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
-		parallel = parallel || base.refs > keyChunk
-		for i, ex := range base.exs {
-			for j, cell := range ex.cells {
-				if h := base.hashes[i][j]; h != cell.Hash() {
-					t.Fatalf("%s: scenario %d cell %d: hash %s, CellSpec.Hash %s", file, i, j, h, cell.Hash())
-				}
-			}
-		}
+		parallel = parallel || base.cells > keyChunk
+		baseHashes := refHashes(t, base)
 		for _, workers := range []int{2, 3, 8} {
 			got, err := expandCampaign(c, workers)
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", file, workers, err)
 			}
-			if got.refs != base.refs || !reflect.DeepEqual(got.order, base.order) || !reflect.DeepEqual(got.hashes, base.hashes) {
-				t.Fatalf("%s, %d workers: order or hashes differ from one worker's", file, workers)
+			if got.cells != base.cells || len(got.order) != len(base.order) || !reflect.DeepEqual(refHashes(t, got), baseHashes) {
+				t.Fatalf("%s, %d workers: unique cells or per-scenario hashes differ from one worker's", file, workers)
 			}
-			for _, h := range base.order {
-				want, st := base.states[h], got.states[h]
-				if st == nil || st.key.hash != h || !bytes.Equal(st.key.canonical, want.key.canonical) ||
+			for i, want := range base.order {
+				st := got.order[i]
+				if st.key.hash != want.key.hash || !bytes.Equal(st.key.canonical, want.key.canonical) ||
 					!bytes.Equal(st.spec.Canonical(), want.spec.Canonical()) {
-					t.Fatalf("%s, %d workers: unique cell %s differs from one worker's", file, workers, h)
+					t.Fatalf("%s, %d workers: unique cell %d (%s) differs from one worker's", file, workers, i, want.key.hash[:12])
 				}
-			}
-			if len(got.states) != len(base.states) {
-				t.Fatalf("%s, %d workers: %d unique cells, want %d", file, workers, len(got.states), len(base.states))
 			}
 		}
 	}
@@ -63,9 +57,43 @@ func TestExpandCampaignWorkerInvariance(t *testing.T) {
 	}
 }
 
+// refHashes checks that every reference of the expanded campaign points at
+// the one state of its unique cell, whose hash CellSpec.Hash derives from
+// the referencing cell alone, and that every unique cell is referenced.
+// It returns the per-scenario hashes, read through the states.
+func refHashes(t *testing.T, e *expandedCampaign) [][]string {
+	t.Helper()
+	unique := map[string]*cellState{}
+	for _, st := range e.order {
+		if unique[st.key.hash] != nil {
+			t.Fatalf("cell %s is unique twice", st.key.hash[:12])
+		}
+		unique[st.key.hash] = st
+	}
+	referenced := map[*cellState]bool{}
+	hashes := make([][]string, len(e.refs))
+	for i, ex := range e.exs {
+		if len(e.refs[i]) != len(ex.cells) {
+			t.Fatalf("scenario %d: %d references for %d cells", i, len(e.refs[i]), len(ex.cells))
+		}
+		for j, st := range e.refs[i] {
+			if h := ex.cells[j].Hash(); st != unique[h] {
+				t.Fatalf("scenario %d cell %d: reference is not the state of unique cell %s", i, j, h[:12])
+			}
+			referenced[st] = true
+			hashes[i] = append(hashes[i], st.key.hash)
+		}
+	}
+	if len(referenced) != len(e.order) {
+		t.Fatalf("%d of %d unique cells referenced", len(referenced), len(e.order))
+	}
+	return hashes
+}
+
 // TestRunnerLeavesNoGoroutines checks that planning and running a
 // campaign on a worker pool stop every goroutine they start, whether the
-// run succeeds or fails validation.
+// run succeeds, fails validation, dispatches its units through ExecBatch,
+// or fails there with an error or a cell's panic.
 func TestRunnerLeavesNoGoroutines(t *testing.T) {
 	good, err := Load(strings.NewReader(`{
   "name": "pool",
@@ -116,4 +144,42 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	settled("PlanCampaign", start)
+
+	worker := NewCellCache("", 0)
+	shard := func(specs []CellSpec) ([]CellResult, error) {
+		out, err := ExecuteShard(worker, specs, 1)
+		if err != nil {
+			return nil, err
+		}
+		return out.Results, nil
+	}
+	cells := uniqueCells(t, good)
+	victim := cells[len(cells)/2].key.hash
+	for _, tc := range []struct {
+		what, wantErr string
+		hook          func([]CellSpec) ([]CellResult, error)
+	}{
+		{"a run under ExecBatch", "", shard},
+		{"a run whose ExecBatch fails", "worker down", func([]CellSpec) ([]CellResult, error) {
+			return nil, errors.New("worker down")
+		}},
+		{"a run whose cell panics", "execution panicked: cell exploded", func(specs []CellSpec) ([]CellResult, error) {
+			for _, spec := range specs {
+				if spec.Hash() == victim {
+					panic("cell exploded")
+				}
+			}
+			return shard(specs)
+		}},
+	} {
+		r := Runner{Cache: NewCellCache("", 0), Workers: 4, ExecBatch: tc.hook}
+		rep, err := r.Run(good)
+		switch {
+		case tc.wantErr == "" && (err != nil || rep.Executed != rep.Unique):
+			t.Fatalf("%s: err %v, want every cell executed", tc.what, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Fatalf("%s: err %v, want %q", tc.what, err, tc.wantErr)
+		}
+		settled(tc.what, start)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -75,14 +74,15 @@ type Runner struct {
 	// synchronous cell evaluations to get memory hits and singleflight
 	// coalescing between them.
 	Cache *CellCache
-	// Workers bounds cell-level parallelism (0: NumCPU): planning derives
-	// cell keys on this many goroutines, the cache preload spreads its
-	// batched lookups over them, and execution runs cells (grouped into
-	// trace cohorts) on as many; when a campaign has
-	// fewer units than workers, the runner lends the idle workers to the
-	// simulation cells themselves (Workers / units replica workers per
-	// cell). Results are bit-identical for any worker count at either
-	// level (see sim.Simulate).
+	// Workers bounds cell-level parallelism (0: NumCPU). Keying the cell
+	// references, the cache preload's batched lookups and the execution
+	// units (trace cohorts, or packed dispatch units under ExecBatch) each
+	// run on one claim pool of this many goroutines, the caller's
+	// included, and inline when there is one worker or one item. When a
+	// campaign has fewer units than workers, the runner lends the idle
+	// workers to the simulation cells themselves (Workers / units replica
+	// workers per cell). Results are bit-identical for any worker count at
+	// either level (see sim.Simulate).
 	Workers int
 	// DisableCohorts selects the reference path: every simulation cell
 	// generates its own failure streams instead of replaying its cohort's
@@ -121,13 +121,15 @@ type Runner struct {
 	OnArtifact func(Artifact)
 }
 
-// cellState tracks one unique cell through a run.
+// cellState is the one handle of a unique cell: a plan's references, its
+// cohorts and dispatch units, and the cache's batch paths all carry it,
+// and the cache settles it in place.
 type cellState struct {
-	spec   CellSpec
-	key    cellKey // derived once, at dedupe
-	result CellResult
-	done   bool
-	cached bool
+	spec      CellSpec
+	key       cellKey // derived once, at dedupe
+	result    CellResult
+	tier      CellTier // the tier that settled it; empty until it settles without error
+	elapsedMS float64  // execution time of a TierExec result
 }
 
 // Run validates and executes the campaign. On cell or cache errors the
@@ -156,27 +158,27 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	}
 	type specRun struct {
 		ex      *expansion
-		hashes  []string
+		cells   []*cellState
 		pending int
 		slot    int // artifact position in the report
 	}
-	states, order := e.states, e.order
+	order := e.order
 	runs := make([]*specRun, len(e.exs))
 	for i, ex := range e.exs {
-		runs[i] = &specRun{ex: ex, hashes: e.hashes[i], slot: i}
+		runs[i] = &specRun{ex: ex, cells: e.refs[i], slot: i}
 	}
-	report := &Report{Campaign: c.Name, Cells: e.refs, Unique: len(order)}
+	report := &Report{Campaign: c.Name, Cells: e.cells, Unique: len(order)}
 
 	// Load whatever the cache tiers already have, then take the hits in
 	// first-reference order, so counters, events and assembly do not
 	// depend on the worker count.
-	preload(cache, order, states, totalWorkers)
-	var todo []string
-	for _, h := range order {
-		if states[h].cached {
+	preload(cache, order, totalWorkers)
+	var todo []*cellState
+	for _, st := range order {
+		if st.tier != "" {
 			report.CacheHits++
 		} else {
-			todo = append(todo, h)
+			todo = append(todo, st)
 		}
 	}
 
@@ -189,9 +191,9 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	var firstErr error
 	completed := 0
 	finishSpec := func(run *specRun) error {
-		results := make([]CellResult, len(run.hashes))
-		for i, h := range run.hashes {
-			results[i] = states[h].result
+		results := make([]CellResult, len(run.cells))
+		for i, st := range run.cells {
+			results[i] = st.result
 		}
 		arts, err := run.ex.assemble(results)
 		if err != nil {
@@ -210,18 +212,18 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 			r.OnScenario(ScenarioEvent{
 				Scenario:  run.ex.spec.Name,
 				Kind:      run.ex.spec.Kind,
-				Done:      len(run.hashes) - run.pending,
-				Total:     len(run.hashes),
+				Done:      len(run.cells) - run.pending,
+				Total:     len(run.cells),
 				Completed: completed,
 			})
 		}
 	}
-	subscribers := map[string][]*specRun{}
+	subscribers := map[*cellState][]*specRun{}
 	for _, run := range runs {
-		for _, h := range run.hashes {
-			if !states[h].done {
+		for _, st := range run.cells {
+			if st.tier == "" {
 				run.pending++
-				subscribers[h] = append(subscribers[h], run)
+				subscribers[st] = append(subscribers[st], run)
 			}
 		}
 		if run.pending == 0 {
@@ -236,10 +238,10 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 			r.OnEvent(ev)
 		}
 	}
-	for _, h := range order {
-		if st := states[h]; st.cached {
+	for _, st := range order {
+		if st.tier != "" {
 			completed++
-			emit(CellEvent{Hash: h, Index: completed, Total: len(order), Cached: true})
+			emit(CellEvent{Hash: st.key.hash, Index: completed, Total: len(order), Cached: true})
 		}
 	}
 
@@ -249,28 +251,24 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	// cohorts per worker — through the cache: a concurrent run sharing the
 	// cache may have executed (or be executing) a cell, in which case the
 	// tier reports a hit and the cell counts as cached, not executed.
-	batches := r.schedule(todo, func(h string) CellSpec { return states[h].spec }, totalWorkers)
-	workers := totalWorkers
-	if workers > len(batches) {
-		workers = len(batches)
-	}
+	units := r.schedule(todo, totalWorkers)
 	// Idle-worker lending: with fewer schedulable units than workers, the
 	// spare parallelism moves inside the simulation cells (replica-level
 	// workers), which is bit-identical to single-threaded execution.
 	simWorkers := 1
-	if len(batches) > 0 {
-		if lent := totalWorkers / len(batches); lent > 1 {
+	if len(units) > 0 {
+		if lent := totalWorkers / len(units); lent > 1 {
 			simWorkers = lent
 		}
 	}
 
-	// complete handles one finished cell under the mutex: record the first
-	// error, or mark the cell done, decrement every subscribed scenario and
-	// assemble those that hit zero. It reports whether the run goes on.
-	// Callbacks run under the lock: they are never invoked concurrently,
-	// at the price of serializing progress reporting (cell execution
-	// itself stays parallel).
-	complete := func(st *cellState, res CellResult, tier CellTier, elapsedMS float64, err error) bool {
+	// complete handles one settled cell (or the error that stopped it)
+	// under the mutex: record the first error, or count the cell, decrement
+	// every subscribed scenario and assemble those that hit zero. It
+	// reports whether the run goes on. Callbacks run under the lock: they
+	// are never invoked concurrently, at the price of serializing progress
+	// reporting (cell execution itself stays parallel).
+	complete := func(st *cellState, err error) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
@@ -279,26 +277,25 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 			}
 			return false
 		}
-		st.result, st.done = res, true
-		st.cached = tier != TierExec
+		cached := st.tier != TierExec
 		var elapsed time.Duration
-		if st.cached {
+		if cached {
 			report.CacheHits++
 		} else {
-			elapsed = time.Duration(elapsedMS * float64(time.Millisecond))
+			elapsed = time.Duration(st.elapsedMS * float64(time.Millisecond))
 			report.Executed++
-			if st.spec.Precision != nil && res.Sim != nil {
+			if st.spec.Precision != nil && st.result.Sim != nil {
 				report.AdaptiveCells++
-				report.AdaptiveReplicasUsed += int64(res.Sim.Runs)
-				report.AdaptiveReplicasCap += int64(res.Sim.RepsCap)
+				report.AdaptiveReplicasUsed += int64(st.result.Sim.Runs)
+				report.AdaptiveReplicasCap += int64(st.result.Sim.RepsCap)
 			}
 		}
 		completed++
-		emit(CellEvent{Hash: st.key.hash, Index: completed, Total: len(order), Cached: st.cached, Elapsed: elapsed})
+		emit(CellEvent{Hash: st.key.hash, Index: completed, Total: len(order), Cached: cached, Elapsed: elapsed})
 		// A scenario may reference the same cell more than once;
 		// subscribers holds one entry per reference, so every reference
 		// is decremented exactly once.
-		for _, run := range subscribers[st.key.hash] {
+		for _, run := range subscribers[st] {
 			if firstErr != nil {
 				break
 			}
@@ -319,37 +316,38 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	// through execCohort without another store read (the preload has just
 	// made it), and the cells it executed are written with one writeBatch.
 	// Under ExecBatch the compute, arena included, happens wherever the
-	// hook runs; the unit is then read back through the cache's batch path
-	// (settle), and the cells the store lacks are settled from the hook's
-	// results and written with one writeBatch. A panic in ExecBatch or in a
-	// cell's execution (execute re-raises it after settling its waiters)
-	// becomes the run's first error, naming the unit's first cell not yet
-	// done; the remaining units then drain as after any error.
+	// hook runs; each cell holds the hook's result while the unit is read
+	// back through the cache's batch path (settle), and the cells the
+	// store lacks are settled from those results and written with one
+	// writeBatch. A panic in ExecBatch or in a cell's execution (execute
+	// re-raises it after settling its waiters) becomes the run's first
+	// error, naming the unit's first cell not yet settled; the remaining
+	// units then drain as after any error.
 	runUnit := func(co cohort) {
 		defer func() {
 			if v := recover(); v != nil {
 				mu.Lock()
 				defer mu.Unlock()
-				h := co.hashes[0]
-				for _, x := range co.hashes {
-					if !states[x].done {
-						h = x
+				st := co.cells[0]
+				for _, x := range co.cells {
+					if x.tier == "" {
+						st = x
 						break
 					}
 				}
 				if firstErr == nil {
-					firstErr = fmt.Errorf("scenario: cell %s: execution panicked: %v", h[:12], v)
+					firstErr = fmt.Errorf("scenario: cell %s: execution panicked: %v", st.key.hash[:12], v)
 				}
 			}
 		}()
 		if r.ExecBatch == nil {
-			pending, built := cache.execCohort(co, states, simWorkers, complete)
-			cache.writeBatch(pending)
+			executed, built := cache.execCohort(co, simWorkers, complete)
+			cache.writeBatch(executed)
 			if built {
 				mu.Lock()
 				report.Cohorts++
-				for _, h := range co.hashes {
-					if st := states[h]; st.done && !st.cached {
+				for _, st := range co.cells {
+					if st.tier == TierExec {
 						report.CohortCells++
 					}
 				}
@@ -357,54 +355,36 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 			}
 			return
 		}
-		specs := make([]CellSpec, len(co.hashes))
-		for i, h := range co.hashes {
-			specs[i] = states[h].spec
+		specs := make([]CellSpec, len(co.cells))
+		for i, st := range co.cells {
+			specs[i] = st.spec
 		}
-		batchRes, batchErr := r.ExecBatch(specs)
-		if batchErr == nil && len(batchRes) != len(specs) {
-			batchErr = fmt.Errorf("scenario: ExecBatch returned %d results for %d cells", len(batchRes), len(specs))
+		results, batchErr := r.ExecBatch(specs)
+		if batchErr == nil && len(results) != len(specs) {
+			batchErr = fmt.Errorf("scenario: ExecBatch returned %d results for %d cells", len(results), len(specs))
 		}
-		got := make(map[string]CellResult, len(batchRes))
 		if batchErr == nil {
-			for i, h := range co.hashes {
-				got[h] = batchRes[i]
+			for i, st := range co.cells {
+				st.result = results[i]
 			}
 		}
-		cache.settle(co.hashes, states, complete, func(misses []string) []pendingPut {
-			return cache.execCells(misses, states, func(st *cellState) (CellResult, error) {
-				return got[st.key.hash], batchErr
+		cache.settle(co.cells, complete, func(misses []*cellState) []*cellState {
+			return cache.execCells(misses, func(st *cellState) (CellResult, error) {
+				return st.result, batchErr
 			}, complete)
 		})
 	}
 
-	if len(batches) > 0 {
-		jobs := make(chan cohort)
-		var wg sync.WaitGroup
-		failed := func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return firstErr != nil
+	// The units run on the caller and up to totalWorkers-1 goroutines.
+	// After the first error the rest are only claimed, not started.
+	claim(len(units), totalWorkers, func(i int) {
+		mu.Lock()
+		failed := firstErr != nil
+		mu.Unlock()
+		if !failed {
+			runUnit(units[i])
 		}
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for co := range jobs {
-					// After the first error only drain the queue; do not
-					// start new work.
-					if !failed() {
-						runUnit(co)
-					}
-				}
-			}()
-		}
-		for _, co := range batches {
-			jobs <- co
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	})
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -417,17 +397,17 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 // schedule splits the cells left to run into the units the runner's
 // workers take, in order: trace cohorts (singletons under
 // DisableCohorts), packed into dispatch units under ExecBatch.
-func (r *Runner) schedule(todo []string, spec func(hash string) CellSpec, workers int) []cohort {
+func (r *Runner) schedule(todo []*cellState, workers int) []cohort {
 	var units []cohort
 	if r.DisableCohorts {
-		for _, h := range todo {
-			units = append(units, cohort{hashes: []string{h}})
+		for _, st := range todo {
+			units = append(units, cohort{cells: []*cellState{st}})
 		}
 	} else {
-		units = groupCohorts(todo, spec)
+		units = groupCohorts(todo)
 	}
 	if r.ExecBatch != nil {
-		units = packUnits(units, spec, workers)
+		units = packUnits(units, workers)
 	}
 	return units
 }
@@ -439,37 +419,10 @@ func (r *Runner) schedule(todo []string, spec func(hash string) CellSpec, worker
 const preloadChunk = 64
 
 // preload looks every unique cell up in the cache tiers, never executing,
-// and marks each hit done and cached in its state. The caller and up to
-// workers-1 goroutines claim chunks of order and read each with one
-// lookupBatch; each writes only the states it claimed.
-func preload(cache *CellCache, order []string, states map[string]*cellState, workers int) {
-	var next atomic.Int64
-	lookups := func() {
-		keys := make([]cellKey, preloadChunk)
-		res := make([]CellResult, preloadChunk)
-		tiers := make([]CellTier, preloadChunk)
-		for lo := int(next.Add(preloadChunk)) - preloadChunk; lo < len(order); lo = int(next.Add(preloadChunk)) - preloadChunk {
-			chunk := order[lo:min(lo+preloadChunk, len(order))]
-			for i, h := range chunk {
-				keys[i] = states[h].key
-			}
-			cache.lookupBatch(keys[:len(chunk)], res, tiers)
-			for i, h := range chunk {
-				if tiers[i] != "" {
-					st := states[h]
-					st.result, st.done, st.cached = res[i], true, true
-				}
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, (len(order)+preloadChunk-1)/preloadChunk); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lookups()
-		}()
-	}
-	lookups()
-	wg.Wait()
+// and settles each hit in place. Chunks of cells are claimed on up to
+// workers goroutines (see claim) and each read with one lookupBatch.
+func preload(cache *CellCache, cells []*cellState, workers int) {
+	claim((len(cells)+preloadChunk-1)/preloadChunk, workers, func(i int) {
+		cache.lookupBatch(cells[i*preloadChunk : min((i+1)*preloadChunk, len(cells))])
+	})
 }

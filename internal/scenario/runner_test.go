@@ -243,11 +243,11 @@ func trafficCampaign(t *testing.T) *Campaign {
 // rerun reads in the same chunks and writes nothing.
 func TestRunnerStoreTraffic(t *testing.T) {
 	c := trafficCampaign(t)
-	todo, specs := uniqueCells(t, c)
-	units := groupCohorts(todo, func(h string) CellSpec { return specs[h] })
+	todo := uniqueCells(t, c)
+	units := groupCohorts(todo)
 	multi := 0
 	for _, co := range units {
-		if len(co.hashes) > 1 {
+		if len(co.cells) > 1 {
 			multi++
 		}
 	}

@@ -79,12 +79,12 @@ func cellLoad(spec CellSpec) shardLoad {
 // closes before a cohort would take it past MaxShardCells or a load
 // budget. A cohort is never split, so one that alone exceeds a limit goes
 // out as a unit of its own.
-func packUnits(cohorts []cohort, spec func(hash string) CellSpec, workers int) []cohort {
+func packUnits(cohorts []cohort, workers int) []cohort {
 	loads := make([]shardLoad, len(cohorts))
 	var total shardLoad
 	for i, co := range cohorts {
-		for _, h := range co.hashes {
-			loads[i].add(cellLoad(spec(h)))
+		for _, st := range co.cells {
+			loads[i].add(cellLoad(st.spec))
 		}
 		total.add(loads[i])
 	}
@@ -97,11 +97,11 @@ func packUnits(cohorts []cohort, spec func(hash string) CellSpec, workers int) [
 	}
 	target := weight(total) / float64(unitsPerWorker*max(workers, 1))
 	var out []cohort
-	var cur []string
+	var cur []*cellState
 	var load shardLoad
 	flush := func() {
 		if len(cur) > 0 {
-			out = append(out, cohort{hashes: cur})
+			out = append(out, cohort{cells: cur})
 			cur, load = nil, shardLoad{}
 		}
 	}
@@ -109,7 +109,7 @@ func packUnits(cohorts []cohort, spec func(hash string) CellSpec, workers int) [
 		if !load.fits(loads[i]) {
 			flush()
 		}
-		cur = append(cur, co.hashes...)
+		cur = append(cur, co.cells...)
 		load.add(loads[i])
 		if weight(load) >= target {
 			flush()
@@ -148,31 +148,30 @@ func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int) (*ShardOut
 	// Deduplicate within the shard (a well-behaved coordinator sends
 	// unique cells, but the semantics must not depend on it).
 	byHash := map[string]*cellState{}
-	var unique []string
-	hashes := make([]string, len(specs))
+	var unique []*cellState
+	refs := make([]*cellState, len(specs))
 	for i, spec := range specs {
 		k := spec.key()
-		hashes[i] = k.hash
-		if _, ok := byHash[k.hash]; !ok {
-			byHash[k.hash] = &cellState{spec: spec, key: k}
-			unique = append(unique, k.hash)
+		st, ok := byHash[k.hash]
+		if !ok {
+			st = &cellState{spec: spec, key: k}
+			byHash[k.hash] = st
+			unique = append(unique, st)
 		}
+		refs[i] = st
 	}
 
-	tiers := make(map[string]CellTier, len(unique))
 	var execErr error
-	done := func(st *cellState, res CellResult, tier CellTier, _ float64, err error) bool {
+	done := func(_ *cellState, err error) bool {
 		if err != nil {
 			execErr = err
-			return false
 		}
-		st.result, tiers[st.key.hash] = res, tier
-		return true
+		return err == nil
 	}
-	cache.settle(unique, byHash, done, func(misses []string) (executed []pendingPut) {
-		for _, co := range groupCohorts(misses, func(h string) CellSpec { return byHash[h].spec }) {
-			pending, _ := cache.execCohort(co, byHash, simWorkers, done)
-			executed = append(executed, pending...)
+	cache.settle(unique, done, func(misses []*cellState) (executed []*cellState) {
+		for _, co := range groupCohorts(misses) {
+			cells, _ := cache.execCohort(co, simWorkers, done)
+			executed = append(executed, cells...)
 			if execErr != nil {
 				break
 			}
@@ -187,15 +186,11 @@ func ExecuteShard(cache *CellCache, specs []CellSpec, simWorkers int) (*ShardOut
 		Results: make([]CellResult, len(specs)),
 		Tiers:   make([]CellTier, len(specs)),
 	}
-	counted := map[string]bool{}
-	for i, h := range hashes {
-		out.Results[i] = byHash[h].result
-		out.Tiers[i] = tiers[h]
-		if counted[h] {
-			continue
-		}
-		counted[h] = true
-		if tiers[h] == TierExec {
+	for i, st := range refs {
+		out.Results[i], out.Tiers[i] = st.result, st.tier
+	}
+	for _, st := range unique {
+		if st.tier == TierExec {
 			out.Executed++
 		} else {
 			out.Cached++

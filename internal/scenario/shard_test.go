@@ -26,24 +26,22 @@ func packCampaign(t *testing.T) *Campaign {
 
 // uniqueCells returns the campaign's unique cells in first-reference
 // order: the todo list of a run over a cold cache.
-func uniqueCells(t *testing.T, c *Campaign) ([]string, map[string]CellSpec) {
+func uniqueCells(t *testing.T, c *Campaign) []*cellState {
 	t.Helper()
-	exs, err := c.expandAll()
+	e, err := expandCampaign(c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := map[string]CellSpec{}
-	var order []string
-	for _, ex := range exs {
-		for _, cell := range ex.cells {
-			h := cell.Hash()
-			if _, ok := specs[h]; !ok {
-				specs[h] = cell
-				order = append(order, h)
-			}
-		}
+	return e.order
+}
+
+// specsOf returns the cells' specs, in order: a shard of them.
+func specsOf(cells []*cellState) []CellSpec {
+	specs := make([]CellSpec, len(cells))
+	for i, st := range cells {
+		specs[i] = st.spec
 	}
-	return order, specs
+	return specs
 }
 
 // unitLog is an ExecBatch hook that runs each unit the way a worker
@@ -73,7 +71,7 @@ func (l *unitLog) hook(worker *CellCache) func([]CellSpec) ([]CellResult, error)
 // checkUnits asserts the packing invariants: every todo cell is
 // dispatched exactly once, no cohort is split across units, and no unit
 // exceeds the shard limit. It returns the cohorts of todo.
-func checkUnits(t *testing.T, units [][]string, todo []string, specs map[string]CellSpec) []cohort {
+func checkUnits(t *testing.T, units [][]string, todo []*cellState) []cohort {
 	t.Helper()
 	unitOf := map[string]int{}
 	for u, hashes := range units {
@@ -90,15 +88,16 @@ func checkUnits(t *testing.T, units [][]string, todo []string, specs map[string]
 	if len(unitOf) != len(todo) {
 		t.Fatalf("%d cells dispatched, want the %d left to run", len(unitOf), len(todo))
 	}
-	cohorts := groupCohorts(todo, func(h string) CellSpec { return specs[h] })
+	cohorts := groupCohorts(todo)
 	for _, co := range cohorts {
-		for _, h := range co.hashes {
-			u, ok := unitOf[h]
+		first := unitOf[co.cells[0].key.hash]
+		for _, st := range co.cells {
+			u, ok := unitOf[st.key.hash]
 			if !ok {
-				t.Fatalf("cell %s never dispatched", h[:12])
+				t.Fatalf("cell %s never dispatched", st.key.hash[:12])
 			}
-			if u != unitOf[co.hashes[0]] {
-				t.Fatalf("cohort of %d cells split across units %d and %d", len(co.hashes), unitOf[co.hashes[0]], u)
+			if u != first {
+				t.Fatalf("cohort of %d cells split across units %d and %d", len(co.cells), first, u)
 			}
 		}
 	}
@@ -143,15 +142,14 @@ func runPacked(t *testing.T, c *Campaign, workers int) [][]string {
 // are the trace cohorts, as before.
 func TestRunnerPacksCohortsIntoUnits(t *testing.T) {
 	c := packCampaign(t)
-	todo, specs := uniqueCells(t, c)
-	spec := func(h string) CellSpec { return specs[h] }
+	todo := uniqueCells(t, c)
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			units := runPacked(t, c, workers)
-			cohorts := checkUnits(t, units, todo, specs)
+			cohorts := checkUnits(t, units, todo)
 			multi := 0
 			for _, co := range cohorts {
-				if len(co.hashes) > 1 {
+				if len(co.cells) > 1 {
 					multi++
 				}
 			}
@@ -166,13 +164,13 @@ func TestRunnerPacksCohortsIntoUnits(t *testing.T) {
 			}
 
 			local := &Runner{Workers: workers}
-			if got := local.schedule(todo, spec, workers); !reflect.DeepEqual(got, cohorts) {
+			if got := local.schedule(todo, workers); !reflect.DeepEqual(got, cohorts) {
 				t.Error("without ExecBatch the units are not the trace cohorts")
 			}
 			local.DisableCohorts = true
-			for i, u := range local.schedule(todo, spec, workers) {
-				if len(u.hashes) != 1 || u.hashes[0] != todo[i] {
-					t.Fatalf("DisableCohorts unit %d is %v, want singleton %s", i, u.hashes, todo[i][:12])
+			for i, u := range local.schedule(todo, workers) {
+				if len(u.cells) != 1 || u.cells[0] != todo[i] {
+					t.Fatalf("DisableCohorts unit %d has %d cells, want singleton %s", i, len(u.cells), todo[i].key.hash[:12])
 				}
 			}
 		})
@@ -193,12 +191,12 @@ func TestRunnerPackingRespectsShardLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	todo, specs := uniqueCells(t, c)
+	todo := uniqueCells(t, c)
 	if len(todo) != 18_000 {
 		t.Fatalf("campaign has %d unique cells, want 18000", len(todo))
 	}
 	units := runPacked(t, c, 1)
-	checkUnits(t, units, todo, specs)
+	checkUnits(t, units, todo)
 	if want := (len(todo) + MaxShardCells - 1) / MaxShardCells; len(units) != want {
 		t.Errorf("%d units, want %d", len(units), want)
 	}
@@ -208,17 +206,17 @@ func TestRunnerPackingRespectsShardLimit(t *testing.T) {
 // shard limit starts a new unit instead of splitting, and one larger than
 // the limit goes out alone.
 func TestPackUnitsKeepsCohortsWhole(t *testing.T) {
-	mk := func(prefix string, n int) cohort {
+	mk := func(n int) cohort {
 		co := cohort{}
 		for i := 0; i < n; i++ {
-			co.hashes = append(co.hashes, fmt.Sprintf("%s%d", prefix, i))
+			co.cells = append(co.cells, &cellState{})
 		}
 		return co
 	}
-	in := []cohort{mk("a", 3), mk("b", MaxShardCells-2), mk("c", MaxShardCells+1), mk("d", 2)}
+	in := []cohort{mk(3), mk(MaxShardCells - 2), mk(MaxShardCells + 1), mk(2)}
 	var sizes []int
-	for _, u := range packUnits(in, func(string) CellSpec { return CellSpec{} }, 1) {
-		sizes = append(sizes, len(u.hashes))
+	for _, u := range packUnits(in, 1) {
+		sizes = append(sizes, len(u.cells))
 	}
 	// Target size ⌈(3+4094+4097+2)/4⌉ = 2049: "a" alone does not reach it
 	// and "b" would overflow the limit with it, so each cohort is a unit.
@@ -230,32 +228,38 @@ func TestPackUnitsKeepsCohortsWhole(t *testing.T) {
 // packedLoads schedules a cold run of the campaign under ExecBatch, as
 // the coordinator does, and returns each unit's load with the campaign's
 // cohorts and total load.
-func packedLoads(t *testing.T, campaign string, workers int) (units []shardLoad, cohorts []cohort, total shardLoad, spec func(string) CellSpec) {
+func packedLoads(t *testing.T, campaign string, workers int) (units []shardLoad, cohorts []cohort, total shardLoad) {
 	t.Helper()
 	c, err := Load(strings.NewReader(campaign))
 	if err != nil {
 		t.Fatal(err)
 	}
-	todo, specs := uniqueCells(t, c)
-	spec = func(h string) CellSpec { return specs[h] }
+	todo := uniqueCells(t, c)
 	r := &Runner{ExecBatch: func([]CellSpec) ([]CellResult, error) { return nil, nil }}
-	packed := r.schedule(todo, spec, workers)
-	checkUnits(t, hashesOf(packed), todo, specs)
+	packed := r.schedule(todo, workers)
+	checkUnits(t, hashesOf(packed), todo)
 	for _, u := range packed {
-		var l shardLoad
-		for _, h := range u.hashes {
-			l.add(cellLoad(specs[h]))
-		}
-		units = append(units, l)
-		total.add(l)
+		units = append(units, loadOf(u))
+		total.add(loadOf(u))
 	}
-	return units, groupCohorts(todo, spec), total, spec
+	return units, groupCohorts(todo), total
+}
+
+// loadOf sums the shard loads of a unit's or cohort's cells.
+func loadOf(co cohort) shardLoad {
+	var l shardLoad
+	for _, st := range co.cells {
+		l.add(cellLoad(st.spec))
+	}
+	return l
 }
 
 func hashesOf(units []cohort) [][]string {
 	out := make([][]string, len(units))
 	for i, u := range units {
-		out[i] = u.hashes
+		for _, st := range u.cells {
+			out[i] = append(out[i], st.key.hash)
+		}
 	}
 	return out
 }
@@ -286,18 +290,14 @@ func TestPackUnitsRespectsLoadBudgets(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const workers = 2
-			units, cohorts, total, spec := packedLoads(t, tc.campaign, workers)
+			units, cohorts, total := packedLoads(t, tc.campaign, workers)
 			countOnly := int64(total.cells / (unitsPerWorker * workers))
 			if per := tc.budget(total) / int64(total.cells); per*countOnly <= tc.limit {
 				t.Fatalf("count-only units of %d cells carry %d, within the %d budget; the case is vacuous",
 					countOnly, per*countOnly, tc.limit)
 			}
 			for _, co := range cohorts {
-				var l shardLoad
-				for _, h := range co.hashes {
-					l.add(cellLoad(spec(h)))
-				}
-				if tc.budget(l) > tc.limit {
+				if l := loadOf(co); tc.budget(l) > tc.limit {
 					t.Fatalf("one cohort carries %d, past the %d budget on its own", tc.budget(l), tc.limit)
 				}
 			}
@@ -324,14 +324,10 @@ func TestPackUnitsSpreadsSimulationWork(t *testing.T) {
 	   "mtbf_minutes": {"from": 60, "to": 240, "count": 8},
 	   "alphas": {"from": 0, "to": 1, "count": 5}}]}`
 	for _, workers := range []int{1, 2, 8} {
-		units, cohorts, total, spec := packedLoads(t, mixed, workers)
+		units, cohorts, total := packedLoads(t, mixed, workers)
 		var heaviest int64
 		for _, co := range cohorts {
-			var l shardLoad
-			for _, h := range co.hashes {
-				l.add(cellLoad(spec(h)))
-			}
-			heaviest = max(heaviest, l.work)
+			heaviest = max(heaviest, loadOf(co).work)
 		}
 		limit := total.work/int64(2*workers) + heaviest
 		withWork := 0
@@ -399,11 +395,7 @@ func (s *countingStore) traffic() [4]int64 {
 // writes nothing, a memory-hot one reads nothing, and no per-key Get or
 // Put is left.
 func TestExecuteShardStoreTraffic(t *testing.T) {
-	_, specs := uniqueCells(t, packCampaign(t))
-	var shard []CellSpec
-	for _, s := range specs {
-		shard = append(shard, s)
-	}
+	shard := specsOf(uniqueCells(t, packCampaign(t)))
 	mem := store.NewMemory()
 	cnt := &countingStore{ResultStore: mem}
 	rs := store.WithChecksum(cnt)
@@ -465,9 +457,9 @@ func TestExecuteShardCountsCorruptOnce(t *testing.T) {
 	c := packCampaign(t)
 	mem := filledStore(t, c)
 	clean := runWarm(t, c, store.WithChecksum(mem), 2)
-	todo, specs := uniqueCells(t, c)
-	victim := todo[len(todo)/2]
-	flipEntry(t, mem, victim)
+	todo := uniqueCells(t, c)
+	victim := todo[len(todo)/2].key
+	flipEntry(t, mem, victim.hash)
 
 	rs := &countingStore{ResultStore: store.WithChecksum(mem)}
 	cache := NewCellCacheStore(rs, 0)
@@ -492,10 +484,10 @@ func TestExecuteShardCountsCorruptOnce(t *testing.T) {
 	if !reflect.DeepEqual(artifactCSVs(t, rep), clean.csv) {
 		t.Error("artifacts after the corrupt entry differ from the clean run")
 	}
-	if cache.damaged[victim] {
+	if cache.damaged[victim.hash] {
 		t.Error("rewritten entry still marked damaged")
 	}
-	if _, tier, ok := NewCellCacheStore(store.WithChecksum(mem), 0).lookup(specs[victim].key()); !ok || tier != TierDisk {
+	if _, tier, ok := NewCellCacheStore(store.WithChecksum(mem), 0).lookup(victim); !ok || tier != TierDisk {
 		t.Errorf("victim not rewritten: ok %v tier %s", ok, tier)
 	}
 }
@@ -506,19 +498,15 @@ func TestExecuteShardCountsCorruptOnce(t *testing.T) {
 func TestExecuteShardFailedWriteKeepsDamage(t *testing.T) {
 	c := packCampaign(t)
 	mem := filledStore(t, c)
-	todo, specs := uniqueCells(t, c)
-	victims := []string{todo[1], todo[len(todo)-1]}
+	todo := uniqueCells(t, c)
+	victims := []string{todo[1].key.hash, todo[len(todo)-1].key.hash}
 	for _, h := range victims {
 		flipEntry(t, mem, h)
 	}
 	cnt := &countingStore{ResultStore: mem}
 	cnt.failPuts.Store(true)
 	cache := NewCellCacheStore(store.WithChecksum(cnt), 0)
-	var shard []CellSpec
-	for _, h := range todo {
-		shard = append(shard, specs[h])
-	}
-	out, err := ExecuteShard(cache, shard, 1)
+	out, err := ExecuteShard(cache, specsOf(todo), 1)
 	if err != nil {
 		t.Fatalf("a failed store write must not fail the shard: %v", err)
 	}
@@ -545,15 +533,11 @@ func TestExecuteShardFailedWriteKeepsDamage(t *testing.T) {
 func TestExecuteShardCountsCorruptThroughWrapper(t *testing.T) {
 	c := packCampaign(t)
 	mem := filledStore(t, c)
-	todo, specs := uniqueCells(t, c)
-	victim := todo[len(todo)/2]
-	flipEntry(t, mem, victim)
+	todo := uniqueCells(t, c)
+	flipEntry(t, mem, todo[len(todo)/2].key.hash)
 
 	cache := NewCellCacheStore(&countingStore{ResultStore: store.WithChecksum(mem)}, 0)
-	var shard []CellSpec
-	for _, h := range todo {
-		shard = append(shard, specs[h])
-	}
+	shard := specsOf(todo)
 	out, err := ExecuteShard(cache, shard, 1)
 	if err != nil {
 		t.Fatal(err)

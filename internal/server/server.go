@@ -698,13 +698,13 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res, tier, err := s.cache.GetOrExecute(spec)
+	hash, res, tier, err := s.cache.Evaluate(spec)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("X-Cache", string(tier))
-	writeJSON(w, http.StatusOK, cellResponse{Cell: spec.Hash(), Cache: tier, Result: res})
+	writeJSON(w, http.StatusOK, cellResponse{Cell: hash, Cache: tier, Result: res})
 }
 
 // platformInfo is one catalogue entry of the /v1/platforms response.

@@ -26,6 +26,12 @@ import (
 // every look so the number of looks stays logarithmic in the replica count.
 const DefaultAdaptiveBatch = 64
 
+// adaptiveConfidence is the CI level of the stopping rule and of the
+// reported interval. It is typed so that 1 - adaptiveConfidence is the
+// float64 difference 1 - 0.95 (0.050000000000000044), the error budget
+// every adaptive cell has been stopped and cached under.
+const adaptiveConfidence float64 = 0.95
+
 // Precision configures adaptive-precision execution. At least one of
 // RelTarget/AbsTarget must be positive.
 type Precision struct {
@@ -38,9 +44,6 @@ type Precision struct {
 	// Batch is the first batch size (default DefaultAdaptiveBatch); batches
 	// double after every look.
 	Batch int
-	// Confidence is the CI level of the stopping rule and of the reported
-	// interval (default 0.95).
-	Confidence float64
 	// ModelTFinal is the analytic model's predicted makespan for this
 	// configuration; a positive value enables the control variate under an
 	// exponential law. The replica walker counts each replica's failure
@@ -58,9 +61,6 @@ func (p Precision) withDefaults() Precision {
 	if p.Batch <= 0 {
 		p.Batch = DefaultAdaptiveBatch
 	}
-	if p.Confidence <= 0 || p.Confidence >= 1 {
-		p.Confidence = 0.95
-	}
 	return p
 }
 
@@ -74,9 +74,6 @@ func (p Precision) Validate() error {
 	}
 	if p.RelTarget == 0 && p.AbsTarget == 0 {
 		return fmt.Errorf("sim: precision needs a relative or absolute half-width target")
-	}
-	if p.Confidence != 0 && (p.Confidence <= 0 || p.Confidence >= 1) {
-		return fmt.Errorf("sim: precision confidence %v must be in (0, 1)", p.Confidence)
 	}
 	if math.IsNaN(p.ModelTFinal) || p.ModelTFinal < 0 {
 		return fmt.Errorf("sim: precision model tfinal %v must be non-negative", p.ModelTFinal)
@@ -139,7 +136,7 @@ func SimulateAdaptive(cfg Config, prec Precision) AdaptiveAggregate {
 		return r
 	})
 	seq := stats.NewSequential(stats.SequentialOpts{
-		Alpha:       1 - prec.Confidence,
+		Alpha:       1 - adaptiveConfidence,
 		RelTarget:   prec.RelTarget,
 		AbsTarget:   prec.AbsTarget,
 		UseControl:  cvHorizon > 0,

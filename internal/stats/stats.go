@@ -115,64 +115,6 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.CI95, s.StdDev, s.Min, s.Max)
 }
 
-// Histogram is a fixed-width histogram over [Lo, Hi) with overflow and
-// underflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Counts    []int
-	Underflow int
-	Overflow  int
-	total     int
-}
-
-// NewHistogram creates a histogram with nbins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || !(hi > lo) {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard against FP rounding at the edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Mode returns the center of the most populated bin (NaN when empty).
-func (h *Histogram) Mode() float64 {
-	best, bestCount := -1, -1
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	if bestCount <= 0 {
-		return math.NaN()
-	}
-	return h.BinCenter(best)
-}
-
 // KolmogorovSmirnov returns the one-sample Kolmogorov-Smirnov statistic
 // D_n = sup_x |F_n(x) - F(x)| of samples against the reference CDF. Under the
 // null hypothesis that the samples are drawn from F, D_n exceeds c/sqrt(n)

@@ -95,62 +95,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	h.Add(10) // boundary: belongs to overflow since range is [0,10)
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Errorf("bin %d count = %d, want 1", i, c)
-		}
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Underflow, h.Overflow)
-	}
-	if h.Total() != 13 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if math.Abs(h.BinCenter(0)-0.5) > 1e-12 {
-		t.Errorf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	for i := 0; i < 5; i++ {
-		h.Add(0.6)
-	}
-	h.Add(0.1)
-	if got := h.Mode(); math.Abs(got-0.625) > 1e-12 {
-		t.Errorf("mode = %v, want 0.625", got)
-	}
-	empty := NewHistogram(0, 1, 4)
-	if !math.IsNaN(empty.Mode()) {
-		t.Error("empty histogram mode should be NaN")
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	for i, f := range []func(){
-		func() { NewHistogram(0, 0, 4) },
-		func() { NewHistogram(1, 0, 4) },
-		func() { NewHistogram(0, 1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 // Property: quantiles are monotone in q.
 func TestQuickQuantileMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
