@@ -91,7 +91,7 @@ func Suite() []Benchmark {
 		},
 		{
 			Name:       "sim/trace_replay",
-			Brief:      "replica loop replaying a materialized failure trace (cohort hot path)",
+			Brief:      "replica loop replaying a materialized failure trace (sim.TraceArena)",
 			Gated:      true,
 			UnitsPerOp: replicaReps,
 			UnitName:   "replicas",
@@ -108,7 +108,7 @@ func Suite() []Benchmark {
 		},
 		{
 			Name:       "sim/arena_build",
-			Brief:      "trace-arena build at one exponential and one Weibull Fig7 point (a cohort's stream generation)",
+			Brief:      "trace-arena build at one exponential and one Weibull Fig7 point (sim.BuildTraceArena)",
 			UnitsPerOp: 2 * replicaReps,
 			UnitName:   "replicas",
 			Fn: func(b *testing.B) {
@@ -119,6 +119,23 @@ func Suite() []Benchmark {
 				for i := 0; i < b.N; i++ {
 					sim.BuildTraceArena(exp, cfg.Seed, cfg.Reps, horizon)
 					sim.BuildTraceArena(weibull, cfg.Seed, cfg.Reps, horizon)
+				}
+			},
+		},
+		{
+			Name:       "sim/cohort_walk",
+			Brief:      "replica-major cohort walk: pure, bi and abft at the Fig7 point over one shared stream per replica",
+			UnitsPerOp: 3 * replicaReps,
+			UnitName:   "replicas",
+			Fn: func(b *testing.B) {
+				var members []sim.CohortMember
+				for _, proto := range model.Protocols {
+					cfg := fig7Sim(replicaReps)
+					cfg.Protocol = proto
+					members = append(members, sim.CohortMember{Config: cfg})
+				}
+				for i := 0; i < b.N; i++ {
+					sim.SimulateCohort(members, 1)
 				}
 			},
 		},

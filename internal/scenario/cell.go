@@ -68,7 +68,7 @@ type CellSpec struct {
 	// the fixed-rep result: serving one for the other would silently change
 	// golden artifacts. The failure *process* is unchanged, though, so the
 	// cohort key (SimProcessKey) deliberately excludes it and adaptive cells
-	// replay the same arenas as their fixed-rep twins.
+	// walk the same shared streams as their fixed-rep twins.
 	Precision *CellPrecision `json:"precision,omitempty"`
 	// Probe is the period-comparison input (periods op).
 	Probe *PeriodsProbe `json:"probe,omitempty"`
@@ -568,26 +568,60 @@ func (c CellSpec) validateMonteCarlo() error {
 	return err
 }
 
-// ExecOptions tune how a cell executes. They never change the result: any
-// combination is bit-identical to the default (sim.Simulate's worker
-// invariance and its bit-identical trace replay), so the cache key stays
-// the cell spec alone.
+// ExecOptions tune how a cell executes. They never change the result (a
+// simulation's aggregate is bit-identical for any worker count), so the
+// cache key stays the cell spec alone. A trace cohort's cells run jointly
+// instead (execCohort), with the same bytes.
 type ExecOptions struct {
 	// Workers bounds replica-level parallelism inside a simulation cell
 	// (<= 0: single-threaded). The Runner lends idle workers to cells when
 	// a campaign has fewer unique cells than cores.
 	Workers int
-	// Arena, when non-nil, replays the cell's failure process from a
-	// materialized trace (sim.Config.Trace) instead of regenerating it.
-	// The caller must have derived it from the cell's process key (see
-	// SimProcessKey); it is ignored by non-simulation ops.
-	Arena *sim.TraceArena
 }
 
 // Execute runs the cell with default execution options (single-threaded,
 // generating failure arrivals on the fly).
 func (c CellSpec) Execute() (CellResult, error) {
 	return c.ExecuteOpts(ExecOptions{})
+}
+
+// simConfig is the campaign a validated OpSim cell runs on workers replica
+// workers (<= 0: one), and its precision block when adaptive is set.
+func (c CellSpec) simConfig(workers int) (cfg sim.Config, prec sim.Precision, adaptive bool) {
+	proto, _ := ParseProtocol(c.Protocol)
+	ctor, _ := c.Dist.constructor()
+	cfg = sim.Config{
+		Params:       *c.Params,
+		Protocol:     proto,
+		Epochs:       c.Epochs,
+		Reps:         c.Reps,
+		Seed:         c.Seed,
+		Workers:      max(workers, 1),
+		Distribution: ctor,
+		Safeguard:    c.Options.Safeguard,
+	}
+	p := c.Precision
+	if p == nil {
+		return cfg, prec, false
+	}
+	prec = sim.Precision{
+		RelTarget:             p.RelCI,
+		AbsTarget:             p.AbsCI,
+		Batch:                 p.Batch,
+		DisableControlVariate: p.NoControlVariate,
+		KeepReplicas:          p.KeepReplicas,
+	}
+	// The control variate needs the model-predicted makespan; an
+	// infeasible prediction leaves it at 0, which disables the variate
+	// without touching the stopping rule.
+	if r := model.Evaluate(proto, *c.Params, c.Options); r.Feasible && !math.IsInf(r.TFinal, 0) {
+		epochs := c.Epochs
+		if epochs <= 0 {
+			epochs = 1
+		}
+		prec.ModelTFinal = float64(epochs) * r.TFinal
+	}
+	return cfg, prec, true
 }
 
 // ExecuteOpts runs the cell under the given execution tuning.
@@ -603,41 +637,8 @@ func (c CellSpec) ExecuteOpts(o ExecOptions) (CellResult, error) {
 		proto, _ := ParseProtocol(c.Protocol)
 		return CellResult{Model: newModelCellResult(c.Scaling.EvaluateProtocol(proto, c.Nodes, c.Options))}, nil
 	case OpSim:
-		proto, _ := ParseProtocol(c.Protocol)
-		ctor, _ := c.Dist.constructor()
-		workers := o.Workers
-		if workers <= 0 {
-			workers = 1
-		}
-		cfg := sim.Config{
-			Params:       *c.Params,
-			Protocol:     proto,
-			Epochs:       c.Epochs,
-			Reps:         c.Reps,
-			Seed:         c.Seed,
-			Workers:      workers,
-			Distribution: ctor,
-			Safeguard:    c.Options.Safeguard,
-			Trace:        o.Arena,
-		}
-		if p := c.Precision; p != nil {
-			prec := sim.Precision{
-				RelTarget:             p.RelCI,
-				AbsTarget:             p.AbsCI,
-				Batch:                 p.Batch,
-				DisableControlVariate: p.NoControlVariate,
-				KeepReplicas:          p.KeepReplicas,
-			}
-			// The control variate needs the model-predicted makespan; an
-			// infeasible prediction leaves it at 0, which disables the
-			// variate without touching the stopping rule.
-			if r := model.Evaluate(proto, *c.Params, c.Options); r.Feasible && !math.IsInf(r.TFinal, 0) {
-				epochs := c.Epochs
-				if epochs <= 0 {
-					epochs = 1
-				}
-				prec.ModelTFinal = float64(epochs) * r.TFinal
-			}
+		cfg, prec, adaptive := c.simConfig(o.Workers)
+		if adaptive {
 			return CellResult{Sim: newAdaptiveSimCellResult(sim.SimulateAdaptive(cfg, prec))}, nil
 		}
 		return CellResult{Sim: newSimCellResult(sim.Simulate(cfg))}, nil

@@ -3,20 +3,20 @@ package scenario
 import (
 	"math"
 
-	"abftckpt/internal/model"
 	"abftckpt/internal/sim"
 )
 
 // ProcessKey identifies the failure process a simulation cell draws: cells
 // with equal keys observe bit-identical failure-arrival streams (same
 // distribution family and shape, same MTBF, same stream seed, same
-// repetition count, same horizon bound), so one materialized sim.TraceArena
-// can serve them all. The key deliberately excludes everything the failure
-// process does not depend on — protocol, alpha, checkpoint costs, options,
-// and the adaptive-precision block (Reps is the cap there, and an adaptive
-// cell consumes a prefix of the same arena its fixed-rep twin replays) —
-// which is exactly what lets a heatmap scanning several protocols or period
-// variants over one platform share each point's traces.
+// repetition count, same horizon bound), so one sim.SimulateCohort walk
+// can draw each replica's stream once for them all. The key deliberately
+// excludes everything the failure process does not depend on — protocol,
+// alpha, checkpoint costs, options, and the adaptive-precision block (Reps
+// is the cap there, and an adaptive cell walks the first replicas of the
+// same streams its fixed-rep twin walks) — which is exactly what lets a
+// heatmap scanning several protocols or period variants over one platform
+// share each point's traces.
 type ProcessKey struct {
 	Dist    string
 	Shape   float64
@@ -83,94 +83,60 @@ func groupCohorts(cells []*cellState) []cohort {
 	return out
 }
 
-// arenaBudget bounds one cohort's materialized trace arena (bytes). At the
-// paper's heaviest heatmap point (one-week epochs, one-hour MTBF, 1000
-// repetitions) an arena runs a few MB, so the budget leaves two orders of
-// magnitude of headroom while still refusing degenerate processes (tiny
-// MTBF against a huge horizon estimate). It is not a setting: replay and
-// per-cell generation give the same bytes, so the budget only bounds
-// memory.
-const arenaBudget = 64 << 20
+// execCohort executes one trace cohort's cells, in order: the one
+// execution path of a local campaign run and of a worker's shard. A cohort
+// of two or more cells runs through execJoint, which walks the members it
+// claims with one sim.SimulateCohort call (walkCohort), so their shared
+// failure process is drawn once; a singleton runs alone through
+// execCells. It returns the cells executed here, for the caller's
+// writeBatch, and whether the cohort was walked jointly. simWorkers bounds
+// replica-level parallelism inside the walk.
+func (c *CellCache) execCohort(co cohort, simWorkers int, done cellDone) ([]*cellState, bool) {
+	if len(co.cells) < 2 {
+		opts := ExecOptions{Workers: simWorkers}
+		return c.execCells(co.cells, func(st *cellState) (CellResult, error) {
+			return st.spec.ExecuteOpts(opts)
+		}, done), false
+	}
+	return c.execJoint(co.cells, func(claimed []*cellState) []error {
+		return walkCohort(claimed, simWorkers)
+	}, done), true
+}
 
-// arenaMargin scales the model-predicted makespan into the arena build
-// horizon: the simulator's waste exceeds the first-order model's by a
-// bounded amount in the feasible region (the paper's Figure 7 difference
-// panels), so a modest margin covers the bulk of replicas and the replay
-// fallback absorbs the stragglers. Undershooting is cheap — a replica past
-// its prefix draws its tail live in the same walker, exactly what per-cell
-// generation would have done — while overshooting is generation paid for
-// arrivals nobody consumes, so the margin stays tight.
-const arenaMargin = 1.2
-
-// infeasibleHorizonFactor is the build horizon in units of useful time when
-// the model predicts infeasibility (or a non-finite makespan): such cells
-// mostly truncate at the full sim horizon, which would be absurd to
-// materialize, so the arena covers a short prefix and replay falls back.
-const infeasibleHorizonFactor = 4
-
-// cohortHorizon estimates how far to materialize the cohort's arrival
-// streams: the analytic model predicts each member's expected makespan, and
-// the largest prediction (with margin) covers the typical replica of every
-// member. Replay never depends on the estimate for correctness — replicas
-// outrunning the prefix continue drawing live.
-func cohortHorizon(co cohort) float64 {
-	maxH := 0.0
-	for _, st := range co.cells {
-		c := &st.spec
-		proto, err := ParseProtocol(c.Protocol)
-		if err != nil || c.Params == nil {
+// walkCohort executes simulation cells of one cohort with a single
+// sim.SimulateCohort call and sets each one's result. It returns nil, or
+// one error per cell when some fail validation (those are left out of the
+// walk).
+func walkCohort(cells []*cellState, workers int) []error {
+	var errs []error
+	walked := cells
+	members := make([]sim.CohortMember, 0, len(cells))
+	for i, st := range cells {
+		if err := st.spec.Validate(); err != nil {
+			if errs == nil {
+				errs = make([]error, len(cells))
+				walked = append([]*cellState(nil), cells[:i]...)
+			}
+			errs[i] = err
 			continue
 		}
-		epochs := c.Epochs
-		if epochs <= 0 {
-			epochs = 1
+		if errs != nil {
+			walked = append(walked, st)
 		}
-		useful := float64(epochs) * c.Params.T0
-		est := infeasibleHorizonFactor * useful
-		res := model.Evaluate(proto, *c.Params, c.Options)
-		if res.Feasible && !math.IsInf(res.TFinal, 0) && !math.IsNaN(res.TFinal) {
-			est = arenaMargin * float64(epochs) * res.TFinal
+		cfg, prec, adaptive := st.spec.simConfig(workers)
+		m := sim.CohortMember{Config: cfg}
+		if adaptive {
+			m.Precision = new(sim.Precision)
+			*m.Precision = prec
 		}
-		if est > maxH {
-			maxH = est
+		members = append(members, m)
+	}
+	for i, agg := range sim.SimulateCohort(members, workers) {
+		if st := walked[i]; st.spec.Precision != nil {
+			st.result = CellResult{Sim: newAdaptiveSimCellResult(agg)}
+		} else {
+			st.result = CellResult{Sim: newSimCellResult(agg.Aggregate)}
 		}
 	}
-	if maxH > co.key.Horizon {
-		maxH = co.key.Horizon
-	}
-	return maxH
-}
-
-// buildCohortArena materializes the cohort's failure process, or returns
-// nil when the cohort cannot profit from one (fewer than two cells) or its
-// estimated footprint exceeds the budget (the cells then generate their
-// streams per cell, exactly as without cohorts).
-func buildCohortArena(co cohort, budget int64) *sim.TraceArena {
-	if len(co.cells) < 2 {
-		return nil
-	}
-	ctor, err := co.cells[0].spec.Dist.constructor()
-	if err != nil {
-		return nil
-	}
-	horizon := cohortHorizon(co)
-	if est := sim.EstimateArenaArrivals(co.key.MTBF, horizon, co.key.Reps); est > budget/8 {
-		return nil
-	}
-	return sim.BuildTraceArena(ctor(co.key.MTBF), co.key.Seed, co.key.Reps, horizon)
-}
-
-// execCohort executes one trace cohort's cells, in order, through
-// execCells: the one execution path of a local campaign run and of a
-// worker's shard. It materializes the cohort's failure process once (see
-// buildCohortArena). It returns the cells executed here, for the caller's
-// writeBatch, and whether an arena was built. simWorkers bounds
-// replica-level parallelism inside each cell.
-func (c *CellCache) execCohort(co cohort, simWorkers int, done cellDone) ([]*cellState, bool) {
-	arena := buildCohortArena(co, arenaBudget)
-	opts := ExecOptions{Workers: simWorkers, Arena: arena}
-	executed := c.execCells(co.cells, func(st *cellState) (CellResult, error) {
-		return st.spec.ExecuteOpts(opts)
-	}, done)
-	return executed, arena != nil
+	return errs
 }

@@ -2,12 +2,12 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"abftckpt/internal/model"
-	"abftckpt/internal/sim"
 )
 
 // cohortInputs drive the randomized cohort properties: small pools force
@@ -122,17 +122,64 @@ func TestQuickCohortGroupingIsPartition(t *testing.T) {
 	}
 }
 
-// Equal process keys imply identical generated arenas: two cells that agree
-// on (distribution, MTBF, seed, reps, horizon bound) — however much their
-// protocols, alphas or options differ — materialize element-identical
-// arrival streams.
-func TestQuickProcessKeyEqualityImpliesIdenticalArenas(t *testing.T) {
+// soloJSON executes each cell alone and returns its encoded result.
+func soloJSON(t *testing.T, cells ...CellSpec) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(cells))
+	for i, c := range cells {
+		res, err := c.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// jointJSON executes the cells as one trace cohort through execCohort, on
+// the given replica workers, and returns the encoded results.
+func jointJSON(t *testing.T, workers int, cells ...CellSpec) [][]byte {
+	t.Helper()
+	co := cohort{}
+	for _, c := range cells {
+		co.cells = append(co.cells, &cellState{spec: c, key: c.key()})
+	}
+	_, joint := NewCellCache("", 0).execCohort(co, workers, func(st *cellState, err error) bool {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	if !joint {
+		t.Fatalf("a cohort of %d cells was not walked jointly", len(cells))
+	}
+	out := make([][]byte, len(cells))
+	for i, st := range co.cells {
+		if st.tier != TierExec {
+			t.Fatalf("cell %d settled from tier %q, want exec", i, st.tier)
+		}
+		var err error
+		if out[i], err = json.Marshal(st.result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// Equal process keys imply that a joint cohort walk gives every cell its
+// solo result: two cells that agree on (distribution, MTBF, seed, reps,
+// horizon bound) — however much their protocols, alphas, options or
+// precision blocks differ — walk the same arrival streams, so the cohort's
+// one shared stream serves both bit for bit.
+func TestQuickProcessKeyEqualityImpliesCohortMatchesSolo(t *testing.T) {
 	dists := []*DistSpec{
 		{Name: DistExponential},
 		{Name: DistWeibull, Shape: 0.7},
 		{Name: DistLogNormal, Shape: 1.2},
 	}
-	prop := func(seed uint64, muPick, distPick, repsPick uint8) bool {
+	prop := func(seed uint64, muPick, distPick, repsPick uint8, adaptive bool) bool {
 		mu := float64(1+int(muPick)%4) * model.Hour
 		reps := 4 + int(repsPick)%8
 		pa := model.Fig7Params(mu, 0.3)
@@ -141,18 +188,23 @@ func TestQuickProcessKeyEqualityImpliesIdenticalArenas(t *testing.T) {
 		a := CellSpec{Op: OpSim, Protocol: ProtoPure, Params: &pa, Reps: reps, Seed: seed % 16, Dist: d}
 		b := CellSpec{Op: OpSim, Protocol: ProtoAbft, Params: &pb, Reps: reps, Seed: seed % 16, Dist: d,
 			Options: model.Options{Safeguard: true}}
+		if adaptive {
+			b.Precision = &CellPrecision{RelCI: 0.2, Batch: 2, KeepReplicas: true}
+		}
 		ka, oka := SimProcessKey(a)
 		kb, okb := SimProcessKey(b)
 		if !oka || !okb || ka != kb {
 			t.Logf("keys differ: %+v vs %+v", ka, kb)
 			return false
 		}
-		horizon := cohortHorizon(cohort{key: ka, cells: []*cellState{{spec: a}, {spec: b}}})
-		ctorA, _ := a.Dist.constructor()
-		ctorB, _ := b.Dist.constructor()
-		arA := sim.BuildTraceArena(ctorA(ka.MTBF), ka.Seed, ka.Reps, horizon)
-		arB := sim.BuildTraceArena(ctorB(kb.MTBF), kb.Seed, kb.Reps, horizon)
-		return arA.Equal(arB)
+		solo, joint := soloJSON(t, a, b), jointJSON(t, 1+int(repsPick)%3, a, b)
+		for i := range solo {
+			if !bytes.Equal(solo[i], joint[i]) {
+				t.Logf("cell %d: joint %s, solo %s", i, joint[i], solo[i])
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -232,23 +284,37 @@ func TestRunnerCohortsBitIdenticalToPerCell(t *testing.T) {
 	}
 }
 
-// A cohort whose estimated arena exceeds the budget builds none (its cells
-// then generate per cell, which TestRunnerCohortsBitIdenticalToPerCell
-// holds byte-identical), and the same cohort builds under arenaBudget.
-func TestRunnerArenaBudgetFallback(t *testing.T) {
-	e, err := expandCampaign(cohortCampaign(t), 1)
-	if err != nil {
-		t.Fatal(err)
+// A cohort member that walks past the shared stream's cap (a week of work
+// at a 5-second MTBF with 1-second checkpoints: over 10^5 failures per
+// replica, where the cap is 1<<16 arrivals) continues privately from the
+// stream's generator state and still matches its solo run, next to
+// members that stay inside the shared prefix (one of them adaptive), on
+// one and on two replica workers.
+func TestRunnerCohortMemberOutrunsStreamCap(t *testing.T) {
+	long := model.Params{T0: model.Week, Alpha: 0.8, Mu: 5, C: 1, R: 1, D: 0.5, Rho: 0.8, Phi: 1.03, Recons: 0.1}
+	short := long
+	short.T0 = model.Hour
+	a := CellSpec{Op: OpSim, Protocol: ProtoPure, Params: &long, Reps: 3, Seed: 7}
+	b := CellSpec{Op: OpSim, Protocol: ProtoAbft, Params: &short, Reps: 3, Seed: 7}
+	b.Epochs = 168 // the same horizon bound, so the same process key
+	c := b
+	c.Precision = &CellPrecision{RelCI: 1e-9, Batch: 2, KeepReplicas: true}
+	ka, _ := SimProcessKey(a)
+	if kb, _ := SimProcessKey(b); ka != kb {
+		t.Fatalf("keys differ: %+v vs %+v", ka, kb)
 	}
-	co := groupCohorts(e.order)[0]
-	if len(co.cells) != 3 {
-		t.Fatalf("first cohort has %d cells, want 3", len(co.cells))
+	solo := soloJSON(t, a, b, c)
+	var res CellResult
+	if err := json.Unmarshal(solo[0], &res); err != nil || res.Sim == nil || res.Sim.FaultsMean < 1<<17 {
+		t.Fatalf("long cell: %s (err %v), want past 2^17 failures per replica", solo[0], err)
 	}
-	if tr := buildCohortArena(co, 128); tr != nil {
-		t.Errorf("128-byte budget built a %d-byte arena", tr.Bytes())
-	}
-	if tr := buildCohortArena(co, arenaBudget); tr == nil || tr.Reps() != co.key.Reps {
-		t.Errorf("default budget built no arena of %d streams", co.key.Reps)
+	for _, workers := range []int{1, 2} {
+		joint := jointJSON(t, workers, a, b, c)
+		for i := range solo {
+			if !bytes.Equal(solo[i], joint[i]) {
+				t.Errorf("%d workers, cell %d: joint %s, solo %s", workers, i, joint[i], solo[i])
+			}
+		}
 	}
 }
 

@@ -228,44 +228,63 @@ func (c *CellCache) do(k cellKey, exec func() (CellResult, error)) (CellResult, 
 // (writeBatch), which also settles its store-error and damage accounting.
 // elapsedMS is the execution time of a TierExec result.
 func (c *CellCache) execute(k cellKey, exec func() (CellResult, error)) (CellResult, CellTier, float64, error) {
-	hash := k.hash
 	c.mu.Lock()
-	if res, ok := c.memHitLocked(hash); ok {
-		c.mu.Unlock()
+	res, tier, fc := c.beginLocked(k.hash)
+	c.mu.Unlock()
+	switch tier {
+	case TierMem:
 		return res, TierMem, 0, nil
-	}
-	if fc, ok := c.flight[hash]; ok {
-		c.stats.Coalesced++
-		c.mu.Unlock()
+	case TierCoalesced:
 		<-fc.done
 		if fc.err != nil {
 			return CellResult{}, TierCoalesced, 0, fc.err
 		}
 		return fc.result, TierCoalesced, 0, nil
 	}
-	fc := &flightCall{done: make(chan struct{})}
-	c.flight[hash] = fc
-	c.mu.Unlock()
 
 	// If the executor panics, unblock every coalesced waiter with an
 	// error before re-panicking; a leaked flight entry would otherwise
 	// hang all future requests for this cell forever.
 	settled := false
 	defer func() {
-		if settled {
-			return
+		if !settled {
+			c.abandon(k.hash, fc)
 		}
-		c.mu.Lock()
-		delete(c.flight, hash)
-		c.mu.Unlock()
-		fc.err = fmt.Errorf("scenario: cell %s: execution panicked", hash)
-		close(fc.done)
 	}()
 
 	// No lock is held during cell execution.
 	start := time.Now()
 	res, err := exec()
 	elapsedMS := float64(time.Since(start).Microseconds()) / 1000
+	c.land(k.hash, fc, res, err)
+	settled = true
+	if err != nil {
+		return CellResult{}, TierExec, 0, err
+	}
+	return res, TierExec, elapsedMS, nil
+}
+
+// beginLocked is the singleflight's entry for one cell: a memory hit
+// returns its result (TierMem); a cell already in flight returns that
+// flight to wait for (TierCoalesced); otherwise it opens a flight that the
+// caller leads (TierExec) and must land, or abandon if it panics. Callers
+// hold c.mu.
+func (c *CellCache) beginLocked(hash string) (CellResult, CellTier, *flightCall) {
+	if res, ok := c.memHitLocked(hash); ok {
+		return res, TierMem, nil
+	}
+	if fc, ok := c.flight[hash]; ok {
+		c.stats.Coalesced++
+		return CellResult{}, TierCoalesced, fc
+	}
+	fc := &flightCall{done: make(chan struct{})}
+	c.flight[hash] = fc
+	return CellResult{}, TierExec, fc
+}
+
+// land settles a flight the caller leads: a result goes into memory, and
+// the flight ends with every waiter woken.
+func (c *CellCache) land(hash string, fc *flightCall, res CellResult, err error) {
 	c.mu.Lock()
 	if err != nil {
 		c.stats.ExecErrors++
@@ -276,12 +295,17 @@ func (c *CellCache) execute(k cellKey, exec func() (CellResult, error)) (CellRes
 	delete(c.flight, hash)
 	c.mu.Unlock()
 	fc.result, fc.err = res, err
-	settled = true
 	close(fc.done)
-	if err != nil {
-		return CellResult{}, TierExec, 0, err
-	}
-	return res, TierExec, elapsedMS, nil
+}
+
+// abandon ends a flight whose executor panicked, waking every waiter with
+// an error.
+func (c *CellCache) abandon(hash string, fc *flightCall) {
+	c.mu.Lock()
+	delete(c.flight, hash)
+	c.mu.Unlock()
+	fc.err = fmt.Errorf("scenario: cell %s: execution panicked", hash)
+	close(fc.done)
 }
 
 // lookupBatch is the cache's one read: it consults the memory tier, then
@@ -389,6 +413,90 @@ func (c *CellCache) execCells(cells []*cellState, run func(st *cellState) (CellR
 			st.result, st.tier, st.elapsedMS = res, tier, elapsedMS
 			if tier == TierExec && c.store != nil {
 				executed = append(executed, st)
+			}
+		}
+		if !done(st, err) || err != nil {
+			break
+		}
+	}
+	return executed
+}
+
+// execJoint is execCells for cells that one computation settles together
+// (a trace cohort's walk). Under one lock each cell is served from memory,
+// joins a flight already under way, or is claimed. run computes every
+// claimed cell in one call, setting each one's result, and returns nil or
+// one error per claimed cell; each claimed cell then lands with its result
+// (or error) and an equal share of the call's wall time. Last, every cell
+// is settled in place and handed to done, in order, a joined one once its
+// flight lands; an error, or done returning false, stops that. A panic in
+// run abandons every claimed flight, waking its waiters with an error,
+// before it propagates. It returns the cells executed here, for the
+// caller's writeBatch (none when the cache has no store).
+func (c *CellCache) execJoint(cells []*cellState, run func(claimed []*cellState) []error, done cellDone) []*cellState {
+	type claim struct {
+		tier CellTier
+		fc   *flightCall
+		err  error // a claimed cell's execution error
+	}
+	claims := make([]claim, len(cells))
+	claimed := make([]*cellState, 0, len(cells))
+	c.mu.Lock()
+	for i, st := range cells {
+		var res CellResult
+		res, claims[i].tier, claims[i].fc = c.beginLocked(st.key.hash)
+		switch claims[i].tier {
+		case TierMem:
+			st.result, st.tier = res, TierMem
+		case TierExec:
+			claimed = append(claimed, st)
+		}
+	}
+	c.mu.Unlock()
+
+	var executed []*cellState
+	if len(claimed) > 0 {
+		landed := false
+		defer func() {
+			if !landed {
+				for i, st := range cells {
+					if claims[i].tier == TierExec {
+						c.abandon(st.key.hash, claims[i].fc)
+					}
+				}
+			}
+		}()
+		start := time.Now()
+		errs := run(claimed)
+		shareMS := float64(time.Since(start).Microseconds()) / 1000 / float64(len(claimed))
+		j := 0
+		for i, st := range cells {
+			cl := &claims[i]
+			if cl.tier != TierExec {
+				continue
+			}
+			if errs != nil {
+				cl.err = errs[j]
+			}
+			j++
+			c.land(st.key.hash, cl.fc, st.result, cl.err)
+			if cl.err == nil {
+				st.tier, st.elapsedMS = TierExec, shareMS
+				if c.store != nil {
+					executed = append(executed, st)
+				}
+			}
+		}
+		landed = true
+	}
+
+	for i, st := range cells {
+		cl := &claims[i]
+		err := cl.err
+		if cl.tier == TierCoalesced {
+			<-cl.fc.done
+			if err = cl.fc.err; err == nil {
+				st.result, st.tier = cl.fc.result, TierCoalesced
 			}
 		}
 		if !done(st, err) || err != nil {

@@ -363,6 +363,138 @@ func TestCellCacheExecPanic(t *testing.T) {
 	}
 }
 
+// TestCellCacheJointWalkSingleflight checks execJoint's claim: of a
+// cohort's cells, one already in memory is served from it, one in flight
+// for another caller is coalesced onto that flight, and only the rest are
+// walked, once, each settled with its share of the walk's time.
+func TestCellCacheJointWalkSingleflight(t *testing.T) {
+	c := NewCellCache("", 16)
+	var cells []*cellState
+	for i := 0; i < 4; i++ {
+		spec := periodsCell(float64(i+1) * model.Hour)
+		cells = append(cells, &cellState{spec: spec, key: spec.key()})
+	}
+	if _, _, err := c.do(cells[0].key, func() (CellResult, error) { return modelResult(10), nil }); err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := c.do(cells[1].key, func() (CellResult, error) {
+			close(started)
+			<-release
+			return modelResult(11), nil
+		})
+		leader <- err
+	}()
+	<-started
+
+	var walked []*cellState
+	var tiers []CellTier
+	joint := make(chan []*cellState, 1)
+	go func() {
+		joint <- c.execJoint(cells, func(claimed []*cellState) []error {
+			walked = claimed
+			for _, st := range claimed {
+				st.result = modelResult(20 + float64(len(walked)))
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		}, func(st *cellState, err error) bool {
+			if err != nil {
+				t.Error(err)
+			}
+			tiers = append(tiers, st.tier)
+			return true
+		})
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().Coalesced < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the in-flight cell never coalesced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	<-joint
+
+	if len(walked) != 2 || walked[0] != cells[2] || walked[1] != cells[3] {
+		t.Fatalf("walked %d cells, want exactly the two unclaimed ones", len(walked))
+	}
+	want := []CellTier{TierMem, TierCoalesced, TierExec, TierExec}
+	if fmt.Sprint(tiers) != fmt.Sprint(want) {
+		t.Errorf("tiers %v, want %v", tiers, want)
+	}
+	if got := float64(cells[1].result.Model.TFinal); got != 11 {
+		t.Errorf("coalesced cell result %v, want the leader's 11", got)
+	}
+	if cells[2].elapsedMS <= 0 || cells[2].elapsedMS != cells[3].elapsedMS {
+		t.Errorf("walked cells' elapsed %v and %v, want equal positive shares", cells[2].elapsedMS, cells[3].elapsedMS)
+	}
+	if st := c.Stats(); st.Executed != 4 || st.Coalesced != 1 || st.MemHits != 1 {
+		t.Errorf("stats %+v, want 4 executed, 1 coalesced, 1 memory hit", st)
+	}
+}
+
+// TestCellCacheJointWalkPanic checks that a panic in a joint walk
+// releases every claimed flight: a waiter coalesced onto one gets an
+// error, the panic reaches the walk's caller, no cell is settled, and the
+// cells execute normally afterwards.
+func TestCellCacheJointWalkPanic(t *testing.T) {
+	c := NewCellCache("", 4)
+	var cells []*cellState
+	for i := 0; i < 2; i++ {
+		spec := periodsCell(float64(i+1) * model.Hour)
+		cells = append(cells, &cellState{spec: spec, key: spec.key()})
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	walkDone := make(chan any, 1)
+	go func() {
+		defer func() { walkDone <- recover() }()
+		c.execJoint(cells, func([]*cellState) []error {
+			close(entered)
+			<-release
+			panic("walk exploded")
+		}, func(*cellState, error) bool { return true })
+	}()
+	<-entered
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.do(cells[1].key, func() (CellResult, error) { return modelResult(1), nil })
+		waiterDone <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().Coalesced < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never coalesced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if p := <-walkDone; p == nil {
+		t.Fatal("panic did not propagate to the walk's caller")
+	}
+	select {
+	case err := <-waiterDone:
+		if err == nil {
+			t.Error("waiter got a result from a panicked walk")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter deadlocked on a leaked flight entry")
+	}
+	for i, st := range cells {
+		if st.tier != "" {
+			t.Errorf("cell %d settled from tier %q after the panic", i, st.tier)
+		}
+		if _, tier, err := c.do(st.key, func() (CellResult, error) { return modelResult(5), nil }); err != nil || tier != TierExec {
+			t.Errorf("cell %d unusable after the panic: tier %q, err %v", i, tier, err)
+		}
+	}
+}
+
 // TestRunnerSharedCacheCoalesces checks two concurrent campaign runs
 // sharing one CellCache execute their common cells once in total.
 func TestRunnerSharedCacheCoalesces(t *testing.T) {

@@ -92,8 +92,9 @@ func refHashes(t *testing.T, e *expandedCampaign) [][]string {
 
 // TestRunnerLeavesNoGoroutines checks that planning and running a
 // campaign on a worker pool stop every goroutine they start, whether the
-// run succeeds, fails validation, dispatches its units through ExecBatch,
-// or fails there with an error or a cell's panic.
+// run succeeds, fails validation, walks trace cohorts on lent replica
+// workers, dispatches its units through ExecBatch, or fails there with an
+// error or a cell's panic.
 func TestRunnerLeavesNoGoroutines(t *testing.T) {
 	good, err := Load(strings.NewReader(`{
   "name": "pool",
@@ -144,6 +145,13 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	settled("PlanCampaign", start)
+	// Four three-cell cohorts on 16 workers: each joint walk runs on four
+	// lent replica workers.
+	lending := Runner{Cache: NewCellCache("", 0), Workers: 16}
+	if rep, err := lending.Run(cohortCampaign(t)); err != nil || rep.Cohorts != 4 {
+		t.Fatalf("a cohort run with lent workers: err %v, report %+v, want 4 joint walks", err, rep)
+	}
+	settled("a cohort run with lent workers", start)
 
 	worker := NewCellCache("", 0)
 	shard := func(specs []CellSpec) ([]CellResult, error) {

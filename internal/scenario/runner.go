@@ -49,10 +49,11 @@ type Report struct {
 	// served by the cache (either tier, or an execution coalesced with a
 	// concurrent run sharing the cache); Executed ran in this run.
 	CacheHits, Executed int
-	// Cohorts counts the trace cohorts this run materialized (groups of
-	// uncached simulation cells sharing one failure process whose arrival
-	// arena was built); CohortCells counts the cells executed by replaying
-	// one of those arenas.
+	// Cohorts counts the trace cohorts this run walked jointly (groups of
+	// two or more uncached simulation cells sharing one failure process,
+	// walked replica-major over one live stream per replica; see
+	// sim.SimulateCohort); CohortCells counts the cells executed in those
+	// walks.
 	Cohorts, CohortCells int
 	// AdaptiveCells counts executed cells that ran under an adaptive-
 	// precision block; AdaptiveReplicasUsed and AdaptiveReplicasCap sum
@@ -85,10 +86,11 @@ type Runner struct {
 	// either level (see sim.Simulate).
 	Workers int
 	// DisableCohorts selects the reference path: every simulation cell
-	// generates its own failure streams instead of replaying its cohort's
-	// arena. Replay is bit-identical to generation (sim.Config.Trace), so
-	// the two paths give the same bytes; equivalence tests and reference
-	// runs set it to hold the cohort path to that.
+	// draws its own failure streams instead of walking its cohort's shared
+	// ones. A cohort walk is bit-identical to its members' solo runs
+	// (sim.SimulateCohort), so the two paths give the same bytes;
+	// equivalence tests and reference runs set it to hold the cohort path
+	// to that.
 	DisableCohorts bool
 	// ExecBatch, when set, replaces local cell execution: the cells left
 	// after the cache preload are packed, in order, into units of whole
@@ -315,14 +317,14 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	// runUnit executes one unit. Locally that is one cohort: its cells run
 	// through execCohort without another store read (the preload has just
 	// made it), and the cells it executed are written with one writeBatch.
-	// Under ExecBatch the compute, arena included, happens wherever the
-	// hook runs; each cell holds the hook's result while the unit is read
-	// back through the cache's batch path (settle), and the cells the
+	// Under ExecBatch the compute, cohort walks included, happens wherever
+	// the hook runs; each cell holds the hook's result while the unit is
+	// read back through the cache's batch path (settle), and the cells the
 	// store lacks are settled from those results and written with one
 	// writeBatch. A panic in ExecBatch or in a cell's execution (execute
-	// re-raises it after settling its waiters) becomes the run's first
-	// error, naming the unit's first cell not yet settled; the remaining
-	// units then drain as after any error.
+	// and execJoint re-raise it after releasing their waiters) becomes the
+	// run's first error, naming the unit's first cell not yet settled; the
+	// remaining units then drain as after any error.
 	runUnit := func(co cohort) {
 		defer func() {
 			if v := recover(); v != nil {
@@ -341,9 +343,9 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 			}
 		}()
 		if r.ExecBatch == nil {
-			executed, built := cache.execCohort(co, simWorkers, complete)
+			executed, joint := cache.execCohort(co, simWorkers, complete)
 			cache.writeBatch(executed)
-			if built {
+			if joint {
 				mu.Lock()
 				report.Cohorts++
 				for _, st := range co.cells {

@@ -3,7 +3,7 @@ package scenario
 // Shard execution: a worker serving POST /v1/shards runs a batch of cells
 // through its cache with exactly the semantics of a local campaign run —
 // trace-cohort grouping included, so a cohort dispatched to one worker
-// still materializes its failure process once. The coordinator packs
+// still draws its failure process once. The coordinator packs
 // whole cohorts into each shard (see Runner.ExecBatch), so a shard is
 // usually several cohorts; its store traffic is one GetBatch before
 // execution and one PutBatch after, whatever the cell count.
@@ -135,8 +135,8 @@ type ShardOutcome struct {
 // ExecuteShard runs the cells through the cache's batch path (settle):
 // one batched lookup (the memory tier, then a single store GetBatch),
 // execution of the misses grouped into trace cohorts (cells sharing a
-// failure process generate their arrival streams once and replay them;
-// see execCohort), and a single PutBatch of what was executed. simWorkers
+// failure process walk one stream per replica, drawn once; see
+// execCohort), and a single PutBatch of what was executed. simWorkers
 // bounds replica-level parallelism inside each simulation cell (<= 0: 1).
 // The first cell error aborts the shard after the cells executed so far
 // are written. Cells must be pre-validated by the caller.

@@ -132,7 +132,9 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	// Only a coordinator reads the outcome, and its decoder skips
+	// whitespace: write it compact.
+	encodeJSON(w, http.StatusOK, out, "")
 }
 
 // workerStatusError is a non-200 answer from a worker. A 4xx means the

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -106,6 +107,21 @@ func TestShardEndpoint(t *testing.T) {
 	}
 	if again.Executed != 0 || again.Cached != 2 {
 		t.Errorf("rerun executed %d cached %d, want 0 and 2", again.Executed, again.Cached)
+	}
+
+	// Only a coordinator reads shard outcomes: the body is compact JSON,
+	// one line with no indentation.
+	resp2, err := http.Post(ts.URL+"/v1/shards", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp2.Body)
+	resp2.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(raw, []byte("\n")) != 1 || bytes.Contains(raw, []byte("  ")) {
+		t.Errorf("shard response is not compact JSON:\n%s", raw)
 	}
 }
 

@@ -379,10 +379,10 @@ func (m *Metrics) WritePromText(w io.Writer, g promGauges) {
 	fmt.Fprintln(w, "# TYPE ftserve_cache_corrupt_entries_total counter")
 	fmt.Fprintf(w, "ftserve_cache_corrupt_entries_total %d\n", g.Cache.CorruptEntries)
 
-	fmt.Fprintln(w, "# HELP ftserve_cohort_arenas_built_total Shared failure-process arenas materialized by finished jobs.")
+	fmt.Fprintln(w, "# HELP ftserve_cohort_arenas_built_total Trace cohorts walked jointly over one shared failure stream by finished jobs.")
 	fmt.Fprintln(w, "# TYPE ftserve_cohort_arenas_built_total counter")
 	fmt.Fprintf(w, "ftserve_cohort_arenas_built_total %d\n", g.Cohorts.Built)
-	fmt.Fprintln(w, "# HELP ftserve_cohort_replayed_cells_total Simulation cells executed by replaying a shared arena.")
+	fmt.Fprintln(w, "# HELP ftserve_cohort_replayed_cells_total Simulation cells executed in a joint trace-cohort walk.")
 	fmt.Fprintln(w, "# TYPE ftserve_cohort_replayed_cells_total counter")
 	fmt.Fprintf(w, "ftserve_cohort_replayed_cells_total %d\n", g.Cohorts.ReplayedCells)
 

@@ -169,9 +169,11 @@ type Server struct {
 }
 
 // CohortStats counts trace-cohort work across all finished campaign jobs:
-// Built is the number of shared failure-process arenas materialized,
-// ReplayedCells the number of simulation cells executed by replaying one.
-// The counters are cumulative and monotone, like CacheStats.
+// Built is the number of cohorts walked jointly over one shared failure
+// stream per replica (scenario.Report.Cohorts), ReplayedCells the number
+// of simulation cells executed in those walks. The names predate the
+// replica-major walk, when each cohort materialized an arena first. The
+// counters are cumulative and monotone, like CacheStats.
 type CohortStats struct {
 	Built         int64 `json:"built"`
 	ReplayedCells int64 `json:"replayed_cells"`
@@ -418,12 +420,19 @@ func (s *Server) reject(w http.ResponseWriter, endpoint, format string, args ...
 	writeError(w, http.StatusTooManyRequests, format, args...)
 }
 
-// writeJSON emits a JSON response body.
+// writeJSON emits an indented JSON response body, for the endpoints
+// people read.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	encodeJSON(w, status, v, "  ")
+}
+
+// encodeJSON emits a JSON response body indented by indent; "" writes it
+// compact, for bodies only programs read (shard results).
+func encodeJSON(w http.ResponseWriter, status int, v any, indent string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetIndent("", indent)
 	enc.Encode(v) //nolint:errcheck // response writer errors are the client's problem
 }
 

@@ -118,67 +118,128 @@ type AdaptiveAggregate struct {
 // and the embedded Aggregate is bit-identical to Simulate(cfg) (pinned by
 // TestSimulateAdaptiveAtCapMatchesSimulate). A replay arena (cfg.Trace)
 // must cover cfg.Reps, the cap, even though the run usually stops far
-// earlier; cohort scheduling sizes arenas by the cap so any cell of the
-// cohort, adaptive or fixed, can replay them.
+// earlier.
 func SimulateAdaptive(cfg Config, prec Precision) AdaptiveAggregate {
 	cfg, distrib := cfg.resolve()
+	m := newMember(cfg, distrib, &prec)
+	runners := poolRunners(cfg.Workers, cfg.Reps, func() *replicaRunner {
+		r := newReplicaRunner(cfg, m.phases, m.chunkSched, distrib)
+		r.blocks.cvHorizon = m.cvHorizon
+		return r
+	})
+	add := m.add
+	for n := 0; !m.done; {
+		next := m.next
+		runOrdered(runners, n, next-n, (*replicaRunner).runMeasured, add)
+		n = next
+		m.look(n)
+	}
+	return m.result()
+}
+
+// member is one campaign's reduce, fed its replicas in repetition order:
+// the aggregate and, for an adaptive campaign, the sequential estimator
+// with its doubling batch schedule. next is the replica count of the
+// campaign's next look (for a fixed-rep campaign, its Reps); done is set
+// once it needs no more replicas. It also carries the campaign's shared,
+// read-only walk inputs.
+type member struct {
+	cfg        Config
+	phases     []phaseSpec
+	chunkSched [][]float64
+	cvHorizon  float64
+
+	agg         aggregator
+	adaptive    bool
+	seq         stats.Sequential // held by value: no allocation of its own
+	keep        bool
+	replicas    []float64
+	batch, next int
+	stopped     bool
+	done        bool
+}
+
+// newMember prepares the reduce of a resolved campaign: fixed-rep when
+// prec is nil, else adaptive under *prec (validated here, so a bad block
+// panics on the caller's goroutine).
+func newMember(cfg Config, distrib dist.Distribution, prec *Precision) member {
+	m := member{cfg: cfg, next: cfg.Reps}
+	m.phases = epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
+	m.chunkSched = periodicChunkSchedules(m.phases)
+	if prec == nil {
+		return m
+	}
 	if err := prec.Validate(); err != nil {
 		panic(err)
 	}
-	prec = prec.withDefaults()
-	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	chunkSched := periodicChunkSchedules(phases)
-	capReps := cfg.Reps
-	cvHorizon := cvHorizonFor(cfg, distrib, prec)
-	runners := poolRunners(cfg.Workers, capReps, func() *replicaRunner {
-		r := newReplicaRunner(cfg, phases, chunkSched, distrib)
-		r.blocks.cvHorizon = cvHorizon
-		return r
-	})
-	seq := stats.NewSequential(stats.SequentialOpts{
+	p := prec.withDefaults()
+	m.cvHorizon = cvHorizonFor(cfg, distrib, p)
+	m.adaptive = true
+	m.seq = *stats.NewSequential(stats.SequentialOpts{
 		Alpha:       1 - adaptiveConfidence,
-		RelTarget:   prec.RelTarget,
-		AbsTarget:   prec.AbsTarget,
-		UseControl:  cvHorizon > 0,
-		ControlMean: cvHorizon / cfg.Params.Mu,
+		RelTarget:   p.RelTarget,
+		AbsTarget:   p.AbsTarget,
+		UseControl:  m.cvHorizon > 0,
+		ControlMean: m.cvHorizon / cfg.Params.Mu,
 	})
-	var agg aggregator
-	var replicas []float64
-	if prec.KeepReplicas {
-		replicas = make([]float64, 0, prec.Batch)
+	if p.KeepReplicas {
+		m.keep = true
+		m.replicas = make([]float64, 0, p.Batch)
 	}
-	reduce := func(m measured) {
-		seq.AddControlled(m.res.Waste, m.cv)
-		agg.add(m.res)
-		if prec.KeepReplicas {
-			replicas = append(replicas, m.res.Waste)
+	m.batch = p.Batch
+	m.next = min(p.Batch, cfg.Reps)
+	return m
+}
+
+// add reduces the campaign's next replica.
+func (m *member) add(x measured) {
+	if m.adaptive {
+		m.seq.AddControlled(x.res.Waste, x.cv)
+		if m.keep {
+			m.replicas = append(m.replicas, x.res.Waste)
 		}
 	}
-	n := 0
-	batch := prec.Batch
-	stopped := false
-	for n < capReps {
-		m := min(batch, capReps-n)
-		runOrdered(runners, n, m, (*replicaRunner).runMeasured, reduce)
-		n += m
-		if _, stop := seq.Look(); stop {
-			stopped = true
-			break
-		}
-		batch *= 2
+	m.agg.add(x.res)
+}
+
+// look ends the batch that brought the campaign to n == next replicas:
+// an adaptive campaign takes its interim look and stops on target or at
+// its cap, else doubles the batch; a fixed-rep campaign is done.
+func (m *member) look(n int) {
+	if !m.adaptive {
+		m.done = true
+		return
 	}
-	last := seq.LastInterval()
+	if _, stop := m.seq.Look(); stop {
+		m.stopped, m.done = true, true
+		return
+	}
+	if n == m.cfg.Reps {
+		m.done = true
+		return
+	}
+	m.batch *= 2
+	m.next = min(n+m.batch, m.cfg.Reps)
+}
+
+// result summarizes the campaign: for a fixed-rep campaign only the
+// embedded Aggregate is set.
+func (m *member) result() AdaptiveAggregate {
+	if !m.adaptive {
+		return AdaptiveAggregate{Aggregate: m.agg.result()}
+	}
+	last := m.seq.LastInterval()
 	return AdaptiveAggregate{
-		Aggregate:       agg.result(),
-		RepsCap:         capReps,
-		Looks:           seq.Looks(),
-		Stopped:         stopped,
+		Aggregate:       m.agg.result(),
+		RepsCap:         m.cfg.Reps,
+		Looks:           m.seq.Looks(),
+		Stopped:         m.stopped,
 		WasteEstimate:   last.Mean,
 		WasteHalfWidth:  last.Half,
-		CVActive:        cvHorizon > 0,
-		CVBeta:          seq.Beta(),
-		CVVarianceRatio: seq.VarianceRatio(),
-		Replicas:        replicas,
+		CVActive:        m.cvHorizon > 0,
+		CVBeta:          m.seq.Beta(),
+		CVVarianceRatio: m.seq.VarianceRatio(),
+		Replicas:        m.replicas,
 	}
 }
 

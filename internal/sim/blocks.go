@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"abftckpt/internal/dist"
 	"abftckpt/internal/rng"
 )
@@ -13,11 +15,19 @@ import (
 // when the block runs out. Live blocks are drawn into the inline buffer by
 // dist.Fill, so a replica's stream is exactly the sequence of prefix sums a
 // scalar renewal process of Distribution.Sample draws accumulates, the same
-// additions in the same order. A replayed fail-stop replica's first block is
-// its TraceArena prefix, read in place.
+// additions in the same order.
 //
-// Each worker owns one blockSource inside its runner; it holds no pointer
-// into per-replica state, so replicas allocate nothing.
+// A fail-stop stream may also start from a shared prefix, read in place: a
+// replayed replica's TraceArena prefix, or a cohort's live stream
+// (SimulateCohort), which every member walks in turn and which grows
+// whenever a walk reaches its end, up to streamCap arrivals. Either way a
+// walk that outruns the prefix continues privately from the generator
+// state just past it, so the stream is bit-identical to never having
+// shared anything.
+//
+// Each worker owns one blockSource inside its runner (a cohort worker's
+// member runners share one); it holds no pointer into per-replica state, so
+// replicas allocate nothing once a cohort's prefix buffer has grown.
 type blockSource struct {
 	// distrib is the shared inter-arrival law.
 	distrib dist.Distribution
@@ -25,24 +35,31 @@ type blockSource struct {
 	src rng.Source
 
 	// buf holds the live-drawn arrival blocks; drawn counts the arrivals
-	// handed out to the current replica, and drawEWMA tracks the
-	// per-replica consumption that sizes the live fills.
+	// handed out to the current walk, and drawEWMA tracks the per-walk
+	// consumption that sizes the live fills.
 	buf      [fillBatch]float64
 	drawn    int
 	drawEWMA int
 
-	// Trace replay: when tr is non-nil, the first block of replica rep is
-	// its materialized arena prefix, read in place; refill then restores
-	// the replica's saved generator state, so the live blocks that follow
-	// continue the stream bit-identically to never having materialized
-	// anything. inPrefix marks that prefix as not yet handed out.
-	tr       *TraceArena
-	rep      int
-	inPrefix bool
+	// tr, when non-nil, replays each replica's arena prefix.
+	tr *TraceArena
+
+	// The shared prefix of the current replica's stream. prefix may grow
+	// (extend) to prefixMax arrivals, prefixSrc is the generator just past
+	// it, and pos counts the prefix arrivals handed to the current walk:
+	// -1 once the walk continues privately, and for a live solo replica,
+	// which has no prefix. streamUsed is the most of the prefix a walk of
+	// the current replica consumed; streamEWMA tracks it across replicas
+	// and sizes the extensions.
+	prefix                 []float64
+	prefixMax              int
+	prefixSrc              rng.Source
+	pos                    int
+	streamUsed, streamEWMA int
 
 	// Control-variate instrumentation for adaptive runs: when cvHorizon is
 	// positive, refill counts the arrivals at or below it in every block it
-	// hands out (see replicaRunner.runMeasured). Zero, the default and the
+	// hands out (see replicaRunner.measure). Zero, the default and the
 	// only value outside adaptive fail-stop campaigns, keeps the count off.
 	cvHorizon float64
 	cvCount   int
@@ -76,38 +93,84 @@ func nextFillSize(ewma, drawn int) int {
 	return n
 }
 
+// streamCap caps a cohort's shared per-replica stream: a worker's prefix
+// buffer grows to the most any member walks, but never past 1<<16 arrivals
+// (512 KiB). A member that outruns it continues privately from the
+// stream's saved generator state, as past a TraceArena prefix, so the cap
+// bounds memory and never changes a result.
+const streamCap = 1 << 16
+
+// streamInit is the capacity a worker's prefix buffer starts at (4 KiB),
+// enough for most replicas' streams, so a cohort walk usually allocates
+// it once.
+const streamInit = 512
+
 // init sets the source's law and, for fail-stop trace replay, its arena
 // (nil draws every stream live).
 func (s *blockSource) init(d dist.Distribution, tr *TraceArena) {
 	s.distrib, s.tr = d, tr
 }
 
-// start points the source at replica rep's stream: the substream
-// rng.At(seed, rep), or its arena prefix when the source replays one.
+// start points the source at replica rep's stream for one walk: the
+// substream rng.At(seed, rep), or its arena prefix when the source replays
+// one.
 func (s *blockSource) start(seed uint64, rep int) {
-	s.rep = rep
 	s.drawn, s.cvCount = 0, 0
 	if s.tr == nil {
 		s.src.Reseed(rng.At1(seed, uint64(rep)))
-	} else {
-		s.inPrefix = true
+		s.pos = -1
+		return
 	}
+	tr := s.tr
+	s.prefix = tr.arrivals[tr.offsets[rep]:tr.offsets[rep+1]]
+	s.prefixMax = len(s.prefix)
+	s.prefixSrc.Restore(tr.states[rep])
+	s.pos = 0
+}
+
+// share points the source at replica rep's stream as a cohort's growing
+// prefix, empty until a walk draws it; each member's walk then begins with
+// rewind.
+func (s *blockSource) share(seed uint64, rep int) {
+	if s.streamUsed > 0 {
+		s.streamEWMA = ewma(s.streamEWMA, s.streamUsed)
+		s.streamUsed = 0
+	}
+	s.prefixSrc.Reseed(rng.At1(seed, uint64(rep)))
+	if s.prefix == nil {
+		s.prefix = make([]float64, 0, streamInit)
+	}
+	s.prefix, s.prefixMax = s.prefix[:0], streamCap
+}
+
+// rewind starts one member's walk of the shared stream from its first
+// arrival, counting control-variate arrivals up to cvHorizon (0: off).
+func (s *blockSource) rewind(cvHorizon float64) {
+	s.pos, s.drawn, s.cvCount, s.cvHorizon = 0, 0, 0, cvHorizon
 }
 
 // refill hands out the next block of the replica's arrival stream, which
-// continues after last (the stream's latest arrival, 0 before the first).
-// Out of line so the (rare) refill stays one call in the walkers' hot loops.
+// continues after last (the stream's latest arrival, 0 before the first):
+// the rest of the shared prefix, extended first when the walk has reached
+// its end, and past the prefix a live block. Out of line so the (rare)
+// refill stays one call in the walkers' hot loops.
 //
 //go:noinline
 func (s *blockSource) refill(last float64) []float64 {
 	var blk []float64
-	if s.inPrefix {
-		s.inPrefix = false
-		tr := s.tr
-		blk = tr.arrivals[tr.offsets[s.rep]:tr.offsets[s.rep+1]]
-		// Resume the generator exactly where arena generation left it.
-		s.src.Restore(tr.states[s.rep])
-	} else {
+	if s.pos >= 0 {
+		if s.pos == len(s.prefix) && s.pos < s.prefixMax {
+			s.extend(last)
+		}
+		if s.pos < len(s.prefix) {
+			blk = s.prefix[s.pos:]
+			s.pos = len(s.prefix)
+		} else {
+			// Continue privately where the prefix's generator stopped.
+			s.src, s.pos = s.prefixSrc, -1
+		}
+	}
+	if blk == nil {
 		blk = s.buf[:nextFillSize(s.drawEWMA, s.drawn)]
 		dist.Fill(s.distrib, &s.src, blk, last)
 	}
@@ -121,6 +184,16 @@ func (s *blockSource) refill(last float64) []float64 {
 		}
 	}
 	return blk
+}
+
+// extend draws the next arrivals of a cohort's shared stream onto its
+// prefix, continuing after last; the fill size tracks the replicas' usual
+// consumption, as the live fills do.
+func (s *blockSource) extend(last float64) {
+	at := len(s.prefix)
+	n := min(nextFillSize(s.streamEWMA, at), s.prefixMax-at)
+	s.prefix = slices.Grow(s.prefix, n)[:at+n]
+	dist.Fill(s.distrib, &s.prefixSrc, s.prefix[at:], last)
 }
 
 // after advances a walker's cursor past time t: given the current arrival
@@ -138,14 +211,24 @@ func (s *blockSource) after(t, next float64, blk []float64, bpos int) (float64, 
 	return next, blk, bpos
 }
 
-// finish feeds the adaptive fill sizing with what the replica used: every
+// finish feeds the adaptive fill sizing with what the walk used: every
 // arrival handed out except the unused tail of its final block. Every
-// replica restarts its stream, so that tail is discarded without effect.
+// replica restarts its stream, so that tail is discarded without effect
+// (a cohort's next member reads it from the prefix).
 func (s *blockSource) finish(unused int) {
-	consumed := s.drawn - unused
-	if s.drawEWMA == 0 {
-		s.drawEWMA = consumed
-	} else {
-		s.drawEWMA += (consumed - s.drawEWMA) / 4
+	s.drawEWMA = ewma(s.drawEWMA, s.drawn-unused)
+	used := len(s.prefix)
+	if s.pos >= 0 {
+		used = s.pos - unused
 	}
+	s.streamUsed = max(s.streamUsed, used)
+}
+
+// ewma folds one replica's consumption into a running estimate (0:
+// none yet).
+func ewma(avg, n int) int {
+	if avg == 0 {
+		return n
+	}
+	return avg + (n-avg)/4
 }

@@ -6,8 +6,9 @@ import (
 	"abftckpt/internal/dist"
 )
 
-// replicaRunner is the allocation-free replica engine behind Simulate and
-// SimulateAdaptive, live or replaying Config.Trace. Each worker owns one and
+// replicaRunner is the allocation-free replica engine behind Simulate,
+// SimulateAdaptive (live or replaying Config.Trace) and each member of a
+// SimulateCohort walk. Each worker owns one (per member) and
 // replays its repetitions through it: the arrival source lives inline in the
 // struct, the phase sequence and the distribution are computed once per
 // campaign and shared, and every replica — generated or replayed, under any
@@ -35,11 +36,13 @@ type replicaRunner struct {
 
 	// blocks produces the replica's arrival stream, live or replayed from
 	// the campaign's TraceArena, and counts the control-variate arrivals
-	// of adaptive runs.
-	blocks blockSource
+	// of adaptive runs. It points at own, except in a cohort worker, whose
+	// member runners share one (SimulateCohort).
+	blocks *blockSource
+	own    blockSource
 
-	// last is the final block the walk was handed; runMeasured continues
-	// the stream from its end.
+	// last is the final block the walk was handed; measure continues the
+	// stream from its end.
 	last []float64
 }
 
@@ -77,11 +80,18 @@ func periodicChunkSchedules(phases []phaseSpec) [][]float64 {
 // generates failure arrivals on the fly; an arena replays its
 // materialized streams.
 func newReplicaRunner(cfg Config, phases []phaseSpec, chunkSched [][]float64, distrib dist.Distribution) *replicaRunner {
-	r := &replicaRunner{cfg: cfg, phases: phases, chunkSched: chunkSched}
+	r := &replicaRunner{}
+	r.init(cfg, phases, chunkSched, distrib)
+	return r
+}
+
+// init prepares a runner in place (see newReplicaRunner).
+func (r *replicaRunner) init(cfg Config, phases []phaseSpec, chunkSched [][]float64, distrib dist.Distribution) {
+	r.cfg, r.phases, r.chunkSched = cfg, phases, chunkSched
 	r.useful = float64(cfg.Epochs) * cfg.Params.T0
 	r.horizon = cfg.MaxTimeFactor * math.Max(r.useful, 1)
-	r.blocks.init(distrib, cfg.Trace)
-	return r
+	r.blocks = &r.own
+	r.own.init(distrib, cfg.Trace)
 }
 
 // run executes repetition rep on the substream rng.At(Seed, rep), replayed
@@ -99,16 +109,21 @@ type measured struct {
 }
 
 // runMeasured executes repetition rep and additionally returns the
-// control-variate observation: the number of failure arrivals in
-// [0, cvHorizon] — for the exponential law a Poisson count with known mean
-// cvHorizon/MTBF. The stream is monotone, so this is the stream index of the
-// first arrival past the horizon. refill counted every block the walk was
-// handed; when the stream's last block still ends inside the horizon, the
-// count is topped up here with further blocks — extra draws are harmless, as
-// every repetition reseeds (or re-points at its arena prefix) from scratch.
-// With cvHorizon <= 0 this is exactly run.
+// control-variate observation (see measure). With cvHorizon <= 0 this is
+// exactly run.
 func (r *replicaRunner) runMeasured(rep int) measured {
-	res := r.run(rep)
+	return r.measure(r.run(rep))
+}
+
+// measure pairs the walk that just returned res with its control-variate
+// observation: the number of failure arrivals in [0, cvHorizon] — for the
+// exponential law a Poisson count with known mean cvHorizon/MTBF. The
+// stream is monotone, so this is the stream index of the first arrival
+// past the horizon. refill counted every block the walk was handed; when
+// the stream's last block still ends inside the horizon, the count is
+// topped up here with further blocks — extra draws are harmless, as every
+// repetition reseeds (or re-points at its prefix) from scratch.
+func (r *replicaRunner) measure(res RunResult) measured {
 	if h := r.blocks.cvHorizon; h > 0 {
 		for last := r.last[len(r.last)-1]; last <= h; {
 			blk := r.blocks.refill(last)

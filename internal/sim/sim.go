@@ -13,7 +13,8 @@
 // verified patterns (silent.go) and two-level checkpointing (multilevel.go).
 // Every replica of every family takes its arrivals from one blockSource
 // (blocks.go); the scalar reference walkers they must match bit for bit are
-// test oracles (oracle_test.go).
+// test oracles (oracle_test.go). SimulateCohort (cohort.go) walks several
+// fail-stop campaigns over one failure process, replica-major.
 package sim
 
 import (
@@ -94,8 +95,7 @@ type Config struct {
 	// replicas that outrun the arena's prefix continue drawing live. The
 	// arena must hold at least Reps streams for Seed, drawn from the same
 	// distribution: seed, stream count and mean are checked, and the
-	// caller matches the family and shape (internal/scenario's process
-	// keys guarantee it).
+	// caller matches the family and shape.
 	Trace *TraceArena
 }
 

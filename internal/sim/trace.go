@@ -14,10 +14,11 @@ import (
 // rng.At1(Seed, rep), generated once and replayed (Config.Trace) by any
 // number of campaigns that share the process (same distribution,
 // MTBF, seed and repetition count). The arrivals live in one flat []float64
-// arena indexed by per-replica offsets, so a cohort of simulation cells — a
-// heatmap scanning several protocols or period variants over one platform
-// failure process — pays the RNG and math.Log cost of the streams once
-// instead of once per cell.
+// arena indexed by per-replica offsets. Campaigns run together in one call
+// share a process more cheaply through SimulateCohort, which draws each
+// replica's stream only as far as its members read it and keeps no arena;
+// an arena serves campaigns run at different times from one recorded
+// process.
 //
 // The arena stores a bounded prefix of each stream: every replica is
 // generated through the first arrival beyond the build horizon. A replay
@@ -98,8 +99,8 @@ func arenaRepBudget(lambda float64) float64 {
 }
 
 // EstimateArenaArrivals predicts how many arrivals BuildTraceArena will
-// materialize, so schedulers can enforce a memory budget before building.
-// It is the arrival capacity BuildTraceArena reserves.
+// materialize, so a caller can bound its memory before building. It is
+// the arrival capacity BuildTraceArena reserves.
 func EstimateArenaArrivals(mean, horizon float64, reps int) int64 {
 	if mean <= 0 {
 		return math.MaxInt64

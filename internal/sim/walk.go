@@ -57,7 +57,7 @@ func (r *replicaRunner) walk() RunResult {
 	horizon := r.horizon
 	phases := r.phases
 	epochs := r.cfg.Epochs
-	blocks := &r.blocks
+	blocks := r.blocks
 
 	var (
 		now    float64
