@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"abftckpt/internal/scenario"
 	"abftckpt/internal/sim"
 	"abftckpt/internal/store"
+	"abftckpt/internal/vmath"
 	"abftckpt/internal/vproc"
 )
 
@@ -210,6 +212,22 @@ func Suite() []Benchmark {
 					}
 				}
 			},
+		},
+		{
+			Name:       "vmath/log",
+			Brief:      "64 arrival uniforms through vmath.Log (AVX2 quads, SSE2 pairs, math.Log)",
+			UnitsPerOp: vmathLen,
+			UnitName:   "elements",
+			Fn:         vmathBench(vmath.Log, func(src *rng.Source) float64 { return src.Float64Open() }),
+		},
+		{
+			Name:       "vmath/exp",
+			Brief:      "64 Weibull exponents through vmath.Exp (AVX2+FMA quads, math.Exp)",
+			UnitsPerOp: vmathLen,
+			UnitName:   "elements",
+			Fn: vmathBench(vmath.Exp, func(src *rng.Source) float64 {
+				return (1/0.7 - 1) * math.Log(-math.Log(src.Float64Open())) // shape 0.7
+			}),
 		},
 		{
 			Name:       "dist/sample_exponential",
@@ -582,6 +600,25 @@ func Suite() []Benchmark {
 				}
 			},
 		},
+	}
+}
+
+// vmathLen is the slice length of the vmath rows: one batch of a Weibull
+// fill.
+const vmathLen = 64
+
+// vmathBench times f over a copy of vmathLen fixed draws of gen.
+func vmathBench(f func([]float64), gen func(*rng.Source) float64) func(b *testing.B) {
+	return func(b *testing.B) {
+		src := rng.New(11)
+		var in, buf [vmathLen]float64
+		for i := range in {
+			in[i] = gen(src)
+		}
+		for i := 0; i < b.N; i++ {
+			buf = in
+			f(buf[:])
+		}
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // and src ends in the state those draws leave it in (pinned by
 // TestFillMatchesSample). It is how the simulator materializes failure
 // arrival times. The exponential and Weibull laws draw in batches whose
-// logarithms go through vmath.Log, bit-exact to math.Log; every other law
+// logarithms go through vmath.Log, bit-exact to math.Log, and Weibull's
+// exponentials through vmath.Exp, bit-exact to math.Exp; every other law
 // adds Sample draws one by one.
 func Fill(d Distribution, src *rng.Source, dst []float64, base float64) {
 	switch d := d.(type) {
@@ -37,8 +38,10 @@ const weibullChunk = 64
 // an exponent 1/shape that math.Pow does not settle first (1/shape is
 // neither 1 nor 0.5, and below 2^63), math.Pow computes
 // Ldexp(Exp(yf*Log(x)) * x^yi, ...) with yi, yf the integer and fraction
-// parts of the exponent. fill performs exactly those operations, with both
-// logarithms batched through vmath.Log and the exponent split done once.
+// parts of the exponent. fill performs those operations with both
+// logarithms batched through vmath.Log, the exponential through vmath.Exp,
+// the exponent split done once, and x^yi for yi <= 2 formed without the
+// Frexp/Ldexp scaling where that rounds to the same bits (powGeneral).
 func (w Weibull) fill(src *rng.Source, dst []float64, base float64) {
 	y := w.invShape
 	yi, yf := math.Modf(y)
@@ -53,7 +56,14 @@ func (w Weibull) fill(src *rng.Source, dst []float64, base float64) {
 		yf--
 		yi++
 	}
-	var logx [weibullChunk]float64
+	// a1 holds Exp(yf*Log(x)), math.Pow's factor for the fraction part of
+	// the exponent: 1 when there is none.
+	var a1 [weibullChunk]float64
+	if yf == 0 {
+		for i := range a1 {
+			a1[i] = 1
+		}
+	}
 	for len(dst) > 0 {
 		x := dst[:min(len(dst), weibullChunk)]
 		dst = dst[len(x):]
@@ -63,15 +73,20 @@ func (w Weibull) fill(src *rng.Source, dst []float64, base float64) {
 			x[i] = -l
 		}
 		if yf != 0 {
-			copy(logx[:], x)
-			vmath.Log(logx[:len(x)])
+			a := a1[:len(x)]
+			copy(a, x)
+			vmath.Log(a)
+			for i, l := range a {
+				a[i] = yf * l
+			}
+			vmath.Exp(a)
 		}
 		for i, xv := range x {
 			var p float64
 			if xv == 1 {
 				p = math.Pow(xv, y)
 			} else {
-				p = powGeneral(xv, logx[i], int64(yi), yf)
+				p = powGeneral(xv, a1[i], int64(yi))
 			}
 			// The conversion rounds the product before the add, as the
 			// separate Sample call does, so no target fuses the two.
@@ -83,14 +98,28 @@ func (w Weibull) fill(src *rng.Source, dst []float64, base float64) {
 
 // powGeneral is the general path of math.Pow(x, y) for x > 0, x != 1 and
 // y > 0 split into yi + yf (yf already shifted into [-0.5, 0.5]), given
-// logx == math.Log(x) (unused when yf == 0).
-func powGeneral(x, logx float64, yi int64, yf float64) float64 {
-	// ans = a1 * 2**ae
-	a1 := 1.0
-	ae := 0
-	if yf != 0 {
-		a1 = math.Exp(yf * logx)
+// a1 == math.Exp(yf * math.Log(x)), or 1 when yf == 0.
+func powGeneral(x, a1 float64, yi int64) float64 {
+	// The squaring loop below rounds a1*x1 (yi 1) or a1*(x1*x1) (yi 2),
+	// with x1 = x/2^xe, and scales the result by 2^xe or 2^(2xe); for yi 0
+	// it returns Ldexp(a1, 0), which is a1. Scaling by a power of two
+	// commutes with rounding inside the normal range, so while every
+	// factor and product stays well inside it, the same products of x
+	// itself round to the same bits, without Frexp and Ldexp.
+	switch yi {
+	case 0:
+		return a1
+	case 1, 2:
+		xn := x
+		if yi == 2 {
+			xn = x * x
+		}
+		if p := a1 * xn; 0x1p-1000 < min(a1, xn, p) && max(a1, xn, p) < 0x1p1000 {
+			return p
+		}
 	}
+	// ans = a1 * 2**ae
+	ae := 0
 	// ans *= x**yi by successive squarings of x.
 	x1, xe := math.Frexp(x)
 	for i := yi; i != 0; i >>= 1 {

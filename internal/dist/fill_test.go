@@ -100,3 +100,37 @@ func TestWeibullFillEdgeUniforms(t *testing.T) {
 	}
 	checkFill(t, WeibullWithMTBF(0.006, 100), stateYielding(1<<53-1), 3, 0)
 }
+
+// powGeneral must equal math.Pow for every positive x != 1 and every
+// exponent of its general path, its shortcuts for integer parts 0, 1 and 2
+// included: x runs over every binade (subnormals too, which leave the
+// shortcuts' range) and the exponents split into every integer part up to
+// 9 with fraction parts of both signs.
+func TestPowGeneralMatchesPow(t *testing.T) {
+	src := rng.New(17)
+	for _, y := range []float64{0.1, 0.3, 1 / 0.7, 0.75, 1.2, 1.5, 1.7, 2, 2.4, 3, 1 / 0.3, 7.7, 9} {
+		yi, yf := math.Modf(y)
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		for i := 0; i < 20000; i++ {
+			x := math.Float64frombits(1 + src.Uint64()%(0x7FF0000000000000-1))
+			if i%4 == 0 { // the arrival fill's range, -log(u)
+				x = -math.Log(src.Float64Open())
+			}
+			if x == 1 {
+				continue
+			}
+			a1 := 1.0
+			if yf != 0 {
+				a1 = math.Exp(yf * math.Log(x))
+			}
+			got, want := powGeneral(x, a1, int64(yi)), math.Pow(x, y)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("powGeneral(%v [%#016x], ^%v) = %v [%#016x], math.Pow gives %v [%#016x]",
+					x, math.Float64bits(x), y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"abftckpt/internal/dist"
@@ -291,4 +293,41 @@ func FuzzCompanionMatchesOnce(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestChunkSchedulesPresized holds the presized periodicChunkSchedules to
+// the schedule the reference chunk loop builds with append, over random
+// work, period and checkpoint costs, including whole multiples of the
+// work per period (where the float sums may leave a sliver of a chunk), and
+// checks that no schedule outgrew its presized capacity.
+func TestChunkSchedulesPresized(t *testing.T) {
+	src := rand.New(rand.NewPCG(5, 6))
+	for i := 0; i < 20000; i++ {
+		ckpt := 1000 * src.Float64()
+		wpp := 1 + 1e4*src.Float64()
+		work := wpp * (1 + 500*src.Float64())
+		if i%4 == 0 {
+			work = wpp * float64(1+src.IntN(500))
+		}
+		ph := phaseSpec{kind: phasePeriodic, work: work, period: ckpt + wpp, ckpt: ckpt}
+		var want []float64
+		for completed := 0.0; completed < ph.work; {
+			chunk := min(ph.period-ph.ckpt, ph.work-completed)
+			want = append(want, chunk)
+			completed += chunk
+		}
+		got := periodicChunkSchedules([]phaseSpec{{kind: phaseShort}, ph})
+		if got[0] != nil {
+			t.Fatalf("short phase got schedule %v", got[0])
+		}
+		if !slices.Equal(got[1], want) {
+			t.Fatalf("work %v period %v ckpt %v: schedule of %d chunks, append builds %d:\n got %v\nwant %v",
+				ph.work, ph.period, ph.ckpt, len(got[1]), len(want), got[1], want)
+		}
+		// append keeps the presized capacity only while it never grows.
+		if c, presized := cap(got[1]), int(math.Ceil(ph.work/(ph.period-ph.ckpt)))+1; c != presized {
+			t.Fatalf("work %v period %v ckpt %v: %d chunks outgrew the presized capacity %d (now %d)",
+				ph.work, ph.period, ph.ckpt, len(want), presized, c)
+		}
+	}
 }

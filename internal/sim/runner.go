@@ -57,7 +57,9 @@ func periodicChunkSchedules(phases []phaseSpec) [][]float64 {
 		if ph := &phases[i]; ph.kind == phasePeriodic {
 			// Replicate the reference chunk loop exactly, floats and all.
 			workPerPeriod := ph.period - ph.ckpt
-			var sched []float64
+			// The float sums can fall short of a whole number of periods
+			// and leave a last sliver of a chunk, hence the extra slot.
+			sched := make([]float64, 0, int(math.Ceil(ph.work/workPerPeriod))+1)
 			completed := 0.0
 			for completed < ph.work {
 				chunk := workPerPeriod

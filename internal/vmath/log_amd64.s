@@ -2,42 +2,49 @@
 
 // The constants of math.archLog (math/log_amd64.s), written as the same
 // decimal literals so the assembler rounds them to the same bits, each
-// repeated in both lanes of a 16-byte slot. The 256-byte table is 32-byte
-// aligned by the linker, so every slot is a valid aligned SSE2 operand.
-#define CONST(off, v) DATA logConsts<>+off(SB)/8, v; DATA logConsts<>+(off+8)(SB)/8, v
+// repeated in all four lanes of a 32-byte slot. The table is 32-byte
+// aligned by the linker, so every slot is a valid aligned SSE2 operand for
+// logPairs and a full AVX2 operand for logQuads.
+#define CONST(off, v) DATA logConsts<>+off(SB)/8, v; DATA logConsts<>+(off+8)(SB)/8, v; DATA logConsts<>+(off+16)(SB)/8, v; DATA logConsts<>+(off+24)(SB)/8, v
 
 CONST(0, $0x000FFFFFFFFFFFFF)       // mantissa mask
-CONST(16, $0.5)                     // 0x3FE0000000000000
-CONST(32, $7.07106781186547524401e-01) // HSqrt2
-CONST(48, $1.0)
-CONST(64, $2.0)
-CONST(80, $6.666666666666735130e-01)   // L1
-CONST(96, $3.999999999940941908e-01)   // L2
-CONST(112, $2.857142874366239149e-01)  // L3
-CONST(128, $2.222219843214978396e-01)  // L4
-CONST(144, $1.818357216161805012e-01)  // L5
-CONST(160, $1.531383769920937332e-01)  // L6
-CONST(176, $1.479819860511658591e-01)  // L7
-CONST(192, $6.93147180369123816490e-01) // Ln2Hi
-CONST(208, $1.90821492927058770002e-10) // Ln2Lo
-CONST(224, $0x000003FE000003FE)     // exponent bias 0x3FE in dwords 0 and 1
-GLOBL logConsts<>(SB), RODATA|NOPTR, $256
+CONST(32, $0.5)                     // 0x3FE0000000000000
+CONST(64, $7.07106781186547524401e-01) // HSqrt2
+CONST(96, $1.0)
+CONST(128, $2.0)
+CONST(160, $6.666666666666735130e-01)  // L1
+CONST(192, $3.999999999940941908e-01)  // L2
+CONST(224, $2.857142874366239149e-01)  // L3
+CONST(256, $2.222219843214978396e-01)  // L4
+CONST(288, $1.818357216161805012e-01)  // L5
+CONST(320, $1.531383769920937332e-01)  // L6
+CONST(352, $1.479819860511658591e-01)  // L7
+CONST(384, $6.93147180369123816490e-01) // Ln2Hi
+CONST(416, $1.90821492927058770002e-10) // Ln2Lo
+CONST(448, $0x000003FE000003FE)     // exponent bias 0x3FE in every dword
+CONST(480, $0x7FF0000000000000)     // +Inf
+CONST(512, $0x4330000000000000)     // 2^52
+CONST(544, $0x43300000000003FE)     // 2^52 + 0x3FE
+GLOBL logConsts<>(SB), RODATA|NOPTR, $576
 
 #define MANT  logConsts<>+0(SB)
-#define HALF  logConsts<>+16(SB)
-#define HSQRT2 logConsts<>+32(SB)
-#define ONE   logConsts<>+48(SB)
-#define TWO   logConsts<>+64(SB)
-#define L1    logConsts<>+80(SB)
-#define L2    logConsts<>+96(SB)
-#define L3    logConsts<>+112(SB)
-#define L4    logConsts<>+128(SB)
-#define L5    logConsts<>+144(SB)
-#define L6    logConsts<>+160(SB)
-#define L7    logConsts<>+176(SB)
-#define LN2HI logConsts<>+192(SB)
-#define LN2LO logConsts<>+208(SB)
-#define BIAS  logConsts<>+224(SB)
+#define HALF  logConsts<>+32(SB)
+#define HSQRT2 logConsts<>+64(SB)
+#define ONE   logConsts<>+96(SB)
+#define TWO   logConsts<>+128(SB)
+#define L1    logConsts<>+160(SB)
+#define L2    logConsts<>+192(SB)
+#define L3    logConsts<>+224(SB)
+#define L4    logConsts<>+256(SB)
+#define L5    logConsts<>+288(SB)
+#define L6    logConsts<>+320(SB)
+#define L7    logConsts<>+352(SB)
+#define LN2HI logConsts<>+384(SB)
+#define LN2LO logConsts<>+416(SB)
+#define BIAS  logConsts<>+448(SB)
+#define INF   logConsts<>+480(SB)
+#define TWO52 logConsts<>+512(SB)
+#define TWO52BIAS logConsts<>+544(SB)
 
 // func logPairs(x []float64) int
 //
@@ -139,5 +146,96 @@ loop:
 	JMP      loop
 
 done:
+	MOVQ DI, ret+24(FP)
+	RET
+
+// func logQuads(x []float64) int
+//
+// logPairs four lanes at a time: the same operations in the same order,
+// as VEX-encoded AVX2 packed operations. The three-operand forms keep every
+// subtraction and division in archLog's operand order, and additions and
+// multiplications are commutative bit for bit. archLog has no fused step,
+// so nothing here fuses either. Only the exponent extraction is written
+// differently: the biased exponent e is ORed into the mantissa of 2^52,
+// which gives the float 2^52 + e exactly, and subtracting 2^52 + 0x3FE gives
+// k = e - 0x3FE exactly, the same value CVTSL2SD makes of the integer. The
+// loop stops at the first quad holding an element that is not a positive
+// normal float, or when fewer than four elements remain.
+TEXT ·logQuads(SB), NOSPLIT, $0-32
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	XORQ DI, DI
+
+quad:
+	LEAQ 4(DI), DX
+	CMPQ DX, CX
+	JGT  quadsDone
+	// Positive normal x: 0x000FFFFFFFFFFFFF < bits < 0x7FF0000000000000
+	// signed. Zero, subnormals, negatives, infinities and NaNs fail it.
+	VMOVDQU  (SI)(DI*8), Y2
+	VPCMPGTQ MANT, Y2, Y0
+	VMOVDQU  INF, Y1
+	VPCMPGTQ Y2, Y1, Y1
+	VPAND    Y1, Y0, Y0
+	VMOVMSKPD Y0, AX
+	CMPQ     AX, $15
+	JNE      quadsDone
+
+	// f1, ki := math.Frexp(x); k := float64(ki)
+	VPSRLQ   $52, Y2, Y1     // biased exponent (the sign bit is 0)
+	VPOR     TWO52, Y1, Y1
+	VSUBPD   TWO52BIAS, Y1, Y1 // y1= k
+	VANDPD   MANT, Y2, Y2
+	VORPD    HALF, Y2, Y2    // y2= f1
+	// if f1 < math.Sqrt2/2 { k -= 1; f1 *= 2 }
+	VMOVUPD  HSQRT2, Y0
+	VCMPPD   $5, Y2, Y0, Y0  // cmpnlt; y0= 0 or ^0
+	VANDPD   ONE, Y0, Y3     // y3= 0 or 1
+	VSUBPD   Y3, Y1, Y1
+	VADDPD   ONE, Y3, Y3     // y3= 1 or 2
+	VMULPD   Y3, Y2, Y2
+	// f := f1 - 1
+	VSUBPD   ONE, Y2, Y2     // y1= k, y2= f
+	// s := f / (2 + f)
+	VADDPD   TWO, Y2, Y0
+	VDIVPD   Y0, Y2, Y3      // y3= s
+	// s2 := s * s
+	VMULPD   Y3, Y3, Y4      // y4= s2
+	// s4 := s2 * s2
+	VMULPD   Y4, Y4, Y5      // y5= s4
+	// t1 := s2 * (L1 + s4*(L3+s4*(L5+s4*L7)))
+	VMULPD   L7, Y5, Y6
+	VADDPD   L5, Y6, Y6
+	VMULPD   Y5, Y6, Y6
+	VADDPD   L3, Y6, Y6
+	VMULPD   Y5, Y6, Y6
+	VADDPD   L1, Y6, Y6
+	VMULPD   Y6, Y4, Y4      // y4= t1
+	// t2 := s4 * (L2 + s4*(L4+s4*L6))
+	VMULPD   L6, Y5, Y6
+	VADDPD   L4, Y6, Y6
+	VMULPD   Y5, Y6, Y6
+	VADDPD   L2, Y6, Y6
+	VMULPD   Y6, Y5, Y5      // y5= t2
+	// R := t1 + t2
+	VADDPD   Y5, Y4, Y4      // y4= R
+	// hfsq := 0.5 * f * f
+	VMULPD   HALF, Y2, Y0
+	VMULPD   Y2, Y0, Y0      // y0= hfsq
+	// return k*Ln2Hi - ((hfsq - (s*(hfsq+R) + k*Ln2Lo)) - f)
+	VADDPD   Y0, Y4, Y4      // y4= hfsq+R
+	VMULPD   Y4, Y3, Y3      // y3= s*(hfsq+R)
+	VMULPD   LN2LO, Y1, Y4   // y4= k*Ln2Lo
+	VADDPD   Y4, Y3, Y3      // y3= s*(hfsq+R)+k*Ln2Lo
+	VSUBPD   Y3, Y0, Y0      // y0= hfsq-(s*(hfsq+R)+k*Ln2Lo)
+	VSUBPD   Y2, Y0, Y0      // y0= (hfsq-(s*(hfsq+R)+k*Ln2Lo))-f
+	VMULPD   LN2HI, Y1, Y1   // y1= k*Ln2Hi
+	VSUBPD   Y0, Y1, Y1      // y1= k*Ln2Hi-((hfsq-(s*(hfsq+R)+k*Ln2Lo))-f)
+	VMOVUPD  Y1, (SI)(DI*8)
+	MOVQ     DX, DI
+	JMP      quad
+
+quadsDone:
+	VZEROUPPER
 	MOVQ DI, ret+24(FP)
 	RET
