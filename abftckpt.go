@@ -125,18 +125,6 @@ func Simulate(cfg SimConfig) SimAggregate {
 	return sim.Simulate(cfg)
 }
 
-// TraceArena is a materialized failure process: per-repetition arrival
-// streams generated once and replayed across simulation campaigns that
-// share the process (set SimConfig.Trace; results are bit-identical to
-// generating on the fly).
-type TraceArena = sim.TraceArena
-
-// BuildTraceArena materializes the failure process (d, seed, reps) through
-// the given horizon; see sim.BuildTraceArena.
-func BuildTraceArena(d Distribution, seed uint64, reps int, horizon float64) *TraceArena {
-	return sim.BuildTraceArena(d, seed, reps, horizon)
-}
-
 // SimPrecision configures adaptive-precision execution: a CI half-width
 // target that turns cfg.Reps into a cap (see sim.Precision).
 type SimPrecision = sim.Precision

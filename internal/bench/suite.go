@@ -92,39 +92,6 @@ func Suite() []Benchmark {
 			},
 		},
 		{
-			Name:       "sim/trace_replay",
-			Brief:      "replica loop replaying a materialized failure trace (sim.TraceArena)",
-			Gated:      true,
-			UnitsPerOp: replicaReps,
-			UnitName:   "replicas",
-			Fn: func(b *testing.B) {
-				cfg := fig7Sim(replicaReps)
-				// The arena is built once and replayed every iteration —
-				// exactly how a cohort amortizes stream generation.
-				cfg.Trace = sim.BuildTraceArena(dist.NewExponential(cfg.Params.Mu), cfg.Seed, cfg.Reps, 1.5*cfg.Params.T0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sim.Simulate(cfg)
-				}
-			},
-		},
-		{
-			Name:       "sim/arena_build",
-			Brief:      "trace-arena build at one exponential and one Weibull Fig7 point (sim.BuildTraceArena)",
-			UnitsPerOp: 2 * replicaReps,
-			UnitName:   "replicas",
-			Fn: func(b *testing.B) {
-				cfg := fig7Sim(replicaReps)
-				horizon := 1.5 * cfg.Params.T0
-				exp := dist.NewExponential(cfg.Params.Mu)
-				weibull := dist.WeibullWithMTBF(0.7, cfg.Params.Mu)
-				for i := 0; i < b.N; i++ {
-					sim.BuildTraceArena(exp, cfg.Seed, cfg.Reps, horizon)
-					sim.BuildTraceArena(weibull, cfg.Seed, cfg.Reps, horizon)
-				}
-			},
-		},
-		{
 			Name:       "sim/cohort_walk",
 			Brief:      "replica-major cohort walk: pure, bi and abft at the Fig7 point over one shared stream per replica",
 			UnitsPerOp: 3 * replicaReps,

@@ -310,7 +310,7 @@ const CascadeBurstRatio = 0.01
 // exponential (mean CascadeBurstRatio times the quiet mean) — a follow-on
 // failure triggered by the previous one — and otherwise from the quiet
 // exponential. The mixture stays a renewal process, so every consumer of a
-// Distribution (simulation cells, trace arenas, cohort replay) handles it
+// Distribution (simulation cells, cohort walks) handles it
 // unchanged, while the variance and burstiness grow far beyond the
 // exponential baseline at the same MTBF.
 type Cascade struct {

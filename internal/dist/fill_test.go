@@ -24,13 +24,11 @@ func fillLaws() []Distribution {
 		NewEmpirical(empiricalBase()))
 }
 
-// checkFill compares Fill with the running sum of Sample on two sources
-// restored to state st, bit for bit, and their states afterwards.
-func checkFill(t *testing.T, d Distribution, st [4]uint64, n int, base float64) {
+// checkFill compares Fill with the running sum of Sample on two copies of
+// src, bit for bit, and their states afterwards.
+func checkFill(t *testing.T, d Distribution, src rng.Source, n int, base float64) {
 	t.Helper()
-	var batch, scalar rng.Source
-	batch.Restore(st)
-	scalar.Restore(st)
+	batch, scalar := src, src
 	got := make([]float64, n)
 	Fill(d, &batch, got, base)
 	sum := base
@@ -40,7 +38,7 @@ func checkFill(t *testing.T, d Distribution, st [4]uint64, n int, base float64) 
 			t.Fatalf("%v n=%d base=%v: arrival %d = %.17g, running Sample sum %.17g", d, n, base, i, g, sum)
 		}
 	}
-	if batch.State() != scalar.State() {
+	if batch != scalar {
 		t.Fatalf("%v n=%d: generator state diverged from the Sample draws", d, n)
 	}
 }
@@ -51,20 +49,21 @@ func TestFillMatchesSample(t *testing.T) {
 	for li, d := range fillLaws() {
 		t.Run(fmt.Sprint(d), func(t *testing.T) {
 			for n := 1; n <= 64; n++ {
-				st := rng.New(rng.At(7, uint64(li), uint64(n))).State()
+				st := *rng.New(rng.At(7, uint64(li), uint64(n)))
 				checkFill(t, d, st, n, 0)
 				checkFill(t, d, st, n, 12345.678)
 			}
 			// Longer than the Weibull fill's scratch: several chunks.
-			checkFill(t, d, rng.New(uint64(li)).State(), 1000, 0)
+			checkFill(t, d, *rng.New(uint64(li)), 1000, 0)
 		})
 	}
 }
 
-// stateYielding returns a generator state whose next Float64 is m/2^53:
-// the first xoshiro256** output depends on s[1] only, as rotl(s1*5, 7)*9,
-// which is invertible.
-func stateYielding(m uint64) [4]uint64 {
+// sourceYielding returns a generator whose next Float64 is m/2^53: the
+// first xoshiro256** output depends on s[1] only, as rotl(s1*5, 7)*9, and
+// Reseed sets s[1] to the SplitMix64 output for seed + 2γ; both maps are
+// invertible.
+func sourceYielding(m uint64) rng.Source {
 	inv := func(a uint64) uint64 { // a odd: Newton's iteration mod 2^64
 		x := a
 		for i := 0; i < 6; i++ {
@@ -72,9 +71,20 @@ func stateYielding(m uint64) [4]uint64 {
 		}
 		return x
 	}
+	unshift := func(y uint64, k uint) uint64 { // inverts y = x ^ x>>k
+		x := y
+		for i := uint(0); i < 64/k; i++ {
+			x = y ^ x>>k
+		}
+		return x
+	}
 	r := (m << 11) * inv(9)
-	s1 := (r>>7 | r<<57) * inv(5)
-	return [4]uint64{1, s1, 2, 3}
+	z := (r>>7 | r<<57) * inv(5) // s[1]
+	z = unshift(z, 31) * inv(0x94d049bb133111eb)
+	z = unshift(z, 27) * inv(0xbf58476d1ce4e5b9)
+	z = unshift(z, 30)
+	gamma := uint64(0x9e3779b97f4a7c15)
+	return *rng.New(z - 2*gamma)
 }
 
 // Uniforms at math.Pow's edges: one whose -log is exactly 1 takes Pow's
@@ -89,16 +99,15 @@ func TestWeibullFillEdgeUniforms(t *testing.T) {
 			break
 		}
 	}
-	st := stateYielding(m)
-	var src rng.Source
-	src.Restore(st)
+	st := sourceYielding(m)
+	src := st
 	if u := src.Float64Open(); -math.Log(u) != 1 {
 		t.Fatalf("crafted state yields %v, -log %v", u, -math.Log(u))
 	}
 	for _, k := range []float64{0.3, 0.7, 7} {
 		checkFill(t, WeibullWithMTBF(k, 100), st, 5, 0)
 	}
-	checkFill(t, WeibullWithMTBF(0.006, 100), stateYielding(1<<53-1), 3, 0)
+	checkFill(t, WeibullWithMTBF(0.006, 100), sourceYielding(1<<53-1), 3, 0)
 }
 
 // powGeneral must equal math.Pow for every positive x != 1 and every

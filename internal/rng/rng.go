@@ -137,16 +137,6 @@ func (r *Source) ExpFillFrom(dst []float64, negMean, base float64) {
 	}
 }
 
-// State snapshots the generator state. Together with Restore it lets a
-// consumer materialize a prefix of a stream (e.g. a batch of failure
-// arrivals), remember where the stream left off, and later continue drawing
-// from that exact point — the continued draws are bit-identical to never
-// having stopped.
-func (r *Source) State() [4]uint64 { return r.s }
-
-// Restore resets the generator to a state captured by State.
-func (r *Source) Restore(s [4]uint64) { r.s = s }
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Source) Intn(n int) int {
 	if n <= 0 {

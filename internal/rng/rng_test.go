@@ -256,24 +256,24 @@ func TestExpFillFromMatchesScalarDraws(t *testing.T) {
 	}
 }
 
-// A State snapshot restored into any Source continues the stream exactly
-// where the original left off — the contract trace replay relies on when a
-// replica outruns its materialized arrival prefix.
+// A Source is a plain value: a copy taken at any point (its state)
+// continues the stream exactly where the original left off, and assigning
+// the copy back (a restore) rewinds to that point — what a cohort's shared
+// stream relies on when a walk continues privately past its prefix.
 func TestStateRestoreContinuesStream(t *testing.T) {
 	orig := New(777)
 	for i := 0; i < 57; i++ {
 		orig.Uint64()
 	}
-	snap := orig.State()
-	var cont Source
-	cont.Restore(snap)
+	snap := *orig
+	cont := snap
 	for i := 0; i < 100; i++ {
 		if a, b := orig.Uint64(), cont.Uint64(); a != b {
 			t.Fatalf("draw %d diverged after restore: %x != %x", i, a, b)
 		}
 	}
 	// Restoring again rewinds to the snapshot point.
-	cont.Restore(snap)
+	cont = snap
 	fresh := New(777)
 	for i := 0; i < 57; i++ {
 		fresh.Uint64()
@@ -297,7 +297,7 @@ func TestFloat64OpenFillMatchesFloat64Open(t *testing.T) {
 				t.Fatalf("n=%d value %d: %v != Float64Open %v", n, i, g, want)
 			}
 		}
-		if batch.State() != scalar.State() {
+		if *batch != *scalar {
 			t.Fatalf("n=%d: generator state diverged", n)
 		}
 	}

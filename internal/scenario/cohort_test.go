@@ -241,7 +241,7 @@ func cohortCampaign(t *testing.T) *Campaign {
 
 // Cohort execution must change nothing observable except the work saved:
 // artifacts byte-identical to per-cell execution, the same cache keys, and
-// the report accounting for the arenas it built.
+// the report accounting for the cohorts it walked.
 func TestRunnerCohortsBitIdenticalToPerCell(t *testing.T) {
 	c := cohortCampaign(t)
 

@@ -291,9 +291,9 @@ func TestFixedCellResultHasNoAdaptiveKeys(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCellUnderCohortMatchesSolo pins that arena replay does not
+// TestAdaptiveCellUnderCohortMatchesSolo pins that a cohort walk does not
 // change an adaptive cell's result (the scenario-level face of
-// the replay equivalence of sim.SimulateAdaptive under Config.Trace).
+// sim.FuzzCohortMatchesSolo).
 func TestAdaptiveCellUnderCohortMatchesSolo(t *testing.T) {
 	run := func(disable bool) *Report {
 		r := &Runner{Workers: 2, DisableCohorts: disable}

@@ -127,7 +127,7 @@ func runPacked(t *testing.T, c *Campaign, workers int) [][]string {
 	}
 	want, got := *local, *packed
 	want.Artifacts, got.Artifacts = nil, nil
-	// Arenas are built where cells execute: on the worker under ExecBatch.
+	// Cohorts are walked where cells execute: on the worker under ExecBatch.
 	want.Cohorts, want.CohortCells = 0, 0
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("workers %d: packed report %+v, local %+v", workers, got, want)

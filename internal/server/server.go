@@ -171,9 +171,11 @@ type Server struct {
 // CohortStats counts trace-cohort work across all finished campaign jobs:
 // Built is the number of cohorts walked jointly over one shared failure
 // stream per replica (scenario.Report.Cohorts), ReplayedCells the number
-// of simulation cells executed in those walks. The names predate the
-// replica-major walk, when each cohort materialized an arena first. The
-// counters are cumulative and monotone, like CacheStats.
+// of simulation cells executed in those walks. The names, like the
+// ftserve_cohort_arenas_built_total metric, date from when a cohort was
+// replayed from a materialized arrival arena, which the simulator no
+// longer has; they stay so that clients keep working. The counters are
+// cumulative and monotone, like CacheStats.
 type CohortStats struct {
 	Built         int64 `json:"built"`
 	ReplayedCells int64 `json:"replayed_cells"`

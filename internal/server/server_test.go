@@ -524,7 +524,7 @@ func TestStatsCountsCohorts(t *testing.T) {
 		t.Fatalf("stats code %d", code)
 	}
 	if stats.Cohorts.Built != 1 || stats.Cohorts.ReplayedCells != 2 {
-		t.Errorf("cohort stats = %+v, want 1 arena built and 2 cells replayed", stats.Cohorts)
+		t.Errorf("cohort stats = %+v, want 1 cohort walked and 2 cells in it", stats.Cohorts)
 	}
 }
 

@@ -116,25 +116,10 @@ type AdaptiveAggregate struct {
 // doubling batches until the waste CI half-width meets prec's target or
 // cfg.Reps is exhausted. With an unreachable target it runs every replica
 // and the embedded Aggregate is bit-identical to Simulate(cfg) (pinned by
-// TestSimulateAdaptiveAtCapMatchesSimulate). A replay arena (cfg.Trace)
-// must cover cfg.Reps, the cap, even though the run usually stops far
-// earlier.
+// TestSimulateAdaptiveAtCapMatchesSimulate). Like Simulate, it runs as a
+// one-member cohort.
 func SimulateAdaptive(cfg Config, prec Precision) AdaptiveAggregate {
-	cfg, distrib := cfg.resolve()
-	m := newMember(cfg, distrib, &prec)
-	runners := poolRunners(cfg.Workers, cfg.Reps, func() *replicaRunner {
-		r := newReplicaRunner(cfg, m.phases, m.chunkSched, distrib)
-		r.blocks.cvHorizon = m.cvHorizon
-		return r
-	})
-	add := m.add
-	for n := 0; !m.done; {
-		next := m.next
-		runOrdered(runners, n, next-n, (*replicaRunner).runMeasured, add)
-		n = next
-		m.look(n)
-	}
-	return m.result()
+	return simulateOne(cfg, &prec)
 }
 
 // member is one campaign's reduce, fed its replicas in repetition order:
@@ -144,10 +129,9 @@ func SimulateAdaptive(cfg Config, prec Precision) AdaptiveAggregate {
 // once it needs no more replicas. It also carries the campaign's shared,
 // read-only walk inputs.
 type member struct {
-	cfg        Config
-	phases     []phaseSpec
-	chunkSched [][]float64
-	cvHorizon  float64
+	cfg       Config
+	phases    []phaseSpec
+	cvHorizon float64
 
 	agg         aggregator
 	adaptive    bool
@@ -165,7 +149,6 @@ type member struct {
 func newMember(cfg Config, distrib dist.Distribution, prec *Precision) member {
 	m := member{cfg: cfg, next: cfg.Reps}
 	m.phases = epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	m.chunkSched = periodicChunkSchedules(m.phases)
 	if prec == nil {
 		return m
 	}

@@ -136,54 +136,11 @@ func TestSimulateAdaptiveStopsEarly(t *testing.T) {
 	}
 }
 
-// TestSimulateAdaptiveFromTraceMatchesLive pins that adaptive replay over a
-// cohort arena is bit-identical to adaptive live generation — including the
-// control-variate counts (the arena materializes exactly the draws the live
-// walker performs) and the per-replica waste vector.
-func TestSimulateAdaptiveFromTraceMatchesLive(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"exp", Config{
-			Params: model.Fig7Params(3*model.Hour, 0.5), Protocol: model.AbftPeriodicCkpt,
-			Reps: 128, Seed: 9, Workers: 3,
-		}},
-		{"weibull", Config{
-			Params: model.Fig7Params(3*model.Hour, 0.5), Protocol: model.BiPeriodicCkpt,
-			Reps: 128, Seed: 9, Workers: 3,
-			Distribution: func(mtbf float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, mtbf) },
-		}},
-	} {
-		cfg := tc.cfg.withDefaults()
-		prec := Precision{RelTarget: 0.08, Batch: 32, ModelTFinal: modelTFinal(cfg), KeepReplicas: true}
-		live := SimulateAdaptive(cfg, prec)
-		d := cfg.Distribution(cfg.Params.Mu)
-		// A short horizon exercises the live-fallback continuation path too.
-		tr := BuildTraceArena(d, cfg.Seed, cfg.Reps, 2*cfg.Params.Mu)
-		replay := SimulateAdaptive(withTrace(cfg, tr), prec)
-		if live.Aggregate != replay.Aggregate || live.WasteEstimate != replay.WasteEstimate ||
-			live.WasteHalfWidth != replay.WasteHalfWidth || live.CVBeta != replay.CVBeta ||
-			live.Runs != replay.Runs {
-			t.Fatalf("%s: trace replay diverges from live adaptive run\nlive   %+v\nreplay %+v", tc.name, live, replay)
-		}
-		if len(live.Replicas) != live.Runs || len(replay.Replicas) != replay.Runs {
-			t.Fatalf("%s: replica vectors %d/%d, want %d", tc.name, len(live.Replicas), len(replay.Replicas), live.Runs)
-		}
-		for i := range live.Replicas {
-			if live.Replicas[i] != replay.Replicas[i] {
-				t.Fatalf("%s: replica %d waste %v vs %v", tc.name, i, live.Replicas[i], replay.Replicas[i])
-			}
-		}
-	}
-}
-
-// TestControlVariateCountIsExact regenerates each replica's failure stream
-// into a trace arena built to the CV horizon and checks that runMeasured's
-// count equals the number of materialized arrivals at or below it — the
-// definition of N(H) — for live draws and for a replay whose arena is
-// shorter than H, so the count crosses from the arena prefix into live
-// draws.
+// TestControlVariateCountIsExact records each replica's failure stream
+// through the CV horizon and checks that measure's count equals the number
+// of recorded arrivals at or below it — the definition of N(H) — for live
+// draws and for walks over a shared prefix cut at a third of that count,
+// so the count crosses from the prefix into private draws.
 func TestControlVariateCountIsExact(t *testing.T) {
 	cfg := Config{
 		Params:   model.Fig7Params(2*model.Hour, 0.5),
@@ -194,32 +151,23 @@ func TestControlVariateCountIsExact(t *testing.T) {
 	cfg = cfg.withDefaults()
 	distrib := cfg.Distribution(cfg.Params.Mu)
 	h := modelTFinal(cfg)
-	ref := BuildTraceArena(distrib, cfg.Seed, cfg.Reps, h)
-	short := BuildTraceArena(distrib, cfg.Seed, cfg.Reps, h/3)
-	crossing := 0
+	r := &replicaRunner{}
+	r.init(cfg, epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard), distrib, h)
 	for rep := 0; rep < cfg.Reps; rep++ {
-		if short.arrivals[short.offsets[rep+1]-1] <= h {
-			crossing++
-		}
-	}
-	if crossing == 0 {
-		t.Fatalf("no replica's %g arena prefix ends inside H = %g", short.Horizon(), h)
-	}
-
-	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	for _, tr := range []*TraceArena{nil, short} {
-		r := newReplicaRunner(withTrace(cfg, tr), phases, periodicChunkSchedules(phases), distrib)
-		r.blocks.cvHorizon = h
-		for rep := 0; rep < cfg.Reps; rep++ {
-			cv := r.runMeasured(rep).cv
-			want := 0
-			for _, a := range ref.arrivals[ref.offsets[rep]:ref.offsets[rep+1]] {
-				if a <= h {
-					want++
-				}
+		want := 0
+		for _, a := range recordStream(distrib, cfg.Seed, rep, h) {
+			if a <= h {
+				want++
 			}
-			if int(cv) != want {
-				t.Fatalf("replayed %v rep %d: cv count %v, want %d arrivals <= %v", tr != nil, rep, cv, want, h)
+		}
+		if cv := r.measure(r.run(rep)).cv; int(cv) != want {
+			t.Fatalf("live rep %d: cv count %v, want %d arrivals <= %v", rep, cv, want, h)
+		}
+		shareCut(r, rep, want/3)
+		for walk := range 2 {
+			r.blocks.rewind(h)
+			if cv := r.measure(r.walk()).cv; int(cv) != want {
+				t.Fatalf("rep %d walk %d over a prefix cut at %d arrivals: cv count %v, want %d arrivals <= %v", rep, walk, want/3, cv, want, h)
 			}
 		}
 	}

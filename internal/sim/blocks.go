@@ -18,12 +18,11 @@ import (
 // additions in the same order.
 //
 // A fail-stop stream may also start from a shared prefix, read in place: a
-// replayed replica's TraceArena prefix, or a cohort's live stream
-// (SimulateCohort), which every member walks in turn and which grows
-// whenever a walk reaches its end, up to streamCap arrivals. Either way a
-// walk that outruns the prefix continues privately from the generator
-// state just past it, so the stream is bit-identical to never having
-// shared anything.
+// cohort's live stream (SimulateCohort), which every member walks in turn
+// and which grows whenever a walk reaches its end, up to streamCap
+// arrivals. A walk that outruns the prefix continues privately from the
+// generator state just past it, so the stream is bit-identical to never
+// having shared anything.
 //
 // Each worker owns one blockSource inside its runner (a cohort worker's
 // member runners share one); it holds no pointer into per-replica state, so
@@ -41,16 +40,13 @@ type blockSource struct {
 	drawn    int
 	drawEWMA int
 
-	// tr, when non-nil, replays each replica's arena prefix.
-	tr *TraceArena
-
 	// The shared prefix of the current replica's stream. prefix may grow
 	// (extend) to prefixMax arrivals, prefixSrc is the generator just past
 	// it, and pos counts the prefix arrivals handed to the current walk:
-	// -1 once the walk continues privately, and for a live solo replica,
-	// which has no prefix. streamUsed is the most of the prefix a walk of
-	// the current replica consumed; streamEWMA tracks it across replicas
-	// and sizes the extensions.
+	// -1 once the walk continues privately, and for a replica started
+	// live, which has no prefix. streamUsed is the most of the prefix a
+	// walk of the current replica consumed; streamEWMA tracks it across
+	// replicas and sizes the extensions.
 	prefix                 []float64
 	prefixMax              int
 	prefixSrc              rng.Source
@@ -96,8 +92,8 @@ func nextFillSize(ewma, drawn int) int {
 // streamCap caps a cohort's shared per-replica stream: a worker's prefix
 // buffer grows to the most any member walks, but never past 1<<16 arrivals
 // (512 KiB). A member that outruns it continues privately from the
-// stream's saved generator state, as past a TraceArena prefix, so the cap
-// bounds memory and never changes a result.
+// generator state just past the prefix, so the cap bounds memory and never
+// changes a result.
 const streamCap = 1 << 16
 
 // streamInit is the capacity a worker's prefix buffer starts at (4 KiB),
@@ -105,27 +101,11 @@ const streamCap = 1 << 16
 // it once.
 const streamInit = 512
 
-// init sets the source's law and, for fail-stop trace replay, its arena
-// (nil draws every stream live).
-func (s *blockSource) init(d dist.Distribution, tr *TraceArena) {
-	s.distrib, s.tr = d, tr
-}
-
 // start points the source at replica rep's stream for one walk: the
-// substream rng.At(seed, rep), or its arena prefix when the source replays
-// one.
+// substream rng.At(seed, rep), drawn live into the inline buffer.
 func (s *blockSource) start(seed uint64, rep int) {
-	s.drawn, s.cvCount = 0, 0
-	if s.tr == nil {
-		s.src.Reseed(rng.At1(seed, uint64(rep)))
-		s.pos = -1
-		return
-	}
-	tr := s.tr
-	s.prefix = tr.arrivals[tr.offsets[rep]:tr.offsets[rep+1]]
-	s.prefixMax = len(s.prefix)
-	s.prefixSrc.Restore(tr.states[rep])
-	s.pos = 0
+	s.src.Reseed(rng.At1(seed, uint64(rep)))
+	s.pos, s.drawn, s.cvCount = -1, 0, 0
 }
 
 // share points the source at replica rep's stream as a cohort's growing

@@ -34,47 +34,60 @@ type CohortMember struct {
 // as internal/scenario's process keys guarantee. Everything else — the
 // protocol, the parameters other than the MTBF, Epochs, Reps, Safeguard,
 // precision — may differ. workers bounds the replica workers (<= 0:
-// GOMAXPROCS); the members' Config.Workers are ignored, and their
-// Config.Trace must be nil.
+// GOMAXPROCS); the members' Config.Workers are ignored.
 func SimulateCohort(members []CohortMember, workers int) []AdaptiveAggregate {
 	if len(members) == 0 {
 		return nil
 	}
 	ms := make([]member, len(members))
 	var distrib dist.Distribution
-	var seed uint64
-	maxReps := 0
 	for i, mb := range members {
-		if mb.Config.Trace != nil {
-			panic("sim: SimulateCohort draws its streams live; a member's Config.Trace must be nil")
-		}
 		cfg, d := mb.Config.resolve()
 		if i == 0 {
-			distrib, seed = d, cfg.Seed
-		} else if cfg.Seed != seed || reflect.TypeOf(d) != reflect.TypeOf(distrib) || d.Mean() != distrib.Mean() {
+			distrib = d
+		} else if seed := ms[0].cfg.Seed; cfg.Seed != seed || reflect.TypeOf(d) != reflect.TypeOf(distrib) || d.Mean() != distrib.Mean() {
 			panic(fmt.Sprintf("sim: cohort member %d draws %v on seed %d, member 0 draws %v on seed %d", i, d, cfg.Seed, distrib, seed))
 		}
 		ms[i] = newMember(cfg, d, mb.Precision)
-		maxReps = max(maxReps, cfg.Reps)
 	}
-	runners := poolRunners(workers, maxReps, func() *cohortWorker {
+	walkCohort(ms, distrib, workers)
+	out := make([]AdaptiveAggregate, len(ms))
+	for i := range ms {
+		out[i] = ms[i].result()
+	}
+	return out
+}
+
+// simulateOne runs one campaign as a one-member cohort: Simulate (prec
+// nil) and SimulateAdaptive. Its member stays on the stack, so the call
+// allocates no more than the member's phases and the worker pool.
+func simulateOne(cfg Config, prec *Precision) AdaptiveAggregate {
+	cfg, d := cfg.resolve()
+	ms := [1]member{newMember(cfg, d, prec)}
+	walkCohort(ms[:], d, cfg.Workers)
+	return ms[0].result()
+}
+
+// walkCohort walks the members' replicas replica-major on up to workers
+// goroutines (<= 0: GOMAXPROCS) and reduces each member in repetition
+// order, leaving the results in ms. The workers hold no reference to ms.
+func walkCohort(ms []member, distrib dist.Distribution, workers int) {
+	maxReps := 0
+	for i := range ms {
+		maxReps = max(maxReps, ms[i].cfg.Reps)
+	}
+	runners := poolRunners(workers, maxReps, func() cohortWorker {
 		return newCohortWorker(ms, distrib)
 	})
-
-	// Walk the replicas in spans that end at the next look of some member
-	// still running (or after replicaBlock replicas), then take those
-	// looks. Members only change between spans, so the workers read them
-	// without a lock. Replica rep's results go to row rep%rows of table;
-	// a span never holds more than rows replicas.
+	// Replica rep's results go to row rep%rows of a table the workers
+	// share; a span never holds more than rows replicas.
 	rows := 1
 	if len(runners) > 1 {
 		rows = min(maxReps, replicaBlock)
 	}
 	table := make([]measured, rows*len(ms))
-	run := func(w *cohortWorker, rep int) []measured {
-		row := table[rep%rows*len(ms):][:len(ms)]
-		w.run(seed, rep, ms, row)
-		return row
+	for i := range runners {
+		runners[i].table = table
 	}
 	reduce := func(row []measured) {
 		for i := range ms {
@@ -83,67 +96,74 @@ func SimulateCohort(members []CohortMember, workers int) []AdaptiveAggregate {
 			}
 		}
 	}
-	for n := 0; !allDone(ms); {
-		end := n + replicaBlock
+
+	// Walk the replicas in spans that end at the next look of some member
+	// still running (or after replicaBlock replicas), then take those
+	// looks. A member's runners learn that it is done only between spans,
+	// so the workers read their flags without a lock.
+	for n := 0; ; {
+		end, running := n+replicaBlock, false
 		for i := range ms {
 			if !ms[i].done {
-				end = min(end, ms[i].next)
+				end, running = min(end, ms[i].next), true
 			}
 		}
-		runOrdered(runners, n, end-n, run, reduce)
+		if !running {
+			return
+		}
+		runOrdered(runners, n, end-n, cohortWorker.run, reduce)
 		n = end
 		for i := range ms {
-			if !ms[i].done && ms[i].next == n {
-				ms[i].look(n)
+			if ms[i].done || ms[i].next != n {
+				continue
+			}
+			ms[i].look(n)
+			for w := range runners {
+				runners[w].runners[i].done = ms[i].done
 			}
 		}
 	}
-	out := make([]AdaptiveAggregate, len(ms))
-	for i := range ms {
-		out[i] = ms[i].result()
-	}
-	return out
-}
-
-// allDone reports whether every member has all the replicas it needs.
-func allDone(ms []member) bool {
-	for i := range ms {
-		if !ms[i].done {
-			return false
-		}
-	}
-	return true
 }
 
 // cohortWorker is one worker of a cohort walk: a replica runner per
 // member, all drawing from the first one's blockSource, whose prefix is
-// the replica's shared stream.
+// the replica's shared stream, and the pool's result table.
 type cohortWorker struct {
-	blocks  *blockSource
 	runners []replicaRunner
+	table   []measured
 }
 
-func newCohortWorker(ms []member, distrib dist.Distribution) *cohortWorker {
-	w := &cohortWorker{runners: make([]replicaRunner, len(ms))}
-	w.blocks = &w.runners[0].own
+func newCohortWorker(ms []member, distrib dist.Distribution) cohortWorker {
+	w := cohortWorker{runners: make([]replicaRunner, len(ms))}
 	for i := range ms {
 		m := &ms[i]
-		w.runners[i].init(m.cfg, m.phases, m.chunkSched, distrib)
-		w.runners[i].blocks = w.blocks
+		w.runners[i].init(m.cfg, m.phases, distrib, m.cvHorizon)
+		w.runners[i].blocks = &w.runners[0].own
 	}
 	return w
 }
 
 // run walks replica rep of the members still running, in order, over one
-// shared stream, writing member i's replica to out[i].
-func (w *cohortWorker) run(seed uint64, rep int, ms []member, out []measured) {
-	w.blocks.share(seed, rep)
-	for i := range ms {
-		if ms[i].done {
+// shared stream, and returns their results: member i's is the row's i-th.
+// A lone member shares its stream with no one, so it draws it live
+// through its runner's inline buffer instead.
+func (w cohortWorker) run(rep int) []measured {
+	k := len(w.runners)
+	row := w.table[rep%(len(w.table)/k)*k:][:k]
+	if k == 1 {
+		r := &w.runners[0]
+		row[0] = r.measure(r.run(rep))
+		return row
+	}
+	blocks := w.runners[0].blocks
+	blocks.share(w.runners[0].cfg.Seed, rep)
+	for i := range w.runners {
+		r := &w.runners[i]
+		if r.done {
 			continue
 		}
-		w.blocks.rewind(ms[i].cvHorizon)
-		r := &w.runners[i]
-		out[i] = r.measure(r.walk())
+		blocks.rewind(r.cvHorizon)
+		row[i] = r.measure(r.walk())
 	}
+	return row
 }

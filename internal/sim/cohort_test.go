@@ -109,11 +109,10 @@ func FuzzCohortMatchesSolo(f *testing.F) {
 // caller bug, reported on the caller's goroutine.
 func TestSimulateCohortRejectsMixedProcesses(t *testing.T) {
 	base := Config{Params: model.Fig7Params(2*model.Hour, 0.8), Protocol: model.PurePeriodicCkpt, Reps: 4, Seed: 1}
-	otherSeed, otherLaw, replay := base, base, base
+	otherSeed, otherLaw := base, base
 	otherSeed.Seed = 2
 	otherLaw.Distribution = func(mtbf float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, mtbf) }
-	replay.Trace = BuildTraceArena(dist.NewExponential(base.Params.Mu), base.Seed, base.Reps, base.Params.T0)
-	for name, other := range map[string]Config{"seed": otherSeed, "law": otherLaw, "trace": replay} {
+	for name, other := range map[string]Config{"seed": otherSeed, "law": otherLaw} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -145,18 +144,86 @@ func TestCohortWalkAllocFree(t *testing.T) {
 				distrib = d
 			}
 			w := newCohortWorker(ms, distrib)
-			out := make([]measured, len(ms))
+			w.table = make([]measured, len(ms))
 			for rep := 0; rep < 100; rep++ {
-				w.run(42, rep, ms, out)
+				w.run(rep)
 			}
 			rep := 0
 			allocs := testing.AllocsPerRun(100, func() {
-				w.run(42, rep%100, ms, out)
+				w.run(rep % 100)
 				rep++
 			})
 			if allocs != 0 {
 				t.Errorf("cohort walk allocates %v times per replica, want 0", allocs)
 			}
 		})
+	}
+}
+
+// shareCut points r's source at replica rep's stream as a cohort worker's
+// first runner does (blockSource.share), with the shared prefix cut after
+// n arrivals: a walk that reaches the cut continues privately from the
+// generator state just past it. Each walk then starts with rewind; the
+// first draws the prefix, later ones read it.
+func shareCut(r *replicaRunner, rep, n int) {
+	r.blocks.share(r.cfg.Seed, rep)
+	r.blocks.prefixMax = n
+}
+
+// Walking a campaign's replicas over shared prefixes cut anywhere — past
+// every run, mid-run or at once — reduces to Simulate's aggregate, for the
+// walk that draws each prefix and for the one that reads it after, on
+// every configuration: all protocols, all failure laws, the safeguard,
+// multi-epoch runs and horizon truncation.
+func TestSharedPrefixMatchesSimulate(t *testing.T) {
+	for ci, cfg := range equivConfigs() {
+		cfg.Reps = 48
+		cfg.Workers = 1
+		cfg = cfg.withDefaults()
+		want := Simulate(cfg)
+		r := newReplicaRunner(cfg, cfg.Distribution(cfg.Params.Mu))
+		useful := float64(cfg.Epochs) * cfg.Params.T0
+		for _, frac := range []float64{3, 0.3, 0} {
+			cut := int(frac * useful / cfg.Params.Mu)
+			var aggs [2]aggregator
+			for rep := 0; rep < cfg.Reps; rep++ {
+				shareCut(r, rep, cut)
+				for walk := range aggs {
+					r.blocks.rewind(0)
+					aggs[walk].add(r.walk())
+				}
+			}
+			for walk := range aggs {
+				if got := aggs[walk].result(); got != want {
+					t.Fatalf("config %d prefix cut at %d arrivals, walk %d diverged:\n got %+v\nwant %+v", ci, cut, walk, got, want)
+				}
+			}
+		}
+	}
+}
+
+// A walk that leaves its shared prefix keeps the zero-allocations-per-
+// replica property, whether the cut lies past the replica's run or at its
+// first arrival.
+func TestSharedPrefixAllocFree(t *testing.T) {
+	cfg := Config{Params: model.Fig7Params(2*model.Hour, 0.8), Protocol: model.AbftPeriodicCkpt, Seed: 42}.withDefaults()
+	r := newReplicaRunner(cfg, cfg.Distribution(cfg.Params.Mu))
+	for _, cut := range []int{int(2 * cfg.Params.T0 / cfg.Params.Mu), 0} {
+		walk := func(rep int) {
+			shareCut(r, rep%128, cut)
+			r.blocks.rewind(0)
+			r.walk()
+		}
+		for rep := 0; rep < 128; rep++ {
+			walk(rep)
+		}
+		rep := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			walk(rep)
+			rep++
+		})
+		if allocs != 0 {
+			t.Errorf("prefix cut at %d arrivals: the walk allocates %v times per replica, want 0", cut, allocs)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"testing"
 
@@ -369,75 +370,29 @@ func silentOnceDES(cfg SilentConfig, clock *errorClock) RunResult {
 	return res
 }
 
-// arenaSource replays one replica stream of a TraceArena as a
-// FailureSource, independently of replicaRunner's block refills: the materialized
-// prefix first, then live draws from the replica's saved generator state.
-type arenaSource struct {
-	tr   *TraceArena
-	d    dist.Distribution
-	rep  int
-	pos  int
-	src  rng.Source
-	live bool
-	next float64
-}
-
-func newArenaSource(tr *TraceArena, d dist.Distribution, rep int) *arenaSource {
-	s := &arenaSource{tr: tr, d: d, rep: rep, pos: tr.offsets[rep]}
-	s.next = s.arrival(0) // one draw at construction, as NewRenewalSource
-	return s
-}
-
-// arrival returns the arrival following prev.
-func (s *arenaSource) arrival(prev float64) float64 {
-	if s.pos < s.tr.offsets[s.rep+1] {
-		v := s.tr.arrivals[s.pos]
-		s.pos++
-		return v
-	}
-	if !s.live {
-		s.src.Restore(s.tr.states[s.rep])
-		s.live = true
-	}
-	return prev + s.d.Sample(&s.src)
-}
-
-// NextAfter returns the first failure time strictly after t.
-func (s *arenaSource) NextAfter(t float64) float64 {
-	for s.next <= t {
-		s.next = s.arrival(s.next)
-	}
-	return s.next
-}
-
 // The replica walker must be bit-identical to the event-calendar oracle on
-// every replica, under every law: generated streams, and arenas whose
-// prefixes reach past the run, end mid-run, or hold almost nothing so
-// replay falls back to live drawing at once. Truncated replicas must agree on makespan, fault count
-// and waste.
+// every replica, under every law: drawn live, and shared as a cohort
+// shares it, with the shared prefix cut past the run, mid-run or at once
+// (so the walk continues privately at its first arrival), both for the
+// walk that draws the prefix and for one that reads it after. Truncated
+// replicas must agree on makespan, fault count and waste.
 func TestReplicaRunnerMatchesDESOracle(t *testing.T) {
 	for ci, base := range equivConfigs() {
 		cfg := base
 		cfg.Reps = 48
 		cfg = cfg.withDefaults()
 		distrib := cfg.Distribution(cfg.Params.Mu)
-		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-		sched := periodicChunkSchedules(phases)
+		rr := newReplicaRunner(cfg, distrib)
 		useful := float64(cfg.Epochs) * cfg.Params.T0
-		arenas := []*TraceArena{nil}
-		for _, horizon := range []float64{3 * useful, 0.3 * useful, 0} {
-			arenas = append(arenas, BuildTraceArena(distrib, cfg.Seed, cfg.Reps, horizon))
+		var cuts []int
+		for _, frac := range []float64{3, 0.3, 0} {
+			cuts = append(cuts, int(frac*useful/cfg.Params.Mu))
 		}
-		for _, tr := range arenas {
-			rr := newReplicaRunner(withTrace(cfg, tr), phases, sched, distrib)
-			for rep := 0; rep < cfg.Reps; rep++ {
-				var src FailureSource
-				if tr == nil {
-					src = NewRenewalSource(distrib, rng.New(rng.At(cfg.Seed, uint64(rep))))
-				} else {
-					src = newArenaSource(tr, distrib, rep)
-				}
-				got, want := rr.run(rep), SimulateOnceDES(cfg, src)
+		for rep := 0; rep < cfg.Reps; rep++ {
+			want := SimulateOnceDES(cfg, NewRenewalSource(distrib, rng.New(rng.At(cfg.Seed, uint64(rep)))))
+			check := func(how string, got RunResult) {
+				t.Helper()
+				want := want
 				if got.Truncated && want.Truncated {
 					// A truncated run's breakdown is not shared semantics:
 					// the walker drains the action that crosses the
@@ -445,12 +400,15 @@ func TestReplicaRunnerMatchesDESOracle(t *testing.T) {
 					got.Breakdown, want.Breakdown = Breakdown{}, Breakdown{}
 				}
 				if got != want {
-					horizon := -1.0 // generated streams
-					if tr != nil {
-						horizon = tr.Horizon()
-					}
-					t.Fatalf("config %d arena horizon %g rep %d diverged from the oracle:\n got %+v\nwant %+v",
-						ci, horizon, rep, got, want)
+					t.Fatalf("config %d rep %d %s diverged from the oracle:\n got %+v\nwant %+v", ci, rep, how, got, want)
+				}
+			}
+			check("drawn live", rr.run(rep))
+			for _, cut := range cuts {
+				shareCut(rr, rep, cut)
+				for walk := range 2 {
+					rr.blocks.rewind(0)
+					check(fmt.Sprintf("walk %d over a prefix cut at %d arrivals", walk, cut), rr.walk())
 				}
 			}
 		}

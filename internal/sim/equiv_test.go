@@ -33,6 +33,14 @@ func equivConfigs() []Config {
 	}
 }
 
+// newReplicaRunner prepares a runner of the fixed-rep campaign cfg, which
+// must already carry its defaults, as a one-member cohort's worker does.
+func newReplicaRunner(cfg Config, distrib dist.Distribution) *replicaRunner {
+	r := &replicaRunner{}
+	r.init(cfg, epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard), distrib, 0)
+	return r
+}
+
 // The optimized replica runner must be bit-identical — not approximately
 // equal — to the reference SimulateOnce walker on every substream: the same
 // rng draws in the same order, the same float operations in the same
@@ -41,8 +49,7 @@ func equivConfigs() []Config {
 func TestReplicaRunnerMatchesSimulateOnce(t *testing.T) {
 	for ci, base := range equivConfigs() {
 		cfg := base.withDefaults()
-		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-		rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu))
+		rr := newReplicaRunner(cfg, cfg.Distribution(cfg.Params.Mu))
 		truncated := 0
 		for rep := 0; rep < 48; rep++ {
 			got := rr.run(rep)
@@ -66,8 +73,7 @@ func TestReplicaRunnerMatchesSimulateOnce(t *testing.T) {
 // bit-identical.
 func TestReplicaRunnerIsStateless(t *testing.T) {
 	cfg := equivConfigs()[0].withDefaults()
-	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu))
+	rr := newReplicaRunner(cfg, cfg.Distribution(cfg.Params.Mu))
 	first := rr.run(17)
 	for _, rep := range []int{3, 99, 0, 17, 41} {
 		rr.run(rep)
@@ -85,8 +91,7 @@ func TestReplicaRunnerIsStateless(t *testing.T) {
 func TestReplicaRunnerAllocFree(t *testing.T) {
 	failStop := func(cfg Config) func(int) RunResult {
 		cfg = cfg.withDefaults()
-		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-		return newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu)).run
+		return newReplicaRunner(cfg, cfg.Distribution(cfg.Params.Mu)).run
 	}
 	multiLevel := func(cfg MultiLevelConfig) func(int) RunResult {
 		cfg = cfg.withDefaults()
@@ -153,9 +158,11 @@ func TestSimulateAggregatePinned(t *testing.T) {
 // FuzzWalkerMatchesSimulateOnce holds the one replica walker to the
 // reference SimulateOnce walker on arbitrary configurations: every failure
 // law, MTBF, α, protocol, epoch count, safeguard setting and safety
-// horizon, with the stream drawn live and replayed from arenas whose
-// horizon is any fraction of the useful time — 0 included, so replay falls
-// back to live draws at once. Every replica must be bit-identical.
+// horizon, with the stream drawn live and shared as a cohort shares it,
+// with the shared prefix cut after any number of arrivals — 0 included, so
+// the walk continues privately at once. Every replica must be
+// bit-identical, both for the walk that draws the prefix and for a walk
+// that reads it after.
 func FuzzWalkerMatchesSimulateOnce(f *testing.F) {
 	f.Add(uint8(0), 2.0, 0.8, uint8(2), uint8(1), false, 0.0, 1.5, uint64(42))
 	f.Add(uint8(1), 1.0, 0.5, uint8(2), uint8(2), true, 3.0, 0.3, uint64(3))
@@ -176,7 +183,7 @@ func FuzzWalkerMatchesSimulateOnce(f *testing.F) {
 		}
 		return math.Mod(math.Abs(x), span)
 	}
-	f.Fuzz(func(t *testing.T, law uint8, mtbfHours, alpha float64, proto, epochs uint8, safeguard bool, maxTime, arenaFrac float64, seed uint64) {
+	f.Fuzz(func(t *testing.T, law uint8, mtbfHours, alpha float64, proto, epochs uint8, safeguard bool, maxTime, prefixFrac float64, seed uint64) {
 		// MTBF from 15 minutes to two days and a safety horizon of at most
 		// eight useful times keep every replica short, truncated ones too.
 		cfg := Config{
@@ -191,19 +198,20 @@ func FuzzWalkerMatchesSimulateOnce(f *testing.F) {
 		}
 		cfg = cfg.withDefaults()
 		distrib := cfg.Distribution(cfg.Params.Mu)
-		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-		sched := periodicChunkSchedules(phases)
-		useful := float64(cfg.Epochs) * cfg.Params.T0
-		tr := BuildTraceArena(distrib, cfg.Seed, cfg.Reps, fold(arenaFrac, 3)*useful)
-		live := newReplicaRunner(cfg, phases, sched, distrib)
-		replay := newReplicaRunner(withTrace(cfg, tr), phases, sched, distrib)
+		// The cut is the expected arrival count of up to three useful times.
+		cut := int(fold(prefixFrac, 3) * float64(cfg.Epochs) * cfg.Params.T0 / cfg.Params.Mu)
+		r := newReplicaRunner(cfg, distrib)
 		for rep := 0; rep < cfg.Reps; rep++ {
 			want := SimulateOnce(cfg, NewRenewalSource(distrib, rng.New(rng.At(cfg.Seed, uint64(rep)))))
-			if got := live.run(rep); got != want {
+			if got := r.run(rep); got != want {
 				t.Fatalf("live rep %d diverged:\n got %+v\nwant %+v", rep, got, want)
 			}
-			if got := replay.run(rep); got != want {
-				t.Fatalf("replayed rep %d (arena horizon %g) diverged:\n got %+v\nwant %+v", rep, tr.Horizon(), got, want)
+			shareCut(r, rep, cut)
+			for walk := range 2 {
+				r.blocks.rewind(0)
+				if got := r.walk(); got != want {
+					t.Fatalf("rep %d walk %d over a prefix cut at %d arrivals diverged:\n got %+v\nwant %+v", rep, walk, cut, got, want)
+				}
 			}
 		}
 	})
@@ -295,7 +303,7 @@ func FuzzCompanionMatchesOnce(f *testing.F) {
 	})
 }
 
-// TestChunkSchedulesPresized holds the presized periodicChunkSchedules to
+// TestChunkSchedulesPresized holds the presized chunks of periodic to
 // the schedule the reference chunk loop builds with append, over random
 // work, period and checkpoint costs, including whole multiples of the
 // work per period (where the float sums may leave a sliver of a chunk), and
@@ -309,23 +317,20 @@ func TestChunkSchedulesPresized(t *testing.T) {
 		if i%4 == 0 {
 			work = wpp * float64(1+src.IntN(500))
 		}
-		ph := phaseSpec{kind: phasePeriodic, work: work, period: ckpt + wpp, ckpt: ckpt}
+		ph := periodic(work, ckpt+wpp, ckpt, 0)
 		var want []float64
 		for completed := 0.0; completed < ph.work; {
 			chunk := min(ph.period-ph.ckpt, ph.work-completed)
 			want = append(want, chunk)
 			completed += chunk
 		}
-		got := periodicChunkSchedules([]phaseSpec{{kind: phaseShort}, ph})
-		if got[0] != nil {
-			t.Fatalf("short phase got schedule %v", got[0])
-		}
-		if !slices.Equal(got[1], want) {
+		got := ph.chunks
+		if !slices.Equal(got, want) {
 			t.Fatalf("work %v period %v ckpt %v: schedule of %d chunks, append builds %d:\n got %v\nwant %v",
-				ph.work, ph.period, ph.ckpt, len(got[1]), len(want), got[1], want)
+				ph.work, ph.period, ph.ckpt, len(got), len(want), got, want)
 		}
 		// append keeps the presized capacity only while it never grows.
-		if c, presized := cap(got[1]), int(math.Ceil(ph.work/(ph.period-ph.ckpt)))+1; c != presized {
+		if c, presized := cap(got), int(math.Ceil(ph.work/(ph.period-ph.ckpt)))+1; c != presized {
 			t.Fatalf("work %v period %v ckpt %v: %d chunks outgrew the presized capacity %d (now %d)",
 				ph.work, ph.period, ph.ckpt, len(want), presized, c)
 		}

@@ -79,7 +79,7 @@ type multiLevelRunner struct {
 // shared across workers.
 func newMultiLevelRunner(cfg MultiLevelConfig, p model.MultiLevelParams, distrib dist.Distribution) *multiLevelRunner {
 	r := &multiLevelRunner{p: p, seed: cfg.Seed, horizon: cfg.MaxTimeFactor * math.Max(p.W, 1)}
-	r.blocks.init(distrib, nil)
+	r.blocks.distrib = distrib
 	return r
 }
 

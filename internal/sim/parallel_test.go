@@ -143,7 +143,6 @@ func TestSimulateWorkerInvarianceAcrossBlocks(t *testing.T) {
 		Reps:     reps,
 		Seed:     13,
 	}
-	arena := BuildTraceArena(dist.NewExponential(failStop.Params.Mu), failStop.Seed, reps, 1.5*failStop.Params.T0)
 	// An unreachable target runs the adaptive campaign to its cap; the
 	// first batch alone crosses the block boundary, and the model makespan
 	// switches the control variate on, so its counts ride the pool too.
@@ -165,10 +164,10 @@ func TestSimulateWorkerInvarianceAcrossBlocks(t *testing.T) {
 			cfg.Workers = w
 			return Simulate(cfg)
 		}},
-		{"SimulateFromTrace", func(w int) any {
-			cfg := failStop
-			cfg.Workers = w
-			return Simulate(withTrace(cfg, arena))
+		{"SimulateCohort", func(w int) any {
+			bi := failStop
+			bi.Protocol = model.BiPeriodicCkpt
+			return SimulateCohort([]CohortMember{{Config: failStop}, {Config: bi}, {Config: failStop, Precision: &prec}}, w)
 		}},
 		{"SimulateAdaptive", func(w int) any {
 			cfg := failStop
@@ -200,6 +199,8 @@ func TestSimulateWorkerInvarianceAcrossBlocks(t *testing.T) {
 				runs = agg.Waste.N
 			case AdaptiveAggregate:
 				runs = agg.Waste.N
+			case []AdaptiveAggregate:
+				runs = agg[0].Waste.N
 			}
 			if runs != reps {
 				t.Fatalf("aggregated %d runs, want %d", runs, reps)

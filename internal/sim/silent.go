@@ -79,7 +79,7 @@ func newSilentRunner(cfg SilentConfig, distrib dist.Distribution) *silentRunner 
 		p: cfg.Params, forward: cfg.Mode == model.SilentForward, seed: cfg.Seed,
 		period: silentPeriod(cfg), horizon: cfg.MaxTimeFactor * math.Max(cfg.Params.W, 1),
 	}
-	r.blocks.init(distrib, nil)
+	r.blocks.distrib = distrib
 	return r
 }
 

@@ -14,11 +14,13 @@
 // Every replica of every family takes its arrivals from one blockSource
 // (blocks.go); the scalar reference walkers they must match bit for bit are
 // test oracles (oracle_test.go). SimulateCohort (cohort.go) walks several
-// fail-stop campaigns over one failure process, replica-major.
+// fail-stop campaigns over one failure process, replica-major; Simulate and
+// SimulateAdaptive are its one-member case.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -88,15 +90,6 @@ type Config struct {
 	// MaxTimeFactor caps a run at MaxTimeFactor*(Epochs*T0) to keep
 	// infeasible scenarios finite; default DefaultMaxTimeFactor.
 	MaxTimeFactor float64
-	// Trace, when non-nil, replays failure arrivals from a prebuilt arena
-	// instead of drawing them. Results are bit-identical to generating on
-	// the fly (pinned by TestSimulateFromTraceMatchesSimulate) while the
-	// arena's generation cost is shared by every campaign replaying it;
-	// replicas that outrun the arena's prefix continue drawing live. The
-	// arena must hold at least Reps streams for Seed, drawn from the same
-	// distribution: seed, stream count and mean are checked, and the
-	// caller matches the family and shape.
-	Trace *TraceArena
 }
 
 // DefaultMaxTimeFactor is the Config.MaxTimeFactor default: the horizon
@@ -121,12 +114,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// resolve applies the defaults, validates the parameters, builds the
-// failure distribution once (a pure value shared by every worker) and
-// checks a replay arena against it. It runs on the caller's goroutine, so
-// a misconfigured campaign — invalid parameters, a nil or invalid
-// distribution, a mismatched arena — panics where it is recoverable
-// instead of inside a worker.
+// resolve applies the defaults, validates the parameters and builds the
+// failure distribution once (a pure value shared by every worker). It runs
+// on the caller's goroutine, so a misconfigured campaign — invalid
+// parameters, a nil or invalid distribution — panics where it is
+// recoverable instead of inside a worker.
 func (c Config) resolve() (Config, dist.Distribution) {
 	c = c.withDefaults()
 	if err := c.Params.Validate(); err != nil {
@@ -135,17 +127,6 @@ func (c Config) resolve() (Config, dist.Distribution) {
 	d := c.Distribution(c.Params.Mu)
 	if d == nil {
 		panic("sim: Config.Distribution returned nil")
-	}
-	if tr := c.Trace; tr != nil {
-		if tr.seed != c.Seed {
-			panic(fmt.Sprintf("sim: trace arena seed %d does not match Config.Seed %d", tr.seed, c.Seed))
-		}
-		if tr.Reps() < c.Reps {
-			panic(fmt.Sprintf("sim: trace arena holds %d replica streams, campaign needs %d", tr.Reps(), c.Reps))
-		}
-		if d.Mean() != tr.mean {
-			panic(fmt.Sprintf("sim: trace arena mean %v does not match distribution mean %v", tr.mean, d.Mean()))
-		}
 	}
 	return c, d
 }
@@ -167,6 +148,28 @@ type phaseSpec struct {
 	ckpt     float64 // periodic/exit checkpoint cost
 	trailing float64 // trailing checkpoint cost (short phases)
 	recovery float64 // downtime + reload (+ reconstruction for ABFT)
+
+	// chunks is a periodic phase's chunk sequence, the exact one the
+	// reference walker's float loop produces. It is failure-independent,
+	// so it is computed once per campaign and shared by every replica:
+	// the walker iterates it instead of re-deriving each chunk from a
+	// serial "completed" accumulation on its critical path.
+	chunks []float64
+}
+
+// periodic builds a periodic phase and its chunk sequence.
+func periodic(work, period, ckpt, recovery float64) phaseSpec {
+	// Replicate the reference chunk loop exactly, floats and all. The
+	// float sums can fall short of a whole number of periods and leave a
+	// last sliver of a chunk, hence the extra slot.
+	workPerPeriod := period - ckpt
+	chunks := make([]float64, 0, int(math.Ceil(work/workPerPeriod))+1)
+	for completed := 0.0; completed < work; {
+		chunk := min(workPerPeriod, work-completed)
+		chunks = append(chunks, chunk)
+		completed += chunk
+	}
+	return phaseSpec{kind: phasePeriodic, work: work, period: period, ckpt: ckpt, recovery: recovery, chunks: chunks}
 }
 
 // epochPhases builds the phase sequence of one epoch for a protocol,
@@ -180,7 +183,7 @@ func epochPhases(proto model.Protocol, p model.Params, safeguard bool) []phaseSp
 	general := func(work, trail float64) phaseSpec {
 		period, ok := model.OptimalPeriod(p.C, p.Mu, p.D, p.R)
 		if ok && work >= period {
-			return phaseSpec{kind: phasePeriodic, work: work, period: period, ckpt: p.C, recovery: dr}
+			return periodic(work, period, p.C, dr)
 		}
 		return phaseSpec{kind: phaseShort, work: work, trailing: trail, recovery: dr}
 	}
@@ -189,7 +192,7 @@ func epochPhases(proto model.Protocol, p model.Params, safeguard bool) []phaseSp
 		cl := p.CL()
 		period, ok := model.OptimalPeriod(cl, p.Mu, p.D, p.R)
 		if ok && work >= period {
-			return phaseSpec{kind: phasePeriodic, work: work, period: period, ckpt: cl, recovery: dr}
+			return periodic(work, period, cl, dr)
 		}
 		return phaseSpec{kind: phaseShort, work: work, trailing: cl, recovery: dr}
 	}
@@ -251,26 +254,19 @@ type Aggregate struct {
 
 // Simulate runs cfg.Reps independent executions across a worker pool and
 // aggregates them. Each repetition draws its failure trace from the substream
-// rng.At(Seed, rep) — addressed by repetition index, not by worker — or
-// replays it from cfg.Trace, and the per-run results are reduced
-// sequentially in repetition order, so the aggregate is reproducible
-// bit-for-bit regardless of cfg.Workers, of scheduling order and of replay.
+// rng.At(Seed, rep) — addressed by repetition index, not by worker — and the
+// per-run results are reduced sequentially in repetition order, so the
+// aggregate is reproducible bit-for-bit regardless of cfg.Workers and of
+// scheduling order.
 //
-// Each worker drives a preallocated replicaRunner, so the steady state of a
+// The campaign runs as a one-member cohort (see SimulateCohort). Each
+// worker drives a preallocated replicaRunner, so the steady state of a
 // campaign performs no per-replica allocations (pinned by
 // TestReplicaRunnerAllocFree) and no dynamic dispatch for exponential
 // failures, while remaining bit-identical to the scalar reference walker of
 // the tests (pinned by TestReplicaRunnerMatchesSimulateOnce).
 func Simulate(cfg Config) Aggregate {
-	cfg, distrib := cfg.resolve()
-	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	chunkSched := periodicChunkSchedules(phases)
-	runners := poolRunners(cfg.Workers, cfg.Reps, func() *replicaRunner {
-		return newReplicaRunner(cfg, phases, chunkSched, distrib)
-	})
-	var agg aggregator
-	runOrdered(runners, 0, cfg.Reps, (*replicaRunner).run, agg.add)
-	return agg.result()
+	return simulateOne(cfg, nil).Aggregate
 }
 
 // aggregator is the ordered reduce behind every campaign entry point: one

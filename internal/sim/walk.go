@@ -4,9 +4,9 @@ package sim
 // over one failure stream, with every piece of simulation state (clock,
 // next failure, block cursor, accumulators) held in locals of a single
 // function so the inner loops run out of registers instead of chasing runner
-// fields. It is the only fail-stop walker in production code: generated and
-// replayed replicas, the exponential law and every other law all run
-// through it.
+// fields. It is the only fail-stop walker in production code: replicas
+// drawn live or from a cohort's shared stream, the exponential law and
+// every other law all run through it.
 //
 // The failure stream arrives in blocks of absolute arrival times from the
 // runner's blockSource (blocks.go), and each failure consumes the next slot
@@ -255,7 +255,7 @@ func (r *replicaRunner) walk() RunResult {
 
 			case phasePeriodic:
 				phCkpt, phRecovery := ph.ckpt, ph.recovery
-				sched := r.chunkSched[pi]
+				sched := ph.chunks
 				for ci := 0; ci < len(sched) && !capped; {
 					chunk := sched[ci]
 					if end := now + chunk + phCkpt; end <= next && end <= horizon {
