@@ -266,6 +266,42 @@ func Suite() []Benchmark {
 			},
 		},
 		{
+			Name:       "scenario/entry_decode",
+			Brief:      "decode 64 stored cell entries in paper.json's model/sim/scaling mix",
+			UnitsPerOp: 64,
+			UnitName:   "entries",
+			Fn: func(b *testing.B) {
+				decode, err := scenario.BenchEntryDecode()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := decode(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		},
+		{
+			Name:       "scenario/cell_key",
+			Brief:      "canonical encoding and SHA-256 of 64 Fig. 7 heatmap cells",
+			UnitsPerOp: 64,
+			UnitName:   "cells",
+			Fn: func(b *testing.B) {
+				key, err := scenario.BenchCellKey()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := key(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		},
+		{
 			Name:       "scenario/cell_sim",
 			Brief:      "one simulation cell (16 replicas) through the cell layer",
 			Gated:      true,

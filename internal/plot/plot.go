@@ -5,10 +5,10 @@
 package plot
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 
 	"abftckpt/internal/sweep"
@@ -25,23 +25,26 @@ type Heatmap struct {
 }
 
 // WriteCSV emits the heatmap as a matrix CSV: first row "ylabel\xlabel, x0,
-// x1, ...", then one row per y value.
+// x1, ...", then one row per y value. Axis values are written as %g writes
+// them, cells as %.6g, each appended by strconv into one buffer.
 func (h *Heatmap) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s\n", h.Title)
-	fmt.Fprintf(bw, "%s\\%s", h.YLabel, h.XLabel)
+	// Sized for about 12 bytes a value, so most tables take one allocation.
+	b := make([]byte, 0, 64+len(h.Title)+len(h.XLabel)+len(h.YLabel)+12*(len(h.Ys)+1)*(len(h.Xs)+1))
+	b = append(append(append(b, "# "...), h.Title...), '\n')
+	b = append(append(append(b, h.YLabel...), '\\'), h.XLabel...)
 	for _, x := range h.Xs {
-		fmt.Fprintf(bw, ",%g", x)
+		b = strconv.AppendFloat(append(b, ','), x, 'g', -1, 64)
 	}
-	fmt.Fprintln(bw)
+	b = append(b, '\n')
 	for i, y := range h.Ys {
-		fmt.Fprintf(bw, "%g", y)
+		b = strconv.AppendFloat(b, y, 'g', -1, 64)
 		for j := range h.Xs {
-			fmt.Fprintf(bw, ",%.6g", h.Z.At(i, j))
+			b = strconv.AppendFloat(append(b, ','), h.Z.At(i, j), 'g', 6, 64)
 		}
-		fmt.Fprintln(bw)
+		b = append(b, '\n')
 	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
 // asciiRamp maps [0,1] to increasing ink density.
@@ -126,27 +129,30 @@ type LineChart struct {
 	LogX bool
 }
 
-// WriteCSV emits "x, series1, series2, ..." rows.
+// WriteCSV emits "x, series1, series2, ..." rows, X values as %g writes
+// them and series values as %.6g, each appended by strconv into one
+// buffer. A series shorter than Xs leaves its later cells empty.
 func (c *LineChart) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s\n", c.Title)
-	fmt.Fprintf(bw, "%s", c.XLabel)
+	// Sized as in Heatmap.WriteCSV.
+	b := make([]byte, 0, 64+len(c.Title)+len(c.XLabel)+12*(len(c.Xs)+1)*(len(c.Series)+1))
+	b = append(append(append(b, "# "...), c.Title...), '\n')
+	b = append(b, c.XLabel...)
 	for _, s := range c.Series {
-		fmt.Fprintf(bw, ",%s", strings.ReplaceAll(s.Name, ",", ";"))
+		b = append(append(b, ','), strings.ReplaceAll(s.Name, ",", ";")...)
 	}
-	fmt.Fprintln(bw)
+	b = append(b, '\n')
 	for i, x := range c.Xs {
-		fmt.Fprintf(bw, "%g", x)
+		b = strconv.AppendFloat(b, x, 'g', -1, 64)
 		for _, s := range c.Series {
+			b = append(b, ',')
 			if i < len(s.Values) {
-				fmt.Fprintf(bw, ",%.6g", s.Values[i])
-			} else {
-				fmt.Fprint(bw, ",")
+				b = strconv.AppendFloat(b, s.Values[i], 'g', 6, 64)
 			}
 		}
-		fmt.Fprintln(bw)
+		b = append(b, '\n')
 	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
 // seriesMarkers distinguish lines in ASCII output.

@@ -2,7 +2,9 @@ package plot
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -156,6 +158,98 @@ func TestLineChartGnuplot(t *testing.T) {
 	for _, want := range []string{"logscale x", "using 1:2", "using 1:3", "w.png"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("gnuplot script missing %q", want)
+		}
+	}
+}
+
+// fmtHeatmapCSV and fmtLineChartCSV are the CSV writers as fmt.Fprintf
+// per value: the oracles WriteCSV must match byte for byte.
+func fmtHeatmapCSV(h *Heatmap) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "# %s\n", h.Title)
+	fmt.Fprintf(&sb, "%s\\%s", h.YLabel, h.XLabel)
+	for _, x := range h.Xs {
+		fmt.Fprintf(&sb, ",%g", x)
+	}
+	fmt.Fprintln(&sb)
+	for i, y := range h.Ys {
+		fmt.Fprintf(&sb, "%g", y)
+		for j := range h.Xs {
+			fmt.Fprintf(&sb, ",%.6g", h.Z.At(i, j))
+		}
+		fmt.Fprintln(&sb)
+	}
+	return sb.String()
+}
+
+func fmtLineChartCSV(c *LineChart) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "# %s\n", c.Title)
+	fmt.Fprintf(&sb, "%s", c.XLabel)
+	for _, s := range c.Series {
+		fmt.Fprintf(&sb, ",%s", strings.ReplaceAll(s.Name, ",", ";"))
+	}
+	fmt.Fprintln(&sb)
+	for i, x := range c.Xs {
+		fmt.Fprintf(&sb, "%g", x)
+		for _, s := range c.Series {
+			if i < len(s.Values) {
+				fmt.Fprintf(&sb, ",%.6g", s.Values[i])
+			} else {
+				fmt.Fprint(&sb, ",")
+			}
+		}
+		fmt.Fprintln(&sb)
+	}
+	return sb.String()
+}
+
+// TestCSVMatchesFmt holds both CSV writers to the fmt oracles over random
+// bit patterns, short decimals, both zeros, subnormals, NaN and ±Inf, and
+// a series shorter than the X axis.
+func TestCSVMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64, 1e21, 1e-5, 123456.5, 999999.5, 0.1}
+	value := func(i int) float64 {
+		switch i % 4 {
+		case 0:
+			return special[rng.Intn(len(special))]
+		case 1:
+			return math.Float64frombits(rng.Uint64())
+		case 2:
+			return float64(rng.Intn(2_000_000)-1_000_000) / 1000
+		default:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(30)-15))
+		}
+	}
+	values := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = value(rng.Intn(4))
+		}
+		return out
+	}
+	for round := 0; round < 50; round++ {
+		rows, cols := 1+rng.Intn(8), 1+rng.Intn(8)
+		z := sweep.NewMatrix(rows, cols)
+		copy(z.Data, values(rows*cols))
+		h := &Heatmap{Title: "t,é", XLabel: "x", YLabel: "y", Xs: values(cols), Ys: values(rows), Z: z}
+		var buf bytes.Buffer
+		if err := h.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmtHeatmapCSV(h); buf.String() != want {
+			t.Fatalf("heatmap CSV\n got %q\nwant %q", buf.String(), want)
+		}
+		c := &LineChart{Title: "c", XLabel: "nodes", Xs: values(cols),
+			Series: []Series{{Name: "a,b", Values: values(cols)}, {Name: "short", Values: values(rng.Intn(cols + 1))}}}
+		buf.Reset()
+		if err := c.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmtLineChartCSV(c); buf.String() != want {
+			t.Fatalf("line chart CSV\n got %q\nwant %q", buf.String(), want)
 		}
 	}
 }

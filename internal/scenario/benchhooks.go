@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -222,6 +223,105 @@ func BenchCacheEncode() (func() error, error) {
 			return err
 		}
 		putEntryBuf(buf)
+		return nil
+	}, nil
+}
+
+// benchEntryCampaignJSON holds the cells whose stored entries
+// scenario/entry_decode reads, in paper.json's mix: of its 2,788 unique
+// cells 43% are model, 44% simulation and 13% scaling cells, so 28, 28 and
+// 8 of the 64 here.
+const benchEntryCampaignJSON = `{
+  "name": "bench_entries",
+  "seed": 42,
+  "reps": 8,
+  "scenarios": [
+    {
+      "name": "bench_entries_diff",
+      "kind": "heatmap",
+      "output": "diff",
+      "protocol": "abft",
+      "platform": "paper-fig7",
+      "mtbf_minutes": {"from": 60, "to": 240, "count": 7},
+      "alphas": {"from": 0.1, "to": 0.9, "count": 4}
+    },
+    {
+      "name": "bench_entries_scaling",
+      "kind": "scaling",
+      "nodes": {"values": [1000, 10000, 100000, 1000000]},
+      "series": [
+        {"name": "pure", "platform": "paper-fig10", "protocol": "pure"},
+        {"name": "abft", "platform": "paper-fig10", "protocol": "abft"}
+      ]
+    }
+  ]
+}`
+
+// benchEntries is the number of stored entries scenario/entry_decode
+// decodes and of cells scenario/cell_key keys per operation.
+const benchEntries = 64
+
+// BenchEntryDecode returns a closure that decodes 64 stored entries of
+// executed cells in paper.json's mix; the bench suite measures it as
+// scenario/entry_decode.
+func BenchEntryDecode() (func() error, error) {
+	c, err := Load(strings.NewReader(benchEntryCampaignJSON))
+	if err != nil {
+		return nil, fmt.Errorf("scenario: bench entry campaign: %w", err)
+	}
+	e, err := expandCampaign(c, 1)
+	if err != nil {
+		return nil, err
+	}
+	if len(e.order) != benchEntries {
+		return nil, fmt.Errorf("scenario: bench entry campaign has %d unique cells, want %d", len(e.order), benchEntries)
+	}
+	entries := make([][]byte, len(e.order))
+	for i, st := range e.order {
+		res, err := st.spec.Execute()
+		if err != nil {
+			return nil, err
+		}
+		// Elapsed times as the runner measures them: whole microseconds.
+		buf, err := encodeCellEntry(st.key, res, float64(100+37*i)/1000)
+		if err != nil {
+			return nil, err
+		}
+		entries[i] = bytes.Clone(buf.Bytes())
+		putEntryBuf(buf)
+	}
+	return func() error {
+		for i, data := range entries {
+			if _, ok := decodeCellEntry(data, e.order[i].key); !ok {
+				return fmt.Errorf("scenario: bench entry %d does not decode", i)
+			}
+		}
+		return nil
+	}, nil
+}
+
+// BenchCellKey returns a closure that derives the cache keys (canonical
+// encoding and SHA-256) of the first 64 cells of the Fig. 7 model
+// heatmap; the bench suite measures it as scenario/cell_key.
+func BenchCellKey() (func() error, error) {
+	c, err := Load(strings.NewReader(`{"name": "bench_key", "scenarios": [{"name": "fig7", "kind": "heatmap", "protocol": "abft", "platform": "paper-fig7"}]}`))
+	if err != nil {
+		return nil, fmt.Errorf("scenario: bench key campaign: %w", err)
+	}
+	exs, err := c.expandAll(1)
+	if err != nil {
+		return nil, err
+	}
+	if len(exs[0].cells) < benchEntries {
+		return nil, fmt.Errorf("scenario: the Fig. 7 heatmap has %d cells, want at least %d", len(exs[0].cells), benchEntries)
+	}
+	cells := exs[0].cells[:benchEntries]
+	return func() error {
+		for i := range cells {
+			if cells[i].key().hash == "" {
+				return fmt.Errorf("scenario: bench cell %d has no hash", i)
+			}
+		}
 		return nil
 	}, nil
 }

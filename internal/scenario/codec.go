@@ -114,11 +114,19 @@ func appendJSONNumber(b []byte, v float64) []byte {
 // appendSpecFloat appends a cell-spec float member. Validation keeps spec
 // floats finite (CellSpec.checkFinite); encoding/json has no form for
 // ±Inf and NaN either, so one reaching the encoder is a programming error.
+// Spec floats are mostly short decimals (0.35, 1.5), which
+// appendShortDecimal writes without strconv's shortest-digit search;
+// result floats, whose 17-digit values it would always decline, keep
+// appendJSONNumber alone.
 func appendSpecFloat(b []byte, key string, v float64) []byte {
 	if !finite(v) {
 		panic(fmt.Sprintf("scenario: marshal cell: unsupported value %v", v))
 	}
-	return appendJSONNumber(append(b, key...), v)
+	b = append(b, key...)
+	if out, ok := appendShortDecimal(b, v); ok {
+		return out
+	}
+	return appendJSONNumber(b, v)
 }
 
 // appendFloat appends a JSONFloat member, encoded as
@@ -556,11 +564,15 @@ func (r *entryReader) number(key string) []byte {
 }
 
 // float64 consumes a number that fits a float64, as encoding/json decodes
-// one.
+// one. Most tokens take parseDecimal's exact path; the rest (exponent
+// form, more than 19 significant digits, zero) go to strconv.
 func (r *entryReader) float64(key string) float64 {
 	tok := r.number(key)
 	if r.bad {
 		return 0
+	}
+	if v, ok := parseDecimal(tok); ok {
+		return v
 	}
 	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {

@@ -186,10 +186,11 @@ func (g *surface) cells(kind string, baseline bool, cell func(sim, baseline bool
 	if baseline {
 		grids = append(grids, grid{true, true})
 	}
-	if err := checkCells(kind, len(grids)*len(g.ys)*len(g.xs)); err != nil {
+	n := len(grids) * len(g.ys) * len(g.xs)
+	if err := checkCells(kind, n); err != nil {
 		return nil, err
 	}
-	var cells []CellSpec
+	cells := make([]CellSpec, 0, n)
 	for _, gr := range grids {
 		for row := range g.ys {
 			for col := range g.xs {
@@ -476,7 +477,7 @@ func expandScaling(s *Spec, p *ScalingParams, _ *Campaign) (*expansion, error) {
 	}
 	opts := s.Options.model()
 	names := make([]string, 0, len(p.Series))
-	var cells []CellSpec
+	cells := make([]CellSpec, 0, len(nodes)*len(p.Series))
 	for _, sp := range p.Series {
 		w, name, err := resolveSeries(sp)
 		if err != nil {

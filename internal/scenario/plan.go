@@ -61,11 +61,12 @@ type expandedCampaign struct {
 
 // expandCampaign validates and expands every scenario and deduplicates
 // their cells by content hash, deriving each reference's key once. The
-// keys are derived on up to workers goroutines (see keyCells); the dedup
-// that follows is serial, so order, references and the key each unique
-// cell keeps are the same for any worker count.
+// scenarios are expanded (see Campaign.expandAll) and the keys derived
+// (see keyCells) on up to workers goroutines; the dedup that follows is
+// serial, so order, references and the key each unique cell keeps are the
+// same for any worker count.
 func expandCampaign(c *Campaign, workers int) (*expandedCampaign, error) {
-	exs, err := c.expandAll()
+	exs, err := c.expandAll(workers)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +75,7 @@ func expandCampaign(c *Campaign, workers int) (*expandedCampaign, error) {
 		e.cells += len(ex.cells)
 	}
 	keys := keyCells(exs, e.cells, workers)
-	unique := map[string]*cellState{}
+	unique := make(map[string]*cellState, e.cells)
 	at := 0
 	for i, ex := range exs {
 		refs := make([]*cellState, len(ex.cells))

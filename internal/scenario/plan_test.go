@@ -23,7 +23,7 @@ func TestExpandCampaignWorkerInvariance(t *testing.T) {
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no example campaigns: %v", err)
 	}
-	parallel := false
+	parallel, parallelExpand := false, false
 	for _, file := range files {
 		c, err := LoadFile(file)
 		if err != nil {
@@ -34,6 +34,7 @@ func TestExpandCampaignWorkerInvariance(t *testing.T) {
 			t.Fatalf("%s: %v", file, err)
 		}
 		parallel = parallel || base.cells > keyChunk
+		parallelExpand = parallelExpand || len(c.Scenarios) > 1
 		baseHashes := refHashes(t, base)
 		for _, workers := range []int{2, 3, 8} {
 			got, err := expandCampaign(c, workers)
@@ -54,6 +55,32 @@ func TestExpandCampaignWorkerInvariance(t *testing.T) {
 	}
 	if !parallel {
 		t.Fatalf("no example campaign has more than %d cell references: the parallel key phase went untested", keyChunk)
+	}
+	if !parallelExpand {
+		t.Fatal("no example campaign has more than one scenario: parallel expansion went untested")
+	}
+}
+
+// TestExpandCampaignFirstError checks that expanding on a pool reports the
+// first failing scenario in campaign order, as one worker does, however
+// the expansions interleave.
+func TestExpandCampaignFirstError(t *testing.T) {
+	c, err := LoadFile(exampleCampaign("paper.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{3, 9, 12} {
+		broken := *c.Scenarios[i]
+		broken.Reps = -1
+		c.Scenarios[i] = &broken
+	}
+	want := "scenario " + `"` + c.Scenarios[3].Name + `"` + ": reps must be non-negative"
+	for _, workers := range []int{1, 2, 3, 8} {
+		for range 5 {
+			if _, err := expandCampaign(c, workers); err == nil || err.Error() != want {
+				t.Fatalf("%d workers: err %v, want %q", workers, err, want)
+			}
+		}
 	}
 }
 

@@ -110,7 +110,7 @@ func TestParallelPreloadCountsCorruptEntry(t *testing.T) {
 	mem := filledStore(t, c)
 	clean := runWarm(t, c, store.WithChecksum(mem), 8)
 
-	exs, err := c.expandAll()
+	exs, err := c.expandAll(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestCellHashesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}
-		exs, err := c.expandAll()
+		exs, err := c.expandAll(1)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}

@@ -124,24 +124,33 @@ const (
 // Validate checks the campaign and every scenario in it, without executing
 // anything. It reports the first problem found.
 func (c *Campaign) Validate() error {
-	_, err := c.expandAll()
+	_, err := c.expandAll(1)
 	return err
 }
 
 // expandAll expands every scenario against the campaign defaults, checking
 // scenario-name and artifact-name uniqueness across the whole campaign (a
 // scaling scenario named "x" produces artifacts "x_waste" and "x_faults",
-// which must not collide with another scenario's outputs).
-func (c *Campaign) expandAll() ([]*expansion, error) {
+// which must not collide with another scenario's outputs). The expansions
+// are independent and run on up to workers goroutines (see claim); the
+// checks then walk the campaign in order, so the error reported is the
+// first failing scenario's for any worker count.
+func (c *Campaign) expandAll(workers int) ([]*expansion, error) {
 	if len(c.Scenarios) == 0 {
 		return nil, fmt.Errorf("scenario: campaign %q has no scenarios", c.Name)
 	}
 	if c.Reps < 0 {
 		return nil, fmt.Errorf("scenario: campaign %q: reps must be non-negative", c.Name)
 	}
-	seen := map[string]bool{}
+	out := make([]*expansion, len(c.Scenarios))
+	errs := make([]error, len(c.Scenarios))
+	claim(len(c.Scenarios), workers, func(i int) {
+		if s := c.Scenarios[i]; s != nil && s.Name != "" {
+			out[i], errs[i] = s.expand(c)
+		}
+	})
+	seen := make(map[string]bool, len(c.Scenarios))
 	artifactOwner := map[string]string{}
-	out := make([]*expansion, 0, len(c.Scenarios))
 	for i, s := range c.Scenarios {
 		if s == nil {
 			return nil, fmt.Errorf("scenario: campaign %q: scenario %d is null", c.Name, i)
@@ -153,18 +162,16 @@ func (c *Campaign) expandAll() ([]*expansion, error) {
 			return nil, fmt.Errorf("scenario: campaign %q: duplicate scenario name %q", c.Name, s.Name)
 		}
 		seen[s.Name] = true
-		ex, err := s.expand(c)
-		if err != nil {
-			return nil, err
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		for _, name := range ex.artifacts {
+		for _, name := range out[i].artifacts {
 			if owner, ok := artifactOwner[name]; ok {
 				return nil, fmt.Errorf("scenario: campaign %q: scenarios %q and %q both produce artifact %q",
 					c.Name, owner, s.Name, name)
 			}
 			artifactOwner[name] = s.Name
 		}
-		out = append(out, ex)
 	}
 	return out, nil
 }

@@ -3,12 +3,17 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
+	"abftckpt/internal/chaos"
 	"abftckpt/internal/scenario"
+	"abftckpt/internal/store"
 )
 
 // newServerOn serves an already-configured Server over httptest.
@@ -225,4 +230,131 @@ func TestRestartKeepsWarmCache(t *testing.T) {
 			t.Errorf("artifact %s differs across the restart", name)
 		}
 	}
+}
+
+// TestServerLeavesNoGoroutines checks that the server stops every
+// goroutine it starts (job runners and their worker pools, coordinator
+// dispatch and its shard round-trips, the HTTP serving itself) after a
+// drain to idle, after a shutdown whose drain deadline passes with a
+// shard round-trip still in flight, and after a job is cancelled while
+// its dispatch waits out a retry backoff.
+func TestServerLeavesNoGoroutines(t *testing.T) {
+	settled := func(what string, start int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > start {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s: %d goroutines, started with %d", what, runtime.NumGoroutine(), start)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	awaitIdle := func(srv *Server, d time.Duration) bool {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		return srv.AwaitIdle(ctx)
+	}
+	submit := func(base, campaign string) string {
+		t.Helper()
+		var created struct {
+			ID string `json:"id"`
+		}
+		if code, _ := postJSON(t, base+"/v1/campaigns", campaign, &created); code != http.StatusAccepted {
+			t.Fatalf("create: code %d", code)
+		}
+		return created.ID
+	}
+	start := runtime.NumGoroutine()
+
+	// Drain: a campaign runs to completion on a worker pool, then the
+	// server drains to idle and stops serving.
+	srv := New(Config{Cache: scenario.NewCellCache("", 0), Workers: 4})
+	ts := httptest.NewServer(srv.Handler())
+	if st := runCampaign(t, ts.URL, shardCampaign); st.State != StateDone {
+		t.Fatalf("job state %q (error %q), want done", st.State, st.Error)
+	}
+	srv.BeginDrain()
+	if !awaitIdle(srv, 5*time.Second) {
+		t.Fatal("a drained server with no live job did not go idle")
+	}
+	ts.Close()
+	settled("a drain", start)
+
+	// Shutdown past the drain deadline, as ftserve runs it: the job's
+	// shard hangs at its worker until FailLiveJobs cancels the round-trip,
+	// then http.Server.Shutdown stops serving.
+	arrived := make(chan struct{}, 1)
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Past the body, the server watches the connection, so the
+		// request context ends when the coordinator gives up.
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done()
+	}))
+	coord := New(Config{
+		Cache:       scenario.NewCellCacheStore(store.NewMemory(), 128),
+		WorkerURLs:  []string{hung.URL},
+		ShardClient: &http.Client{Timeout: 30 * time.Second},
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpSrv := &http.Server{Handler: coord.Handler()}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- httpSrv.Serve(ln) }()
+	submit("http://"+ln.Addr().String(), e2eCampaign)
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no shard reached the worker")
+	}
+	coord.BeginDrain()
+	if awaitIdle(coord, 50*time.Millisecond) {
+		t.Fatal("the coordinator went idle with a shard in flight")
+	}
+	if n := coord.FailLiveJobs("server shutdown: drain deadline exceeded"); n != 1 {
+		t.Fatalf("failed %d live jobs, want 1", n)
+	}
+	if !awaitIdle(coord, 5*time.Second) {
+		t.Fatal("the failed job's runner did not return")
+	}
+	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(shutCtx); err != nil {
+		t.Fatal(err)
+	}
+	<-serveErr
+	hung.Close()
+	settled("a shutdown past its drain deadline", start)
+
+	// Job cancel: every shard is refused with Retry-After: 30, so the
+	// dispatch waits in backoff; cancelling the job ends the wait and the
+	// run without any drain.
+	worker := httptest.NewServer(New(Config{Cache: scenario.NewCellCacheStore(store.NewMemory(), 128), Workers: 2}).Handler())
+	rt := chaos.NewTransport(nil, chaos.Faults{Seed: 7, Status429Rate: 1, RetryAfterSec: 30})
+	coord = New(Config{
+		Cache:       scenario.NewCellCacheStore(store.NewMemory(), 128),
+		WorkerURLs:  []string{worker.URL},
+		ShardClient: &http.Client{Transport: rt, Timeout: 10 * time.Second},
+	})
+	cts := httptest.NewServer(coord.Handler())
+	id := submit(cts.URL, e2eCampaign)
+	waitState(t, cts.URL, id, StateRunning)
+	time.Sleep(100 * time.Millisecond) // let dispatch enter its backoff wait
+	coord.mu.Lock()
+	j := coord.jobs[id]
+	coord.mu.Unlock()
+	if !j.forceFail("cancelled") {
+		t.Fatal("the job was not live when cancelled")
+	}
+	if !awaitIdle(coord, 5*time.Second) {
+		t.Fatal("the cancelled job's runner did not return")
+	}
+	cts.Close()
+	worker.Close()
+	settled("a cancelled job", start)
 }
