@@ -83,24 +83,25 @@ func groupCohorts(cells []*cellState) []cohort {
 	return out
 }
 
-// execCohort executes one trace cohort's cells, in order: the one
-// execution path of a local campaign run and of a worker's shard. A cohort
-// of two or more cells runs through execJoint, which walks the members it
-// claims with one sim.SimulateCohort call (walkCohort), so their shared
-// failure process is drawn once; a singleton runs alone through
-// execCells. It returns the cells executed here, for the caller's
-// writeBatch, and whether the cohort was walked jointly. simWorkers bounds
-// replica-level parallelism inside the walk.
+// execCohort executes one trace cohort's cells, in order, through
+// execJoint: the one execution path of a local campaign run and of a
+// worker's shard. The members it claims run in one call: two or more
+// walk one sim.SimulateCohort call (walkCohort), so their shared failure
+// process is drawn once, and a lone one runs through ExecuteOpts. It
+// returns the cells executed here, for the caller's writeBatch, and
+// whether the cohort was walked jointly (it has two or more cells).
+// simWorkers bounds replica-level parallelism inside the walk.
 func (c *CellCache) execCohort(co cohort, simWorkers int, done cellDone) ([]*cellState, bool) {
-	if len(co.cells) < 2 {
-		opts := ExecOptions{Workers: simWorkers}
-		return c.execCells(co.cells, func(st *cellState) (CellResult, error) {
-			return st.spec.ExecuteOpts(opts)
-		}, done), false
-	}
 	return c.execJoint(co.cells, func(claimed []*cellState) []error {
-		return walkCohort(claimed, simWorkers)
-	}, done), true
+		if len(claimed) > 1 {
+			return walkCohort(claimed, simWorkers)
+		}
+		var err error
+		if claimed[0].result, err = claimed[0].spec.ExecuteOpts(ExecOptions{Workers: simWorkers}); err != nil {
+			return []error{err}
+		}
+		return nil
+	}, done), len(co.cells) > 1
 }
 
 // walkCohort executes simulation cells of one cohort with a single

@@ -18,7 +18,7 @@ func TestCorruptDiskEntryBecomesCountedMiss(t *testing.T) {
 	spec := CellSpec{Op: OpPeriods, Probe: &PeriodsProbe{C: 60, Mu: 3600, D: 60, R: 60}}
 
 	warm := NewCellCache(dir, 4)
-	want, tier, err := warm.GetOrExecute(spec)
+	_, want, tier, err := warm.Evaluate(spec)
 	if err != nil || tier != TierExec {
 		t.Fatalf("warm execute: tier=%s err=%v", tier, err)
 	}
@@ -38,7 +38,7 @@ func TestCorruptDiskEntryBecomesCountedMiss(t *testing.T) {
 	}
 
 	// A fresh cache (cold memory tier) must detect the damage: Lookup
-	// misses and counts it, GetOrExecute re-executes and heals the entry.
+	// misses and counts it, Evaluate re-executes and heals the entry.
 	cold := NewCellCache(dir, 4)
 	if _, _, ok := cold.lookup(spec.key()); ok {
 		t.Fatal("corrupted entry served as a hit")
@@ -46,7 +46,7 @@ func TestCorruptDiskEntryBecomesCountedMiss(t *testing.T) {
 	if got := cold.Stats().CorruptEntries; got != 1 {
 		t.Fatalf("CorruptEntries = %d, want 1", got)
 	}
-	res, tier, err := cold.GetOrExecute(spec)
+	_, res, tier, err := cold.Evaluate(spec)
 	if err != nil || tier != TierExec {
 		t.Fatalf("re-execute after corruption: tier=%s err=%v", tier, err)
 	}

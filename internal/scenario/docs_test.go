@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -167,6 +168,10 @@ const paperMapDoc = "../../docs/PAPER_MAP.md"
 // codeSpan matches a backticked markdown code span, capturing its text.
 var codeSpan = regexp.MustCompile("`([^`]+)`")
 
+// fencedBlock matches a fenced markdown code block, whose backticks pair
+// with nothing.
+var fencedBlock = regexp.MustCompile("(?ms)^```.*?^```$")
+
 // citedSymbol matches a code span that starts with a qualified Go
 // identifier, pkg.Ident (the rest of the span, such as a field or method
 // selector, is ignored).
@@ -211,41 +216,74 @@ func topLevelDecls(t *testing.T, dir string) map[string]bool {
 	return names
 }
 
-// TestPaperMapCitesExistingSymbols checks that every backticked pkg.Ident
-// of docs/PAPER_MAP.md names a top-level declaration of package
-// internal/<pkg>, so the map cannot point at deleted or renamed code. An
-// exported identifier of a package that does not exist fails too.
-func TestPaperMapCitesExistingSymbols(t *testing.T) {
-	data, err := os.ReadFile(paperMapDoc)
-	if err != nil {
-		t.Fatalf("read %s: %v", paperMapDoc, err)
-	}
-	decls := map[string]map[string]bool{}
-	checked := 0
-	for _, span := range codeSpan.FindAllStringSubmatch(string(data), -1) {
-		m := citedSymbol.FindStringSubmatch(span[1])
-		if m == nil {
-			continue
+// citingDocs are the documents whose backticked pkg.Ident citations
+// TestPaperMapCitesExistingSymbols checks, each with the fewest it must
+// find (a guard against a parser that silently matches nothing).
+var citingDocs = []struct {
+	path string
+	min  int
+}{
+	{paperMapDoc, 40},
+	{"../../docs/ARCHITECTURE.md", 45},
+}
+
+// metricName matches an e2e benchmark metric name such as store.get_n or
+// scenario.preload_ms: snake case, never a Go identifier of this repo.
+var metricName = regexp.MustCompile(`^[a-z0-9]+(_[a-z0-9]+)+$`)
+
+// stdlibPackage reports whether name is the last element of a standard
+// library package path (math, strconv, encoding/json, math/bits, …).
+func stdlibPackage(name string) bool {
+	src := filepath.Join(build.Default.GOROOT, "src")
+	for _, dir := range []string{filepath.Join(src, name), filepath.Join(src, "*", name)} {
+		if m, _ := filepath.Glob(dir); len(m) > 0 {
+			return true
 		}
-		pkg, ident := m[1], m[2]
-		if decls[pkg] == nil {
-			dir := filepath.Join("..", pkg)
-			if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-				// A file name such as paper.json is no citation; an exported
-				// identifier of a missing package is a stale one.
-				if ast.IsExported(ident) {
-					t.Errorf("docs/PAPER_MAP.md cites %s.%s, but there is no package internal/%s", pkg, ident, pkg)
-				}
+	}
+	return false
+}
+
+// TestPaperMapCitesExistingSymbols checks that every backticked pkg.Ident
+// of docs/PAPER_MAP.md and docs/ARCHITECTURE.md names a top-level
+// declaration of package internal/<pkg>, so the docs cannot point at
+// deleted or renamed code. An exported identifier of a package that is
+// neither internal nor in the standard library fails too. Benchmark
+// metric names (store.get_n) are no citations.
+func TestPaperMapCitesExistingSymbols(t *testing.T) {
+	decls := map[string]map[string]bool{}
+	for _, doc := range citingDocs {
+		data, err := os.ReadFile(doc.path)
+		if err != nil {
+			t.Fatalf("read %s: %v", doc.path, err)
+		}
+		name := strings.TrimPrefix(doc.path, "../../")
+		checked := 0
+		text := fencedBlock.ReplaceAllString(string(data), "")
+		for _, span := range codeSpan.FindAllStringSubmatch(text, -1) {
+			m := citedSymbol.FindStringSubmatch(span[1])
+			if m == nil || metricName.MatchString(m[2]) {
 				continue
 			}
-			decls[pkg] = topLevelDecls(t, dir)
+			pkg, ident := m[1], m[2]
+			if decls[pkg] == nil {
+				dir := filepath.Join("..", pkg)
+				if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+					// A file name such as paper.json is no citation; an
+					// exported identifier of a missing package is a stale one.
+					if ast.IsExported(ident) && !stdlibPackage(pkg) {
+						t.Errorf("%s cites %s.%s, but there is no package internal/%s", name, pkg, ident, pkg)
+					}
+					continue
+				}
+				decls[pkg] = topLevelDecls(t, dir)
+			}
+			checked++
+			if !decls[pkg][ident] {
+				t.Errorf("%s cites %s.%s, which is not a top-level declaration of internal/%s", name, pkg, ident, pkg)
+			}
 		}
-		checked++
-		if !decls[pkg][ident] {
-			t.Errorf("docs/PAPER_MAP.md cites %s.%s, which is not a top-level declaration of internal/%s", pkg, ident, pkg)
+		if checked < doc.min {
+			t.Fatalf("checked only %d citations in %s", checked, name)
 		}
-	}
-	if checked < 40 {
-		t.Fatalf("checked only %d citations in %s", checked, paperMapDoc)
 	}
 }

@@ -256,10 +256,10 @@ type HeatmapParams struct {
 	// the same seed observe identical failure realizations — the paper's
 	// paired-comparison methodology (protocols judged on the same traces,
 	// which also cancels trace noise out of waste differences). Shared
-	// processes additionally let the runner generate each failure stream
-	// once per cohort and replay it across cells (see docs/ARCHITECTURE.md,
-	// "trace cohorts"). Off by default, which keeps historical seeds (and
-	// golden artifacts) unchanged.
+	// processes additionally let the runner walk the cells as one cohort,
+	// drawing each replica's failure stream once for every member (see
+	// docs/ARCHITECTURE.md, "Trace cohorts"). Off by default, which keeps
+	// historical seeds (and golden artifacts) unchanged.
 	ShareTraces bool `json:"share_traces,omitempty"`
 	// Precision switches the simulation cells to adaptive-precision
 	// execution: Reps becomes a per-cell cap and each cell runs replicas in

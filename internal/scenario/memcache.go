@@ -187,81 +187,43 @@ func (c *CellCache) lookup(k cellKey) (CellResult, CellTier, bool) {
 	return st.result, st.tier, st.tier != ""
 }
 
-// GetOrExecute returns the cell's result: from memory, else from disk,
-// else by executing the cell and storing the result in both tiers.
-// Concurrent calls for the same cell coalesce — exactly one executes, the
-// rest wait for its result and report TierCoalesced.
-func (c *CellCache) GetOrExecute(spec CellSpec) (CellResult, CellTier, error) {
-	_, res, tier, err := c.Evaluate(spec)
-	return res, tier, err
-}
-
-// Evaluate is GetOrExecute that also returns the cell's hash (its cache
-// key, what CellSpec.Hash returns), taken from the one key it derives:
-// what POST /v1/cells answers with.
+// Evaluate returns the cell's hash (its cache key, what CellSpec.Hash
+// returns), taken from the one key it derives, and its result: from
+// memory, else from the store, else by executing the cell and storing the
+// result in both tiers. Concurrent calls for the same cell coalesce:
+// exactly one executes, the rest wait for its result and report
+// TierCoalesced. It is what POST /v1/cells answers with.
 func (c *CellCache) Evaluate(spec CellSpec) (hash string, res CellResult, tier CellTier, err error) {
 	k := spec.key()
 	res, tier, err = c.do(k, spec.Execute)
 	return k.hash, res, tier, err
 }
 
-// do is GetOrExecute for a cell whose key the caller already derived, with
+// do is Evaluate for a cell whose key the caller already derived, with
 // an injectable executor (tests gate it to pin down coalescing): lookup,
-// then execute, then a writeBatch of the one executed cell.
+// then execJoint over the one cell, then a writeBatch if it executed. The
+// cell's state is declared after the lookup, so a memory hit allocates
+// nothing for it.
 func (c *CellCache) do(k cellKey, exec func() (CellResult, error)) (CellResult, CellTier, error) {
 	if res, tier, ok := c.lookup(k); ok {
 		return res, tier, nil
 	}
-	res, tier, elapsedMS, err := c.execute(k, exec)
-	if err == nil && tier == TierExec {
-		c.writeBatch([]*cellState{{key: k, result: res, tier: tier, elapsedMS: elapsedMS}})
-	}
-	return res, tier, err
-}
-
-// execute is the singleflight, and it runs the executor and nothing else.
-// A memory hit returns at once, and a request for a cell already in
-// flight waits for that execution (TierCoalesced). Otherwise this call
-// leads: it executes, puts the result into memory and settles every
-// waiter. Store traffic is the caller's: every read happens before
-// (lookupBatch) and the write of a TierExec result after
-// (writeBatch), which also settles its store-error and damage accounting.
-// elapsedMS is the execution time of a TierExec result.
-func (c *CellCache) execute(k cellKey, exec func() (CellResult, error)) (CellResult, CellTier, float64, error) {
-	c.mu.Lock()
-	res, tier, fc := c.beginLocked(k.hash)
-	c.mu.Unlock()
-	switch tier {
-	case TierMem:
-		return res, TierMem, 0, nil
-	case TierCoalesced:
-		<-fc.done
-		if fc.err != nil {
-			return CellResult{}, TierCoalesced, 0, fc.err
+	st := cellState{key: k}
+	var err error
+	c.writeBatch(c.execJoint([]*cellState{&st}, func([]*cellState) []error {
+		var execErr error
+		if st.result, execErr = exec(); execErr != nil {
+			return []error{execErr}
 		}
-		return fc.result, TierCoalesced, 0, nil
-	}
-
-	// If the executor panics, unblock every coalesced waiter with an
-	// error before re-panicking; a leaked flight entry would otherwise
-	// hang all future requests for this cell forever.
-	settled := false
-	defer func() {
-		if !settled {
-			c.abandon(k.hash, fc)
-		}
-	}()
-
-	// No lock is held during cell execution.
-	start := time.Now()
-	res, err := exec()
-	elapsedMS := float64(time.Since(start).Microseconds()) / 1000
-	c.land(k.hash, fc, res, err)
-	settled = true
+		return nil
+	}, func(_ *cellState, doneErr error) bool {
+		err = doneErr
+		return true
+	}))
 	if err != nil {
-		return CellResult{}, TierExec, 0, err
+		return CellResult{}, "", err
 	}
-	return res, TierExec, elapsedMS, nil
+	return st.result, st.tier, nil
 }
 
 // beginLocked is the singleflight's entry for one cell: a memory hit
@@ -282,8 +244,8 @@ func (c *CellCache) beginLocked(hash string) (CellResult, CellTier, *flightCall)
 	return CellResult{}, TierExec, fc
 }
 
-// land settles a flight the caller leads: a result goes into memory, and
-// the flight ends with every waiter woken.
+// land settles a flight the caller leads: a result goes into memory (an
+// error lands nothing there), and the flight ends with every waiter woken.
 func (c *CellCache) land(hash string, fc *flightCall, res CellResult, err error) {
 	c.mu.Lock()
 	if err != nil {
@@ -377,9 +339,8 @@ func (c *CellCache) lookupBatch(cells []*cellState) {
 	}
 }
 
-// cellDone receives one cell from a batch path (settle, execCells) once
-// the cell has settled, or with the error that stopped it; returning
-// false stops the batch.
+// cellDone receives one cell from execJoint once the cell has settled,
+// or with the error that stopped it; returning false stops the batch.
 type cellDone func(st *cellState, err error) bool
 
 // settle is the cache's read → execute → write sequence for a batch of
@@ -400,47 +361,35 @@ func (c *CellCache) settle(cells []*cellState, done cellDone, exec func(misses [
 	c.writeBatch(exec(misses))
 }
 
-// execCells runs the cells, in order, through the singleflight (execute),
-// computing each with run, and settles each in place (result, tier and,
-// for TierExec, execution time) before handing it to done; an error, or
-// done returning false, stops it. It returns the cells executed here, for
-// the caller's writeBatch (none when the cache has no store).
-func (c *CellCache) execCells(cells []*cellState, run func(st *cellState) (CellResult, error), done cellDone) []*cellState {
-	var executed []*cellState
-	for _, st := range cells {
-		res, tier, elapsedMS, err := c.execute(st.key, func() (CellResult, error) { return run(st) })
-		if err == nil {
-			st.result, st.tier, st.elapsedMS = res, tier, elapsedMS
-			if tier == TierExec && c.store != nil {
-				executed = append(executed, st)
-			}
-		}
-		if !done(st, err) || err != nil {
-			break
-		}
-	}
-	return executed
-}
-
-// execJoint is execCells for cells that one computation settles together
-// (a trace cohort's walk). Under one lock each cell is served from memory,
-// joins a flight already under way, or is claimed. run computes every
-// claimed cell in one call, setting each one's result, and returns nil or
-// one error per claimed cell; each claimed cell then lands with its result
-// (or error) and an equal share of the call's wall time. Last, every cell
-// is settled in place and handed to done, in order, a joined one once its
-// flight lands; an error, or done returning false, stops that. A panic in
-// run abandons every claimed flight, waking its waiters with an error,
-// before it propagates. It returns the cells executed here, for the
-// caller's writeBatch (none when the cache has no store).
+// execJoint is the singleflight, and every execution goes through it: a
+// single cell (do), a trace cohort's walk or a lone cell (execCohort),
+// and the read-back of a dispatched unit. Under one lock each cell is
+// served from memory, joins a flight already under way (TierCoalesced),
+// or is claimed. run computes every claimed cell in one call, with no
+// lock held, setting each one's result, and returns nil or one error per
+// claimed cell; each claimed cell then lands with its result (or error)
+// and an equal share of the call's wall time, which puts a result into
+// memory and wakes the flight's waiters. Last, every cell is settled in
+// place and handed to done, in order, a joined one once its flight lands;
+// an error, or done returning false, stops that. A panic in run abandons
+// every claimed flight, waking its waiters with an error, before it
+// propagates: a leaked flight would hang every later request for the
+// cell. Store traffic is the caller's: every read happens before
+// (lookupBatch) and the write of the executed cells after (writeBatch),
+// so it returns them (none when the cache has no store).
 func (c *CellCache) execJoint(cells []*cellState, run func(claimed []*cellState) []error, done cellDone) []*cellState {
 	type claim struct {
 		tier CellTier
 		fc   *flightCall
 		err  error // a claimed cell's execution error
 	}
-	claims := make([]claim, len(cells))
-	claimed := make([]*cellState, 0, len(cells))
+	// A lone cell, the common case, keeps its claim on the stack.
+	var one [1]claim
+	claims := one[:]
+	if len(cells) != 1 {
+		claims = make([]claim, len(cells))
+	}
+	n := 0
 	c.mu.Lock()
 	for i, st := range cells {
 		var res CellResult
@@ -449,13 +398,22 @@ func (c *CellCache) execJoint(cells []*cellState, run func(claimed []*cellState)
 		case TierMem:
 			st.result, st.tier = res, TierMem
 		case TierExec:
-			claimed = append(claimed, st)
+			n++
 		}
 	}
 	c.mu.Unlock()
 
 	var executed []*cellState
-	if len(claimed) > 0 {
+	if n > 0 {
+		claimed := cells
+		if n < len(cells) {
+			claimed = make([]*cellState, 0, n)
+			for i, st := range cells {
+				if claims[i].tier == TierExec {
+					claimed = append(claimed, st)
+				}
+			}
+		}
 		landed := false
 		defer func() {
 			if !landed {
@@ -468,7 +426,7 @@ func (c *CellCache) execJoint(cells []*cellState, run func(claimed []*cellState)
 		}()
 		start := time.Now()
 		errs := run(claimed)
-		shareMS := float64(time.Since(start).Microseconds()) / 1000 / float64(len(claimed))
+		shareMS := float64(time.Since(start).Microseconds()) / 1000 / float64(n)
 		j := 0
 		for i, st := range cells {
 			cl := &claims[i]
@@ -506,7 +464,7 @@ func (c *CellCache) execJoint(cells []*cellState, run func(claimed []*cellState)
 	return executed
 }
 
-// writeBatch stores cells the caller executed (see execute) in one store
+// writeBatch stores cells the caller executed (see execJoint) in one store
 // write. On success their damaged marks clear. On failure every cell
 // counts one store error and keeps its mark: a cache-write failure (full
 // disk, read-only directory, unreachable remote) is not an execution

@@ -31,7 +31,7 @@ func TestCellCacheWarmPath(t *testing.T) {
 	c := NewCellCache(dir, 16)
 	spec := periodsCell(model.Hour)
 
-	res1, tier, err := c.GetOrExecute(spec)
+	_, res1, tier, err := c.Evaluate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestCellCacheWarmPath(t *testing.T) {
 		t.Fatalf("cold stats = %+v, want 1 execution and 1 disk read", after1)
 	}
 
-	res2, tier, err := c.GetOrExecute(spec)
+	_, res2, tier, err := c.Evaluate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +67,10 @@ func TestCellCacheWarmPath(t *testing.T) {
 	// A fresh cache over the same directory misses memory, hits disk once,
 	// and promotes — the second request is a memory hit again.
 	c2 := NewCellCache(dir, 16)
-	if _, tier, err = c2.GetOrExecute(spec); err != nil || tier != TierDisk {
+	if _, _, tier, err = c2.Evaluate(spec); err != nil || tier != TierDisk {
 		t.Fatalf("fresh cache tier = %q err = %v, want %q", tier, err, TierDisk)
 	}
-	if _, tier, err = c2.GetOrExecute(spec); err != nil || tier != TierMem {
+	if _, _, tier, err = c2.Evaluate(spec); err != nil || tier != TierMem {
 		t.Fatalf("promoted tier = %q err = %v, want %q", tier, err, TierMem)
 	}
 	s := c2.Stats()
@@ -80,18 +80,18 @@ func TestCellCacheWarmPath(t *testing.T) {
 }
 
 // TestCellCacheMemHitAllocatesOnlyTheKey: a memory hit through
-// GetOrExecute, the warm path of POST /v1/cells, allocates nothing beyond
+// Evaluate, the warm path of POST /v1/cells, allocates nothing beyond
 // deriving the cell's key. The one-key read goes through lookupBatch,
 // whose store-side bookkeeping a memory hit must not pay for.
 func TestCellCacheMemHitAllocatesOnlyTheKey(t *testing.T) {
 	spec := periodsCell(model.Hour)
 	c := NewCellCache("", 0)
-	if _, _, err := c.GetOrExecute(spec); err != nil {
+	if _, _, _, err := c.Evaluate(spec); err != nil {
 		t.Fatal(err)
 	}
 	key := testing.AllocsPerRun(100, func() { spec.key() })
 	hit := testing.AllocsPerRun(100, func() {
-		if _, tier, _ := c.GetOrExecute(spec); tier != TierMem {
+		if _, _, tier, _ := c.Evaluate(spec); tier != TierMem {
 			t.Fatalf("tier %s, want mem", tier)
 		}
 	})
@@ -229,7 +229,7 @@ func TestCellCacheStoreErrorDegradesGracefully(t *testing.T) {
 	}
 	// The result went into the memory tier: a repeat is a mem hit, not a
 	// re-execution against the broken disk.
-	res2, tier, err := c.GetOrExecute(spec)
+	_, res2, tier, err := c.Evaluate(spec)
 	if err != nil || tier != TierMem {
 		t.Fatalf("repeat after store failure: tier %q err %v, want mem", tier, err)
 	}
@@ -363,135 +363,171 @@ func TestCellCacheExecPanic(t *testing.T) {
 	}
 }
 
-// TestCellCacheJointWalkSingleflight checks execJoint's claim: of a
-// cohort's cells, one already in memory is served from it, one in flight
-// for another caller is coalesced onto that flight, and only the rest are
-// walked, once, each settled with its share of the walk's time.
+// TestCellCacheJointWalkSingleflight checks execJoint's claim, for a
+// cohort and for a lone cell: of the cells, one already in memory is
+// served from it, one in flight for another caller is coalesced onto that
+// flight, and only the rest are walked, once, each settled with its share
+// of the walk's time.
 func TestCellCacheJointWalkSingleflight(t *testing.T) {
-	c := NewCellCache("", 16)
-	var cells []*cellState
-	for i := 0; i < 4; i++ {
-		spec := periodsCell(float64(i+1) * model.Hour)
-		cells = append(cells, &cellState{spec: spec, key: spec.key()})
-	}
-	if _, _, err := c.do(cells[0].key, func() (CellResult, error) { return modelResult(10), nil }); err != nil {
-		t.Fatal(err)
-	}
-	started, release := make(chan struct{}), make(chan struct{})
-	leader := make(chan error, 1)
-	go func() {
-		_, _, err := c.do(cells[1].key, func() (CellResult, error) {
-			close(started)
-			<-release
-			return modelResult(11), nil
-		})
-		leader <- err
-	}()
-	<-started
+	for _, tc := range []struct {
+		name  string
+		tiers []CellTier // each cell's state before the walk, and its tier after
+	}{
+		{"cohort", []CellTier{TierMem, TierCoalesced, TierExec, TierExec}},
+		{"one cell", []CellTier{TierExec}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCellCache("", 16)
+			var cells, claims []*cellState
+			started, release := make(chan struct{}), make(chan struct{})
+			leader := make(chan error, 1)
+			for i, tier := range tc.tiers {
+				spec := periodsCell(float64(i+1) * model.Hour)
+				st := &cellState{spec: spec, key: spec.key()}
+				cells = append(cells, st)
+				switch tier {
+				case TierMem:
+					if _, _, err := c.do(st.key, func() (CellResult, error) { return modelResult(10), nil }); err != nil {
+						t.Fatal(err)
+					}
+				case TierCoalesced:
+					go func() {
+						_, _, err := c.do(st.key, func() (CellResult, error) {
+							close(started)
+							<-release
+							return modelResult(11), nil
+						})
+						leader <- err
+					}()
+					<-started
+				case TierExec:
+					claims = append(claims, st)
+				}
+			}
+			count := map[CellTier]int64{}
+			for _, tier := range tc.tiers {
+				count[tier]++
+			}
+			flights := count[TierCoalesced]
 
-	var walked []*cellState
-	var tiers []CellTier
-	joint := make(chan []*cellState, 1)
-	go func() {
-		joint <- c.execJoint(cells, func(claimed []*cellState) []error {
-			walked = claimed
-			for _, st := range claimed {
-				st.result = modelResult(20 + float64(len(walked)))
+			var walked []*cellState
+			var tiers []CellTier
+			joint := make(chan []*cellState, 1)
+			go func() {
+				joint <- c.execJoint(cells, func(claimed []*cellState) []error {
+					walked = claimed
+					for _, st := range claimed {
+						st.result = modelResult(20 + float64(len(walked)))
+						time.Sleep(time.Millisecond)
+					}
+					return nil
+				}, func(st *cellState, err error) bool {
+					if err != nil {
+						t.Error(err)
+					}
+					tiers = append(tiers, st.tier)
+					return true
+				})
+			}()
+			deadline := time.Now().Add(10 * time.Second)
+			for c.Stats().Coalesced < flights {
+				if time.Now().After(deadline) {
+					t.Fatal("the in-flight cell never coalesced")
+				}
 				time.Sleep(time.Millisecond)
 			}
-			return nil
-		}, func(st *cellState, err error) bool {
-			if err != nil {
-				t.Error(err)
+			close(release)
+			if flights > 0 {
+				if err := <-leader; err != nil {
+					t.Fatal(err)
+				}
 			}
-			tiers = append(tiers, st.tier)
-			return true
-		})
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().Coalesced < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("the in-flight cell never coalesced")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	if err := <-leader; err != nil {
-		t.Fatal(err)
-	}
-	<-joint
+			<-joint
 
-	if len(walked) != 2 || walked[0] != cells[2] || walked[1] != cells[3] {
-		t.Fatalf("walked %d cells, want exactly the two unclaimed ones", len(walked))
-	}
-	want := []CellTier{TierMem, TierCoalesced, TierExec, TierExec}
-	if fmt.Sprint(tiers) != fmt.Sprint(want) {
-		t.Errorf("tiers %v, want %v", tiers, want)
-	}
-	if got := float64(cells[1].result.Model.TFinal); got != 11 {
-		t.Errorf("coalesced cell result %v, want the leader's 11", got)
-	}
-	if cells[2].elapsedMS <= 0 || cells[2].elapsedMS != cells[3].elapsedMS {
-		t.Errorf("walked cells' elapsed %v and %v, want equal positive shares", cells[2].elapsedMS, cells[3].elapsedMS)
-	}
-	if st := c.Stats(); st.Executed != 4 || st.Coalesced != 1 || st.MemHits != 1 {
-		t.Errorf("stats %+v, want 4 executed, 1 coalesced, 1 memory hit", st)
+			if fmt.Sprint(walked) != fmt.Sprint(claims) {
+				t.Fatalf("walked %d cells, want exactly the %d unclaimed ones", len(walked), len(claims))
+			}
+			if fmt.Sprint(tiers) != fmt.Sprint(tc.tiers) {
+				t.Errorf("tiers %v, want %v", tiers, tc.tiers)
+			}
+			for i, tier := range tc.tiers {
+				if got := float64(cells[i].result.Model.TFinal); tier == TierCoalesced && got != 11 {
+					t.Errorf("coalesced cell result %v, want the leader's 11", got)
+				}
+			}
+			for _, st := range claims {
+				if st.elapsedMS <= 0 || st.elapsedMS != claims[0].elapsedMS {
+					t.Errorf("walked cells' elapsed %v and %v, want equal positive shares", st.elapsedMS, claims[0].elapsedMS)
+				}
+			}
+			if st := c.Stats(); st.Executed != int64(len(tc.tiers)) || st.Coalesced != flights || st.MemHits != count[TierMem] {
+				t.Errorf("stats %+v, want %d executed, %d coalesced, %d memory hits", st, len(tc.tiers), flights, count[TierMem])
+			}
+		})
 	}
 }
 
-// TestCellCacheJointWalkPanic checks that a panic in a joint walk
-// releases every claimed flight: a waiter coalesced onto one gets an
-// error, the panic reaches the walk's caller, no cell is settled, and the
-// cells execute normally afterwards.
+// TestCellCacheJointWalkPanic checks that a panic in a joint walk, of a
+// cohort or of a lone cell, releases every claimed flight: a waiter
+// coalesced onto one gets an error, the panic reaches the walk's caller,
+// no cell is settled, and the cells execute normally afterwards.
 func TestCellCacheJointWalkPanic(t *testing.T) {
-	c := NewCellCache("", 4)
-	var cells []*cellState
-	for i := 0; i < 2; i++ {
-		spec := periodsCell(float64(i+1) * model.Hour)
-		cells = append(cells, &cellState{spec: spec, key: spec.key()})
-	}
-	entered, release := make(chan struct{}), make(chan struct{})
-	walkDone := make(chan any, 1)
-	go func() {
-		defer func() { walkDone <- recover() }()
-		c.execJoint(cells, func([]*cellState) []error {
-			close(entered)
-			<-release
-			panic("walk exploded")
-		}, func(*cellState, error) bool { return true })
-	}()
-	<-entered
-	waiterDone := make(chan error, 1)
-	go func() {
-		_, _, err := c.do(cells[1].key, func() (CellResult, error) { return modelResult(1), nil })
-		waiterDone <- err
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().Coalesced < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never coalesced")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	if p := <-walkDone; p == nil {
-		t.Fatal("panic did not propagate to the walk's caller")
-	}
-	select {
-	case err := <-waiterDone:
-		if err == nil {
-			t.Error("waiter got a result from a panicked walk")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("waiter deadlocked on a leaked flight entry")
-	}
-	for i, st := range cells {
-		if st.tier != "" {
-			t.Errorf("cell %d settled from tier %q after the panic", i, st.tier)
-		}
-		if _, tier, err := c.do(st.key, func() (CellResult, error) { return modelResult(5), nil }); err != nil || tier != TierExec {
-			t.Errorf("cell %d unusable after the panic: tier %q, err %v", i, tier, err)
-		}
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"cohort", 2}, {"one cell", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.n
+			c := NewCellCache("", 4)
+			var cells []*cellState
+			for i := 0; i < n; i++ {
+				spec := periodsCell(float64(i+1) * model.Hour)
+				cells = append(cells, &cellState{spec: spec, key: spec.key()})
+			}
+			entered, release := make(chan struct{}), make(chan struct{})
+			walkDone := make(chan any, 1)
+			go func() {
+				defer func() { walkDone <- recover() }()
+				c.execJoint(cells, func([]*cellState) []error {
+					close(entered)
+					<-release
+					panic("walk exploded")
+				}, func(*cellState, error) bool { return true })
+			}()
+			<-entered
+			waiterDone := make(chan error, 1)
+			go func() {
+				_, _, err := c.do(cells[n-1].key, func() (CellResult, error) { return modelResult(1), nil })
+				waiterDone <- err
+			}()
+			deadline := time.Now().Add(10 * time.Second)
+			for c.Stats().Coalesced < 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("waiter never coalesced")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			if p := <-walkDone; p == nil {
+				t.Fatal("panic did not propagate to the walk's caller")
+			}
+			select {
+			case err := <-waiterDone:
+				if err == nil {
+					t.Error("waiter got a result from a panicked walk")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("waiter deadlocked on a leaked flight entry")
+			}
+			for i, st := range cells {
+				if st.tier != "" {
+					t.Errorf("cell %d settled from tier %q after the panic", i, st.tier)
+				}
+				if _, tier, err := c.do(st.key, func() (CellResult, error) { return modelResult(5), nil }); err != nil || tier != TierExec {
+					t.Errorf("cell %d unusable after the panic: tier %q, err %v", i, tier, err)
+				}
+			}
+		})
 	}
 }
 

@@ -320,11 +320,13 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	// Under ExecBatch the compute, cohort walks included, happens wherever
 	// the hook runs; each cell holds the hook's result while the unit is
 	// read back through the cache's batch path (settle), and the cells the
-	// store lacks are settled from those results and written with one
-	// writeBatch. A panic in ExecBatch or in a cell's execution (execute
-	// and execJoint re-raise it after releasing their waiters) becomes the
-	// run's first error, naming the unit's first cell not yet settled; the
-	// remaining units then drain as after any error.
+	// store lacks are settled from those results through execJoint and
+	// written with one writeBatch; when the hook fails, each of them lands
+	// its error instead (one ExecErrors each) and nothing is cached. A
+	// panic in ExecBatch or in a cell's execution (execJoint re-raises it
+	// after releasing its waiters) becomes the run's first error, naming
+	// the unit's first cell not yet settled; the remaining units then
+	// drain as after any error.
 	runUnit := func(co cohort) {
 		defer func() {
 			if v := recover(); v != nil {
@@ -371,8 +373,15 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 			}
 		}
 		cache.settle(co.cells, complete, func(misses []*cellState) []*cellState {
-			return cache.execCells(misses, func(st *cellState) (CellResult, error) {
-				return st.result, batchErr
+			return cache.execJoint(misses, func(claimed []*cellState) []error {
+				if batchErr == nil {
+					return nil
+				}
+				errs := make([]error, len(claimed))
+				for i := range errs {
+					errs[i] = batchErr
+				}
+				return errs
 			}, complete)
 		})
 	}

@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -380,5 +383,45 @@ func TestRunnerExecBatchCountMismatchIsError(t *testing.T) {
 		if st := cache.Stats(); st.Executed != 0 {
 			t.Errorf("%+d results: %d cells cached from a bad unit", extra, st.Executed)
 		}
+	}
+}
+
+// TestRunnerExecBatchErrorCachesNothing: when the ExecBatch hook fails,
+// the run fails with the hook's error, and every cell of each failed unit
+// lands that error through the singleflight, one ExecErrors each, with
+// nothing in the memory tier or the store.
+func TestRunnerExecBatchErrorCachesNothing(t *testing.T) {
+	boom := errors.New("worker down")
+	backing := store.NewMemory()
+	cache := NewCellCacheStore(store.WithChecksum(backing), 0)
+	var mu sync.Mutex
+	var sent []CellSpec
+	r := Runner{Cache: cache, Workers: 2, ExecBatch: func(specs []CellSpec) ([]CellResult, error) {
+		mu.Lock()
+		sent = append(sent, specs...)
+		mu.Unlock()
+		return nil, fmt.Errorf("dispatch: %w", boom)
+	}}
+	if _, err := r.Run(testCampaign()); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the hook's error", err)
+	}
+	if len(sent) == 0 {
+		t.Fatal("no unit reached the hook")
+	}
+	if st := cache.Stats(); st.Executed != 0 || st.ExecErrors != int64(len(sent)) {
+		t.Errorf("stats %+v, want 0 executed and one exec error per failed cell (%d)", st, len(sent))
+	}
+	hashes := make([]string, len(sent))
+	for i, spec := range sent {
+		hashes[i] = spec.Hash()
+		cache.mu.Lock()
+		_, inMem := cache.entries[hashes[i]]
+		cache.mu.Unlock()
+		if inMem {
+			t.Errorf("cell %d of a failed unit is in the memory tier", i)
+		}
+	}
+	if got, err := backing.GetBatch(hashes); err != nil || len(got) != 0 {
+		t.Errorf("store holds %d cells of a failed unit (err %v)", len(got), err)
 	}
 }

@@ -111,8 +111,10 @@ func TestSimulatePanicsOnCallerForInvalidDistribution(t *testing.T) {
 // up to the model's own first-order truncation error. The model neglects
 // O((T/mu)^2) terms (failures during checkpoints, recovery and re-execution),
 // which at mu = 6h on the Figure 7 scenario biases its waste upward by
-// ~0.005-0.007 absolute (measured; see EXPERIMENTS.md's sign note). We
-// therefore allow CI95 + 0.010: the 0.010 is the documented loose tolerance
+// ~0.005-0.007 absolute (measured). The sign is fixed: the simulator
+// matches the exact renewal-theory expectation, which the first-order
+// model overestimates, so the simulated waste sits below the prediction.
+// We therefore allow CI95 + 0.010: the 0.010 is the documented loose tolerance
 // for the model bias, and the CI term makes the check statistical — it
 // tightens automatically if the repetition count grows.
 func TestSimWithinModelConfidenceInterval(t *testing.T) {

@@ -227,10 +227,10 @@ func TestSimulateDeterminism(t *testing.T) {
 // waste corresponds to the model's prediction everywhere on the Figure 7
 // grid, with the largest deviation (~5 points here, <=12 points in the
 // paper) at the smallest MTBF and rapid tightening as the MTBF grows.
-// (Sign note, recorded in EXPERIMENTS.md: our simulator matches the exact
-// renewal-theory expectation, which the first-order model *over*estimates
-// when mu is only ~2x the checkpoint period, so the deviation here is
-// negative where the paper reports a positive one of the same magnitude.)
+// (Sign note: our simulator matches the exact renewal-theory expectation,
+// which the first-order model *over*estimates when mu is only ~2x the
+// checkpoint period, so the deviation here is negative where the paper
+// reports a positive one of the same magnitude.)
 func TestSimMatchesModelFig7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("validation sweep is slow")
